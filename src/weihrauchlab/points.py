@@ -207,14 +207,21 @@ def row(p: Point, n: int) -> Point:
     raise UnsupportedShape(f"row extraction on {type(p).__name__}; normalize first")
 
 
-def rows_view(p: Point):
-    """Row accessor that normalizes Interleave points first."""
+def rows_of(p: Point) -> Point:
+    """Row normal form: an Interleave is normalized when it can be, so that
+    row extraction applies; every other point is already in row form."""
     if isinstance(p, Interleave):
-        q = normalize(p)
-        if q is None:
-            raise UnsupportedShape("rows of a non-normalizable interleave")
-        p = q
-    return lambda n: row(p, n)
+        return normalize(p) or p
+    return p
+
+
+def row_stabilization(p: EvPeriodic) -> tuple:
+    """(n_star, cycle): rows n >= n_star of p repeat with period cycle."""
+    h, m = len(p.head), len(p.period)
+    n = 0
+    while pair_encode(n, 0) < h:
+        n += 1
+    return n, 2 * m
 
 
 def depair(p: Point) -> tuple:

@@ -28,11 +28,12 @@ from .points import (
     depair,
     exists_zero,
     nonzero_census,
-    normalize,
     pair_decode,
     pair_encode,
     point_prepend,
     row,
+    row_stabilization,
+    rows_of,
 )
 from .spaces import (
     ClopenCompact,
@@ -461,110 +462,61 @@ def llpo_problem() -> Problem:
     )
 
 
-# parallelized LPO, i.e. the zero-searching function on rows ---------------
-
-def _row_stabilization(p: EvPeriodic) -> tuple:
-    """(n_star, cycle): rows n >= n_star repeat with period cycle."""
-    h, m = len(p.head), len(p.period)
-    n = 0
-    while pair_encode(n, 0) < h:
-        n += 1
-    return n, 2 * m
-
-
-def c_map(p: Point) -> Point:
-    """The point whose n-th value is 0 iff row n of p contains a zero."""
-    if isinstance(p, Interleave):
-        q = normalize(p)
-        if q is None:
-            raise UnsupportedShape("rows of a non-normalizable interleave")
-        p = q
-    if isinstance(p, RowTuple):
-        bit_d = 0 if exists_zero(p.default) else 1
-        top = max(p.rows, default=-1) + 1
-        head = tuple(0 if exists_zero(p.row(n)) else 1 for n in range(top))
-        return EvPeriodic(head, (bit_d,))
-    if isinstance(p, EvPeriodic):
-        n_star, cycle = _row_stabilization(p)
-        head = tuple(0 if exists_zero(row(p, n)) else 1 for n in range(n_star))
-        period = tuple(0 if exists_zero(row(p, n)) else 1
-                       for n in range(n_star, n_star + cycle))
-        return EvPeriodic(head, period)
-    if isinstance(p, LawPoint):
-        return LawPoint(fn=lambda n: 0 if exists_zero(row(p, n)) else 1,
-                        label="c-map")
-    raise UnsupportedShape(f"c_map on {type(p).__name__}")
-
-
-def _c_dom(p: Point) -> bool:
-    try:
-        c_map(p)
-        return True
-    except UnsupportedShape:
-        return False
-
-
-def c_problem() -> Problem:
-    """Parallelized LPO viewed as the total zero-searching function."""
-    return Problem(
-        name="lpo_hat",
-        input_space="baire",
-        output_space="baire",
-        in_domain=_c_dom,
-        value_set=lambda p: SinglePointSet(c_map(p)),
-    )
-
-
-# parallelized LLPO ---------------------------------------------------------
+# parallelization --------------------------------------------------------
 
 LAW_DOMAIN_WINDOW = 32
 
 
-def llpo_hat_value(p: Point) -> CoordProductSet:
-    if isinstance(p, Interleave):
-        q = normalize(p)
-        if q is None:
-            raise UnsupportedShape("rows of a non-normalizable interleave")
-        p = q
-    if isinstance(p, RowTuple):
-        support = max(p.rows, default=-1) + 1
-        return CoordProductSet(lambda n: llpo_value(p.row(n)),
-                               support_bound=support,
-                               tail_bits=llpo_value(p.default))
-    if isinstance(p, (EvPeriodic, LawPoint)):
-        return CoordProductSet(lambda n: llpo_value(row(p, n)))
-    raise UnsupportedShape(f"llpo_hat on {type(p).__name__}")
+def hat_problem(f: Problem) -> Problem:
+    """The parallelization of f: row n of a name is an f-instance.
 
+    A nat-valued f answers in one flat stream whose coordinate n answers
+    row n; any other f answers row-tupled, row n a name from f's values.
+    """
+    def dom(p):
+        try:
+            p = rows_of(p)
+            if isinstance(p, RowTuple):
+                rows = [p.default, *p.rows.values()]
+            elif isinstance(p, EvPeriodic):
+                n_star, cycle = row_stabilization(p)
+                rows = (row(p, n) for n in range(n_star + cycle))
+            elif isinstance(p, LawPoint):
+                # bounded validation on law-backed names; construction carries the tail
+                rows = (row(p, n) for n in range(LAW_DOMAIN_WINDOW))
+            else:
+                return False
+            return all(f.in_domain(r) for r in rows)
+        except UnsupportedShape:
+            return False
 
-def _llpo_hat_dom(p: Point) -> bool:
-    try:
-        if isinstance(p, Interleave):
-            p = normalize(p) or p
+    def value(p):
+        p = rows_of(p)
+        if f.output_space != "nat":
+            return RowProductSet(lambda n: f.value_set(row(p, n)))
+
+        def bits(n):
+            return f.value_set(row(p, n)).values
+
         if isinstance(p, RowTuple):
-            return _llpo_dom(p.default) and all(_llpo_dom(r) for r in p.rows.values())
-        if isinstance(p, EvPeriodic):
-            n_star, cycle = _row_stabilization(p)
-            return all(_llpo_dom(row(p, n)) for n in range(n_star + cycle))
-        if isinstance(p, LawPoint):
-            # bounded validation on law-backed names; construction carries the tail
-            from .errors import FuelExhausted
-            try:
-                return all(_llpo_dom(row(p, n)) for n in range(LAW_DOMAIN_WINDOW))
-            except FuelExhausted:
-                return True   # probing outran the name's commit capability
-        return False
-    except UnsupportedShape:
-        return False
+            return CoordProductSet(bits, support_bound=max(p.rows, default=-1) + 1,
+                                   tail_bits=f.value_set(p.default).values)
+        return CoordProductSet(bits)
+
+    return Problem(f"{f.name}_hat", "baire", "baire", dom, value)
+
+
+def c_problem() -> Problem:
+    """Parallelized LPO: bit n says whether row n contains a zero."""
+    return hat_problem(lpo_problem())
 
 
 def llpo_hat_problem() -> Problem:
-    return Problem(
-        name="llpo_hat",
-        input_space="baire",
-        output_space="cantor",
-        in_domain=_llpo_hat_dom,
-        value_set=llpo_hat_value,
-    )
+    return hat_problem(llpo_problem())
+
+
+def llpo_hat_value(p: Point) -> CoordProductSet:
+    return llpo_hat_problem().value_set(p)
 
 
 # compact choice ------------------------------------------------------------
@@ -703,62 +655,23 @@ def sum_problem(f: Problem, g: Problem) -> Problem:
     return Problem(f"({f.name}+{g.name})", "pair", "tagged", dom, value)
 
 
-def flat_hat_problem(base_value: Callable, base_dom: Callable, name: str) -> Problem:
-    """Countably many instances answered in one flat bit/nat stream."""
-    def rows_of(p):
-        if isinstance(p, Interleave):
-            q = normalize(p)
-            if q is None:
-                raise UnsupportedShape("rows of a non-normalizable interleave")
-            p = q
-        return p
-
+def double_hat_problem(f: Problem) -> Problem:
+    """The flat hat of the flat hat of a nat-valued f: instance (j, k) at
+    coordinate <j,k>."""
     def dom(p):
         try:
-            p = rows_of(p)
-            if isinstance(p, RowTuple):
-                return base_dom(p.default) and all(base_dom(r) for r in p.rows.values())
-            if isinstance(p, EvPeriodic):
-                n_star, cycle = _row_stabilization(p)
-                return all(base_dom(row(p, n)) for n in range(n_star + cycle))
-            if isinstance(p, LawPoint):
-                return all(base_dom(row(p, n)) for n in range(LAW_DOMAIN_WINDOW))
-            return False
-        except UnsupportedShape:
-            return False
-
-    def value(p):
-        p = rows_of(p)
-        if isinstance(p, RowTuple):
-            support = max(p.rows, default=-1) + 1
-            return CoordProductSet(lambda n: base_value(p.row(n)),
-                                   support_bound=support,
-                                   tail_bits=base_value(p.default))
-        return CoordProductSet(lambda n: base_value(row(p, n)))
-
-    return Problem(name, "baire", "baire", dom, value)
-
-
-def double_hat_problem(base_value: Callable, base_dom: Callable, name: str) -> Problem:
-    """The flat hat of a flat hat: instance (j, k) at coordinate <j,k>."""
-    def dom(p):
-        try:
-            for j in range(8):
-                outer = row(p, j)
-                for k in range(8):
-                    if not base_dom(row(outer, k)):
-                        return False
-            return True
+            return all(f.in_domain(row(row(p, j), k))
+                       for j in range(8) for k in range(8))
         except UnsupportedShape:
             return False
 
     def value(p):
         def bits(i):
             j, k = pair_decode(i)
-            return base_value(row(row(p, j), k))
+            return f.value_set(row(row(p, j), k)).values
         return CoordProductSet(bits)
 
-    return Problem(name, "baire", "baire", dom, value)
+    return Problem(f"{f.name}_hat^hat", "baire", "baire", dom, value)
 
 
 def compose_problems(outer: Problem, inner: Problem, cap: int = BEHAVIOR_CAP) -> Problem:

@@ -21,19 +21,18 @@ from .errors import (
 from .machines import Machine, PointView, compose, compose_all
 from .points import (
     EvPeriodic,
-    Interleave,
     LawPoint,
     Point,
     RowTuple,
     nonzero_census,
-    normalize,
     pair_decode,
     pair_encode,
     row,
+    row_stabilization,
+    rows_of,
     scan_bound,
 )
 from .problems import (
-    _row_stabilization,
     compact_choice_problem,
     compose_problems,
     llpo_hat_problem,
@@ -76,8 +75,7 @@ def ternary_of_point(p: Point) -> TernaryValue:
 def forced_bits(p: Point) -> dict:
     """Forced coordinates of the parallelized-LLPO image; the forced set
     must be finite to be clopen-representable."""
-    if isinstance(p, Interleave):
-        p = normalize(p) or p
+    p = rows_of(p)
     if isinstance(p, RowTuple):
         if len(llpo_value(p.default)) == 1:
             raise NonRepresentable("default row forces a bit: infinite negative information")
@@ -88,7 +86,7 @@ def forced_bits(p: Point) -> dict:
                 out[n] = min(bits)
         return out
     if isinstance(p, EvPeriodic):
-        n_star, cycle = _row_stabilization(p)
+        n_star, cycle = row_stabilization(p)
         for n in range(n_star, n_star + cycle):
             if len(llpo_value(row(p, n))) == 1:
                 raise NonRepresentable("periodic tail forces bits: infinite negative information")

@@ -45,29 +45,24 @@ from .points import (
     depair,
     min_zero,
     nonzero_census,
-    normalize,
     pair_decode,
     pair_encode,
     point_map,
     prefix,
     row,
+    rows_of,
     subsample,
 )
 from .problems import (
     BEHAVIOR_CAP,
-    FiniteNatsSet,
-    PairSet,
     Problem,
-    RowProductSet,
-    TaggedUnionSet,
     c_problem,
     double_hat_problem,
+    hat_problem,
     id_problem,
     llpo_hat_problem,
     llpo_problem,
-    llpo_value,
     lpo_problem,
-    lpo_value,
     product_problem,
     sum_problem,
 )
@@ -310,11 +305,7 @@ def glb_factor(wf: Witness, wg: Witness) -> Witness:
     if wf.f.name != wg.f.name:
         raise MiddleMismatch("factoring needs a common lower problem")
     fwd, _ = sum_idem(wf.f)
-    summed = sum_witness(wf, wg)
-    # align the middle problem objects (sum of equal problems)
-    fwd = Witness(fwd.f, summed.f, fwd.K, fwd.H, fwd.strong, fwd.k_point,
-                  name=fwd.name)
-    return compose_witness(fwd, summed)
+    return compose_witness(fwd, sum_witness(wf, wg))
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +356,7 @@ def strengthen_on_cylinder(w: Witness, cyl: Witness) -> Witness:
     if not cyl.strong or cyl.g.name != w.g.name:
         raise NotACylinder(f"need a strong id*{w.g.name} <=sW {w.g.name} witness")
     s0 = to_own_cylinder(w.f)
-    c = cylindrify(w)
-    s0 = Witness(s0.f, c.f, s0.K, s0.H, True, s0.k_point, name=s0.name)
-    c = Witness(c.f, cyl.f, c.K, c.H, True, c.k_point, name=c.name)
-    out = compose_witness(compose_witness(s0, c), cyl)
+    out = compose_witness(compose_witness(s0, cylindrify(w)), cyl)
     out.name = f"strong({w.name})"
     return out
 
@@ -376,34 +364,8 @@ def strengthen_on_cylinder(w: Witness, cyl: Witness) -> Witness:
 # ---------------------------------------------------------------------------
 # parallelization
 
-def hat_for(f: Problem) -> Problem:
-    if f.name == "lpo":
-        return c_problem()
-    if f.name == "llpo":
-        return llpo_hat_problem()
-    raise MiddleMismatch(f"no flat parallelization registered for {f.name}")
-
-
-def value_fn_for(f: Problem) -> Callable:
-    if f.name == "lpo":
-        return lpo_value
-    if f.name == "llpo":
-        return llpo_value
-    raise MiddleMismatch(f"no value law registered for {f.name}")
-
-
-def srow(p: Point, n: int) -> Point:
-    """Row extraction that normalizes interleaved points first."""
-    if isinstance(p, Interleave):
-        q = normalize(p)
-        if q is not None:
-            p = q
-    return row(p, n)
-
-
 def _rowwise_point(kp: Callable, p: Point) -> Point:
-    if isinstance(p, Interleave):
-        p = normalize(p) or p
+    p = rows_of(p)
     if isinstance(p, RowTuple):
         return RowTuple({n: kp(r) for n, r in p.rows.items()}, kp(p.default))
     return LawPoint(row_fn=lambda n: kp(row(p, n)), label="rowwise")
@@ -413,7 +375,7 @@ def parallel_extensive(f: Problem) -> Witness:
     """One instance answered by countably many copies on the diagonal.
     The outer translation reads the first flat answer bit, so the witness
     is even strong."""
-    fh = hat_for(f)
+    fh = hat_problem(f)
     k = index_machine("diag-tuple", lambda i: pair_decode(i)[1])
     h = symbol_machine("first-answer",
                        lambda w, j: w[0] if j == 0 else 0,
@@ -424,7 +386,7 @@ def parallel_extensive(f: Problem) -> Witness:
 
 def parallelize_witness(w: Witness) -> Witness:
     """Apply a reduction between single-answer problems row by row."""
-    fh, gh = hat_for(w.f), hat_for(w.g)
+    fh, gh = hat_problem(w.f), hat_problem(w.g)
     k = countable_tuple([], w.K)
     kp = lambda p: _rowwise_point(w.k_point, p)
 
@@ -469,9 +431,8 @@ def parallelize_witness(w: Witness) -> Witness:
 
 def parallel_idem(f: Problem) -> tuple:
     """Flattening and diagonal witnesses between the hat and the double hat."""
-    fh = hat_for(f)
-    vf = value_fn_for(f)
-    fhh = double_hat_problem(vf, lambda p: True, f"{fh.name}^hat")
+    fh = hat_problem(f)
+    fhh = double_hat_problem(f)
 
     def flatten_src(i):
         jk, m = pair_decode(i)
@@ -508,7 +469,7 @@ def parallel_idem(f: Problem) -> tuple:
 
 def parallel_absorb(f: Problem) -> tuple:
     """Even/odd merge between the hat and its square."""
-    fh = hat_for(f)
+    fh = hat_problem(f)
     pp = product_problem(fh, fh)
 
     def merge_src(j):
@@ -518,10 +479,10 @@ def parallel_absorb(f: Problem) -> tuple:
     k_merge = index_machine("evenodd-merge", merge_src)
 
     def kp_merge(p):
-        a, b = depair(p)
+        a, b = map(rows_of, depair(p))
         return LawPoint(
             fn=lambda j: p.value_at(merge_src(j)),
-            row_fn=lambda n: srow(a if n % 2 == 0 else b, n // 2),
+            row_fn=lambda n: row(a if n % 2 == 0 else b, n // 2),
             label="merged",
         )
 
@@ -533,33 +494,10 @@ def parallel_absorb(f: Problem) -> tuple:
     return absorb, split
 
 
-def pairhat_problem(f: Problem, g: Problem) -> Problem:
-    """Countably many (f x g)-instances: rows are pair names."""
-    vf, vg = value_fn_for(f), value_fn_for(g)
-
-    def dom(p):
-        try:
-            for n in range(16):
-                a, b = depair(row(p, n))
-                if not (f.in_domain(a) and g.in_domain(b)):
-                    return False
-            return True
-        except Exception:
-            return False
-
-    def value(p):
-        def row_vs(n):
-            a, b = depair(row(p, n))
-            return PairSet(FiniteNatsSet(vf(a)), FiniteNatsSet(vg(b)))
-        return RowProductSet(row_vs)
-
-    return Problem(f"hat({f.name}x{g.name})", "baire", "baire", dom, value)
-
-
 def parallel_product(f: Problem, g: Problem) -> tuple:
     """Both directions of hat(f x g) == hat(f) x hat(g)."""
-    fh, gh = hat_for(f), hat_for(g)
-    ph = pairhat_problem(f, g)
+    fh, gh = hat_problem(f), hat_problem(g)
+    ph = hat_problem(product_problem(f, g))
     pp = product_problem(fh, gh)
 
     def split_src(j):
@@ -570,8 +508,10 @@ def parallel_product(f: Problem, g: Problem) -> tuple:
     k_split = index_machine("split-rows", split_src)
 
     def kp_split(p):
+        p = rows_of(p)
+
         def half_rows(par):
-            return LawPoint(row_fn=lambda i: depair(srow(p, i))[par],
+            return LawPoint(row_fn=lambda i: depair(row(p, i))[par],
                             label=f"half{par}")
         return Interleave(half_rows(0), half_rows(1))
 
@@ -591,10 +531,10 @@ def parallel_product(f: Problem, g: Problem) -> tuple:
     k_join = index_machine("join-rows", join_src)
 
     def kp_join(p):
-        a, b = depair(p)
+        a, b = map(rows_of, depair(p))
         return LawPoint(
             fn=lambda j: p.value_at(join_src(j)),
-            row_fn=lambda i: Interleave(srow(a, i), srow(b, i)),
+            row_fn=lambda i: Interleave(row(a, i), row(b, i)),
             label="joined")
 
     h_bwd = index_machine(
@@ -604,34 +544,10 @@ def parallel_product(f: Problem, g: Problem) -> tuple:
     return fwd, bwd
 
 
-def sumhat_problem(f: Problem, g: Problem) -> Problem:
-    """Countably many (hat f + hat g)-instances: rows are pairs of hat inputs."""
-    fh, gh = hat_for(f), hat_for(g)
-
-    def dom(p):
-        try:
-            for n in range(8):
-                a, b = depair(row(p, n))
-                if not (fh.in_domain(a) and gh.in_domain(b)):
-                    return False
-            return True
-        except Exception:
-            return False
-
-    def value(p):
-        def row_vs(n):
-            a, b = depair(row(p, n))
-            return TaggedUnionSet(fh.value_set(a), gh.value_set(b))
-        return RowProductSet(row_vs)
-
-    return Problem(f"hat({fh.name}+{gh.name})", "baire", "baire", dom, value)
-
-
 def parallel_sum(f: Problem, g: Problem) -> Witness:
     """Absorption: countably many (hat f + hat g) instances collapse into one."""
-    fh, gh = hat_for(f), hat_for(g)
-    lhs = sumhat_problem(f, g)
-    rhs = sum_problem(fh, gh)
+    rhs = sum_problem(hat_problem(f), hat_problem(g))
+    lhs = hat_problem(rhs)
 
     def gather_src(t):
         par, s = t % 2, t // 2
@@ -642,10 +558,12 @@ def parallel_sum(f: Problem, g: Problem) -> Witness:
     k_gather = index_machine("gather", gather_src)
 
     def kp_gather(p):
+        p = rows_of(p)
+
         def half(par):
             def row_of(ij):
                 i, j = pair_decode(ij)
-                return srow(depair(srow(p, j))[par], i)
+                return row(rows_of(depair(row(p, j))[par]), i)
             return LawPoint(row_fn=row_of, label=f"gather{par}")
         return Interleave(half(0), half(1))
 
@@ -774,8 +692,7 @@ def double_absorb_machine() -> Machine:
 
 def double_absorb_point(p: Point) -> Point:
     """Point mirror of the absorb shuffle, with structural rows."""
-    if isinstance(p, Interleave):
-        p = normalize(p) or p
+    p = rows_of(p)
     if not isinstance(p, (RowTuple, EvPeriodic)):
         raise OutOfDomain("absorb mirror needs a structural row point")
 
@@ -960,12 +877,9 @@ def lpo_from_discontinuity(data: DiscontinuityData, g: Problem) -> Witness:
 
 def hat_is_cylinder(f: Problem) -> Witness:
     """id x hat(f) <=sW hat(f): pack the identity slot into extra rows."""
-    fh = hat_for(f)
+    fh = hat_problem(f)
     idf = id_to_llpo_hat() if fh.name == "llpo_hat" else id_to_c()
-    prod = product_witness(idf, reflexivity(fh))
     absorb, _ = parallel_absorb(f)
-    prod = Witness(prod.f, absorb.f, prod.K, prod.H, prod.strong, prod.k_point,
-                   name=prod.name)
-    out = compose_witness(prod, absorb)
+    out = compose_witness(product_witness(idf, reflexivity(fh)), absorb)
     out.name = f"cylinder({fh.name})"
     return out

@@ -16,14 +16,13 @@ from .errors import OutOfDomain, UnsupportedShape
 from .machines import Machine, index_machine
 from .points import (
     EvPeriodic,
-    Interleave,
     LawPoint,
     Point,
     RowTuple,
-    normalize,
     pair_decode,
     pair_encode,
     row,
+    rows_of,
     scan_bound,
 )
 from .problems import (
@@ -50,8 +49,7 @@ class ConstraintTree:
     """
 
     def __init__(self, point: Point):
-        if isinstance(point, Interleave):
-            point = normalize(point) or point
+        point = rows_of(point)
         if not isinstance(point, (RowTuple, EvPeriodic)):
             raise UnsupportedShape("constraint trees need structural row points")
         self.point = point

@@ -76,6 +76,13 @@ def test_cli_eval_lpo(capsys):
     assert "{1}" in capsys.readouterr().out
 
 
+def test_cli_eval_lpo_hat_prints_the_product(capsys):
+    assert main(["eval", "lpo_hat", "rows(default=evp(;1);3:evp(;0))"]) == 0
+    assert capsys.readouterr().out == (
+        "lpo_hat(rows(default=evp(;1);3:evp(;0))) = "
+        "product[1 1 1 0 1 1 1 1 1 1 1 1 ...]\n")
+
+
 def test_cli_eval_llpo_real(capsys):
     assert main(["eval", "llpo_real", "dyadic(-1,1)"]) == 0
     assert "{0}" in capsys.readouterr().out

@@ -21,7 +21,6 @@ from weihrauchlab.problems import (
     SinglePointSet,
     TaggedUnionSet,
     bottom_problem,
-    c_map,
     c_problem,
     compact_choice_problem,
     compose_problems,
@@ -66,28 +65,16 @@ def test_llpo_domain_and_free_point():
         assert (v == {0, 1}) == (prefix(p, 32) == (0,) * 32)
 
 
-def test_c_map_rowtuples():
+def test_lpo_hat_rowtuples():
     ones = EvPeriodic((), (1,))
     zeros = EvPeriodic((), (0,))
-    q = c_map(RowTuple({}, ones))
-    assert prefix(q, 8) == (1,) * 8
-    q2 = c_map(RowTuple({3: zeros}, ones))
-    assert q2.value_at(3) == 0
-    assert all(q2.value_at(n) == 1 for n in (0, 1, 2, 4, 5))
-    q3 = c_map(EvPeriodic((), (0,)))
-    assert prefix(q3, 16) == (0,) * 16
-
-
-def test_c_map_agrees_with_rowwise_lpo():
-    rng = rng_for("c-rowwise")
-    for _ in range(12):
-        p = RowTuple({n: ev_periodic(rng) for n in range(rng.randrange(4))},
-                     ev_periodic(rng))
-        q = c_map(p)
-        for n in range(32):
-            want = 0 if 0 in lpo_value(row(p, n)) == {0} else None
-            want = 0 if lpo_value(row(p, n)) == {0} else 1
-            assert q.value_at(n) == want
+    vs = c_problem().value_set(RowTuple({}, ones))
+    assert all(vs.bits(n) == {1} for n in range(8))
+    vs2 = c_problem().value_set(RowTuple({3: zeros}, ones))
+    assert vs2.bits(3) == {0}
+    assert all(vs2.bits(n) == {1} for n in (0, 1, 2, 4, 5))
+    vs3 = c_problem().value_set(EvPeriodic((), (0,)))
+    assert all(vs3.bits(n) == {0} for n in range(16))
 
 
 def test_llpo_hat_examples():
@@ -107,12 +94,21 @@ def test_llpo_hat_domain_error_names_row():
 
 
 def test_llpo_hat_coordinates_agree_with_rows():
+    """Coordinate k of the hat's value is the base law on row k, for the
+    parity principle and for zero search."""
     rng = rng_for("hat-coords")
     for _ in range(10):
         p = llpo_hat_input(rng)
         vs = llpo_hat_value(p)
         for k in range(32):
             assert vs.bits(k) == llpo_value(row(p, k))
+    rng = rng_for("c-rowwise")
+    for _ in range(12):
+        p = RowTuple({n: ev_periodic(rng) for n in range(rng.randrange(4))},
+                     ev_periodic(rng))
+        vs = c_problem().value_set(p)
+        for k in range(32):
+            assert vs.bits(k) == lpo_value(row(p, k))
 
 
 def test_wkl_problem_examples():

@@ -14,9 +14,11 @@ from weihrauchlab.points import EvPeriodic, Interleave, RowTuple, prefix
 from weihrauchlab.problems import (
     bottom_problem,
     c_problem,
+    hat_problem,
     id_problem,
     llpo_hat_problem,
     llpo_problem,
+    llpo_real_problem,
     lpo_problem,
 )
 from weihrauchlab.witnesses import (
@@ -53,6 +55,16 @@ def llpo_corpus(n=10, seed="w"):
     return llpo_points(rng_for(seed), n)
 
 
+def dyadic_rows(n=6, seed="dyadic-rows"):
+    """Row tuples whose default and exception rows are dyadic names."""
+    rng = rng_for(seed)
+    out = []
+    for _ in range(n):
+        names = dyadic_names(rng, 4)
+        out.append(RowTuple({rng.randrange(6): q for q in names[1:]}, names[0]))
+    return out
+
+
 def test_reflexivity_passes_for_registered_problems():
     from weihrauchlab.corpus import rowable_points
     cases = [
@@ -61,6 +73,7 @@ def test_reflexivity_passes_for_registered_problems():
         (llpo_hat_problem(), llpo_hat_inputs(rng_for("r2"), 6)),
         (id_problem(), any_points(rng_for("r3"), 8)),
         (c_problem(), rowable_points(rng_for("r4"), 6)),
+        (hat_problem(llpo_real_problem()), dyadic_rows()),
     ]
     for prob, corpus in cases:
         rep = check(reflexivity(prob), corpus, depth=10)
@@ -225,10 +238,12 @@ def test_strengthen_on_cylinder():
 def test_parallel_closure_triple():
     for f, corpus in ((lpo_problem(), any_points(rng_for("pc1"), 6)),
                       (llpo_problem(),
-                       llpo_points(rng_for("pc2"), 6, allow_free=False))):
+                       llpo_points(rng_for("pc2"), 6, allow_free=False)),
+                      (llpo_real_problem(), dyadic_names(rng_for("pc6"), 10))):
         assert check(parallel_extensive(f), corpus, depth=10).passed
-    w = parallelize_witness(llpo_to_lpo())
-    assert check(w, llpo_hat_inputs(rng_for("pc3"), 6), depth=10).passed
+    for w, corpus in ((llpo_to_lpo(), llpo_hat_inputs(rng_for("pc3"), 6)),
+                      (llpo_real_to_llpo(), dyadic_rows(seed="pc7"))):
+        assert check(parallelize_witness(w), corpus, depth=10).passed
     absorb, split = parallel_absorb(llpo_problem())
     pairs = pair_points(rng_for("pc4"), lambda r: llpo_hat_inputs(r, 1)[0],
                         lambda r: llpo_hat_inputs(r, 1)[0], 5)
