@@ -93,22 +93,24 @@ def test_llpo_hat_domain_error_names_row():
     assert not llpo_hat_problem().in_domain(bad)
 
 
+def test_c_map_agrees_with_rowwise_lpo():
+    """Coordinate n of the lpo hat's value is lpo on row n."""
+    rng = rng_for("c-rowwise")
+    for _ in range(12):
+        p = RowTuple({n: ev_periodic(rng) for n in range(rng.randrange(4))},
+                     ev_periodic(rng))
+        vs = c_problem().value_set(p)
+        for n in range(32):
+            assert vs.bits(n) == lpo_value(row(p, n))
+
+
 def test_llpo_hat_coordinates_agree_with_rows():
-    """Coordinate k of the hat's value is the base law on row k, for the
-    parity principle and for zero search."""
     rng = rng_for("hat-coords")
     for _ in range(10):
         p = llpo_hat_input(rng)
         vs = llpo_hat_value(p)
         for k in range(32):
             assert vs.bits(k) == llpo_value(row(p, k))
-    rng = rng_for("c-rowwise")
-    for _ in range(12):
-        p = RowTuple({n: ev_periodic(rng) for n in range(rng.randrange(4))},
-                     ev_periodic(rng))
-        vs = c_problem().value_set(p)
-        for k in range(32):
-            assert vs.bits(k) == lpo_value(row(p, k))
 
 
 def test_wkl_problem_examples():
