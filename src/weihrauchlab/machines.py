@@ -6,14 +6,35 @@ the limit over ever longer input prefixes; run_on_point performs that
 widening.  Evaluation receives prefix *views* (length plus indexing), which
 lets machines with sparse access patterns run on very long prefixes of
 lazily evaluated points without materializing them.
+
+A machine may also carry its point action: a function from a finitely
+presented point to a finitely presented point whose prefixes the machine
+emits.  Every combinator builds it from the point actions of its parts;
+a primitive whose action is structural (a search, a guess, a split of
+rows) is given its action by hand, and the checker validates either kind
+against eval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
-from .points import Point, Word, pair_decode, pair_encode, prefix as point_prefix
+from .points import (
+    Interleave,
+    LawPoint,
+    Point,
+    RowTuple,
+    Word,
+    depair,
+    pair_decode,
+    pair_encode,
+    point_drop,
+    point_prepend,
+    prefix as point_prefix,
+    row,
+    rows_of,
+)
 
 DEFAULT_FUEL = 10 ** 6
 
@@ -108,6 +129,7 @@ class Machine:
     name: str
     fn: Callable
     fuel: int = DEFAULT_FUEL
+    point: Optional[Callable] = None
 
     def eval(self, w) -> Word:
         return self.fn(w)
@@ -139,28 +161,38 @@ def run_on_point(m: Machine, p: Point, depth: int, fuel: int = None) -> EvalOutc
 
 # primitives ----------------------------------------------------------------
 
+def _lifted(action: Callable, *parts: Machine) -> Optional[Callable]:
+    """A combinator's point action, or None when some part has none."""
+    return None if any(m.point is None for m in parts) else action
+
+
 def identity() -> Machine:
-    return Machine("id", lambda w: tuple(w))
+    return Machine("id", lambda w: tuple(w), point=lambda p: p)
 
 
 def const_machine(q: Point, name: str = None) -> Machine:
-    return Machine(name or "const", lambda w: point_prefix(q, len(w)))
+    return Machine(name or "const", lambda w: point_prefix(q, len(w)),
+                   point=lambda p: q)
 
 
 def shift_l() -> Machine:
-    return Machine("L", lambda w: tuple(w[i] for i in range(1, len(w))))
+    return Machine("L", lambda w: tuple(w[i] for i in range(1, len(w))),
+                   point=point_drop)
 
 
 def inject(sym: int) -> Machine:
-    return Machine(f"inject{sym}", lambda w: (sym,) + tuple(w))
+    return Machine(f"inject{sym}", lambda w: (sym,) + tuple(w),
+                   point=lambda p: point_prepend(sym, p))
 
 
 def proj1() -> Machine:
-    return Machine("pi1", lambda w: tuple(first_half(w)))
+    return Machine("pi1", lambda w: tuple(first_half(w)),
+                   point=lambda p: depair(p)[0])
 
 
 def proj2() -> Machine:
-    return Machine("pi2", lambda w: tuple(second_half(w)))
+    return Machine("pi2", lambda w: tuple(second_half(w)),
+                   point=lambda p: depair(p)[1])
 
 
 def diag() -> Machine:
@@ -170,23 +202,31 @@ def diag() -> Machine:
             out.append(w[i])
             out.append(w[i])
         return tuple(out)
-    return Machine("D", fn)
+    return Machine("D", fn, point=lambda p: Interleave(p, p))
 
 
 def pair_machine(f: Machine, g: Machine) -> Machine:
     return Machine(f"<{f.name},{g.name}>",
-                   lambda w: interleave_words(f.eval(w), g.eval(w)))
+                   lambda w: interleave_words(f.eval(w), g.eval(w)),
+                   point=_lifted(lambda p: Interleave(f.point(p), g.point(p)),
+                                 f, g))
 
 
 def tensor(f: Machine, g: Machine) -> Machine:
+    def point(p):
+        a, b = depair(p)
+        return Interleave(f.point(a), g.point(b))
     return Machine(f"({f.name}x{g.name})",
                    lambda w: interleave_words(f.eval(first_half(w)),
-                                              g.eval(second_half(w))))
+                                              g.eval(second_half(w))),
+                   point=_lifted(point, f, g))
 
 
 def compose(outer: Machine, inner: Machine) -> Machine:
     return Machine(f"{outer.name}.{inner.name}",
-                   lambda w: outer.eval(inner.eval(w)))
+                   lambda w: outer.eval(inner.eval(w)),
+                   point=_lifted(lambda p: outer.point(inner.point(p)),
+                                 outer, inner))
 
 
 def compose_all(*ms: Machine) -> Machine:
@@ -200,13 +240,15 @@ def countable_tuple(ms: Sequence, uniform: Machine) -> Machine:
     """Row n of the output is (ms[n] or uniform) applied to row n of the input."""
     ms = list(ms)
 
+    def machine_at(n):
+        return ms[n] if n < len(ms) else uniform
+
     def fn(w):
         outs: dict = {}
 
         def out_row(n):
             if n not in outs:
-                mach = ms[n] if n < len(ms) else uniform
-                outs[n] = mach.eval(RowView(w, n))
+                outs[n] = machine_at(n).eval(RowView(w, n))
             return outs[n]
 
         result = []
@@ -220,7 +262,18 @@ def countable_tuple(ms: Sequence, uniform: Machine) -> Machine:
             j += 1
         return tuple(result)
 
-    return Machine(f"tuple({uniform.name})", fn)
+    def point(p):
+        p = rows_of(p)
+        if isinstance(p, RowTuple):
+            rows = {n: machine_at(n).point(r) for n, r in p.rows.items()}
+            rows.update({n: ms[n].point(p.default)
+                         for n in range(len(ms)) if n not in rows})
+            return RowTuple(rows, uniform.point(p.default))
+        return LawPoint(row_fn=lambda n: machine_at(n).point(row(p, n)),
+                        label="rowwise")
+
+    return Machine(f"tuple({uniform.name})", fn,
+                   point=_lifted(point, uniform, *ms))
 
 
 def _emit_budget(length: int) -> int:
@@ -230,9 +283,14 @@ def _emit_budget(length: int) -> int:
     return max(64, (length + 2) * (length + 3))
 
 
-def index_machine(name: str, src: Callable) -> Machine:
+def index_machine(name: str, src: Callable, rows: Callable = None,
+                  point: Callable = None) -> Machine:
     """Output symbol j is input symbol src(j); emits the longest closed
-    prefix within the evaluation budget."""
+    prefix within the evaluation budget.
+
+    The point action reads the input at src(i); rows, given the input
+    point, returns the row law of the output when it has row structure.
+    An explicit point replaces the derived action."""
     def fn(w):
         L = len(w)
         cap = _emit_budget(L)
@@ -245,12 +303,18 @@ def index_machine(name: str, src: Callable) -> Machine:
             out.append(w[i])
             j += 1
         return tuple(out)
-    return Machine(name, fn)
+
+    def law(p):
+        return LawPoint(fn=lambda i: p.value_at(src(i)),
+                        row_fn=rows(p) if rows else None, label=name)
+
+    return Machine(name, fn, point=point or law)
 
 
-def symbol_machine(name: str, sym: Callable, needs: Callable) -> Machine:
+def symbol_machine(name: str, sym: Callable, needs: Callable,
+                   point: Callable = None) -> Machine:
     """Output symbol j is sym(w, j), emitted once len(w) >= needs(j),
-    within the evaluation budget."""
+    within the evaluation budget.  Its point action, if any, is given."""
     def fn(w):
         L = len(w)
         cap = _emit_budget(L)
@@ -260,7 +324,7 @@ def symbol_machine(name: str, sym: Callable, needs: Callable) -> Machine:
             out.append(sym(w, j))
             j += 1
         return tuple(out)
-    return Machine(name, fn)
+    return Machine(name, fn, point=point)
 
 
 # diagnostics ---------------------------------------------------------------

@@ -17,7 +17,7 @@ from .machines import (
     proj2,
     run_on_point,
 )
-from .points import Interleave, ZEROS, depair, point_prepend
+from .points import Interleave, ZEROS, point_prepend
 from .problems import Problem, bottom_problem, const_problem, product_problem, sum_problem
 from .witnesses import Witness, as_ordinary
 
@@ -91,7 +91,6 @@ def embed_forward(f: Machine, a: MassProblem, b: MassProblem) -> Witness:
         identity(),
         compose(f, proj2()),
         False,
-        lambda p: p,
         name=f"embed({a.name} <= {b.name})",
     )
 
@@ -132,16 +131,12 @@ def set_ops_correspondence(a: MassProblem, b: MassProblem) -> dict:
     ident = Machine("copy", lambda w: tuple(w))
 
     sum_to_prod = Witness(c_sum, prod, diag(), ident, True,
-                          lambda p: Interleave(p, p),
                           name=f"c_{a.name}(+){b.name} <=sW c_{a.name}*c_{b.name}")
     prod_to_sum = Witness(prod, c_sum, proj1(), ident, True,
-                          lambda p: depair(p)[0],
                           name=f"c_{a.name}*c_{b.name} <=sW c_{a.name}(+){b.name}")
     tensor_to_sum = Witness(c_tensor, summ, diag(), ident, True,
-                            lambda p: Interleave(p, p),
                             name=f"c_{a.name}(x){b.name} <=sW c_{a.name}+c_{b.name}")
     sum_to_tensor = Witness(summ, c_tensor, proj1(), ident, True,
-                            lambda p: depair(p)[0],
                             name=f"c_{a.name}+c_{b.name} <=sW c_{a.name}(x){b.name}")
     return {
         "sum_to_prod": sum_to_prod,

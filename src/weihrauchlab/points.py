@@ -252,6 +252,13 @@ def point_prepend(sym: int, p: Point) -> Point:
                     label="prepended")
 
 
+def point_drop(p: Point) -> Point:
+    """p without its first symbol; exact on normalizable points."""
+    if normalize(p) is not None:
+        return subsample(p, 1, 1)
+    return LawPoint(fn=lambda i: p.value_at(i + 1), label="dropped")
+
+
 def normalize(p: Point):
     """Eventually periodic normal form, or None when none exists."""
     if isinstance(p, EvPeriodic):

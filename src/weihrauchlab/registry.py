@@ -8,19 +8,30 @@ from dataclasses import dataclass
 from typing import Callable
 
 from . import corpus as gen
-from .machines import Machine, symbol_machine
-from .points import EvPeriodic, Interleave, RowTuple, depair
+from .machines import (
+    Machine,
+    compose,
+    diag,
+    pair_machine,
+    proj1,
+    proj2,
+    symbol_machine,
+)
+from .points import EvPeriodic, Interleave, RowTuple
 from .problems import (
     compose_problems,
     id_problem,
     llpo_hat_problem,
     llpo_problem,
     lpo_problem,
+    product_problem,
+    sum_problem,
 )
 from .medvedev import MassProblem, embed_forward, set_ops_correspondence
 from .weakcomp import compact_choice_witnesses
 from .witnesses import (
     Witness,
+    compose_witness,
     cylindrify,
     glb_witnesses,
     hat_is_cylinder,
@@ -131,10 +142,8 @@ def named_witnesses() -> dict:
         lambda: compact_choice_witnesses()[1], _compact_backward)
 
     # composition / transitivity
-    def _compose_real():
-        from .witnesses import compose_witness
-        return compose_witness(llpo_real_to_llpo(), llpo_to_lpo())
-    entries["llpo_real_to_lpo"] = Entry(_compose_real, _dyadics)
+    entries["llpo_real_to_lpo"] = Entry(
+        lambda: compose_witness(llpo_real_to_llpo(), llpo_to_lpo()), _dyadics)
 
     # lattice laws: sums
     entries["sum_idem_fwd(lpo)"] = Entry(
@@ -296,17 +305,25 @@ def _sumhat_inputs(rng, n):
         for _ in range(n)]
 
 
+def _swap() -> Machine:
+    """Exchange the two slots of a pair."""
+    return pair_machine(proj2(), proj1())
+
+
+def _renesting() -> tuple:
+    """(to_right, to_left): re-nest a triple ((a,b),c) <-> (a,(b,c))."""
+    to_right = pair_machine(compose(proj1(), proj1()),
+                            pair_machine(compose(proj2(), proj1()), proj2()))
+    to_left = pair_machine(pair_machine(proj1(), compose(proj1(), proj2())),
+                           compose(proj2(), proj2()))
+    return to_right, to_left
+
+
 def _sum_comm(reverse=False):
     """f+g reduces to g+f by swapping slots and re-tagging."""
-    from .machines import pair_machine, proj1, proj2, Machine as M
-    from .problems import sum_problem
-
     f, g = lpo_problem(), llpo_problem()
     if reverse:
         f, g = g, f
-    fg = sum_problem(f, g)
-    gf = sum_problem(g, f)
-    swap = pair_machine(proj2(), proj1())
 
     def h_fn(w):
         if len(w) == 0:
@@ -315,26 +332,16 @@ def _sum_comm(reverse=False):
         rest = tuple(w[i] for i in range(1, len(w)))
         return ((1 if n == 0 else 0),) + rest
 
-    def kp(p):
-        a, b = depair(p)
-        return Interleave(b, a)
-
-    return Witness(fg, gf, swap, M("retag", h_fn), True, kp,
-                   name="sum_comm")
+    return Witness(sum_problem(f, g), sum_problem(g, f), _swap(),
+                   Machine("retag", h_fn), True, name="sum_comm")
 
 
 def _sum_assoc(reverse=False):
     """(f+f)+f reduces to f+(f+f) by re-nesting, and back."""
-    from .machines import Machine as M, pair_machine, proj1 as p1, proj2 as p2, compose as comp
-    from .problems import sum_problem
-
     f = lpo_problem()
     left = sum_problem(sum_problem(f, f), f)
     right = sum_problem(f, sum_problem(f, f))
-    to_right = pair_machine(comp(p1(), p1()),
-                            pair_machine(comp(p2(), p1()), p2()))
-    to_left = pair_machine(pair_machine(p1(), comp(p1(), p2())),
-                           comp(p2(), p2()))
+    to_right, to_left = _renesting()
 
     def h_fwd(w):
         # right-nested tag stream n.(m.)r -> left-nested
@@ -364,94 +371,45 @@ def _sum_assoc(reverse=False):
         rr = rest[1:]
         return ((0,) + rr) if m == 0 else ((1, 0) + rr)
 
-    def kp_fwd(p):
-        ab, c = depair(p)
-        a, b = depair(ab)
-        return Interleave(a, Interleave(b, c))
-
-    def kp_bwd(p):
-        a, bc = depair(p)
-        b, c = depair(bc)
-        return Interleave(Interleave(a, b), c)
-
     if reverse:
-        return Witness(right, left, to_left, M("renest-l", h_bwd), True,
-                       kp_bwd, name="sum_assoc_rev")
-    return Witness(left, right, to_right, M("renest-r", h_fwd), True, kp_fwd,
+        return Witness(right, left, to_left, Machine("renest-l", h_bwd), True,
+                       name="sum_assoc_rev")
+    return Witness(left, right, to_right, Machine("renest-r", h_fwd), True,
                    name="sum_assoc")
 
 
 def _prod_comm(reverse=False):
-    from .machines import pair_machine, proj1, proj2, Machine as M
-    from .problems import product_problem
-
     f, g = lpo_problem(), llpo_problem()
     if reverse:
         f, g = g, f
-    fg = product_problem(f, g)
-    gf = product_problem(g, f)
-    swap = pair_machine(proj2(), proj1())
-
-    def kp(p):
-        a, b = depair(p)
-        return Interleave(b, a)
-
-    return Witness(fg, gf, swap, swap, True, kp, name="prod_comm")
+    return Witness(product_problem(f, g), product_problem(g, f), _swap(),
+                   _swap(), True, name="prod_comm")
 
 
 def _prod_assoc(reverse=False):
-    from .machines import pair_machine, proj1 as p1, proj2 as p2, compose as comp
-    from .problems import product_problem
-
     f = lpo_problem()
     left = product_problem(product_problem(f, f), f)
     right = product_problem(f, product_problem(f, f))
-    to_right = pair_machine(comp(p1(), p1()),
-                            pair_machine(comp(p2(), p1()), p2()))
-    to_left = pair_machine(pair_machine(p1(), comp(p1(), p2())),
-                           comp(p2(), p2()))
-
-    def kp_fwd(p):
-        ab, c = depair(p)
-        a, b = depair(ab)
-        return Interleave(a, Interleave(b, c))
-
-    def kp_bwd(p):
-        a, bc = depair(p)
-        b, c = depair(bc)
-        return Interleave(Interleave(a, b), c)
-
+    to_right, to_left = _renesting()
     if reverse:
-        return Witness(right, left, to_left, to_right, True, kp_bwd,
+        return Witness(right, left, to_left, to_right, True,
                        name="prod_assoc_rev")
-    return Witness(left, right, to_right, to_left, True, kp_fwd,
-                   name="prod_assoc")
+    return Witness(left, right, to_right, to_left, True, name="prod_assoc")
 
 
 def _prod_id_intro():
     """f reduces to f x id: duplicate, answer from the first slot."""
-    from .machines import diag, proj1 as p1
-    from .problems import product_problem
-
     f = lpo_problem()
     fi = product_problem(f, id_problem())
-    return Witness(f, fi, diag(), p1(), True, lambda p: Interleave(p, p),
-                   name="prod_id_intro")
+    return Witness(f, fi, diag(), proj1(), True, name="prod_id_intro")
 
 
 def _prod_id_elim():
     """f x id reduces to f: query the first slot, copy the second through."""
-    from .machines import pair_machine, proj1 as p1, proj2 as p2, compose as comp
-    from .problems import product_problem
-
     f = lpo_problem()
     fi = product_problem(f, id_problem())
-    h = pair_machine(p2(), comp(p2(), p1()))
-
-    def kp(p):
-        return depair(p)[0]
-
-    return Witness(fi, f, p1(), h, False, kp, name="prod_id_elim")
+    h = pair_machine(proj2(), compose(proj2(), proj1()))
+    return Witness(fi, f, proj1(), h, False, name="prod_id_elim")
 
 
 # ---------------------------------------------------------------------------
@@ -466,7 +424,7 @@ def corrupted_witnesses() -> dict:
                             lambda wd, j: wd[0] if j == 0 else 0,
                             lambda j: j + 1)
     out["llpo_to_lpo_swapped"] = (
-        Witness(w.f, w.g, w.K, copy_h, True, w.k_point, name="broken-llpo_to_lpo"),
+        Witness(w.f, w.g, w.K, copy_h, True, name="broken-llpo_to_lpo"),
         lambda rng, n: [EvPeriodic((5,), (0,))] * max(1, n // 5),
     )
 
@@ -474,18 +432,16 @@ def corrupted_witnesses() -> dict:
     flip = Machine("flip-path", lambda wd: tuple(
         1 - s if s in (0, 1) else s for s in base.H.eval(wd)))
     out["wkl_flipped_path"] = (
-        Witness(base.f, base.g, base.K, flip, True, base.k_point,
-                name="broken-wkl"),
+        Witness(base.f, base.g, base.K, flip, True, name="broken-wkl"),
         lambda rng, n: gen.tree_names(rng, max(1, n // 5)),
     )
 
-    good = product_witness(llpo_to_lpo(), llpo_to_lpo())
     bad_half = Witness(llpo_to_lpo().f, llpo_to_lpo().g, llpo_to_lpo().K,
-                       copy_h, True, llpo_to_lpo().k_point, name="bad-half")
+                       copy_h, True, name="bad-half")
     broken_prod = product_witness(llpo_to_lpo(), bad_half)
     out["product_with_broken_half"] = (
         Witness(broken_prod.f, broken_prod.g, broken_prod.K, broken_prod.H,
-                broken_prod.strong, broken_prod.k_point, name="broken-product"),
+                broken_prod.strong, name="broken-product"),
         lambda rng, n: [Interleave(EvPeriodic((5,), (0,)),
                                    EvPeriodic((0, 5), (0,)))] * max(1, n // 5),
     )

@@ -8,7 +8,7 @@ choice witnesses.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 from .errors import (
@@ -51,6 +51,7 @@ from .spaces import (
 from .ternary import classify, extension_value, resolution_realizer
 from .witnesses import (
     Witness,
+    double_absorb_machine,
     hat_is_cylinder,
     strengthen_on_cylinder,
 )
@@ -270,6 +271,19 @@ def exclusion_blocks(n: int, forced_bit: int) -> list:
 
 def compact_encoder_machine(row_cap: int = 10) -> Machine:
     """Stream the forced coordinates of a row point as excluded cylinders."""
+    def point(p):
+        forced_bits(p)   # NonRepresentable on forcing tails
+        codes = []
+        bound = scan_bound(p)
+        for i in range(bound):
+            if p.value_at(i) == 0:
+                continue
+            n, t = pair_decode(i)
+            b = 1 if t % 2 == 0 else 0
+            for word in exclusion_blocks(n, b):
+                codes.append(clopen_word_code(word))
+        return EvPeriodic(tuple(codes), (0,))
+
     def fn(w):
         codes = []
         for i in range(len(w)):
@@ -282,26 +296,13 @@ def compact_encoder_machine(row_cap: int = 10) -> Machine:
             for word in exclusion_blocks(n, b):
                 codes.append(clopen_word_code(word))
         return tuple(codes)
-    return Machine("compact-encode", fn)
+    return Machine("compact-encode", fn, point=point)
 
 
 def llpo_hat_to_compact() -> Witness:
-    def kp(p):
-        forced = forced_bits(p)   # NonRepresentable on forcing tails
-        codes = []
-        bound = scan_bound(p)
-        for i in range(bound):
-            if p.value_at(i) == 0:
-                continue
-            n, t = pair_decode(i)
-            b = 1 if t % 2 == 0 else 0
-            for word in exclusion_blocks(n, b):
-                codes.append(clopen_word_code(word))
-        return EvPeriodic(tuple(codes), (0,))
-
     return Witness(llpo_hat_problem(), compact_choice_problem(),
                    compact_encoder_machine(), Machine("copy", lambda w: tuple(w)),
-                   True, kp, name="llpo_hat_to_compact")
+                   True, name="llpo_hat_to_compact")
 
 
 def _blocked(word, excluded: frozenset, depth: int) -> bool:
@@ -379,11 +380,7 @@ def compact_blocking_machine() -> Machine:
             i += 1
         return tuple(out)
 
-    return Machine("compact-blocking", fn)
-
-
-def compact_to_llpo_hat() -> Witness:
-    def kp(p):
+    def point(p):
         bound = scan_bound(p) + 1
         blocking = CylinderBlocking(p.value_at, bound)
 
@@ -398,8 +395,12 @@ def compact_to_llpo_hat() -> Witness:
 
         return LawPoint(row_fn=row_of, label="compact-blocking")
 
+    return Machine("compact-blocking", fn, point=point)
+
+
+def compact_to_llpo_hat() -> Witness:
     return Witness(compact_choice_problem(), llpo_hat_problem(),
-                   compact_blocking_machine(), path_extractor(), True, kp,
+                   compact_blocking_machine(), path_extractor(), True,
                    name="compact_to_llpo_hat")
 
 
@@ -641,8 +642,6 @@ def _condensed_rows(mirror: DynamicSwapMirror, tail_scan: int = SCAN_CAP):
 
 def weak_compose(wf: Witness, wg: Witness) -> Witness:
     """Compose two reductions to the parallelized oracle into one."""
-    from .witnesses import double_absorb_machine
-
     if wf.g.name != "llpo_hat" or wg.g.name != "llpo_hat":
         raise UnsupportedShape("weak composition needs reductions to llpo_hat")
     sf = wf if wf.strong else strengthen_on_cylinder(wf, hat_is_cylinder(llpo_problem()))
@@ -650,13 +649,12 @@ def weak_compose(wf: Witness, wg: Witness) -> Witness:
     composite = compose_problems(wg.f, wf.f)
     mid = compose(sg.K, sf.H)
     dyn = DynamicSwap(mid)
-    k_all = compose_all(condenser_machine(), double_absorb_machine(),
-                        dyn.machine(), sf.K)
 
-    def kp(p):
-        q1 = sf.k_point(p)
-        mirror = DynamicSwapMirror(dyn, q1)
+    def point(p):
+        mirror = DynamicSwapMirror(dyn, sf.k_point(p))
         return LawPoint(row_fn=_condensed_rows(mirror), label="weak-compose")
 
-    return Witness(composite, llpo_hat_problem(), k_all, sg.H, True, kp,
+    k_all = replace(compose_all(condenser_machine(), double_absorb_machine(),
+                                dyn.machine(), sf.K), point=point)
+    return Witness(composite, llpo_hat_problem(), k_all, sg.H, True,
                    name=f"weak({wg.name} o {wf.name})")

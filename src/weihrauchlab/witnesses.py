@@ -4,10 +4,9 @@ A Witness claims f <= g (ordinary) or f <=sW g (strong) via an input
 translation K and an output translation H.  The checker replays the claim
 against every canonical oracle behavior of g at K(p) for each corpus name
 p: a reported failure pins a definite coordinate, a pass is sound to the
-checked depth.  Besides K the witness carries a point-level mirror of K
-(k_point) so the oracle's value set can be computed on a finitely
-presented name; the mirror is validated against the machine on a sampled
-prefix window at every check.
+checked depth.  The point action of K (k_point, taken from K.point) lets
+the oracle's value set be computed on a finitely presented name; it is
+validated against the machine on a sampled prefix window at every check.
 """
 
 from __future__ import annotations
@@ -19,11 +18,13 @@ from .errors import MiddleMismatch, NotACylinder, OutOfDomain
 from .machines import (
     Machine,
     PointView,
+    RowView,
     compose,
     compose_all,
     const_machine,
     countable_tuple,
     diag,
+    first_half,
     identity,
     index_machine,
     inject,
@@ -32,6 +33,7 @@ from .machines import (
     proj1,
     proj2,
     run_on_point,
+    second_half,
     shift_l,
     symbol_machine,
     tensor,
@@ -51,6 +53,7 @@ from .points import (
     prefix,
     row,
     rows_of,
+    scan_bound,
     subsample,
 )
 from .problems import (
@@ -62,6 +65,7 @@ from .problems import (
     id_problem,
     llpo_hat_problem,
     llpo_problem,
+    llpo_real_problem,
     lpo_problem,
     product_problem,
     sum_problem,
@@ -76,10 +80,13 @@ class Witness:
     K: Machine
     H: Machine
     strong: bool
-    k_point: Callable
     name: str = ""
+    k_point: Callable = field(init=False)
 
     def __post_init__(self):
+        if self.K.point is None:
+            raise ValueError(f"{self.K.name}: a witness's K needs a point action")
+        self.k_point = self.K.point
         if not self.name:
             rel = "<=sW" if self.strong else "<=W"
             self.name = f"{self.f.name} {rel} {self.g.name}"
@@ -165,7 +172,7 @@ def check(w: Witness, corpus, depth: int = 16, cap: int = BEHAVIOR_CAP,
 # basic witnesses
 
 def reflexivity(f: Problem) -> Witness:
-    return Witness(f, f, identity(), identity(), True, lambda p: p,
+    return Witness(f, f, identity(), identity(), True,
                    name=f"refl({f.name})")
 
 
@@ -173,7 +180,7 @@ def as_ordinary(w: Witness) -> Witness:
     """Strong witnesses are ordinary ones that ignore the fed-through input."""
     if not w.strong:
         return w
-    return Witness(w.f, w.g, w.K, compose(w.H, proj2()), False, w.k_point,
+    return Witness(w.f, w.g, w.K, compose(w.H, proj2()), False,
                    name=w.name + " [ord]")
 
 
@@ -186,20 +193,17 @@ def least_degree(f: Problem, f_realizer: Machine, g: Problem,
         const_machine(q, "const-dom-point"),
         compose(f_realizer, proj1()),
         False,
-        lambda p, _q=q: _q,
         name=f"least({f.name} <=W {g.name})",
     )
 
 
 def repr_transport(w: Witness, q_m: Machine, r_m: Machine, s_m: Machine,
-                   t_m: Machine, new_f: Problem, new_g: Problem,
-                   q_pt: Callable, s_pt: Callable) -> Witness:
+                   t_m: Machine, new_f: Problem, new_g: Problem) -> Witness:
     """Transport a reduction along representation translations."""
     base = as_ordinary(w)
     h2 = compose_all(r_m, base.H, tensor(q_m, t_m))
     k2 = compose_all(s_m, base.K, q_m)
     return Witness(new_f, new_g, k2, h2, False,
-                   lambda p: s_pt(base.k_point(q_pt(p))),
                    name=f"transport({w.name})")
 
 
@@ -211,14 +215,13 @@ def compose_witness(w1: Witness, w2: Witness) -> Witness:
     if w1.g.name != w2.f.name:
         raise MiddleMismatch(f"{w1.g.name} vs {w2.f.name}")
     k = compose(w2.K, w1.K)
-    kp = lambda p: w2.k_point(w1.k_point(p))
     if w1.strong and w2.strong:
-        return Witness(w1.f, w2.g, k, compose(w1.H, w2.H), True, kp,
+        return Witness(w1.f, w2.g, k, compose(w1.H, w2.H), True,
                        name=f"{w1.name} ; {w2.name}")
     a, b = as_ordinary(w1), as_ordinary(w2)
     h = compose(a.H, pair_machine(proj1(),
                                   compose(b.H, tensor(a.K, identity()))))
-    return Witness(w1.f, w2.g, k, h, False, kp,
+    return Witness(w1.f, w2.g, k, h, False,
                    name=f"{w1.name} ; {w2.name}")
 
 
@@ -226,13 +229,8 @@ def product_witness(w1: Witness, w2: Witness) -> Witness:
     ff = product_problem(w1.f, w2.f)
     gg = product_problem(w1.g, w2.g)
     k = tensor(w1.K, w2.K)
-
-    def kp(p):
-        a, b = depair(p)
-        return Interleave(w1.k_point(a), w2.k_point(b))
-
     if w1.strong and w2.strong:
-        return Witness(ff, gg, k, tensor(w1.H, w2.H), True, kp,
+        return Witness(ff, gg, k, tensor(w1.H, w2.H), True,
                        name=f"({w1.name}) x ({w2.name})")
     a, b = as_ordinary(w1), as_ordinary(w2)
     shuffle = pair_machine(
@@ -240,18 +238,13 @@ def product_witness(w1: Witness, w2: Witness) -> Witness:
         pair_machine(compose(proj2(), proj1()), compose(proj2(), proj2())),
     )
     h = compose(tensor(a.H, b.H), shuffle)
-    return Witness(ff, gg, k, h, False, kp, name=f"({w1.name}) x ({w2.name})")
+    return Witness(ff, gg, k, h, False, name=f"({w1.name}) x ({w2.name})")
 
 
 def sum_witness(w1: Witness, w2: Witness) -> Witness:
     ff = sum_problem(w1.f, w2.f)
     gg = sum_problem(w1.g, w2.g)
     k = tensor(w1.K, w2.K)
-
-    def kp(p):
-        a, b = depair(p)
-        return Interleave(w1.k_point(a), w2.k_point(b))
-
     if w1.strong and w2.strong:
         def h_fn(w):
             if len(w) == 0:
@@ -259,7 +252,7 @@ def sum_witness(w1: Witness, w2: Witness) -> Witness:
             n, rest = w[0], tuple(w[i] for i in range(1, len(w)))
             inner = w1.H if n == 0 else w2.H
             return ((0 if n == 0 else 1),) + tuple(inner.eval(rest))
-        return Witness(ff, gg, k, Machine("sumH", h_fn), True, kp,
+        return Witness(ff, gg, k, Machine("sumH", h_fn), True,
                        name=f"({w1.name}) + ({w2.name})")
 
     a, b = as_ordinary(w1), as_ordinary(w2)
@@ -276,7 +269,7 @@ def sum_witness(w1: Witness, w2: Witness) -> Witness:
             return (0,) + tuple(a.H.eval(interleave_words(p_word, rest)))
         return (1,) + tuple(b.H.eval(interleave_words(q_word, rest)))
 
-    return Witness(ff, gg, k, Machine("sumH", h_fn), False, kp,
+    return Witness(ff, gg, k, Machine("sumH", h_fn), False,
                    name=f"({w1.name}) + ({w2.name})")
 
 
@@ -284,18 +277,18 @@ def sum_idem(f: Problem) -> tuple:
     """f <=sW f+f (left shift) and f+f <=sW f (tag a fixed branch)."""
     ss = sum_problem(f, f)
     fwd = Witness(f, ss, diag(), shift_l(), True,
-                  lambda p: Interleave(p, p), name=f"{f.name} <=sW {f.name}+{f.name}")
+                  name=f"{f.name} <=sW {f.name}+{f.name}")
     bwd = Witness(ss, f, proj1(), inject(0), True,
-                  lambda p: depair(p)[0], name=f"{f.name}+{f.name} <=sW {f.name}")
+                  name=f"{f.name}+{f.name} <=sW {f.name}")
     return fwd, bwd
 
 
 def glb_witnesses(f: Problem, g: Problem) -> tuple:
     """f+g below both components, by answering a fixed tagged branch."""
     ss = sum_problem(f, g)
-    to_f = Witness(ss, f, proj1(), inject(0), True, lambda p: depair(p)[0],
+    to_f = Witness(ss, f, proj1(), inject(0), True,
                    name=f"{ss.name} <=sW {f.name}")
-    to_g = Witness(ss, g, proj2(), inject(1), True, lambda p: depair(p)[1],
+    to_g = Witness(ss, g, proj2(), inject(1), True,
                    name=f"{ss.name} <=sW {g.name}")
     return to_f, to_g
 
@@ -322,12 +315,7 @@ def cylindrify(w: Witness) -> Witness:
         compose(proj1(), proj1()),
         compose(base.H, pair_machine(compose(proj2(), proj1()), proj2())),
     )
-
-    def kp(p):
-        _, q = depair(p)
-        return Interleave(p, base.k_point(q))
-
-    return Witness(ff, gg, k, h, True, kp, name=f"cyl({w.name})")
+    return Witness(ff, gg, k, h, True, name=f"cyl({w.name})")
 
 
 def uncylindrify(w: Witness, f: Problem, g: Problem) -> Witness:
@@ -337,18 +325,14 @@ def uncylindrify(w: Witness, f: Problem, g: Problem) -> Witness:
     k = compose_all(proj2(), w.K, diag())
     h = compose_all(proj2(), w.H,
                     tensor(compose_all(proj1(), w.K, diag()), identity()))
-
-    def kp(p):
-        return depair(w.k_point(Interleave(p, p)))[1]
-
-    return Witness(f, g, k, h, False, kp, name=f"uncyl({w.name})")
+    return Witness(f, g, k, h, False, name=f"uncyl({w.name})")
 
 
 def to_own_cylinder(f: Problem) -> Witness:
     """f <=sW id x f: duplicate the input and read the second slot."""
     ff = product_problem(id_problem(), f)
     return Witness(f, ff, diag(), proj2(), True,
-                   lambda p: Interleave(p, p), name=f"{f.name} <=sW id*{f.name}")
+                   name=f"{f.name} <=sW id*{f.name}")
 
 
 def strengthen_on_cylinder(w: Witness, cyl: Witness) -> Witness:
@@ -364,31 +348,24 @@ def strengthen_on_cylinder(w: Witness, cyl: Witness) -> Witness:
 # ---------------------------------------------------------------------------
 # parallelization
 
-def _rowwise_point(kp: Callable, p: Point) -> Point:
-    p = rows_of(p)
-    if isinstance(p, RowTuple):
-        return RowTuple({n: kp(r) for n, r in p.rows.items()}, kp(p.default))
-    return LawPoint(row_fn=lambda n: kp(row(p, n)), label="rowwise")
-
-
 def parallel_extensive(f: Problem) -> Witness:
     """One instance answered by countably many copies on the diagonal.
     The outer translation reads the first flat answer bit, so the witness
     is even strong."""
     fh = hat_problem(f)
-    k = index_machine("diag-tuple", lambda i: pair_decode(i)[1])
+    # every row is the instance; the RowTuple keeps the exact support bound
+    k = index_machine("diag-tuple", lambda i: pair_decode(i)[1],
+                      point=lambda p: RowTuple({}, p))
     h = symbol_machine("first-answer",
                        lambda w, j: w[0] if j == 0 else 0,
                        lambda j: 1 if j == 0 else j + 1)
-    return Witness(f, fh, k, h, True,
-                   lambda p: RowTuple({}, p), name=f"{f.name} <=sW {fh.name}")
+    return Witness(f, fh, k, h, True, name=f"{f.name} <=sW {fh.name}")
 
 
 def parallelize_witness(w: Witness) -> Witness:
     """Apply a reduction between single-answer problems row by row."""
     fh, gh = hat_problem(w.f), hat_problem(w.g)
     k = countable_tuple([], w.K)
-    kp = lambda p: _rowwise_point(w.k_point, p)
 
     if w.strong:
         def h_fn(wd):
@@ -402,13 +379,12 @@ def parallelize_witness(w: Witness) -> Witness:
                 out.append(res[0])
                 kk += 1
             return tuple(out)
-        return Witness(fh, gh, k, Machine("hatH", h_fn), True, kp,
+        return Witness(fh, gh, k, Machine("hatH", h_fn), True,
                        name=f"hat({w.name})")
 
     base = as_ordinary(w)
 
     def h_fn(wd):
-        from .machines import RowView, first_half, second_half
         rows = first_half(wd)
         flat = second_half(wd)
         out = []
@@ -425,7 +401,7 @@ def parallelize_witness(w: Witness) -> Witness:
             kk += 1
         return tuple(out)
 
-    return Witness(fh, gh, k, Machine("hatH", h_fn), False, kp,
+    return Witness(fh, gh, k, Machine("hatH", h_fn), False,
                    name=f"hat({w.name})")
 
 
@@ -439,31 +415,21 @@ def parallel_idem(f: Problem) -> tuple:
         j, k = pair_decode(jk)
         return pair_encode(j, pair_encode(k, m))
 
-    k_flat = index_machine("flatten", flatten_src)
+    def flat_rows(p):
+        return lambda jk: row(row(p, pair_decode(jk)[0]), pair_decode(jk)[1])
 
-    def kp_flat(p):
-        return LawPoint(
-            fn=lambda i: p.value_at(flatten_src(i)),
-            row_fn=lambda jk: row(row(p, pair_decode(jk)[0]), pair_decode(jk)[1]),
-            label="flattened",
-        )
-
-    down = Witness(fhh, fh, k_flat, identity(), True, kp_flat,
+    k_flat = index_machine("flatten", flatten_src, rows=flat_rows)
+    down = Witness(fhh, fh, k_flat, identity(), True,
                    name=f"{fhh.name} <=sW {fh.name}")
 
     def widen_src(i):
         _, km = pair_decode(i)
         return km
 
-    k_wide = index_machine("rediag", widen_src)
-
-    def kp_wide(p):
-        return LawPoint(fn=lambda i: p.value_at(widen_src(i)),
-                        row_fn=lambda j: p, label="rediag")
-
+    k_wide = index_machine("rediag", widen_src, rows=lambda p: lambda j: p)
     up = Witness(fh, fhh, k_wide,
                  index_machine("row0", lambda k: pair_encode(0, k)),
-                 True, kp_wide, name=f"{fh.name} <=sW {fhh.name}")
+                 True, name=f"{fh.name} <=sW {fhh.name}")
     return down, up
 
 
@@ -476,20 +442,14 @@ def parallel_absorb(f: Problem) -> tuple:
         n, k = pair_decode(j)
         return 2 * pair_encode(n // 2, k) + (n % 2)
 
-    k_merge = index_machine("evenodd-merge", merge_src)
-
-    def kp_merge(p):
+    def merge_rows(p):
         a, b = map(rows_of, depair(p))
-        return LawPoint(
-            fn=lambda j: p.value_at(merge_src(j)),
-            row_fn=lambda n: row(a if n % 2 == 0 else b, n // 2),
-            label="merged",
-        )
+        return lambda n: row(a if n % 2 == 0 else b, n // 2)
 
-    absorb = Witness(pp, fh, k_merge, identity(), True, kp_merge,
+    k_merge = index_machine("evenodd-merge", merge_src, rows=merge_rows)
+    absorb = Witness(pp, fh, k_merge, identity(), True,
                      name=f"{fh.name}*{fh.name} <=sW {fh.name}")
     split = Witness(fh, pp, diag(), proj1(), True,
-                    lambda p: Interleave(p, p),
                     name=f"{fh.name} <=sW {fh.name}*{fh.name}")
     return absorb, split
 
@@ -505,9 +465,7 @@ def parallel_product(f: Problem, g: Problem) -> tuple:
         i, k = pair_decode(s)
         return pair_encode(i, 2 * k + par)
 
-    k_split = index_machine("split-rows", split_src)
-
-    def kp_split(p):
+    def split_point(p):
         p = rows_of(p)
 
         def half_rows(par):
@@ -515,31 +473,30 @@ def parallel_product(f: Problem, g: Problem) -> tuple:
                             label=f"half{par}")
         return Interleave(half_rows(0), half_rows(1))
 
+    k_split = index_machine("split-rows", split_src, point=split_point)
+
     h_fwd = symbol_machine(
         "pair-up",
         lambda w, j: (w[2 * pair_decode(j)[0] + (0 if pair_decode(j)[1] == 0 else 1)]
                       if pair_decode(j)[1] <= 1 else 0),
         lambda j: 2 * pair_decode(j)[0] + 2,
     )
-    fwd = Witness(ph, pp, k_split, h_fwd, True, kp_split,
+    fwd = Witness(ph, pp, k_split, h_fwd, True,
                   name=f"{ph.name} <=sW {pp.name}")
 
     def join_src(j):
         i, t = pair_decode(j)
         return 2 * pair_encode(i, t // 2) + (t % 2)
 
-    k_join = index_machine("join-rows", join_src)
-
-    def kp_join(p):
+    def join_rows(p):
         a, b = map(rows_of, depair(p))
-        return LawPoint(
-            fn=lambda j: p.value_at(join_src(j)),
-            row_fn=lambda i: Interleave(row(a, i), row(b, i)),
-            label="joined")
+        return lambda i: Interleave(row(a, i), row(b, i))
+
+    k_join = index_machine("join-rows", join_src, rows=join_rows)
 
     h_bwd = index_machine(
         "pair-down", lambda j: pair_encode(j // 2, j % 2))
-    bwd = Witness(pp, ph, k_join, h_bwd, True, kp_join,
+    bwd = Witness(pp, ph, k_join, h_bwd, True,
                   name=f"{pp.name} <=sW {ph.name}")
     return fwd, bwd
 
@@ -555,9 +512,7 @@ def parallel_sum(f: Problem, g: Problem) -> Witness:
         i, j = pair_decode(ij)
         return pair_encode(j, 2 * pair_encode(i, k) + par)
 
-    k_gather = index_machine("gather", gather_src)
-
-    def kp_gather(p):
+    def gather_point(p):
         p = rows_of(p)
 
         def half(par):
@@ -566,6 +521,8 @@ def parallel_sum(f: Problem, g: Problem) -> Witness:
                 return row(rows_of(depair(row(p, j))[par]), i)
             return LawPoint(row_fn=row_of, label=f"gather{par}")
         return Interleave(half(0), half(1))
+
+    k_gather = index_machine("gather", gather_src, point=gather_point)
 
     def h_src(t):
         j, u = pair_decode(t)
@@ -587,7 +544,7 @@ def parallel_sum(f: Problem, g: Problem) -> Witness:
         return tuple(out)
 
     return Witness(lhs, rhs, k_gather, Machine("scatter", h_fn), True,
-                   kp_gather, name=f"{lhs.name} <=sW {rhs.name}")
+                   name=f"{lhs.name} <=sW {rhs.name}")
 
 
 # ---------------------------------------------------------------------------
@@ -597,15 +554,13 @@ def llpo_to_lpo() -> Witness:
     """Search the even positions for a nonzero; negate the verdict."""
     k = symbol_machine("even-scan",
                        lambda w, n: 1 if w[2 * n] == 0 else 0,
-                       lambda n: 2 * n + 1)
+                       lambda n: 2 * n + 1,
+                       point=lambda p: point_map(subsample(p, 2, 0),
+                                                 lambda x: 1 if x == 0 else 0))
     h = symbol_machine("negate",
                        lambda w, j: (1 if w[0] == 0 else 0) if j == 0 else 0,
                        lambda j: j + 1)
-
-    def kp(p):
-        return point_map(subsample(p, 2, 0), lambda x: 1 if x == 0 else 0)
-
-    return Witness(llpo_problem(), lpo_problem(), k, h, True, kp,
+    return Witness(llpo_problem(), lpo_problem(), k, h, True,
                    name="llpo_to_lpo")
 
 
@@ -641,16 +596,16 @@ def id_to_c() -> Witness:
         k, m = pair_decode(j)
         return 0 if w[k] == m else 1
 
-    k = symbol_machine("cell-guess", k_fn_sym,
-                       lambda i: pair_decode(pair_decode(i)[0])[0] + 1)
-
     def kp(p):
         def row_of(j):
             k_, m = pair_decode(j)
             return EvPeriodic((), (0 if p.value_at(k_) == m else 1,))
         return LawPoint(row_fn=row_of, label="cell-guesses")
 
-    return Witness(id_problem(), c_problem(), k, _min_search_h(), True, kp,
+    k = symbol_machine("cell-guess", k_fn_sym,
+                       lambda i: pair_decode(pair_decode(i)[0])[0] + 1,
+                       point=kp)
+    return Witness(id_problem(), c_problem(), k, _min_search_h(), True,
                    name="id_to_c")
 
 
@@ -663,9 +618,6 @@ def id_to_llpo_hat() -> Witness:
             return 1 if n == 1 else 0
         return 1 if n == 0 else 0
 
-    k = symbol_machine("cell-guess-pulse", k_fn_sym,
-                       lambda i: pair_decode(pair_decode(i)[0])[0] + 1)
-
     def kp(p):
         def row_of(j):
             k_, m = pair_decode(j)
@@ -674,24 +626,15 @@ def id_to_llpo_hat() -> Witness:
             return EvPeriodic((1,), (0,))
         return LawPoint(row_fn=row_of, label="cell-pulses")
 
+    k = symbol_machine("cell-guess-pulse", k_fn_sym,
+                       lambda i: pair_decode(pair_decode(i)[0])[0] + 1,
+                       point=kp)
     return Witness(id_problem(), llpo_hat_problem(), k, _min_search_h(), True,
-                   kp, name="id_to_llpo_hat")
+                   name="id_to_llpo_hat")
 
 
-def double_absorb_machine() -> Machine:
-    """The index shuffle merging two nested universal quantifiers."""
-    def src(i):
-        k, t = pair_decode(i)
-        if t % 2 == 0:
-            n, m = pair_decode(t // 2)
-            return pair_encode(pair_encode(k, 2 * n), 2 * m)
-        n, m = pair_decode((t - 1) // 2)
-        return pair_encode(pair_encode(k, 2 * n + 1), 2 * m)
-    return index_machine("double-absorb", src)
-
-
-def double_absorb_point(p: Point) -> Point:
-    """Point mirror of the absorb shuffle, with structural rows."""
+def _double_absorb_rows(p: Point) -> Callable:
+    """Row law of the absorb shuffle, on a name with structural rows."""
     p = rows_of(p)
     if not isinstance(p, (RowTuple, EvPeriodic)):
         raise OutOfDomain("absorb mirror needs a structural row point")
@@ -722,28 +665,25 @@ def double_absorb_point(p: Point) -> Point:
             odds = LawPoint(row_fn=odd_rows, label="absorb-odds")
         return Interleave(evens, odds)
 
-    mach = double_absorb_machine()
-    src_cache: dict = {}
+    return row_of
 
-    def fn(i):
-        if i not in src_cache:
-            k, t = pair_decode(i)
-            if t % 2 == 0:
-                n, m = pair_decode(t // 2)
-                src_cache[i] = pair_encode(pair_encode(k, 2 * n), 2 * m)
-            else:
-                n, m = pair_decode((t - 1) // 2)
-                src_cache[i] = pair_encode(pair_encode(k, 2 * n + 1), 2 * m)
-        return p.value_at(src_cache[i])
 
-    return LawPoint(fn=fn, row_fn=row_of, label="double-absorb")
+def double_absorb_machine() -> Machine:
+    """The index shuffle merging two nested universal quantifiers."""
+    def src(i):
+        k, t = pair_decode(i)
+        if t % 2 == 0:
+            n, m = pair_decode(t // 2)
+            return pair_encode(pair_encode(k, 2 * n), 2 * m)
+        n, m = pair_decode((t - 1) // 2)
+        return pair_encode(pair_encode(k, 2 * n + 1), 2 * m)
+    return index_machine("double-absorb", src, rows=_double_absorb_rows)
 
 
 def llpo_hat_squared(composite: Problem) -> Witness:
     """Two rounds of parallelized LLPO collapse into one round."""
     return Witness(composite, llpo_hat_problem(), double_absorb_machine(),
-                   identity(), True, double_absorb_point,
-                   name="llpo_hat_squared")
+                   identity(), True, name="llpo_hat_squared")
 
 
 # real-number pair ----------------------------------------------------------
@@ -777,9 +717,8 @@ def llpo_to_llpo_real() -> Witness:
         x = Dyadic(1, kk) if j % 2 == 0 else Dyadic(-1, kk)
         return EvPeriodic((_ZERO_CODE,) * (j // 2), (dyadic_code(x),))
 
-    from .problems import llpo_real_problem
     return Witness(llpo_problem(), llpo_real_problem(),
-                   Machine("pulse-to-dyadic", k_fn), identity(), True, kp,
+                   Machine("pulse-to-dyadic", k_fn, point=kp), identity(), True,
                    name="llpo_to_llpo_real")
 
 
@@ -811,7 +750,6 @@ def llpo_real_to_llpo() -> Witness:
         if x.sign() == 0:
             return EvPeriodic((), (0,))
         # replay the machine's detection on the actual name
-        from .points import scan_bound
         bound = scan_bound(p) + x.exponent + 4
         w = prefix(p, bound)
         i_det, want = detect(w)
@@ -820,9 +758,8 @@ def llpo_real_to_llpo() -> Witness:
         head[pos] = 1
         return EvPeriodic(tuple(head), (0,))
 
-    from .problems import llpo_real_problem
     return Witness(llpo_real_problem(), llpo_problem(),
-                   Machine("sign-search", k_fn), identity(), True, kp,
+                   Machine("sign-search", k_fn, point=kp), identity(), True,
                    name="llpo_real_to_llpo")
 
 
@@ -868,8 +805,8 @@ def lpo_from_discontinuity(data: DiscontinuityData, g: Problem) -> Witness:
         j = min_zero(p)
         return data.q if j is None else data.family(j)
 
-    return Witness(lpo_problem(), g, Machine("select-family", k_fn),
-                   Machine("ball-test", h_fn), True, kp,
+    return Witness(lpo_problem(), g, Machine("select-family", k_fn, point=kp),
+                   Machine("ball-test", h_fn), True,
                    name=f"lpo_from_discontinuity({g.name})")
 
 

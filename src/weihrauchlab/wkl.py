@@ -252,7 +252,14 @@ def blocking_rows_machine() -> Machine:
             i += 1
         return tuple(out)
 
-    return Machine("blocking-rows", fn)
+    def point(p):
+        if not isinstance(p, TreeChar):
+            raise UnsupportedShape("tree names are characteristic points here")
+        tree = p.tree
+        return LawPoint(row_fn=lambda r: q_stream(tree, word_at(r)),
+                        label="blocking-rows")
+
+    return Machine("blocking-rows", fn, point=point)
 
 
 def path_extractor() -> Machine:
@@ -275,15 +282,8 @@ def path_extractor() -> Machine:
 
 
 def wkl_to_llpo_hat() -> Witness:
-    def kp(p):
-        if not isinstance(p, TreeChar):
-            raise UnsupportedShape("tree names are characteristic points here")
-        tree = p.tree
-        return LawPoint(row_fn=lambda r: q_stream(tree, word_at(r)),
-                        label="blocking-rows")
-
     return Witness(wkl_problem(), llpo_hat_problem(), blocking_rows_machine(),
-                   path_extractor(), True, kp, name="wkl_to_llpo_hat")
+                   path_extractor(), True, name="wkl_to_llpo_hat")
 
 
 # ---------------------------------------------------------------------------
@@ -315,15 +315,13 @@ def constraint_tree_machine() -> Machine:
             j += 1
         return tuple(out)
 
-    return Machine("constraint-tree", fn)
+    return Machine("constraint-tree", fn,
+                   point=lambda p: TreeChar(ConstraintTree(p)))
 
 
 def llpo_hat_to_wkl() -> Witness:
-    def kp(p):
-        return TreeChar(ConstraintTree(p))
-
     return Witness(llpo_hat_problem(), wkl_problem(), constraint_tree_machine(),
-                   index_machine("copy-path", lambda j: j), True, kp,
+                   index_machine("copy-path", lambda j: j), True,
                    name="llpo_hat_to_wkl")
 
 

@@ -80,7 +80,33 @@ def test_cli_eval_lpo_hat_prints_the_product(capsys):
     assert main(["eval", "lpo_hat", "rows(default=evp(;1);3:evp(;0))"]) == 0
     assert capsys.readouterr().out == (
         "lpo_hat(rows(default=evp(;1);3:evp(;0))) = "
-        "product[1 1 1 0 1 1 1 1 1 1 1 1 ...]\n")
+        "point evp(1 1 1 0;1)\n")
+
+
+def test_cli_suite_capacity_stays_local(monkeypatch, capsys):
+    """A witness that hits capacity is reported on its own line; the later
+    witnesses and the negative controls still run, and the exit code is 3."""
+    from weihrauchlab import cli, registry
+    from weihrauchlab.errors import CapacityExceeded
+
+    def refuse():
+        raise CapacityExceeded("refused for the test")
+
+    def patched_registry():
+        entries = registry.named_witnesses()
+        entries["compact_to_llpo_hat"].build = refuse
+        return entries
+
+    monkeypatch.setattr(cli, "named_witnesses", patched_registry)
+    code = main(["suite", "full", "--depth", "4"])
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 3
+    at = lines.index("compact_to_llpo_hat: CAPACITY (refused for the test)")
+    later = [line.split(":")[0] for line in lines[at + 1:]]
+    assert "wkl_to_llpo_hat" in later and "uncyl(llpo_to_lpo)" in later
+    negatives = [line for line in lines if line.startswith("negative ")]
+    assert len(negatives) == len(registry.corrupted_witnesses())
+    assert lines[-1].startswith("suite: ") and lines[-1].endswith("1 at capacity")
 
 
 def test_cli_eval_llpo_real(capsys):

@@ -1,9 +1,15 @@
 import random
 
+import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
+
 from weihrauchlab.corpus import any_points, ev_periodic, rng_for
+from weihrauchlab.errors import UnsupportedShape
 from weihrauchlab.machines import (
     Machine,
     PointView,
+    RowView,
     audit_monotone,
     compose,
     compose_all,
@@ -11,6 +17,7 @@ from weihrauchlab.machines import (
     countable_tuple,
     diag,
     identity,
+    index_machine,
     inject,
     pair_machine,
     proj1,
@@ -19,7 +26,23 @@ from weihrauchlab.machines import (
     shift_l,
     tensor,
 )
-from weihrauchlab.points import EvPeriodic, Interleave, RowTuple, pair_encode, prefix
+from weihrauchlab.points import (
+    EvPeriodic,
+    Interleave,
+    RowTuple,
+    pair_encode,
+    prefix,
+    row,
+    rows_of,
+)
+from weihrauchlab.problems import llpo_problem, lpo_problem
+from weihrauchlab.witnesses import (
+    VALIDATE_WIDTH,
+    Witness,
+    parallel_absorb,
+    parallel_idem,
+    parallel_product,
+)
 
 
 def test_proj1_deinterleaves():
@@ -191,3 +214,82 @@ def test_composition_respects_induced_semantics():
         staged_in = inner.eval(PointView(p, 2048))
         want = outer.eval(staged_in)[:len(direct.output)]
         assert tuple(direct.output) == tuple(want[:len(direct.output)])
+
+
+# derived point actions ------------------------------------------------------
+
+SYMS = st.integers(0, 3)
+EVP = st.builds(EvPeriodic, st.lists(SYMS, max_size=4).map(tuple),
+                st.lists(SYMS, min_size=1, max_size=3).map(tuple))
+POINTS = st.one_of(
+    EVP,
+    st.builds(Interleave, EVP, EVP),
+    st.builds(RowTuple, st.dictionaries(st.integers(0, 5), EVP, max_size=3), EVP),
+)
+LEAVES = st.one_of(
+    st.sampled_from([identity(), shift_l(), proj1(), proj2(), diag(),
+                     index_machine("evens", lambda i: 2 * i)]),
+    st.builds(inject, SYMS),
+    st.builds(const_machine, EVP),
+    # index machines with a row law, as the parallelization witnesses build them
+    st.sampled_from([parallel_absorb(llpo_problem())[0].K,
+                     parallel_idem(llpo_problem())[0].K,
+                     parallel_product(lpo_problem(), llpo_problem())[1].K]),
+)
+
+
+def _combined(parts):
+    return st.one_of(
+        st.builds(pair_machine, parts, parts),
+        st.builds(tensor, parts, parts),
+        st.builds(compose, parts, parts),
+        st.builds(countable_tuple, st.lists(parts, max_size=2), parts),
+    )
+
+
+LEVEL1 = st.one_of(LEAVES, _combined(LEAVES))
+TREES = st.one_of(LEVEL1, _combined(LEVEL1))   # combinator trees two deep
+WIDE = 256
+
+
+@settings(max_examples=150, deadline=None)
+@given(TREES, POINTS)
+def test_derived_point_action_agrees_with_eval(m, p):
+    """A combinator's point action, built from its parts', emits what the
+    machine emits, far past the checker's validation window; where the
+    action has rows, its rows are the machine's rows."""
+    try:
+        q = m.point(p)
+    except UnsupportedShape:
+        reject()   # the action refuses a shape it cannot present (depair of rows)
+    out = m.eval(PointView(p, WIDE))
+    assert prefix(q, len(out)) == tuple(out), m.name
+    q = rows_of(q)
+    if isinstance(q, Interleave):
+        return
+    for n in range(4):
+        try:
+            got = row(q, n)
+        except UnsupportedShape:
+            return
+        r = RowView(out, n)
+        assert prefix(got, len(r)) == tuple(r), (m.name, n)
+
+
+def test_derived_point_action_reaches_past_the_validation_window():
+    p = RowTuple({1: EvPeriodic((2,), (1,))}, EvPeriodic((0, 3), (1,)))
+    m = compose(countable_tuple([], compose(inject(5), shift_l())), identity())
+    out = m.eval(PointView(p, WIDE))
+    assert len(out) > 3 * VALIDATE_WIDTH
+    assert prefix(m.point(p), len(out)) == tuple(out)
+
+
+def test_witness_refuses_a_K_without_point_action():
+    bare = Machine("bare", lambda w: tuple(w))
+    assert compose(identity(), bare).point is None
+    assert pair_machine(bare, identity()).point is None
+    with pytest.raises(ValueError):
+        Witness(lpo_problem(), lpo_problem(), bare, identity(), True)
+    with pytest.raises(ValueError):
+        Witness(lpo_problem(), lpo_problem(), compose(identity(), bare),
+                identity(), True)

@@ -38,7 +38,7 @@ def test_checker_soundness_boundary():
         return tuple(out)
 
     w = Witness(id_problem(), id_problem(), identity(),
-                Machine("flip5", h_fn), True, lambda p: p, name="flip5")
+                Machine("flip5", h_fn), True, name="flip5")
     corpus = [EvPeriodic((1, 2, 3), (0,))]
     assert check(w, corpus, depth=5).passed
     rep = check(w, corpus, depth=6)

@@ -229,7 +229,7 @@ def test_weak_compose_negative_control():
         lambda wd, j: (1 - wd[0]) if (j == 0 and wd[0] in (0, 1))
         else (0 if j else wd[0]),
         lambda j: 1 if j == 0 else j + 1)
-    wg_bad = Witness(wg.f, wg.g, wg.K, bad_h, True, wg.k_point, name="bad")
+    wg_bad = Witness(wg.f, wg.g, wg.K, bad_h, True, name="bad")
     w = weak_compose(wf, wg_bad)
     rep = check(w, [EvPeriodic((2,), (0,))], depth=4, validate_width=24)
     assert not rep.passed

@@ -100,7 +100,7 @@ def test_broken_witness_fails_with_coordinate():
     w = llpo_to_lpo()
     copy_h = symbol_machine("copy", lambda wd, j: wd[0] if j == 0 else 0,
                             lambda j: j + 1)
-    bad = Witness(w.f, w.g, w.K, copy_h, True, w.k_point, name="bad")
+    bad = Witness(w.f, w.g, w.K, copy_h, True, name="bad")
     rep = check(bad, [EvPeriodic((5,), (0,))], depth=8)
     assert not rep.passed
     assert rep.failures()[0].coordinate == 0
@@ -154,7 +154,7 @@ def test_product_witness_and_negative_half():
     copy_h = symbol_machine("copy", lambda wd, j: wd[0] if j == 0 else 0,
                             lambda j: j + 1)
     w = llpo_to_lpo()
-    bad_half = Witness(w.f, w.g, w.K, copy_h, True, w.k_point, name="bad")
+    bad_half = Witness(w.f, w.g, w.K, copy_h, True, name="bad")
     broken = product_witness(w, bad_half)
     rep = check(broken,
                 [Interleave(EvPeriodic((5,), (0,)), EvPeriodic((5,), (0,)))],
@@ -200,7 +200,7 @@ def test_nothing_reduces_to_bottom_except_empty_domain():
     bot = bottom_problem()
     # bottom reduces to bottom vacuously: no behaviors to fail on, but also
     # no corpus can make headway, so the reduction from a real problem fails
-    w = Witness(lpo_problem(), bot, identity(), identity(), True, lambda p: p)
+    w = Witness(lpo_problem(), bot, identity(), identity(), True)
     rep = check(w, any_points(rng_for("bot"), 4), depth=6)
     assert not rep.entries   # zero oracle branches: vacuous, never a pass
     assert not rep.passed
@@ -269,9 +269,6 @@ def test_repr_transport_through_padding():
     def strip_pt(p):
         return subsample(p, 1, 1)
 
-    def pad_pt(p):
-        return point_prepend(7, p)
-
     def padded_nats(values):
         inner = FiniteNatsSet(values)
         return TaggedUnionSet(inner, inner)   # any leading junk symbol
@@ -288,7 +285,7 @@ def test_repr_transport_through_padding():
     # Q strips the primed input, S re-pads the inner translation's output,
     # T strips the primed oracle answer, R re-pads the final answer
     t = repr_transport(w, shift_l(), inject(0), inject(7), shift_l(),
-                       primed_f, primed_g, strip_pt, pad_pt)
+                       primed_f, primed_g)
     corpus = [point_prepend(7, p) for p in llpo_corpus(6, "transport")]
     rep = check(t, corpus, depth=8)
     assert rep.passed, rep.render()
@@ -349,7 +346,7 @@ def test_omniscience_separation_expected_failure():
     copy_h = symbol_machine("copy", lambda wd, j: wd[0] if j == 0 else 0,
                             lambda j: j + 1)
     candidate = Witness(lpo_problem(), llpo_problem(), identity(), copy_h,
-                        True, lambda p: p, name="lpo<=llpo?")
+                        True, name="lpo<=llpo?")
     rep = check(candidate, [EvPeriodic((), (0,))], depth=8)
     assert not rep.passed
     assert any(e.coordinate == 0 for e in rep.failures())
