@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
+from .errors import UnsupportedShape
 from .points import (
     Interleave,
     LawPoint,
@@ -269,6 +270,9 @@ def countable_tuple(ms: Sequence, uniform: Machine) -> Machine:
             rows.update({n: ms[n].point(p.default)
                          for n in range(len(ms)) if n not in rows})
             return RowTuple(rows, uniform.point(p.default))
+        if isinstance(p, Interleave):
+            # refuse now: a pair that does not normalize has no rows to read
+            raise UnsupportedShape("rowwise action on a pair without row form")
         return LawPoint(row_fn=lambda n: machine_at(n).point(row(p, n)),
                         label="rowwise")
 

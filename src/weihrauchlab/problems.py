@@ -3,7 +3,7 @@ names plus a computable value-set description.  The discontinuous maps
 (the omniscience principles, tree choice, compact choice) have no
 computable realizer; they are evaluated structurally on finitely
 presented names, and the value sets drive the witness checker's oracle
-enumeration.
+exploration.
 """
 
 from __future__ import annotations
@@ -60,6 +60,13 @@ class ValueSet:
     def behaviors(self, depth: int, cap: int = BEHAVIOR_CAP) -> list:
         """Canonical representatives of every output distinguishable below depth."""
         raise NotImplementedError
+
+    def explore(self, depth: int, cap: int, run: Callable) -> list:
+        """(behavior index, use, run(r)) for each canonical behavior r below
+        depth, in the order of behaviors().  The use, the free coordinates
+        a run read, is None: enumerated behaviors do not record reads."""
+        return [(bi, None, run(r))
+                for bi, r in enumerate(self.behaviors(depth, cap))]
 
     def canonical(self) -> Point:
         return self.behaviors(1, 2)[0]
@@ -194,6 +201,54 @@ class CoordProductSet(ValueSet):
         for combo in itertools.product((0, 1), repeat=len(free)):
             chosen = dict(zip(free, combo))
             out.append(self._assignment_point(chosen))
+        return out
+
+    def explore(self, depth, cap, run):
+        """Run on the behaviors below depth, forking a free coordinate only
+        where a run reads it.
+
+        Each run answers its fixed coordinates and the canonical bit
+        elsewhere; every free coordinate below depth that it reads unfixed
+        becomes a child run that keeps the earlier reads as seen and flips
+        that coordinate.  A run stands for every behavior that agrees with
+        it on its reads, and its index is the least of them in the order of
+        behaviors().  This needs a run whose reads depend only on the
+        answers it got, so that a child repeats its parent's reads up to
+        the flipped one.  A run that reads more than log2(cap) free
+        coordinates raises CapacityExceeded, so no read tree has more than
+        cap leaves.
+        """
+        free = [i for i in range(depth) if len(self.bits(i)) == 2]
+        # a free coordinate's bit in a behavior index; the first is the
+        # most significant, as in behaviors()
+        weight = {c: 1 << (len(free) - 1 - k) for k, c in enumerate(free)}
+        most = cap.bit_length() - 1      # the largest n with 2^n <= cap
+        out = []
+        pending = [(0, {})]              # (index, fixed coordinates)
+        while pending:
+            index, fixed = pending.pop()
+            use = []
+
+            def law(i, fixed=fixed, use=use):
+                if i not in weight:
+                    return self.canonical_bit(i)
+                if len(use) >= most:
+                    raise CapacityExceeded(
+                        f"a run reads {len(use) + 1} free coordinates below "
+                        f"depth {depth}, beyond the behavior bound {cap}")
+                use.append(i)
+                return fixed.get(i, 0)      # 0 is a free coordinate's canonical bit
+
+            result = run(LawPoint(fn=law, label="product-branch"))
+            out.append((index, tuple(use), result))
+            seen = dict(fixed)
+            for c in use:
+                if c not in seen:
+                    child = dict(seen)
+                    child[c] = 1
+                    pending.append((index + weight[c], child))
+                    seen[c] = 0
+        out.sort(key=lambda entry: entry[0])
         return out
 
     def truncations(self, n: int, cap: int = BEHAVIOR_CAP) -> list:
@@ -501,6 +556,14 @@ def hat_problem(f: Problem) -> Problem:
         if isinstance(p, RowTuple):
             return CoordProductSet(bits, support_bound=max(p.rows, default=-1) + 1,
                                    tail_bits=f.value_set(p.default).values)
+        if isinstance(p, EvPeriodic):
+            # rows from n_star on repeat with period cycle: one answer set
+            # on a whole cycle is the answer set of every later row
+            n_star, cycle = row_stabilization(p)
+            tails = {bits(n) for n in range(n_star, n_star + cycle)}
+            if len(tails) == 1:
+                return CoordProductSet(bits, support_bound=n_star,
+                                       tail_bits=tails.pop())
         return CoordProductSet(bits)
 
     return Problem(f"{f.name}_hat", "baire", "baire", dom, value)

@@ -3,10 +3,11 @@
 A Witness claims f <= g (ordinary) or f <=sW g (strong) via an input
 translation K and an output translation H.  The checker replays the claim
 against every canonical oracle behavior of g at K(p) for each corpus name
-p: a reported failure pins a definite coordinate, a pass is sound to the
-checked depth.  The point action of K (k_point, taken from K.point) lets
-the oracle's value set be computed on a finitely presented name; it is
-validated against the machine on a sampled prefix window at every check.
+p, forking an oracle coordinate only where H reads it: a reported failure
+pins a definite coordinate, a pass is sound to the checked depth.  The
+point action of K (k_point, taken from K.point) lets the oracle's value
+set be computed on a finitely presented name; it is validated against the
+machine on a sampled prefix window at every check.
 """
 
 from __future__ import annotations
@@ -102,6 +103,9 @@ class CheckEntry:
     status: str  # pass | fail | stall | error
     coordinate: Optional[int] = None
     note: str = ""
+    # free oracle coordinates below depth that the run read, in read order;
+    # None where the oracle's behaviors were enumerated
+    use: Optional[tuple] = None
 
 
 @dataclass
@@ -136,7 +140,11 @@ VALIDATE_WIDTH = 64
 
 def check(w: Witness, corpus, depth: int = 16, cap: int = BEHAVIOR_CAP,
           validate_width: int = VALIDATE_WIDTH, fuel: int = None) -> Report:
-    """Replay the witness on every corpus name and oracle behavior branch."""
+    """Replay the witness on every corpus name and oracle behavior branch.
+
+    The oracle's behaviors are explored along H's reads (ValueSet.explore):
+    an entry stands for every behavior that agrees with its run on the
+    coordinates it read, and its behavior index is the least of them."""
     report = Report(w.name, depth)
     for p in corpus:
         label = repr(p)
@@ -154,17 +162,22 @@ def check(w: Witness, corpus, depth: int = 16, cap: int = BEHAVIOR_CAP,
                                              note=f"K image outside dom({w.g.name})"))
             continue
         gv = w.g.value_set(q)
-        for bi, r in enumerate(gv.behaviors(depth, cap)):
+
+        def run(r, p=p):
             feed = r if w.strong else Interleave(p, r)
-            outcome = run_on_point(w.H, feed, depth, fuel)
+            return run_on_point(w.H, feed, depth, fuel)
+
+        for bi, use, outcome in gv.explore(depth, cap, run):
             coord = fv.check_prefix(outcome.output)
             if coord is not None:
-                report.entries.append(CheckEntry(label, bi, "fail", coord))
+                report.entries.append(CheckEntry(label, bi, "fail", coord,
+                                                 use=use))
             elif not outcome.productive:
                 report.entries.append(CheckEntry(label, bi, "stall",
-                                                 note=f"only {len(outcome.output)} symbols"))
+                                                 note=f"only {len(outcome.output)} symbols",
+                                                 use=use))
             else:
-                report.entries.append(CheckEntry(label, bi, "pass"))
+                report.entries.append(CheckEntry(label, bi, "pass", use=use))
     return report
 
 
@@ -416,7 +429,12 @@ def parallel_idem(f: Problem) -> tuple:
         return pair_encode(j, pair_encode(k, m))
 
     def flat_rows(p):
-        return lambda jk: row(row(p, pair_decode(jk)[0]), pair_decode(jk)[1])
+        p = rows_of(p)
+
+        def row_of(jk):
+            j, k = pair_decode(jk)
+            return row(rows_of(row(p, j)), k)
+        return row_of
 
     k_flat = index_machine("flatten", flatten_src, rows=flat_rows)
     down = Witness(fhh, fh, k_flat, identity(), True,

@@ -5,8 +5,6 @@ Every criterion records a verdict line that the terminal summary prints.
 
 import itertools
 
-import pytest
-
 from conftest import record_criterion
 
 from weihrauchlab import corpus as gen
@@ -27,7 +25,7 @@ from weihrauchlab.points import (
 )
 from weihrauchlab.problems import llpo_hat_value, lpo_value
 from weihrauchlab.registry import corrupted_witnesses, named_witnesses
-from weihrauchlab.spaces import T0, T1, THALF, TreeChar, encode_ternary, ternary_of_word
+from weihrauchlab.spaces import T0, T1, THALF, encode_ternary, ternary_of_word
 from weihrauchlab.witnesses import check
 
 

@@ -1,5 +1,3 @@
-import pytest
-
 from weihrauchlab.cli import main
 from weihrauchlab.corpus import rng_for, thin_tree, mixed_clopen, any_points
 from weihrauchlab.literals import (
@@ -81,6 +79,17 @@ def test_cli_eval_lpo_hat_prints_the_product(capsys):
     assert capsys.readouterr().out == (
         "lpo_hat(rows(default=evp(;1);3:evp(;0))) = "
         "point evp(1 1 1 0;1)\n")
+
+
+def test_cli_eval_hat_of_eventually_periodic_name(capsys):
+    """A constant answer tail from the stabilized rows on is exact; a free
+    tail is not."""
+    for problem, literal, want in (
+            ("lpo_hat", "evp(;1)", "point evp(;1)"),
+            ("lpo_hat", "evp(0;1)", "point evp(0;1)"),
+            ("llpo_hat", "evp(;0)", "product[" + " ".join(["01"] * 12) + " ...]")):
+        assert main(["eval", problem, literal]) == 0
+        assert capsys.readouterr().out == f"{problem}({literal}) = {want}\n"
 
 
 def test_cli_suite_capacity_stays_local(monkeypatch, capsys):

@@ -1,6 +1,6 @@
 from weihrauchlab.corpus import ev_periodic, rng_for
 from weihrauchlab.errors import NonConvergent
-from weihrauchlab.limits import AdversaryResult, LimitRun, adversary, lpo_k_machine, run_lpo_k
+from weihrauchlab.limits import adversary, lpo_k_machine, run_lpo_k
 from weihrauchlab.points import EvPeriodic
 from weihrauchlab.problems import lpo_value
 

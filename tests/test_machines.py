@@ -1,10 +1,8 @@
-import random
-
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from weihrauchlab.corpus import any_points, ev_periodic, rng_for
+from weihrauchlab.corpus import any_points, rng_for
 from weihrauchlab.errors import UnsupportedShape
 from weihrauchlab.machines import (
     Machine,
@@ -12,7 +10,6 @@ from weihrauchlab.machines import (
     RowView,
     audit_monotone,
     compose,
-    compose_all,
     const_machine,
     countable_tuple,
     diag,
@@ -282,6 +279,26 @@ def test_derived_point_action_reaches_past_the_validation_window():
     out = m.eval(PointView(p, WIDE))
     assert len(out) > 3 * VALIDATE_WIDTH
     assert prefix(m.point(p), len(out)) == tuple(out)
+
+
+def test_row_laws_read_pairs_in_row_form():
+    """A pair name reaches a row law in row normal form; a rowwise action
+    on a pair without one refuses at once instead of on its first read."""
+    flatten = parallel_idem(llpo_problem())[0].K
+    join = parallel_product(lpo_problem(), llpo_problem())[1].K
+    zeros = EvPeriodic((), (0,))
+    for m, p in ((flatten, Interleave(zeros, zeros)),
+                 (compose(flatten, join), zeros)):
+        out = m.eval(PointView(p, WIDE))
+        q = m.point(p)
+        assert prefix(q, len(out)) == tuple(out)
+        for n in range(4):
+            r = RowView(out, n)
+            assert prefix(row(q, n), len(r)) == tuple(r)
+    merge = parallel_absorb(llpo_problem())[0].K
+    rowwise = compose(countable_tuple([], identity()), pair_machine(identity(), merge))
+    with pytest.raises(UnsupportedShape):
+        rowwise.point(zeros)
 
 
 def test_witness_refuses_a_K_without_point_action():

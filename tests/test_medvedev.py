@@ -1,7 +1,5 @@
-import itertools
-
 from weihrauchlab.corpus import any_points, pair_points, rng_for, any_point
-from weihrauchlab.machines import Machine, identity, run_on_point
+from weihrauchlab.machines import Machine, identity
 from weihrauchlab.medvedev import (
     MassProblem,
     embed_backward,
@@ -11,7 +9,7 @@ from weihrauchlab.medvedev import (
     set_sum,
     set_tensor,
 )
-from weihrauchlab.points import EvPeriodic, Interleave, prefix
+from weihrauchlab.points import EvPeriodic, prefix
 from weihrauchlab.witnesses import check
 
 

@@ -1,6 +1,6 @@
-import itertools
-
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weihrauchlab.corpus import (
     any_points,
@@ -10,8 +10,15 @@ from weihrauchlab.corpus import (
     rng_for,
     squared_inputs,
 )
-from weihrauchlab.errors import NonRepresentable, OutOfDomain
-from weihrauchlab.points import EvPeriodic, Interleave, RowTuple, pair_encode, prefix, row
+from weihrauchlab.errors import CapacityExceeded, NonRepresentable, OutOfDomain
+from weihrauchlab.points import (
+    EvPeriodic,
+    Interleave,
+    RowTuple,
+    prefix,
+    row,
+    row_stabilization,
+)
 from weihrauchlab.problems import (
     CoordProductSet,
     EmptySet,
@@ -25,7 +32,6 @@ from weihrauchlab.problems import (
     compact_choice_problem,
     compose_problems,
     const_problem,
-    id_problem,
     llpo_hat_problem,
     llpo_hat_value,
     llpo_problem,
@@ -75,6 +81,29 @@ def test_lpo_hat_rowtuples():
     assert all(vs2.bits(n) == {1} for n in (0, 1, 2, 4, 5))
     vs3 = c_problem().value_set(EvPeriodic((), (0,)))
     assert all(vs3.bits(n) == {0} for n in range(16))
+
+
+def test_hat_tail_on_eventually_periodic_names():
+    """Rows of an eventually periodic name repeat from n_star on; when one
+    cycle of them shares an answer set, that set is the exact tail."""
+    rng = rng_for("hat-tail")
+    exact = 0
+    for _ in range(40):
+        p = ev_periodic(rng)
+        n_star, cycle = row_stabilization(p)
+        vs = c_problem().value_set(p)
+        if vs.tail_bits is None:
+            assert len({vs.bits(i) for i in range(n_star, n_star + cycle)}) == 2
+            continue
+        exact += 1
+        assert vs.support_bound == n_star
+        assert all(vs.bits(i) == vs.tail_bits
+                   for i in range(n_star, n_star + 4 * cycle))
+    assert exact >= 10
+    free_tail = llpo_hat_value(EvPeriodic((0, 0, 5), (0,)))
+    assert free_tail.tail_bits == {0, 1}
+    with pytest.raises(NonRepresentable):
+        free_tail.members()
 
 
 def test_llpo_hat_examples():
@@ -247,6 +276,80 @@ def test_behavior_capacity_is_first_class():
         free_everywhere.behaviors(16, 4096)
     # and within budget the count is exact
     assert len(free_everywhere.behaviors(3, 4096)) == 8
+
+
+# a free coordinate {0, 1} is drawn three times as often as each forced one
+BIT_SETS = (frozenset({0}), frozenset({1})) + (frozenset({0, 1}),) * 3
+
+
+@st.composite
+def decision_trees(draw, width, levels=5):
+    """An output (a leaf) or a node (coordinate, if 0, if 1) that reads
+    the oracle; a quarter of the draws above the last level are leaves."""
+    if levels == 0 or draw(st.integers(0, 3)) == 3:
+        return draw(st.integers(0, 9))
+    return (draw(st.integers(0, width - 1)),
+            draw(decision_trees(width, levels - 1)),
+            draw(decision_trees(width, levels - 1)))
+
+
+@st.composite
+def products_and_readers(draw):
+    """Per-coordinate bit sets, a depth, a decision-tree reader and a cap."""
+    depth = draw(st.integers(0, 7))
+    width = depth + 2
+    sets = draw(st.lists(st.sampled_from(BIT_SETS), min_size=width, max_size=width))
+    tree = (draw(st.integers(0, width - 1)),
+            draw(decision_trees(width)), draw(decision_trees(width)))
+    cap = draw(st.sampled_from((1, 2, 3, 4, 8, 12, 64, 4096)))
+    return sets, depth, tree, cap
+
+
+def read_tree(tree, r, seen=None):
+    while isinstance(tree, tuple):
+        c, if0, if1 = tree
+        if seen is not None:
+            seen.add(c)
+        tree = if1 if r.value_at(c) else if0
+    return tree
+
+
+@settings(max_examples=200, deadline=None)
+@given(products_and_readers())
+def test_explore_stands_for_every_behavior_once(case):
+    sets, depth, tree, cap = case
+    vs = CoordProductSet(lambda i: sets[i] if i < len(sets) else frozenset({0}))
+    free = [i for i in range(depth) if len(sets[i]) == 2]
+    behaviors = vs.behaviors(depth, 2 ** len(free))
+
+    def run(r):
+        return read_tree(tree, r)
+
+    widest = 0
+    for b in behaviors:
+        seen = set()
+        read_tree(tree, b, seen)
+        widest = max(widest, len(seen & set(free)))
+    if 2 ** widest > cap:
+        with pytest.raises(CapacityExceeded):
+            vs.explore(depth, cap, run)
+        return
+
+    leaves = vs.explore(depth, cap, run)
+    indices = [index for index, _, _ in leaves]
+    assert indices == sorted(set(indices))
+    assert sum(2 ** (len(free) - len(use)) for _, use, _ in leaves) == 2 ** len(free)
+
+    def bit(index, c):
+        return index >> (len(free) - 1 - free.index(c)) & 1
+
+    stands_for = {}
+    for bi, b in enumerate(behaviors):
+        (leaf,) = [(index, out) for index, use, out in leaves
+                   if all(b.value_at(c) == bit(index, c) for c in use)]
+        assert leaf[1] == run(b)
+        stands_for.setdefault(leaf[0], []).append(bi)
+    assert all(min(bis) == index for index, bis in stands_for.items())
 
 
 def test_compact_choice_depth_cap():

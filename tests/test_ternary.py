@@ -8,13 +8,10 @@ from weihrauchlab.machines import audit_monotone, run_on_point
 from weihrauchlab.points import EvPeriodic, Interleave, RowTuple
 from weihrauchlab.spaces import T0, T1, THALF, encode_ternary, ternary_of_word
 from weihrauchlab.ternary import (
-    NandCircuit,
     circuit_table,
-    extension_value,
     gatewise_realizer,
     nand_realizer,
     nand_value,
-    resolution_realizer,
     synthesize,
     table_of,
     ternary_extend,

@@ -5,7 +5,6 @@ import pytest
 from weihrauchlab.corpus import (
     clopen_names,
     free_heavy_rowtuple,
-    llpo_points,
     rng_for,
     squared_inputs,
 )
@@ -17,9 +16,8 @@ from weihrauchlab.machines import (
     proj1,
     proj2,
     run_on_point,
-    shift_l,
 )
-from weihrauchlab.points import EvPeriodic, RowTuple, prefix
+from weihrauchlab.points import EvPeriodic, RowTuple
 from weihrauchlab.problems import llpo_hat_value
 from weihrauchlab.spaces import ClopenCompact, encode_clopen
 from weihrauchlab.weakcomp import (
@@ -32,7 +30,6 @@ from weihrauchlab.weakcomp import (
 )
 from weihrauchlab.witnesses import (
     check,
-    id_to_llpo_hat,
     parallel_extensive,
     reflexivity,
     Witness,

@@ -9,7 +9,7 @@ from weihrauchlab.corpus import (
     rng_for,
 )
 from weihrauchlab.errors import MiddleMismatch, OutOfDomain
-from weihrauchlab.machines import Machine, identity, run_on_point, symbol_machine
+from weihrauchlab.machines import identity, run_on_point, symbol_machine
 from weihrauchlab.points import EvPeriodic, Interleave, RowTuple, prefix
 from weihrauchlab.problems import (
     bottom_problem,
@@ -32,10 +32,8 @@ from weihrauchlab.witnesses import (
     glb_witnesses,
     hat_is_cylinder,
     id_to_c,
-    id_to_llpo_hat,
     least_degree,
     llpo_real_to_llpo,
-    llpo_to_llpo_real,
     llpo_to_lpo,
     lpo_from_discontinuity,
     parallel_absorb,

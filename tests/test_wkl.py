@@ -3,16 +3,14 @@ import itertools
 import pytest
 
 from weihrauchlab.corpus import llpo_hat_inputs, rng_for, thin_tree, tree_names
-from weihrauchlab.errors import NonRepresentable
 from weihrauchlab.points import EvPeriodic, RowTuple, prefix
 from weihrauchlab.problems import llpo_hat_value, llpo_value
-from weihrauchlab.spaces import FinTree, TreeChar, word_at
+from weihrauchlab.spaces import FinTree, TreeChar
 from weihrauchlab.witnesses import check
 from weihrauchlab.wkl import (
     ConstraintTree,
     blocking_index,
     blocking_index_bruteforce,
-    in_blocked_set,
     llpo_hat_to_wkl,
     q_stream,
     wkl_round_trip,
