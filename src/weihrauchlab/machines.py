@@ -113,6 +113,25 @@ def second_half(w):
     return StrideView(w, 2, 1)
 
 
+def emit_rows(row_of: Callable, bound: Optional[int] = None) -> Word:
+    """A row-tupled output: symbol j = <n,k> is symbol k of row_of(n),
+    emitted up to the first row too short for its symbol, and below bound
+    when one is given.  Each row is computed once."""
+    rows: dict = {}
+    out = []
+    j = 0
+    while bound is None or j < bound:
+        n, k = pair_decode(j)
+        r = rows.get(n)
+        if r is None:
+            r = rows[n] = row_of(n)
+        if k >= len(r):
+            break
+        out.append(r[k])
+        j += 1
+    return tuple(out)
+
+
 def interleave_words(a: Sequence, b: Sequence) -> Word:
     la, lb = len(a), len(b)
     n = min(2 * la, 2 * lb + 1)
@@ -245,23 +264,7 @@ def countable_tuple(ms: Sequence, uniform: Machine) -> Machine:
         return ms[n] if n < len(ms) else uniform
 
     def fn(w):
-        outs: dict = {}
-
-        def out_row(n):
-            if n not in outs:
-                outs[n] = machine_at(n).eval(RowView(w, n))
-            return outs[n]
-
-        result = []
-        j = 0
-        while True:
-            n, k = pair_decode(j)
-            r = out_row(n)
-            if k >= len(r):
-                break
-            result.append(r[k])
-            j += 1
-        return tuple(result)
+        return emit_rows(lambda n: machine_at(n).eval(RowView(w, n)))
 
     def point(p):
         p = rows_of(p)

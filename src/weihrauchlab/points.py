@@ -225,17 +225,17 @@ def row_stabilization(p: EvPeriodic) -> tuple:
 
 
 def depair(p: Point) -> tuple:
-    """Split a pair name into its two components."""
+    """Split a pair name into its two components: the parts of an
+    Interleave, exact halves of a normalizable point, and laws otherwise."""
     if isinstance(p, Interleave):
         return p.first, p.second
-    if isinstance(p, EvPeriodic):
+    if normalize(p) is not None:
         return subsample(p, 2, 0), subsample(p, 2, 1)
-    if isinstance(p, LawPoint):
-        return (
-            LawPoint(fn=lambda i: p.value_at(2 * i), label=f"{p.label}.fst"),
-            LawPoint(fn=lambda i: p.value_at(2 * i + 1), label=f"{p.label}.snd"),
-        )
-    raise UnsupportedShape(f"depair on {type(p).__name__}")
+    label = getattr(p, "label", type(p).__name__)
+    return (
+        LawPoint(fn=lambda i: p.value_at(2 * i), label=f"{label}.fst"),
+        LawPoint(fn=lambda i: p.value_at(2 * i + 1), label=f"{label}.snd"),
+    )
 
 
 def point_map(p: Point, f: Callable) -> Point:

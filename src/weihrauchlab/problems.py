@@ -671,10 +671,6 @@ def const_problem(points: Iterable, name: str = "c_A") -> Problem:
                    lambda p: True, lambda p: PointListSet(pts))
 
 
-def const_point_problem(q: Point, name: str = "c_q") -> Problem:
-    return const_problem([q], name=name)
-
-
 def bottom_problem() -> Problem:
     """The distinguished object with an empty realizer set."""
     return Problem("bottom", "baire", "baire",
@@ -690,10 +686,7 @@ def id_problem() -> Problem:
 
 def product_problem(f: Problem, g: Problem) -> Problem:
     def dom(p):
-        try:
-            a, b = depair(p)
-        except UnsupportedShape:
-            return False
+        a, b = depair(p)
         return f.in_domain(a) and g.in_domain(b)
 
     def value(p):
@@ -705,10 +698,7 @@ def product_problem(f: Problem, g: Problem) -> Problem:
 
 def sum_problem(f: Problem, g: Problem) -> Problem:
     def dom(p):
-        try:
-            a, b = depair(p)
-        except UnsupportedShape:
-            return False
+        a, b = depair(p)
         return f.in_domain(a) and g.in_domain(b)
 
     def value(p):

@@ -78,76 +78,48 @@ def _pairs(inner):
     return build
 
 
-def _llpo(rng, n):
-    return gen.llpo_points(rng, n)
-
-
 def _llpo_forced(rng, n):
     return gen.llpo_points(rng, n, allow_free=False)
-
-
-def _any(rng, n):
-    return gen.any_points(rng, n)
-
-
-def _hat(rng, n):
-    return gen.llpo_hat_inputs(rng, n)
-
-
-def _free_heavy(rng, n):
-    return [gen.free_heavy_rowtuple(rng) for _ in range(n)]
 
 
 def _compact_backward(rng, n):
     return [gen.compact_backward_input(rng) for _ in range(n)]
 
 
-def _trees(rng, n):
-    return gen.tree_names(rng, n)
-
-
-def _clopens(rng, n):
-    return gen.clopen_names(rng, n)
-
-
-def _dyadics(rng, n):
-    return gen.dyadic_names(rng, n)
-
-
-def _squared(rng, n):
-    return gen.squared_inputs(rng, n)
-
-
 def named_witnesses() -> dict:
     """Name -> Entry for every registered witness family."""
     entries = {}
 
-    entries["refl(lpo)"] = Entry(lambda: reflexivity(lpo_problem()), _any)
-    entries["refl(llpo)"] = Entry(lambda: reflexivity(llpo_problem()), _llpo)
-    entries["llpo_to_lpo"] = Entry(llpo_to_lpo, _llpo)
-    entries["id_to_c"] = Entry(id_to_c, _any)
-    entries["id_to_llpo_hat"] = Entry(id_to_llpo_hat, _any)
+    entries["refl(lpo)"] = Entry(lambda: reflexivity(lpo_problem()),
+                                 gen.any_points)
+    entries["refl(llpo)"] = Entry(lambda: reflexivity(llpo_problem()),
+                                  gen.llpo_points)
+    entries["llpo_to_lpo"] = Entry(llpo_to_lpo, gen.llpo_points)
+    entries["id_to_c"] = Entry(id_to_c, gen.any_points)
+    entries["id_to_llpo_hat"] = Entry(id_to_llpo_hat, gen.any_points)
     entries["llpo_hat_squared"] = Entry(
         lambda: llpo_hat_squared(
             compose_problems(llpo_hat_problem(), llpo_hat_problem())),
-        _squared)
-    entries["llpo_to_llpo_real"] = Entry(llpo_to_llpo_real, _llpo)
-    entries["llpo_real_to_llpo"] = Entry(llpo_real_to_llpo, _dyadics)
-    entries["wkl_to_llpo_hat"] = Entry(wkl_to_llpo_hat, _trees)
-    entries["llpo_hat_to_wkl"] = Entry(llpo_hat_to_wkl, _hat)
-    entries["wkl_round_trip"] = Entry(wkl_round_trip, _hat, depth=8, count=6)
+        gen.squared_inputs)
+    entries["llpo_to_llpo_real"] = Entry(llpo_to_llpo_real, gen.llpo_points)
+    entries["llpo_real_to_llpo"] = Entry(llpo_real_to_llpo, gen.dyadic_names)
+    entries["wkl_to_llpo_hat"] = Entry(wkl_to_llpo_hat, gen.tree_names)
+    entries["llpo_hat_to_wkl"] = Entry(llpo_hat_to_wkl, gen.llpo_hat_inputs)
+    entries["wkl_round_trip"] = Entry(wkl_round_trip, gen.llpo_hat_inputs,
+                                      depth=8, count=6)
     entries["compact_to_llpo_hat"] = Entry(
-        lambda: compact_choice_witnesses()[0], _clopens)
+        lambda: compact_choice_witnesses()[0], gen.clopen_names)
     entries["llpo_hat_to_compact"] = Entry(
         lambda: compact_choice_witnesses()[1], _compact_backward)
 
     # composition / transitivity
     entries["llpo_real_to_lpo"] = Entry(
-        lambda: compose_witness(llpo_real_to_llpo(), llpo_to_lpo()), _dyadics)
+        lambda: compose_witness(llpo_real_to_llpo(), llpo_to_lpo()),
+        gen.dyadic_names)
 
     # lattice laws: sums
     entries["sum_idem_fwd(lpo)"] = Entry(
-        lambda: sum_idem(lpo_problem())[0], _any)
+        lambda: sum_idem(lpo_problem())[0], gen.any_points)
     entries["sum_idem_bwd(lpo)"] = Entry(
         lambda: sum_idem(lpo_problem())[1], _pairs(gen.any_point))
     entries["glb_left(lpo,llpo)"] = Entry(
@@ -177,16 +149,16 @@ def named_witnesses() -> dict:
     entries["prod_assoc(lpo)"] = Entry(_prod_assoc, _triple_pairs)
     entries["prod_assoc_rev(lpo)"] = Entry(
         lambda: _prod_assoc(reverse=True), _right_triple_pairs)
-    entries["prod_id_intro(lpo)"] = Entry(_prod_id_intro, _any)
+    entries["prod_id_intro(lpo)"] = Entry(_prod_id_intro, gen.any_points)
     entries["prod_id_elim(lpo)"] = Entry(_prod_id_elim, _pairs(gen.any_point))
 
     # cylinders
     entries["cyl(llpo_to_lpo)"] = Entry(
-        lambda: cylindrify(llpo_to_lpo()), _pairs_id_llpo)
+        lambda: cylindrify(llpo_to_lpo()), _pairs_mixed_lpo_llpo)
     entries["uncyl(llpo_to_lpo)"] = Entry(
         lambda: uncylindrify(cylindrify(llpo_to_lpo()),
                              llpo_problem(), lpo_problem()),
-        _llpo)
+        gen.llpo_points)
     entries["cylinder(llpo_hat)"] = Entry(
         lambda: hat_is_cylinder(llpo_problem()), _pairs_id_hat)
     entries["strong_on_cylinder"] = Entry(
@@ -196,19 +168,19 @@ def named_witnesses() -> dict:
 
     # parallelization family
     entries["parallel_extensive(lpo)"] = Entry(
-        lambda: parallel_extensive(lpo_problem()), _any)
+        lambda: parallel_extensive(lpo_problem()), gen.any_points)
     entries["parallel_extensive(llpo)"] = Entry(
         lambda: parallel_extensive(llpo_problem()), _llpo_forced)
     entries["parallelize(llpo_to_lpo)"] = Entry(
-        lambda: parallelize_witness(llpo_to_lpo()), _hat)
+        lambda: parallelize_witness(llpo_to_lpo()), gen.llpo_hat_inputs)
     entries["parallel_idem_down(llpo)"] = Entry(
         lambda: parallel_idem(llpo_problem())[0], _hat_of_hat)
     entries["parallel_idem_up(llpo)"] = Entry(
-        lambda: parallel_idem(llpo_problem())[1], _hat)
+        lambda: parallel_idem(llpo_problem())[1], gen.llpo_hat_inputs)
     entries["parallel_absorb(llpo)"] = Entry(
         lambda: parallel_absorb(llpo_problem())[0], _pairs(gen.llpo_hat_input))
     entries["parallel_split(llpo)"] = Entry(
-        lambda: parallel_absorb(llpo_problem())[1], _hat)
+        lambda: parallel_absorb(llpo_problem())[1], gen.llpo_hat_inputs)
     entries["parallel_product(lpo,llpo)"] = Entry(
         lambda: parallel_product(lpo_problem(), llpo_problem())[0],
         _pairhat_inputs)
@@ -221,14 +193,14 @@ def named_witnesses() -> dict:
 
     # Medvedev set operations
     entries["medvedev_sum_to_prod"] = Entry(
-        lambda: _med_ops()["sum_to_prod"], _any)
+        lambda: _med_ops()["sum_to_prod"], gen.any_points)
     entries["medvedev_prod_to_sum"] = Entry(
         lambda: _med_ops()["prod_to_sum"], _pairs(gen.any_point))
     entries["medvedev_tensor_to_sum"] = Entry(
-        lambda: _med_ops()["tensor_to_sum"], _any)
+        lambda: _med_ops()["tensor_to_sum"], gen.any_points)
     entries["medvedev_sum_to_tensor"] = Entry(
         lambda: _med_ops()["sum_to_tensor"], _pairs(gen.any_point))
-    entries["medvedev_embed"] = Entry(_med_embed, _any)
+    entries["medvedev_embed"] = Entry(_med_embed, gen.any_points)
 
     return entries
 
@@ -247,10 +219,6 @@ def _med_embed():
 
 
 def _pairs_mixed_lpo_llpo(rng, n):
-    return gen.pair_points(rng, gen.any_point, gen.llpo_point, n)
-
-
-def _pairs_id_llpo(rng, n):
     return gen.pair_points(rng, gen.any_point, gen.llpo_point, n)
 
 

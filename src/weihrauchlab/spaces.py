@@ -7,14 +7,13 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .errors import InsufficientPrefix, InvariantViolation, NotAName
 from .points import (
     EvPeriodic,
     Point,
     Word,
-    is_prefix,
     nonzero_census,
     prefix,
 )
@@ -35,6 +34,16 @@ def word_at(i: int) -> Word:
     n = (i + 1).bit_length() - 1
     v = i - ((1 << n) - 1)
     return tuple((v >> (n - 1 - j)) & 1 for j in range(n))
+
+
+def extensions(start, n: int, member: Callable) -> list:
+    """The binary words of length n that extend start and whose every prefix
+    longer than start passes member, in lexicographic order (n >= len(start);
+    start itself is not tested)."""
+    words = [tuple(start)]
+    for _ in range(n - len(start)):
+        words = [w + (b,) for w in words for b in (0, 1) if member(w + (b,))]
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -152,10 +161,7 @@ class FinTree:
 
     def level(self, n: int) -> list:
         """All tree words of length n, by direct enumeration."""
-        words = [()]
-        for _ in range(n):
-            words = [w + (b,) for w in words for b in (0, 1) if self.member(w + (b,))]
-        return words
+        return extensions((), n, self.member)
 
     def extension_exists(self, w, n: int) -> bool:
         """Some length-n tree word extends w (n >= len(w))."""
@@ -172,15 +178,6 @@ class FinTree:
     def __repr__(self):
         return (f"FinTree(depth={self.explicit_depth}, "
                 f"nodes={len(self.explicit_nodes)}, live={len(self.live_paths)})")
-
-
-def full_explicit_nodes(depth: int) -> set:
-    nodes = {()}
-    frontier = [()]
-    for _ in range(depth):
-        frontier = [w + (b,) for w in frontier for b in (0, 1)]
-        nodes.update(frontier)
-    return nodes
 
 
 class TreeChar(Point):
@@ -224,9 +221,12 @@ class ClopenCompact:
         for w in self.excluded:
             if any(b not in (0, 1) for b in w):
                 raise InvariantViolation(f"non-binary excluded word {w}")
+        # every liveness query reads the depth
+        object.__setattr__(self, "_depth",
+                           max((len(w) for w in self.excluded), default=0))
 
     def depth(self) -> int:
-        return max((len(w) for w in self.excluded), default=0)
+        return self._depth
 
     def admits(self, w) -> bool:
         """No prefix of w is an excluded cylinder."""
@@ -234,10 +234,7 @@ class ClopenCompact:
         return not any(w[: len(e)] == e for e in self.excluded)
 
     def admitted_words(self, n: int) -> list:
-        words = [()]
-        for _ in range(n):
-            words = [w + (b,) for w in words for b in (0, 1) if self.admits(w + (b,))]
-        return words
+        return extensions((), n, self.admits)
 
     def is_empty(self) -> bool:
         # decidable by finite search: beyond the excluded depth no new
@@ -245,14 +242,11 @@ class ClopenCompact:
         return len(self.admitted_words(self.depth())) == 0
 
     def alive(self, w) -> bool:
-        """w extends to a member: some admitted word of excluded depth extends w."""
+        """w extends to a member: w is admitted and, below the excluded
+        depth, some admitted word of that depth extends it."""
         w = tuple(w)
-        if not self.admits(w):
-            return False
-        d = self.depth()
-        if len(w) >= d:
-            return True
-        return any(is_prefix(w, v) for v in self.admitted_words(d))
+        return self.admits(w) and bool(
+            extensions(w, max(self.depth(), len(w)), self.admits))
 
 
 def clopen_word_code(w) -> int:
@@ -277,11 +271,6 @@ def decode_clopen(p: Point) -> ClopenCompact:
         raise NotAName("clopen names are zero-padded code lists")
     words = {clopen_code_word(c) for c in q.head if c != 0}
     return ClopenCompact(words)
-
-
-def decode_clopen_prefix(w) -> ClopenCompact:
-    """Superset approximation from a name prefix; stabilizes to the compact."""
-    return ClopenCompact({clopen_code_word(c) for c in w if c != 0})
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +351,3 @@ def decode_dyadic(p: Point) -> Dyadic:
         if lhs > den_a * den_x:
             raise NotAName(f"approximation {i} breaks the convergence bound")
     return x
-
-
-def tree_grammar_check(t: FinTree) -> None:
-    t.validate()

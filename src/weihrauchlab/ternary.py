@@ -31,10 +31,6 @@ def nand_value(a: TernaryValue, b: TernaryValue) -> TernaryValue:
     return THALF
 
 
-def not_value(a: TernaryValue) -> TernaryValue:
-    return nand_value(a, a)
-
-
 def resolutions(t: TernaryValue):
     if t is THALF:
         return (0, 1)

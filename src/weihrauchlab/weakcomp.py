@@ -18,13 +18,12 @@ from .errors import (
     NonRepresentable,
     UnsupportedShape,
 )
-from .machines import Machine, PointView, compose, compose_all
+from .machines import Machine, PointView, compose, compose_all, emit_rows
 from .points import (
     EvPeriodic,
     LawPoint,
     Point,
     RowTuple,
-    nonzero_census,
     pair_decode,
     pair_encode,
     row,
@@ -41,12 +40,14 @@ from .problems import (
     llpo_value,
 )
 from .spaces import (
-    T0,
     T1,
     THALF,
     ClopenCompact,
     TernaryValue,
+    clopen_code_word,
     clopen_word_code,
+    decode_ternary,
+    word_at,
 )
 from .ternary import classify, extension_value, resolution_realizer
 from .witnesses import (
@@ -59,15 +60,6 @@ from .wkl import path_extractor
 
 EXCLUSION_CAP = 4096
 MODULUS_K_CAP = 16
-
-
-def ternary_of_point(p: Point) -> TernaryValue:
-    kind, pos = nonzero_census(p)
-    if kind == "many":
-        raise UnsupportedShape("not a ternary name: two nonzero entries")
-    if kind == "zero":
-        return THALF
-    return T0 if pos % 2 == 1 else T1
 
 
 # ---------------------------------------------------------------------------
@@ -96,6 +88,22 @@ def forced_bits(p: Point) -> dict:
     raise UnsupportedShape(f"compact image on {type(p).__name__}")
 
 
+def exclusion_blocks(n: int, forced_bit: int) -> list:
+    """The cylinders that forcing coordinate n to forced_bit excludes: every
+    word of length n + 1 ending in the other bit."""
+    bad = 1 - forced_bit
+    return [head + (bad,) for head in itertools.product((0, 1), repeat=n)]
+
+
+def pulse_exclusions(i: int, row_cap: Optional[int] = None) -> tuple:
+    """A pulse at <n,t> forces coordinate n, to 1 when t is even: (n, the
+    cylinders it excludes), the cylinders None when n exceeds row_cap."""
+    n, t = pair_decode(i)
+    if row_cap is not None and n > row_cap:
+        return n, None
+    return n, exclusion_blocks(n, 1 if t % 2 == 0 else 0)
+
+
 def compact_image(p: Point) -> ClopenCompact:
     """Excluded cylinders: per forced coordinate, every word of the next
     length ending in the forbidden bit."""
@@ -104,11 +112,9 @@ def compact_image(p: Point) -> ClopenCompact:
     for n, b in sorted(forced.items()):
         if 2 ** n > EXCLUSION_CAP:
             raise CapacityExceeded(f"coordinate {n} needs {2 ** n} exclusions")
-        bad = 1 - b
-        for head in itertools.product((0, 1), repeat=n):
-            excluded.add(head + (bad,))
-            if len(excluded) > EXCLUSION_CAP:
-                raise CapacityExceeded("excluded-cylinder budget exhausted")
+        excluded.update(exclusion_blocks(n, b))
+        if len(excluded) > EXCLUSION_CAP:
+            raise CapacityExceeded("excluded-cylinder budget exhausted")
     return ClopenCompact(excluded)
 
 
@@ -124,6 +130,18 @@ class Modulus:
         return self.values[n]
 
 
+def emit_width(m: Machine, compact: ClopenCompact, n: int, start: int,
+               k_cap: int) -> Optional[int]:
+    """The least width k in [start, k_cap] at which the compact admits some
+    word of length k and every such word makes m emit symbol n; None when
+    no width up to k_cap does."""
+    for k in range(start, k_cap + 1):
+        words = compact.admitted_words(k)
+        if words and all(len(m.eval(w)) > n for w in words):
+            return k
+    return None
+
+
 def modulus(m: Machine, compact: ClopenCompact, n_max: int,
             k_cap: int = MODULUS_K_CAP) -> Modulus:
     """Exhaustive-search modulus: the least admitted word length whose every
@@ -131,15 +149,11 @@ def modulus(m: Machine, compact: ClopenCompact, n_max: int,
     if compact.is_empty():
         return Modulus([0] * (n_max + 1), degenerate=True)
     values = [1]
-    k = 1
-    for n in range(1, n_max + 1):
-        while True:
-            if k > k_cap:
-                raise FuelExhausted(
-                    f"modulus search for {n} symbols stalled beyond width {k_cap}")
-            if all(len(m.eval(w)) >= n for w in compact.admitted_words(k)):
-                break
-            k += 1
+    for n in range(n_max):
+        k = emit_width(m, compact, n, values[-1], k_cap)
+        if k is None:
+            raise FuelExhausted(
+                f"modulus search for {n + 1} symbols stalled beyond width {k_cap}")
         values.append(k)
     return Modulus(values)
 
@@ -152,14 +166,28 @@ class TruthTableFamily:
     """Per output coordinate: an arity and the table of the machine's
     coordinate on admitted words (excluded entries are zero-filled)."""
 
-    entries: list  # list of (arity, dict word -> bit)
+    entries: list  # list of (arity, table)
 
     def arity(self, n: int) -> int:
         return self.entries[n][0]
 
     def table(self, n: int) -> tuple:
-        arity, lookup = self.entries[n]
-        return tuple(lookup[w] for w in itertools.product((0, 1), repeat=arity))
+        return self.entries[n][1]
+
+
+def truth_table(m: Machine, compact: ClopenCompact, n: int, arity: int) -> tuple:
+    """Symbol n of m on every word of length arity, in lexicographic order;
+    the words the compact excludes read 0."""
+    table = []
+    for w in itertools.product((0, 1), repeat=arity):
+        if compact.admits(w):
+            out = m.eval(w)
+            if len(out) <= n:
+                raise FuelExhausted(f"machine stalled on admitted word {w}")
+            table.append(out[n])
+        else:
+            table.append(0)
+    return tuple(table)
 
 
 def extract_tables(m: Machine, compact: ClopenCompact, mod: Modulus,
@@ -169,16 +197,7 @@ def extract_tables(m: Machine, compact: ClopenCompact, mod: Modulus,
         arity = max(1, mod(n + 1))
         if arity > 8:
             raise ArityCap(f"coordinate {n} needs arity {arity}")
-        lookup = {}
-        for w in itertools.product((0, 1), repeat=arity):
-            if compact.admits(w):
-                out = m.eval(w)
-                if len(out) <= n:
-                    raise FuelExhausted(f"machine stalled on admitted word {w}")
-                lookup[w] = out[n]
-            else:
-                lookup[w] = 0
-        entries.append((arity, lookup))
+        entries.append((arity, truth_table(m, compact, n, arity)))
     return TruthTableFamily(entries)
 
 
@@ -203,25 +222,8 @@ def swap_g_machine(tables: TruthTableFamily) -> Machine:
                  for n in range(len(tables.entries))]
 
     def fn(w):
-        outs: dict = {}
-
-        def out_row(n):
-            if n >= len(realizers):
-                return ()
-            if n not in outs:
-                outs[n] = realizers[n].eval(w)
-            return outs[n]
-
-        result = []
-        i = 0
-        while i < len(w):
-            n, k = pair_decode(i)
-            r = out_row(n)
-            if k >= len(r):
-                break
-            result.append(r[k])
-            i += 1
-        return tuple(result)
+        return emit_rows(lambda n: realizers[n].eval(w) if n < len(realizers)
+                         else (), len(w))
 
     return Machine("swap-G", fn)
 
@@ -245,7 +247,7 @@ def right_value_set(tables: TruthTableFamily, p: Point, depth: int) -> set:
     per_coord = []
     for n in range(depth):
         arity = tables.arity(n)
-        ts = [ternary_of_point(row(p, i)) for i in range(arity)]
+        ts = [decode_ternary(row(p, i)) for i in range(arity)]
         per_coord.append(sorted(classify(extension_value(tables.table(n), ts))))
     return {tuple(c) for c in itertools.product(*per_coord)}
 
@@ -264,38 +266,25 @@ def llpo_swap(m: Machine, p: Point, depth: int) -> SwapResult:
 # ---------------------------------------------------------------------------
 # compact choice witnesses
 
-def exclusion_blocks(n: int, forced_bit: int) -> list:
-    bad = 1 - forced_bit
-    return [head + (bad,) for head in itertools.product((0, 1), repeat=n)]
-
-
 def compact_encoder_machine(row_cap: int = 10) -> Machine:
     """Stream the forced coordinates of a row point as excluded cylinders."""
+    def codes(symbol_at, length, cap):
+        out = []
+        for i in range(length):
+            if symbol_at(i) == 0:
+                continue
+            n, blocks = pulse_exclusions(i, cap)
+            if blocks is None:
+                raise CapacityExceeded(f"forced coordinate {n} beyond the cap")
+            out.extend(clopen_word_code(word) for word in blocks)
+        return tuple(out)
+
     def point(p):
         forced_bits(p)   # NonRepresentable on forcing tails
-        codes = []
-        bound = scan_bound(p)
-        for i in range(bound):
-            if p.value_at(i) == 0:
-                continue
-            n, t = pair_decode(i)
-            b = 1 if t % 2 == 0 else 0
-            for word in exclusion_blocks(n, b):
-                codes.append(clopen_word_code(word))
-        return EvPeriodic(tuple(codes), (0,))
+        return EvPeriodic(codes(p.value_at, scan_bound(p), None), (0,))
 
     def fn(w):
-        codes = []
-        for i in range(len(w)):
-            if w[i] == 0:
-                continue
-            n, t = pair_decode(i)
-            if n > row_cap:
-                raise CapacityExceeded(f"forced coordinate {n} beyond the cap")
-            b = 1 if t % 2 == 0 else 0
-            for word in exclusion_blocks(n, b):
-                codes.append(clopen_word_code(word))
-        return tuple(codes)
+        return codes(w.__getitem__, len(w), row_cap)
     return Machine("compact-encode", fn, point=point)
 
 
@@ -303,20 +292,6 @@ def llpo_hat_to_compact() -> Witness:
     return Witness(llpo_hat_problem(), compact_choice_problem(),
                    compact_encoder_machine(), Machine("copy", lambda w: tuple(w)),
                    True, name="llpo_hat_to_compact")
-
-
-def _blocked(word, excluded: frozenset, depth: int) -> bool:
-    """No member of the compact extends word (decided at excluded depth)."""
-    word = tuple(word)
-    if any(word[: len(e)] == e for e in excluded):
-        return True
-    frontier = [word]
-    for _ in range(max(0, depth - len(word))):
-        frontier = [v + (b,) for v in frontier for b in (0, 1)
-                    if not any((v + (b,))[: len(e)] == e for e in excluded)]
-        if not frontier:
-            return True
-    return not frontier
 
 
 class CylinderBlocking:
@@ -329,28 +304,24 @@ class CylinderBlocking:
     """
 
     def __init__(self, code_stream, length: int):
-        from .spaces import clopen_code_word
         self.snapshots = []
         excluded: set = set()
-        depth_e = 0
         for ell in range(1, length + 1):
             c = code_stream(ell - 1)
             if c == 0:
                 continue
             excluded.add(clopen_code_word(c))
-            depth_e = max(depth_e, max(len(w) for w in excluded))
-            self.snapshots.append((ell, frozenset(excluded), depth_e))
+            self.snapshots.append((ell, ClopenCompact(excluded)))
         self._commits: dict = {}
 
     def commit(self, r: int):
         """("pulse", pos) once blocking evidence appears, else None."""
-        from .spaces import word_at
         if r not in self._commits:
             v = word_at(r)
             state = None
-            for ell, excl, depth_e in self.snapshots:
-                b0 = _blocked(v + (0,), excl, depth_e)
-                b1 = _blocked(v + (1,), excl, depth_e)
+            for ell, compact in self.snapshots:
+                b0 = not compact.alive(v + (0,))
+                b1 = not compact.alive(v + (1,))
                 if b0 or b1:
                     side = 0 if b0 else 1
                     pos = ell if ell % 2 == side else ell + 1
@@ -433,45 +404,23 @@ class DynamicSwap:
         excluded: set = set()
         commits: dict = {}
 
-        def admitted(k):
-            words = [()]
-            for _ in range(k):
-                words = [v + (b,) for v in words for b in (0, 1)
-                         if not any((v + (b,))[: len(e)] == e for e in excluded)]
-            return words
-
         def drain(ell):
+            compact = ClopenCompact(excluded)
             while len(commits) < max_rows:
-                n_next = len(commits)
-                found = None
-                start = commits[n_next - 1][1] if n_next else 1
-                for k in range(max(1, start), self.k_cap + 1):
-                    words = admitted(k)
-                    if words and all(len(self.mid.eval(w)) > n_next for w in words):
-                        found = k
-                        break
-                if found is None:
+                n = len(commits)
+                start = commits[n - 1][1] if n else 1
+                width = emit_width(self.mid, compact, n, start, self.k_cap)
+                if width is None:
                     return
-                lookup = {}
-                for w in itertools.product((0, 1), repeat=found):
-                    if not any(w[: len(e)] == e for e in excluded):
-                        lookup[w] = self.mid.eval(w)[n_next]
-                    else:
-                        lookup[w] = 0
-                table = tuple(lookup[w]
-                              for w in itertools.product((0, 1), repeat=found))
-                commits[n_next] = (ell, found, table)
+                commits[n] = (ell, width,
+                              truth_table(self.mid, compact, n, width))
 
         drain(1)
         for ell in range(1, length + 1):
-            c = symbol_at(ell - 1)
-            if c == 0:
+            if symbol_at(ell - 1) == 0:
                 continue
-            n, t = pair_decode(ell - 1)
-            if n <= self.row_cap:
-                b = 1 if t % 2 == 0 else 0
-                for word in exclusion_blocks(n, b):
-                    excluded.add(word)
+            _, blocks = pulse_exclusions(ell - 1, self.row_cap)
+            excluded.update(blocks or ())
             drain(ell)
         return commits
 
@@ -479,29 +428,15 @@ class DynamicSwap:
         def fn(w):
             L = len(w)
             commits = self.replay(lambda i: w[i], L, L)
-            rows: dict = {}
 
             def out_row(n):
-                if n not in rows:
-                    state = commits.get(n)
-                    if state is None:
-                        rows[n] = (0,) * L    # safe zeros while uncommitted
-                    else:
-                        ell, arity, table = state
-                        mach = resolution_realizer(table, arity, floor=ell)
-                        rows[n] = mach.eval(w)
-                return rows[n]
+                state = commits.get(n)
+                if state is None:
+                    return (0,) * L    # safe zeros while uncommitted
+                ell, arity, table = state
+                return resolution_realizer(table, arity, floor=ell).eval(w)
 
-            out = []
-            i = 0
-            while i < L:
-                n, k = pair_decode(i)
-                r = out_row(n)
-                if k >= len(r):
-                    break
-                out.append(r[k])
-                i += 1
-            return tuple(out)
+            return emit_rows(out_row, L)
 
         return Machine(f"dyn-swap({self.mid.name})", fn)
 
@@ -533,7 +468,7 @@ class DynamicSwapMirror:
 
     def ternary(self, n: int) -> TernaryValue:
         ell, arity, table = self.commit(n)
-        ts = [ternary_of_point(row(self.q1, i)) for i in range(arity)]
+        ts = [decode_ternary(row(self.q1, i)) for i in range(arity)]
         return extension_value(table, ts)
 
     def row(self, n: int) -> EvPeriodic:

@@ -33,7 +33,7 @@ from .problems import (
     llpo_hat_problem,
     llpo_hat_value,
 )
-from .spaces import FinTree, TreeChar, word_at, word_index
+from .spaces import FinTree, TreeChar, extensions, word_at, word_index
 from .witnesses import Witness, compose_witness
 
 
@@ -78,21 +78,12 @@ class ConstraintTree:
         return True
 
     def level(self, n: int) -> list:
-        words = [()]
-        for _ in range(n):
-            words = [w + (b,) for w in words for b in (0, 1)
-                     if self.member(w + (b,))]
-        return words
+        return extensions((), n, self.member)
 
     def extension_exists(self, w, n: int) -> bool:
         w = tuple(w)
-        if self.alive(w):
-            return True
-        frontier = [w] if self.member(w) else []
-        for _ in range(n - len(w)):
-            frontier = [v + (b,) for v in frontier for b in (0, 1)
-                        if self.member(v + (b,))]
-        return bool(frontier)
+        return self.alive(w) or (self.member(w)
+                                 and bool(extensions(w, n, self.member)))
 
     def blocking_search_bound(self, w) -> int:
         return max(self.stub_depth, len(w) + 1) + 1
@@ -207,10 +198,8 @@ def blocking_rows_machine() -> Machine:
         def member(v):
             return w[word_index(v)] == 1
 
-        levels = [[()] if member(()) else []]
-        for n in range(1, ell + 1):
-            levels.append([v + (b,) for v in levels[n - 1] for b in (0, 1)
-                           if member(v + (b,))])
+        levels = [extensions((), n, member) if member(()) else []
+                  for n in range(ell + 1)]
 
         def blocked(wi, n):
             return all(not comparable(v, wi) for v in levels[n])

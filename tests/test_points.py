@@ -24,6 +24,7 @@ from weihrauchlab.points import (
     subsample,
     value_at,
 )
+from weihrauchlab.spaces import FinTree, TreeChar
 
 
 def brute_points(seed, n):
@@ -217,6 +218,21 @@ def test_depair_roundtrip():
     for i in range(100):
         assert x2.value_at(i) == a.value_at(i)
         assert y2.value_at(i) == b.value_at(i)
+
+
+def test_depair_splits_row_tuples_and_tree_names():
+    """Any point splits into its even and its odd symbols."""
+    tree = FinTree(2, {(), (0,), (1,), (0, 1)}, (EvPeriodic((0, 1), (0,)),))
+    names = [
+        RowTuple({1: EvPeriodic((2,), (1,))}, EvPeriodic((0, 3), (1,))),
+        RowTuple({2: EvPeriodic((0, 5), (0,))}, EvPeriodic((), (0,))),
+        TreeChar(tree),
+    ]
+    for p in names:
+        a, b = depair(p)
+        for i in range(256):
+            assert a.value_at(i) == p.value_at(2 * i)
+            assert b.value_at(i) == p.value_at(2 * i + 1)
 
 
 def test_subsample_law():

@@ -1,10 +1,12 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weihrauchlab.corpus import rng_for
 from weihrauchlab.errors import InsufficientPrefix, InvariantViolation, NotAName
-from weihrauchlab.points import EvPeriodic, prefix
+from weihrauchlab.points import EvPeriodic, RowTuple, prefix
 from weihrauchlab.spaces import (
     T0,
     T1,
@@ -25,6 +27,7 @@ from weihrauchlab.spaces import (
     word_at,
     word_index,
 )
+from weihrauchlab.wkl import ConstraintTree
 
 
 def test_word_enumeration_order():
@@ -125,6 +128,60 @@ def test_clopen_roundtrip_and_emptiness():
         brute_nonempty = any(
             k.admits(w) for w in itertools.product((0, 1), repeat=depth))
         assert (not k.is_empty()) == brute_nonempty
+
+
+BITS = st.integers(0, 1)
+WORDS = st.lists(BITS, max_size=4).map(tuple)
+
+
+@st.composite
+def fin_trees(draw):
+    depth = draw(st.integers(0, 3))
+    words = draw(st.lists(st.lists(BITS, max_size=depth).map(tuple), max_size=6))
+    nodes = {w[:i] for w in words for i in range(len(w) + 1)}
+    lives = draw(st.lists(st.builds(EvPeriodic, st.lists(BITS, max_size=3),
+                                    st.lists(BITS, min_size=1, max_size=2)),
+                          max_size=2))
+    return FinTree(depth, nodes, lives)
+
+
+# random exclusions, plus both children of a few words: those words are
+# admitted but dead, where liveness differs from admission
+COMPACTS = st.builds(
+    lambda closed, words: ClopenCompact(
+        {u + (b,) for u in closed for b in (0, 1)} | words),
+    st.lists(st.lists(BITS, min_size=1, max_size=2).map(tuple), max_size=2),
+    st.sets(WORDS, max_size=4))
+LLPO_ROWS = st.one_of(
+    st.just(EvPeriodic((), (0,))),
+    st.integers(0, 7).map(lambda k: EvPeriodic((0,) * k + (1,), (0,))))
+ROW_POINTS = st.builds(RowTuple, st.dictionaries(st.integers(0, 4), LLPO_ROWS,
+                                                 max_size=3), LLPO_ROWS)
+
+
+def brute_extensions(start, n, member):
+    """Every word of length n extending start whose longer prefixes pass."""
+    return [v for v in itertools.product((0, 1), repeat=n)
+            if v[: len(start)] == start
+            and all(member(v[:i]) for i in range(len(start) + 1, n + 1))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(fin_trees(), COMPACTS, ROW_POINTS, WORDS, st.integers(0, 5))
+def test_word_search_agrees_with_brute_force(tree, compact, rows, w, n):
+    """Tree levels, admitted words, clopen liveness and constraint-tree
+    extension, from the shared word search, against filters over all words."""
+    assert tree.level(n) == brute_extensions((), n, tree.member)
+    assert compact.admitted_words(n) == brute_extensions((), n, compact.admits)
+    width = max(compact.depth(), len(w))
+    assert compact.alive(w) == any(
+        v[: len(w)] == w and compact.admits(v)
+        for v in itertools.product((0, 1), repeat=width))
+    ct = ConstraintTree(rows)
+    m = len(w) + n
+    want = ct.alive(w) or (ct.member(w)
+                           and bool(brute_extensions(w, m, ct.member)))
+    assert ct.extension_exists(w, m) == want
 
 
 def test_clopen_full_space_name():

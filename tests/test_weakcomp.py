@@ -16,11 +16,13 @@ from weihrauchlab.machines import (
     proj1,
     proj2,
     run_on_point,
+    shift_l,
 )
 from weihrauchlab.points import EvPeriodic, RowTuple
 from weihrauchlab.problems import llpo_hat_value
 from weihrauchlab.spaces import ClopenCompact, encode_clopen
 from weihrauchlab.weakcomp import (
+    DynamicSwap,
     compact_choice_witnesses,
     compact_image,
     extract_tables,
@@ -158,6 +160,20 @@ def test_llpo_swap_g_machine_consistent():
             for k in range(6) if pair_encode(1, k) < len(out.output)]
     assert any(s != 0 for s in row1[0::2])
     assert all(s == 0 for s in row1[1::2])
+
+
+def test_dynamic_swap_commits_the_llpo_swap_tables():
+    """On a pulse-free name the replay sees no exclusion, so each row it
+    commits has the width and the table that llpo_swap computes."""
+    swap2 = pair_machine(proj2(), proj1())
+    for p in (RowTuple({}, EvPeriodic((), (0,))), EvPeriodic((), (0,))):
+        for m in (identity(), shift_l(), swap2):
+            res = llpo_swap(m, p, 4)
+            commits = DynamicSwap(m).replay(p.value_at, 64, 4)
+            assert sorted(commits) == [0, 1, 2, 3], m.name
+            for n, (_, width, table) in commits.items():
+                assert width == res.tables.arity(n), (m.name, n)
+                assert table == res.tables.table(n), (m.name, n)
 
 
 def test_single_valued_collapse_heuristic():
