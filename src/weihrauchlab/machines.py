@@ -7,6 +7,21 @@ widening.  Evaluation receives prefix *views* (length plus indexing), which
 lets machines with sparse access patterns run on very long prefixes of
 lazily evaluated points without materializing them.
 
+Evaluation is demand-driven.  Each primitive defines its output once, as
+a view: a length known from the input's length alone, and an indexer.
+identity's view is its input and the projections' are stride views; the
+others are LazyWords, whose symbols are computed on first read and
+memoized with the view.  eval is that view materialized.  The
+combinators pass views along: compose hands the outer machine the inner
+stage's view, and pair_machine and tensor interleave the views of their
+parts, so a composite computes only the inner symbols its outer stages
+read.  A symbol no stage reads is never computed, and an exception
+computing it would raise does not surface; this is the composed stream
+function's own semantics.  A hand-written Machine(name, fn) has no view:
+its output is materialized as it stands.  The schedules of index and
+symbol machines, src(j) and needs(j), do not depend on the input, so
+each such machine caches its emitted length per input length.
+
 A machine may also carry its point action: a function from a finitely
 presented point to a finitely presented point whose prefixes the machine
 emits.  Every combinator builds it from the point actions of its parts;
@@ -18,6 +33,7 @@ against eval.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .errors import UnsupportedShape
@@ -105,12 +121,45 @@ class RowView:
         return self.base[pair_encode(self.n, k)]
 
 
+class LazyWord:
+    """A machine's output as a view: symbol i is at(i), computed on its
+    first read and memoized; the memo is freed with the view."""
+
+    __slots__ = ("length", "at", "memo")
+
+    def __init__(self, length: int, at: Callable):
+        self.length = length
+        self.at = at
+        self.memo = {}
+
+    def __len__(self):
+        return self.length
+
+    def __getitem__(self, i):
+        v = self.memo.get(i)
+        if v is None:
+            if i < 0 or i >= self.length:
+                raise IndexError(i)
+            v = self.memo[i] = self.at(i)
+        return v
+
+    def __iter__(self):
+        # read in full from the start, each symbol is computed once anyway
+        return map(self.__getitem__ if self.memo else self.at, range(self.length))
+
+
 def first_half(w):
     return StrideView(w, 2, 0)
 
 
 def second_half(w):
     return StrideView(w, 2, 1)
+
+
+def interleave(a, b) -> LazyWord:
+    """The view alternating a and b, as long as both parts allow."""
+    return LazyWord(min(2 * len(a), 2 * len(b) + 1),
+                    lambda i: b[i // 2] if i % 2 else a[i // 2])
 
 
 def emit_rows(row_of: Callable, bound: Optional[int] = None) -> Word:
@@ -133,12 +182,7 @@ def emit_rows(row_of: Callable, bound: Optional[int] = None) -> Word:
 
 
 def interleave_words(a: Sequence, b: Sequence) -> Word:
-    la, lb = len(a), len(b)
-    n = min(2 * la, 2 * lb + 1)
-    out = []
-    for i in range(n):
-        out.append(a[i // 2] if i % 2 == 0 else b[i // 2])
-    return tuple(out)
+    return tuple(interleave(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -150,12 +194,21 @@ class Machine:
     fn: Callable
     fuel: int = DEFAULT_FUEL
     point: Optional[Callable] = None
+    # input view -> output view.  A combinator with a view still defines
+    # its own fn, that view materialized, so that profiles and traces
+    # attribute each evaluation to the combinator by fn's qualified name.
+    view: Optional[Callable] = None
 
     def eval(self, w) -> Word:
         return self.fn(w)
 
     def __repr__(self):
         return f"Machine({self.name})"
+
+
+def output_view(m: Machine, w):
+    """m's output on w as a view: lazy where m has a view, else its eval."""
+    return m.eval(w) if m.view is None else m.view(w)
 
 
 @dataclass
@@ -187,7 +240,12 @@ def _lifted(action: Callable, *parts: Machine) -> Optional[Callable]:
 
 
 def identity() -> Machine:
-    return Machine("id", lambda w: tuple(w), point=lambda p: p)
+    def view(w):
+        return w
+
+    def fn(w):
+        return tuple(view(w))
+    return Machine("id", fn, point=lambda p: p, view=view)
 
 
 def const_machine(q: Point, name: str = None) -> Machine:
@@ -206,47 +264,64 @@ def inject(sym: int) -> Machine:
 
 
 def proj1() -> Machine:
-    return Machine("pi1", lambda w: tuple(first_half(w)),
-                   point=lambda p: depair(p)[0])
+    def fn(w):
+        return tuple(first_half(w))
+    return Machine("pi1", fn, point=lambda p: depair(p)[0], view=first_half)
 
 
 def proj2() -> Machine:
-    return Machine("pi2", lambda w: tuple(second_half(w)),
-                   point=lambda p: depair(p)[1])
+    def fn(w):
+        return tuple(second_half(w))
+    return Machine("pi2", fn, point=lambda p: depair(p)[1], view=second_half)
 
 
 def diag() -> Machine:
+    def view(w):
+        return LazyWord(2 * len(w), lambda i: w[i // 2])
+
     def fn(w):
-        out = []
-        for i in range(len(w)):
-            out.append(w[i])
-            out.append(w[i])
-        return tuple(out)
-    return Machine("D", fn, point=lambda p: Interleave(p, p))
+        return tuple(view(w))
+    return Machine("D", fn, point=lambda p: Interleave(p, p), view=view)
 
 
 def pair_machine(f: Machine, g: Machine) -> Machine:
-    return Machine(f"<{f.name},{g.name}>",
-                   lambda w: interleave_words(f.eval(w), g.eval(w)),
+    def view(w):
+        return interleave(output_view(f, w), output_view(g, w))
+
+    def fn(w):
+        return tuple(view(w))
+    return Machine(f"<{f.name},{g.name}>", fn,
                    point=_lifted(lambda p: Interleave(f.point(p), g.point(p)),
-                                 f, g))
+                                 f, g),
+                   view=view)
 
 
 def tensor(f: Machine, g: Machine) -> Machine:
     def point(p):
         a, b = depair(p)
         return Interleave(f.point(a), g.point(b))
-    return Machine(f"({f.name}x{g.name})",
-                   lambda w: interleave_words(f.eval(first_half(w)),
-                                              g.eval(second_half(w))),
-                   point=_lifted(point, f, g))
+
+    def view(w):
+        return interleave(output_view(f, first_half(w)),
+                          output_view(g, second_half(w)))
+
+    def fn(w):
+        return tuple(view(w))
+    return Machine(f"({f.name}x{g.name})", fn, point=_lifted(point, f, g),
+                   view=view)
 
 
 def compose(outer: Machine, inner: Machine) -> Machine:
-    return Machine(f"{outer.name}.{inner.name}",
-                   lambda w: outer.eval(inner.eval(w)),
+    """outer after inner; outer reads inner's output through its view."""
+    def view(w):
+        return outer.view(output_view(inner, w))
+
+    def fn(w):
+        return outer.eval(output_view(inner, w))
+    return Machine(f"{outer.name}.{inner.name}", fn,
                    point=_lifted(lambda p: outer.point(inner.point(p)),
-                                 outer, inner))
+                                 outer, inner),
+                   view=None if outer.view is None else view)
 
 
 def compose_all(*ms: Machine) -> Machine:
@@ -290,6 +365,24 @@ def _emit_budget(length: int) -> int:
     return max(64, (length + 2) * (length + 3))
 
 
+def _emit_lengths(ready: Callable) -> Callable:
+    """Input length L -> the least j within the budget at which ready(j, L)
+    fails: the closed prefix an input-independent schedule emits.  Cached
+    per input length for the machine's lifetime; only lengths are kept."""
+    lengths: dict = {}
+
+    def length(L):
+        n = lengths.get(L)
+        if n is None:
+            cap = _emit_budget(L)
+            n = 0
+            while n < cap and ready(n, L):
+                n += 1
+            lengths[L] = n
+        return n
+    return length
+
+
 def index_machine(name: str, src: Callable, rows: Callable = None,
                   point: Callable = None) -> Machine:
     """Output symbol j is input symbol src(j); emits the longest closed
@@ -298,40 +391,33 @@ def index_machine(name: str, src: Callable, rows: Callable = None,
     The point action reads the input at src(i); rows, given the input
     point, returns the row law of the output when it has row structure.
     An explicit point replaces the derived action."""
+    length = _emit_lengths(lambda j, L: src(j) < L)
+
+    def view(w):
+        return LazyWord(length(len(w)), lambda j: w[src(j)])
+
     def fn(w):
-        L = len(w)
-        cap = _emit_budget(L)
-        out = []
-        j = 0
-        while j < cap:
-            i = src(j)
-            if i >= L:
-                break
-            out.append(w[i])
-            j += 1
-        return tuple(out)
+        return tuple(view(w))
 
     def law(p):
         return LawPoint(fn=lambda i: p.value_at(src(i)),
                         row_fn=rows(p) if rows else None, label=name)
 
-    return Machine(name, fn, point=point or law)
+    return Machine(name, fn, point=point or law, view=view)
 
 
 def symbol_machine(name: str, sym: Callable, needs: Callable,
                    point: Callable = None) -> Machine:
     """Output symbol j is sym(w, j), emitted once len(w) >= needs(j),
     within the evaluation budget.  Its point action, if any, is given."""
+    length = _emit_lengths(lambda j, L: needs(j) <= L)
+
+    def view(w):
+        return LazyWord(length(len(w)), partial(sym, w))
+
     def fn(w):
-        L = len(w)
-        cap = _emit_budget(L)
-        out = []
-        j = 0
-        while j < cap and needs(j) <= L:
-            out.append(sym(w, j))
-            j += 1
-        return tuple(out)
-    return Machine(name, fn, point=point)
+        return tuple(view(w))
+    return Machine(name, fn, point=point, view=view)
 
 
 # diagnostics ---------------------------------------------------------------

@@ -459,14 +459,30 @@ class Problem:
     output_space: str
     in_domain: Callable
     value_set: Callable
+    # a nat-valued problem's answer law: name -> frozenset of naturals
+    answers: Optional[Callable] = None
 
     def require(self, p: Point) -> ValueSet:
         if not self.in_domain(p):
             raise OutOfDomain(f"{self.name}: name outside the domain")
         return self.value_set(p)
 
+    def nat_answers(self, p: Point) -> frozenset:
+        """The answers of a nat-valued problem on p, from its law when it
+        has one rather than through a value set."""
+        if self.answers is not None:
+            return self.answers(p)
+        return self.value_set(p).values
+
     def __repr__(self):
         return f"Problem({self.name})"
+
+
+def nat_problem(name: str, input_space: str, in_domain: Callable,
+                answers: Callable) -> Problem:
+    """A nat-valued problem given by its answer law."""
+    return Problem(name, input_space, "nat", in_domain,
+                   lambda p: FiniteNatsSet(answers(p)), answers)
 
 
 def _census_ok(p: Point) -> bool:
@@ -482,13 +498,7 @@ def lpo_value(p: Point) -> frozenset:
 
 
 def lpo_problem() -> Problem:
-    return Problem(
-        name="lpo",
-        input_space="baire",
-        output_space="nat",
-        in_domain=_census_ok,
-        value_set=lambda p: FiniteNatsSet(lpo_value(p)),
-    )
+    return nat_problem("lpo", "baire", _census_ok, lpo_value)
 
 
 def llpo_value(p: Point) -> frozenset:
@@ -508,13 +518,7 @@ def _llpo_dom(p: Point) -> bool:
 
 
 def llpo_problem() -> Problem:
-    return Problem(
-        name="llpo",
-        input_space="baire",
-        output_space="nat",
-        in_domain=_llpo_dom,
-        value_set=lambda p: FiniteNatsSet(llpo_value(p)),
-    )
+    return nat_problem("llpo", "baire", _llpo_dom, llpo_value)
 
 
 # parallelization --------------------------------------------------------
@@ -551,11 +555,11 @@ def hat_problem(f: Problem) -> Problem:
             return RowProductSet(lambda n: f.value_set(row(p, n)))
 
         def bits(n):
-            return f.value_set(row(p, n)).values
+            return f.nat_answers(row(p, n))
 
         if isinstance(p, RowTuple):
             return CoordProductSet(bits, support_bound=max(p.rows, default=-1) + 1,
-                                   tail_bits=f.value_set(p.default).values)
+                                   tail_bits=f.nat_answers(p.default))
         if isinstance(p, EvPeriodic):
             # rows from n_star on repeat with period cycle: one answer set
             # on a whole cycle is the answer set of every later row
@@ -652,13 +656,8 @@ def llpo_real_problem() -> Problem:
         except NotAName:
             return False
 
-    return Problem(
-        name="llpo_real",
-        input_space="dyadic",
-        output_space="nat",
-        in_domain=dom,
-        value_set=lambda p: FiniteNatsSet(llpo_real_value(decode_dyadic(p))),
-    )
+    return nat_problem("llpo_real", "dyadic", dom,
+                       lambda p: llpo_real_value(decode_dyadic(p)))
 
 
 # constant problems and the bottom object -----------------------------------
@@ -721,7 +720,7 @@ def double_hat_problem(f: Problem) -> Problem:
     def value(p):
         def bits(i):
             j, k = pair_decode(i)
-            return f.value_set(row(row(p, j), k)).values
+            return f.nat_answers(row(row(p, j), k))
         return CoordProductSet(bits)
 
     return Problem(f"{f.name}_hat^hat", "baire", "baire", dom, value)

@@ -13,6 +13,8 @@ from weihrauchlab.machines import (
     const_machine,
     countable_tuple,
     diag,
+    emit_rows,
+    first_half,
     identity,
     index_machine,
     inject,
@@ -20,12 +22,15 @@ from weihrauchlab.machines import (
     proj1,
     proj2,
     run_on_point,
+    second_half,
     shift_l,
+    symbol_machine,
     tensor,
 )
 from weihrauchlab.points import (
     EvPeriodic,
     Interleave,
+    LawPoint,
     RowTuple,
     pair_encode,
     prefix,
@@ -179,7 +184,7 @@ def test_determinism():
 def test_fed_through_composition_against_handwritten_oracle():
     """The combinator assembly of the fed-through composition equals a
     directly written word function for the same formula."""
-    from weihrauchlab.machines import first_half, interleave_words, second_half
+    from weihrauchlab.machines import interleave_words
 
     h_outer = Machine("H'", lambda w: tuple(x + 1 for x in w))
     h_inner = Machine("H", lambda w: tuple(2 * x for x in w))
@@ -223,29 +228,110 @@ POINTS = st.one_of(
     st.builds(Interleave, EVP, EVP),
     st.builds(RowTuple, st.dictionaries(st.integers(0, 5), EVP, max_size=3), EVP),
 )
+
+
+INDICES = LawPoint(fn=lambda i: i, label="indices")
+
+
+def _index_reference(m):
+    """The eager loop of an index machine, on the schedule its point action
+    reads: the action sends the point i -> i to j -> src(j)."""
+    src = m.point(INDICES).value_at
+
+    def ref(w):
+        L = len(w)
+        cap = max(64, (L + 2) * (L + 3))
+        out = []
+        j = 0
+        while j < cap:
+            i = src(j)
+            if i >= L:
+                break
+            out.append(w[i])
+            j += 1
+        return tuple(out)
+    return ref
+
+
+def _diag_reference(w):
+    out = []
+    for i in range(len(w)):
+        out.append(w[i])
+        out.append(w[i])
+    return tuple(out)
+
+
+def _interleave_reference(a, b):
+    n = min(2 * len(a), 2 * len(b) + 1)
+    return tuple(a[i // 2] if i % 2 == 0 else b[i // 2] for i in range(n))
+
+
+def _leaf(m, reference):
+    return ("leaf", m, reference)
+
+
+# A tree is a shape: ("leaf", machine, eager fn) or (combinator, parts...);
+# build gives its machine, reference_eval its eager evaluation.
 LEAVES = st.one_of(
-    st.sampled_from([identity(), shift_l(), proj1(), proj2(), diag(),
-                     index_machine("evens", lambda i: 2 * i)]),
-    st.builds(inject, SYMS),
-    st.builds(const_machine, EVP),
-    # index machines with a row law, as the parallelization witnesses build them
-    st.sampled_from([parallel_absorb(llpo_problem())[0].K,
-                     parallel_idem(llpo_problem())[0].K,
-                     parallel_product(lpo_problem(), llpo_problem())[1].K]),
+    st.sampled_from([
+        _leaf(identity(), lambda w: tuple(w)),
+        _leaf(shift_l(), lambda w: tuple(w[i] for i in range(1, len(w)))),
+        _leaf(proj1(), lambda w: tuple(first_half(w))),
+        _leaf(proj2(), lambda w: tuple(second_half(w))),
+        _leaf(diag(), _diag_reference),
+    ]),
+    st.builds(lambda s: _leaf(inject(s), lambda w: (s,) + tuple(w)), SYMS),
+    st.builds(lambda q: _leaf(const_machine(q), lambda w: prefix(q, len(w))), EVP),
+    # index machines, with a row law as the parallelization witnesses build them
+    st.sampled_from([_leaf(k, _index_reference(k)) for k in (
+        index_machine("evens", lambda i: 2 * i),
+        parallel_absorb(llpo_problem())[0].K,
+        parallel_idem(llpo_problem())[0].K,
+        parallel_product(lpo_problem(), llpo_problem())[1].K)]),
 )
 
 
 def _combined(parts):
     return st.one_of(
-        st.builds(pair_machine, parts, parts),
-        st.builds(tensor, parts, parts),
-        st.builds(compose, parts, parts),
-        st.builds(countable_tuple, st.lists(parts, max_size=2), parts),
+        st.tuples(st.just("pair"), parts, parts),
+        st.tuples(st.just("tensor"), parts, parts),
+        st.tuples(st.just("compose"), parts, parts),
+        st.tuples(st.just("tuple"), st.lists(parts, max_size=2), parts),
     )
 
 
+def build(shape) -> Machine:
+    kind, *args = shape
+    if kind == "leaf":
+        return args[0]
+    if kind == "tuple":
+        return countable_tuple([build(s) for s in args[0]], build(args[1]))
+    combinator = {"pair": pair_machine, "tensor": tensor, "compose": compose}[kind]
+    return combinator(build(args[0]), build(args[1]))
+
+
+def reference_eval(shape, w):
+    """The eager evaluation that output views replaced: every combinator
+    materializes its parts' outputs in full and each leaf runs its loop."""
+    kind, *args = shape
+    if kind == "leaf":
+        return args[1](w)
+    if kind == "pair":
+        return _interleave_reference(reference_eval(args[0], w),
+                                     reference_eval(args[1], w))
+    if kind == "tensor":
+        return _interleave_reference(reference_eval(args[0], first_half(w)),
+                                     reference_eval(args[1], second_half(w)))
+    if kind == "compose":
+        return reference_eval(args[0], reference_eval(args[1], w))
+    ms, uniform = args
+    return emit_rows(lambda n: reference_eval(ms[n] if n < len(ms) else uniform,
+                                              RowView(w, n)))
+
+
 LEVEL1 = st.one_of(LEAVES, _combined(LEAVES))
-TREES = st.one_of(LEVEL1, _combined(LEVEL1))   # combinator trees two deep
+SHAPES = st.one_of(LEVEL1, _combined(LEVEL1))   # combinator trees two deep
+TREES = SHAPES.map(build)
 WIDE = 256
 
 
@@ -310,3 +396,81 @@ def test_witness_refuses_a_K_without_point_action():
     with pytest.raises(ValueError):
         Witness(lpo_problem(), lpo_problem(), compose(identity(), bare),
                 identity(), True)
+
+
+# demand-driven evaluation ---------------------------------------------------
+
+@settings(max_examples=200, deadline=None)
+@given(SHAPES, POINTS)
+def test_views_evaluate_as_the_eager_reference(shape, p):
+    """eval returns what the eager evaluation returned; a view has eval's
+    length and symbols, read in any order, and nothing past them."""
+    m = build(shape)
+    for width in (0, 1, 16, 64, 256):
+        w = PointView(p, width)
+        out = m.eval(w)
+        assert out == reference_eval(shape, w), (m.name, width)
+        if m.view is None:
+            continue
+        v = m.view(w)
+        assert len(v) == len(out), (m.name, width)
+        assert tuple(v[i] for i in reversed(range(len(v)))) == out[::-1], m.name
+        for i in (len(v), len(v) + 3):
+            with pytest.raises(IndexError):
+                v[i]
+
+
+def test_compose_computes_only_the_inner_symbols_read():
+    computed = []
+
+    def counted(w, j):
+        computed.append(j)
+        return w[j % len(w)]
+
+    inner = symbol_machine("counted", counted, lambda j: 1)
+    outer = index_machine("squares", lambda j: j * j)
+    p = EvPeriodic((), (1, 2, 3))
+    out = compose(outer, inner).eval(PointView(p, 64))
+    read = [j * j for j in range(len(out))]
+    assert len(out) == 67   # 66 * 67 inner symbols, and 66^2 is the last read
+    assert sorted(computed) == read
+    assert out == tuple(counted(prefix(p, 64), j) for j in read)
+
+
+def test_cylinder_K_reads_few_inner_symbols(monkeypatch):
+    """strong_on_cylinder's K emits its 135 symbols from at most 1,000 of
+    the inner cell-guess-pulse stage's 4,422 per name."""
+    from weihrauchlab import witnesses
+    from weihrauchlab.registry import named_witnesses
+
+    computed = []
+
+    def counting_symbol_machine(name, sym, needs, point=None):
+        if name == "cell-guess-pulse":
+            def counted(w, j):
+                computed.append(j)
+                return sym(w, j)
+            return symbol_machine(name, counted, needs, point)
+        return symbol_machine(name, sym, needs, point)
+
+    monkeypatch.setattr(witnesses, "symbol_machine", counting_symbol_machine)
+    entry = named_witnesses()["strong_on_cylinder"]
+    w = entry.build()
+    for p in entry.corpus(rng_for("cli:strong_on_cylinder"), 5):
+        computed.clear()
+        out = w.K.eval(PointView(p, VALIDATE_WIDTH))
+        assert len(out) == 135
+        assert 0 < len(computed) <= 1000
+
+
+def test_registry_Ks_still_emit_their_full_budget():
+    """Validation still compares the whole K output at its width."""
+    from weihrauchlab.registry import named_witnesses
+
+    entries = named_witnesses()
+    for name, emitted in (("id_to_c", 4422), ("id_to_llpo_hat", 4422),
+                          ("parallel_extensive(llpo)", 2144)):
+        entry = entries[name]
+        w = entry.build()
+        for p in entry.corpus(rng_for(f"cli:{name}"), 3):
+            assert len(w.K.eval(PointView(p, VALIDATE_WIDTH))) == emitted, name

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from weihrauchlab.errors import UnsupportedShape
 from weihrauchlab.points import (
+    DECODE_BOUND,
     EvPeriodic,
     Interleave,
     RowTuple,
@@ -73,6 +75,16 @@ def test_pairing_monotone():
 def test_pairing_surjective(j):
     n, k = pair_decode(j)
     assert pair_encode(n, k) == j
+
+
+def test_decode_table_agrees_with_the_formula_across_its_bound():
+    """Below DECODE_BOUND pair_decode reads its table, above it computes;
+    both sides of the switch invert pair_encode and match the formula."""
+    for j in range(2 * DECODE_BOUND + 1):
+        s = (math.isqrt(8 * j + 1) - 1) // 2
+        k = j - s * (s + 1) // 2
+        assert pair_decode(j) == (s - k, k)
+        assert pair_encode(*pair_decode(j)) == j
 
 
 def test_row_stored_and_default():

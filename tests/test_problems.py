@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -32,6 +34,7 @@ from weihrauchlab.problems import (
     compact_choice_problem,
     compose_problems,
     const_problem,
+    hat_problem,
     llpo_hat_problem,
     llpo_hat_value,
     llpo_problem,
@@ -138,6 +141,21 @@ def test_llpo_hat_coordinates_agree_with_rows():
     for _ in range(10):
         p = llpo_hat_input(rng)
         vs = llpo_hat_value(p)
+        for k in range(32):
+            assert vs.bits(k) == llpo_value(row(p, k))
+
+
+def test_hat_reads_a_nat_law_without_value_sets():
+    """A nat-valued f's hat answers each row from f's answer law; it
+    builds no value set of f per coordinate."""
+    def unused(p):
+        raise AssertionError("a value set was built for one row")
+
+    f = dataclasses.replace(llpo_problem(), value_set=unused)
+    rng = rng_for("hat-law")
+    for _ in range(10):
+        p = llpo_hat_input(rng)
+        vs = hat_problem(f).value_set(p)
         for k in range(32):
             assert vs.bits(k) == llpo_value(row(p, k))
 
