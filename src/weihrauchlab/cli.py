@@ -21,26 +21,54 @@ from .errors import (
 )
 from .limits import adversary, lpo_k_machine, run_lpo_k
 from .literals import (
-    format_point,
     parse_input,
     parse_point,
     parse_tree,
     parse_mass,
+    point_str,
 )
-from .machines import Machine
+from .machines import (
+    Machine,
+    identity,
+    pair_machine,
+    proj1,
+    proj2,
+    run_on_point,
+    shift_l,
+)
 from .medvedev import embed_forward, medvedev_check
-from .points import Point, prefix
+from .points import Interleave, Point
 from .problems import (
-    PROBLEM_BUILDERS,
     CoordProductSet,
     FiniteNatsSet,
     PointListSet,
     SinglePointSet,
+    c_problem,
+    compact_choice_problem,
+    id_problem,
+    llpo_hat_problem,
+    llpo_problem,
+    llpo_real_problem,
+    lpo_problem,
 )
 from .registry import corrupted_witnesses, named_witnesses
-from .spaces import ClopenCompact, Dyadic, encode_clopen, encode_dyadic, encode_tree
+from .spaces import (
+    ClopenCompact,
+    Dyadic,
+    FinTree,
+    encode_clopen,
+    encode_dyadic,
+    encode_tree,
+)
 from .weakcomp import llpo_swap
-from .witnesses import check
+from .witnesses import (
+    check,
+    compose_witness,
+    cylindrify,
+    parallelize_witness,
+    product_witness,
+    sum_witness,
+)
 from .wkl import wkl_problem
 
 CAPACITY_ERRORS = (CapacityExceeded, FuelExhausted, ArityCap, NonRepresentable)
@@ -50,45 +78,37 @@ def _render_value_set(vs) -> str:
     if isinstance(vs, FiniteNatsSet):
         return "{" + ",".join(map(str, sorted(vs.values))) + "}"
     if isinstance(vs, SinglePointSet):
-        return "point " + _point_str(vs.point)
+        return "point " + point_str(vs.point)
     if isinstance(vs, PointListSet):
-        return "{" + "; ".join(_point_str(q) for q in vs.points) + "}"
+        return "{" + "; ".join(point_str(q) for q in vs.points) + "}"
     if isinstance(vs, CoordProductSet):
         try:
             (only,) = vs.members(cap=1)    # an exact single answer
-            return "point " + _point_str(only)
+            return "point " + point_str(only)
         except (NonRepresentable, CapacityExceeded):
             pass
-        bits = []
-        for i in range(12):
-            bs = "".join(map(str, sorted(vs.bits(i))))
-            bits.append(bs if len(bs) > 1 else bs)
+        bits = ("".join(map(str, sorted(vs.bits(i)))) for i in range(12))
         return "product[" + " ".join(bits) + " ...]"
     return repr(vs)
 
 
-def _point_str(q: Point) -> str:
-    try:
-        return format_point(q)
-    except WorkbenchError:
-        return "prefix " + " ".join(map(str, prefix(q, 12))) + " ..."
+# the problems `eval` knows, each looked up by its rendered name
+PROBLEMS = (lpo_problem, llpo_problem, c_problem, llpo_hat_problem,
+            compact_choice_problem, llpo_real_problem, id_problem, wkl_problem)
 
 
 def _problem(name: str):
-    if name in PROBLEM_BUILDERS:
-        return PROBLEM_BUILDERS[name]()
-    if name == "wkl":
-        return wkl_problem()
-    raise ParseError(f"unknown problem {name!r}; one of "
-                     f"{sorted(PROBLEM_BUILDERS) + ['wkl']}")
+    problems = {p.name: p for p in (build() for build in PROBLEMS)}
+    if name not in problems:
+        raise ParseError(f"unknown problem {name!r}; one of {sorted(problems)}")
+    return problems[name]
 
 
 def _as_name(problem_name: str, literal: str) -> Point:
     obj = parse_input(literal)
     if isinstance(obj, Point):
         return obj
-    from .spaces import FinTree as _FT
-    if isinstance(obj, _FT):
+    if isinstance(obj, FinTree):
         return encode_tree(obj)
     if isinstance(obj, ClopenCompact):
         return encode_clopen(obj)
@@ -136,57 +156,42 @@ def cmd_check(args) -> int:
     return 0 if ok else 1
 
 
+# op -> (number of witness names, constructor)
 DERIVABLE = {
-    "compose": 2,
-    "product": 2,
-    "sum": 2,
-    "parallelize": 1,
-    "cylindrify": 1,
+    "compose": (2, compose_witness),
+    "product": (2, product_witness),
+    "sum": (2, sum_witness),
+    "parallelize": (1, parallelize_witness),
+    "cylindrify": (1, cylindrify),
 }
 
 
 def cmd_derive(args) -> int:
-    from .witnesses import (
-        compose_witness,
-        cylindrify,
-        parallelize_witness,
-        product_witness,
-        sum_witness,
-    )
+    arity, construct = DERIVABLE[args.op]
+    if len(args.names) != arity:
+        print(f"usage: derive {args.op} takes {arity} witness name(s), "
+              f"got {len(args.names)}", file=sys.stderr)
+        return 2
     entries = named_witnesses()
     for name in args.names:
         if name not in entries:
             print(f"unknown witness {name!r}; see list-witnesses", file=sys.stderr)
             return 2
     parents = [entries[name] for name in args.names]
-    built = [e.build() for e in parents]
-    if args.op == "compose":
-        derived = compose_witness(*built)
-    elif args.op == "product":
-        derived = product_witness(*built)
-    elif args.op == "sum":
-        derived = sum_witness(*built)
-    elif args.op == "parallelize":
-        derived = parallelize_witness(built[0])
-    else:
-        derived = cylindrify(built[0])
+    derived = construct(*(e.build() for e in parents))
 
     rng = gen.rng_for(f"{args.seed}:derive")
     count = args.count or min(e.count for e in parents)
     depth = args.depth or min(e.depth for e in parents)
     if args.op == "compose":
         corpus = parents[0].corpus(rng, count)
-    elif args.op in ("product", "sum"):
-        a = parents[0].corpus(rng, count)
-        b = parents[1].corpus(rng, count)
-        from .points import Interleave
-        corpus = [Interleave(x, y) for x, y in zip(a, b)]
     elif args.op == "parallelize":
         corpus = gen.llpo_hat_inputs(rng, count)
     else:
-        a = gen.any_points(rng, count)
-        b = parents[0].corpus(rng, count)
-        from .points import Interleave
+        # pairs: the two parents' names, or any point beside the parent's name
+        first = gen.any_points if args.op == "cylindrify" else parents[0].corpus
+        a = first(rng, count)
+        b = parents[-1].corpus(rng, count)
         corpus = [Interleave(x, y) for x, y in zip(a, b)]
     report = check(derived, corpus, depth=depth)
     print(f"derived {derived.name}: {report.verdict()}")
@@ -238,8 +243,7 @@ def cmd_wkl(args) -> int:
         vs = prob.require(name)
         print(f"paths = {_render_value_set(vs)}")
         return 0
-    from .registry import named_witnesses as nw
-    entries = nw()
+    entries = named_witnesses()
     ok = True
     for key in ("wkl_to_llpo_hat", "llpo_hat_to_wkl"):
         entry = entries[key]
@@ -248,7 +252,6 @@ def cmd_wkl(args) -> int:
 
 
 def cmd_swap(args) -> int:
-    from .machines import identity, shift_l, proj1, proj2, pair_machine
     machines = {
         "identity": identity(),
         "shift": shift_l(),
@@ -260,8 +263,7 @@ def cmd_swap(args) -> int:
         return 2
     point = parse_point(args.point)
     res = llpo_swap(machines[args.machine], point, args.depth)
-    from .machines import run_on_point as _run
-    g_out = _run(res.g_machine, point, 12)
+    g_out = run_on_point(res.g_machine, point, 12)
     print(f"G(point) prefix = {' '.join(map(str, g_out.output))}")
     print(f"left  = {sorted(res.left)}")
     print(f"right = {sorted(res.right)}")
@@ -284,14 +286,13 @@ def cmd_limit(args) -> int:
 def cmd_medvedev(args) -> int:
     a = parse_mass(args.a)
     b = parse_mass(args.b)
+    f = Machine("cli-const", lambda w: a.members[0].prefix(len(w)))
     if args.mode == "check":
-        f = Machine("cli-const", lambda w: a.members[0].prefix(len(w)))
         report = medvedev_check(a, b, f, depth=args.depth)
         ok = report.passed
         print(f"medvedev check (constant translation): "
               f"{'PASS' if ok else 'FAIL'}")
         return 0 if ok else 1
-    f = Machine("cli-const", lambda w: a.members[0].prefix(len(w)))
     w = embed_forward(f, a, b)
     rng = gen.rng_for(args.seed)
     report = check(w, gen.any_points(rng, 10), depth=args.depth)

@@ -1,13 +1,13 @@
 """Textual literals for points, trees, clopen compacts, dyadics and mass
-problems, shared by the CLI and the test fixtures.  Every printer output
-re-parses to an equal value.
+problems, shared by the CLI and the test fixtures.  Every format_* output
+re-parses to an equal value; point_str prints any name for display.
 """
 
 from __future__ import annotations
 
-from .errors import ParseError
-from .points import EvPeriodic, Interleave, Point, RowTuple
-from .spaces import ClopenCompact, Dyadic, FinTree
+from .errors import ParseError, WorkbenchError
+from .points import EvPeriodic, Interleave, Point, RowTuple, prefix
+from .spaces import ClopenCompact, Dyadic, FinTree, TreeChar
 
 
 def _split_top(s: str, sep: str) -> list:
@@ -136,6 +136,17 @@ def format_tree(t: FinTree) -> str:
     return f"tree(depth={t.explicit_depth}; nodes: {nodes}; live: {live})"
 
 
+def point_str(q: Point) -> str:
+    """A name as text: its literal, a tree's characteristic stream as its
+    tree, and a name with no literal as its first 12 symbols."""
+    if isinstance(q, TreeChar):
+        return format_tree(q.tree)
+    try:
+        return format_point(q)
+    except WorkbenchError:
+        return "prefix " + " ".join(map(str, prefix(q, 12))) + " ..."
+
+
 def parse_clopen(s: str) -> ClopenCompact:
     """clopen(exclude: w1 w2 ...)"""
     body = _body(s, "clopen")
@@ -165,12 +176,12 @@ def format_dyadic(d: Dyadic) -> str:
 
 
 def parse_mass(s: str):
-    """mass(point, point, ...)"""
+    """mass(point, point, ...), labelled by its literal"""
     from .medvedev import MassProblem
     body = _body(s, "mass")
     body = body.strip()
     members = [parse_point(t) for t in _split_top(body, ",")] if body else []
-    return MassProblem(members)
+    return MassProblem(members, s.strip())
 
 
 def format_mass(m) -> str:

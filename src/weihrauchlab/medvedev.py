@@ -4,7 +4,6 @@ lattice as constant multi-valued problems."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .machines import (
     Machine,
@@ -18,7 +17,7 @@ from .machines import (
     run_on_point,
 )
 from .points import Interleave, ZEROS, point_prepend
-from .problems import Problem, bottom_problem, const_problem, product_problem, sum_problem
+from .problems import Problem, const_problem, product_problem, sum_problem
 from .witnesses import Witness, as_ordinary
 
 
@@ -29,14 +28,11 @@ class MassProblem:
     members: tuple
     name: str = "A"
 
-    def __init__(self, members: Iterable, name: str = "A"):
-        self.members = tuple(members)
-        self.name = name
+    def __post_init__(self):
+        self.members = tuple(self.members)
 
     def problem(self) -> Problem:
-        if not self.members:
-            return bottom_problem()
-        return const_problem(self.members, name=f"c_{self.name}")
+        return const_problem(self.members, label=self.name)
 
     def __repr__(self):
         return f"mass[{self.name}]({len(self.members)})"
@@ -130,17 +126,9 @@ def set_ops_correspondence(a: MassProblem, b: MassProblem) -> dict:
     summ = sum_problem(ca, cb)
     ident = Machine("copy", lambda w: tuple(w))
 
-    sum_to_prod = Witness(c_sum, prod, diag(), ident, True,
-                          name=f"c_{a.name}(+){b.name} <=sW c_{a.name}*c_{b.name}")
-    prod_to_sum = Witness(prod, c_sum, proj1(), ident, True,
-                          name=f"c_{a.name}*c_{b.name} <=sW c_{a.name}(+){b.name}")
-    tensor_to_sum = Witness(c_tensor, summ, diag(), ident, True,
-                            name=f"c_{a.name}(x){b.name} <=sW c_{a.name}+c_{b.name}")
-    sum_to_tensor = Witness(summ, c_tensor, proj1(), ident, True,
-                            name=f"c_{a.name}+c_{b.name} <=sW c_{a.name}(x){b.name}")
     return {
-        "sum_to_prod": sum_to_prod,
-        "prod_to_sum": prod_to_sum,
-        "tensor_to_sum": tensor_to_sum,
-        "sum_to_tensor": sum_to_tensor,
+        "sum_to_prod": Witness(c_sum, prod, diag(), ident, True),
+        "prod_to_sum": Witness(prod, c_sum, proj1(), ident, True),
+        "tensor_to_sum": Witness(c_tensor, summ, diag(), ident, True),
+        "sum_to_tensor": Witness(summ, c_tensor, proj1(), ident, True),
     }

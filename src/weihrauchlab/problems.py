@@ -452,37 +452,48 @@ class UnionSet(ValueSet):
 # ---------------------------------------------------------------------------
 # problems
 
+def problem_name(key) -> str:
+    """The display name of a problem key.  A key is a primitive's string,
+    ("hat" | "hat^hat", k), ("product" | "sum", k1, k2), ("compose",
+    outer, inner) over its parts' keys, or ("const", label, members)."""
+    if isinstance(key, str):
+        return key
+    op, *parts = key
+    if op == "const":
+        return f"c_{parts[0]}"
+    names = [problem_name(k) for k in parts]
+    if op in ("hat", "hat^hat"):
+        return f"{names[0]}_{op}"
+    return "(" + {"product": "*", "sum": "+", "compose": "o"}[op].join(names) + ")"
+
+
 @dataclass
 class Problem:
-    name: str
-    input_space: str
-    output_space: str
+    """A problem identified by its structural key: two problems are the
+    same exactly when their keys are equal."""
+
+    key: object
     in_domain: Callable
     value_set: Callable
     # a nat-valued problem's answer law: name -> frozenset of naturals
     answers: Optional[Callable] = None
+
+    @property
+    def name(self) -> str:
+        return problem_name(self.key)
 
     def require(self, p: Point) -> ValueSet:
         if not self.in_domain(p):
             raise OutOfDomain(f"{self.name}: name outside the domain")
         return self.value_set(p)
 
-    def nat_answers(self, p: Point) -> frozenset:
-        """The answers of a nat-valued problem on p, from its law when it
-        has one rather than through a value set."""
-        if self.answers is not None:
-            return self.answers(p)
-        return self.value_set(p).values
-
     def __repr__(self):
         return f"Problem({self.name})"
 
 
-def nat_problem(name: str, input_space: str, in_domain: Callable,
-                answers: Callable) -> Problem:
+def nat_problem(key, in_domain: Callable, answers: Callable) -> Problem:
     """A nat-valued problem given by its answer law."""
-    return Problem(name, input_space, "nat", in_domain,
-                   lambda p: FiniteNatsSet(answers(p)), answers)
+    return Problem(key, in_domain, lambda p: FiniteNatsSet(answers(p)), answers)
 
 
 def _census_ok(p: Point) -> bool:
@@ -498,7 +509,7 @@ def lpo_value(p: Point) -> frozenset:
 
 
 def lpo_problem() -> Problem:
-    return nat_problem("lpo", "baire", _census_ok, lpo_value)
+    return nat_problem("lpo", _census_ok, lpo_value)
 
 
 def llpo_value(p: Point) -> frozenset:
@@ -518,7 +529,7 @@ def _llpo_dom(p: Point) -> bool:
 
 
 def llpo_problem() -> Problem:
-    return nat_problem("llpo", "baire", _llpo_dom, llpo_value)
+    return nat_problem("llpo", _llpo_dom, llpo_value)
 
 
 # parallelization --------------------------------------------------------
@@ -551,15 +562,15 @@ def hat_problem(f: Problem) -> Problem:
 
     def value(p):
         p = rows_of(p)
-        if f.output_space != "nat":
+        if f.answers is None:
             return RowProductSet(lambda n: f.value_set(row(p, n)))
 
         def bits(n):
-            return f.nat_answers(row(p, n))
+            return f.answers(row(p, n))
 
         if isinstance(p, RowTuple):
             return CoordProductSet(bits, support_bound=max(p.rows, default=-1) + 1,
-                                   tail_bits=f.nat_answers(p.default))
+                                   tail_bits=f.answers(p.default))
         if isinstance(p, EvPeriodic):
             # rows from n_star on repeat with period cycle: one answer set
             # on a whole cycle is the answer set of every later row
@@ -570,7 +581,7 @@ def hat_problem(f: Problem) -> Problem:
                                        tail_bits=tails.pop())
         return CoordProductSet(bits)
 
-    return Problem(f"{f.name}_hat", "baire", "baire", dom, value)
+    return Problem(("hat", f.key), dom, value)
 
 
 def c_problem() -> Problem:
@@ -634,7 +645,7 @@ def compact_choice_problem() -> Problem:
     def value(p):
         return compact_choice_value(decode_clopen(p))
 
-    return Problem("compact_choice", "clopen", "cantor", dom, value)
+    return Problem("compact_choice", dom, value)
 
 
 # real-number LLPO on dyadics ------------------------------------------------
@@ -656,29 +667,27 @@ def llpo_real_problem() -> Problem:
         except NotAName:
             return False
 
-    return nat_problem("llpo_real", "dyadic", dom,
+    return nat_problem("llpo_real", dom,
                        lambda p: llpo_real_value(decode_dyadic(p)))
 
 
 # constant problems and the bottom object -----------------------------------
 
-def const_problem(points: Iterable, name: str = "c_A") -> Problem:
+def const_problem(points: Iterable, label: str = "A") -> Problem:
     pts = tuple(points)
     if not pts:
         return bottom_problem()
-    return Problem(name, "baire", "baire",
-                   lambda p: True, lambda p: PointListSet(pts))
+    return Problem(("const", label, pts), lambda p: True,
+                   lambda p: PointListSet(pts))
 
 
 def bottom_problem() -> Problem:
     """The distinguished object with an empty realizer set."""
-    return Problem("bottom", "baire", "baire",
-                   lambda p: True, lambda p: EmptySet())
+    return Problem("bottom", lambda p: True, lambda p: EmptySet())
 
 
 def id_problem() -> Problem:
-    return Problem("id", "baire", "baire",
-                   lambda p: True, lambda p: SinglePointSet(p))
+    return Problem("id", lambda p: True, lambda p: SinglePointSet(p))
 
 
 # problem algebra ------------------------------------------------------------
@@ -692,7 +701,7 @@ def product_problem(f: Problem, g: Problem) -> Problem:
         a, b = depair(p)
         return PairSet(f.value_set(a), g.value_set(b))
 
-    return Problem(f"({f.name}*{g.name})", "pair", "pair", dom, value)
+    return Problem(("product", f.key, g.key), dom, value)
 
 
 def sum_problem(f: Problem, g: Problem) -> Problem:
@@ -704,7 +713,7 @@ def sum_problem(f: Problem, g: Problem) -> Problem:
         a, b = depair(p)
         return TaggedUnionSet(f.value_set(a), g.value_set(b))
 
-    return Problem(f"({f.name}+{g.name})", "pair", "tagged", dom, value)
+    return Problem(("sum", f.key, g.key), dom, value)
 
 
 def double_hat_problem(f: Problem) -> Problem:
@@ -720,10 +729,10 @@ def double_hat_problem(f: Problem) -> Problem:
     def value(p):
         def bits(i):
             j, k = pair_decode(i)
-            return f.nat_answers(row(row(p, j), k))
+            return f.answers(row(row(p, j), k))
         return CoordProductSet(bits)
 
-    return Problem(f"{f.name}_hat^hat", "baire", "baire", dom, value)
+    return Problem(("hat^hat", f.key), dom, value)
 
 
 def compose_problems(outer: Problem, inner: Problem, cap: int = BEHAVIOR_CAP) -> Problem:
@@ -744,16 +753,5 @@ def compose_problems(outer: Problem, inner: Problem, cap: int = BEHAVIOR_CAP) ->
     def value(p):
         return UnionSet([outer.value_set(m) for m in member_names(p)])
 
-    return Problem(f"({outer.name}o{inner.name})", inner.input_space,
-                   outer.output_space, dom, value)
+    return Problem(("compose", outer.key, inner.key), dom, value)
 
-
-PROBLEM_BUILDERS = {
-    "lpo": lpo_problem,
-    "llpo": llpo_problem,
-    "lpo_hat": c_problem,
-    "llpo_hat": llpo_hat_problem,
-    "compact_choice": compact_choice_problem,
-    "llpo_real": llpo_real_problem,
-    "id": id_problem,
-}

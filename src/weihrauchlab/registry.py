@@ -66,7 +66,7 @@ class Entry:
     expect_pass: bool = True
 
 
-def _fixture_mass(rng):
+def _fixture_mass():
     a = MassProblem([EvPeriodic((), (0,)), EvPeriodic((1,), (0,))], "A")
     b = MassProblem([EvPeriodic((), (1,)), EvPeriodic((0, 1), (1,))], "B")
     return a, b
@@ -159,11 +159,10 @@ def named_witnesses() -> dict:
         lambda: uncylindrify(cylindrify(llpo_to_lpo()),
                              llpo_problem(), lpo_problem()),
         gen.llpo_points)
-    entries["cylinder(llpo_hat)"] = Entry(
-        lambda: hat_is_cylinder(llpo_problem()), _pairs_id_hat)
+    entries["cylinder(llpo_hat)"] = Entry(_llpo_hat_cylinder, _pairs_id_hat)
     entries["strong_on_cylinder"] = Entry(
         lambda: strengthen_on_cylinder(parallel_extensive(llpo_problem()),
-                                       hat_is_cylinder(llpo_problem())),
+                                       _llpo_hat_cylinder()),
         _llpo_forced)
 
     # parallelization family
@@ -205,15 +204,16 @@ def named_witnesses() -> dict:
     return entries
 
 
+def _llpo_hat_cylinder():
+    return hat_is_cylinder(llpo_problem(), id_to_llpo_hat())
+
+
 def _med_ops():
-    rng = gen.rng_for("mass-fixture")
-    a, b = _fixture_mass(rng)
-    return set_ops_correspondence(a, b)
+    return set_ops_correspondence(*_fixture_mass())
 
 
 def _med_embed():
-    rng = gen.rng_for("mass-fixture")
-    a, b = _fixture_mass(rng)
+    a, b = _fixture_mass()
     f = Machine("to-A", lambda w: EvPeriodic((), (0,)).prefix(len(w)))
     return embed_forward(f, a, b)
 
@@ -414,8 +414,7 @@ def corrupted_witnesses() -> dict:
                                    EvPeriodic((0, 5), (0,)))] * max(1, n // 5),
     )
 
-    rngm = gen.rng_for("mass-fixture")
-    a, b = _fixture_mass(rngm)
+    a, b = _fixture_mass()
     wrong = Machine("to-B-not-A", lambda wd: b.members[0].prefix(len(wd)))
     out["medvedev_wrong_target"] = (
         embed_forward(wrong, a, b),

@@ -54,6 +54,7 @@ from .witnesses import (
     Witness,
     double_absorb_machine,
     hat_is_cylinder,
+    id_to_llpo_hat,
     strengthen_on_cylinder,
 )
 from .wkl import path_extractor
@@ -577,10 +578,12 @@ def _condensed_rows(mirror: DynamicSwapMirror, tail_scan: int = SCAN_CAP):
 
 def weak_compose(wf: Witness, wg: Witness) -> Witness:
     """Compose two reductions to the parallelized oracle into one."""
-    if wf.g.name != "llpo_hat" or wg.g.name != "llpo_hat":
+    target = llpo_hat_problem().key
+    if wf.g.key != target or wg.g.key != target:
         raise UnsupportedShape("weak composition needs reductions to llpo_hat")
-    sf = wf if wf.strong else strengthen_on_cylinder(wf, hat_is_cylinder(llpo_problem()))
-    sg = wg if wg.strong else strengthen_on_cylinder(wg, hat_is_cylinder(llpo_problem()))
+    cyl = hat_is_cylinder(llpo_problem(), id_to_llpo_hat())
+    sf = wf if wf.strong else strengthen_on_cylinder(wf, cyl)
+    sg = wg if wg.strong else strengthen_on_cylinder(wg, cyl)
     composite = compose_problems(wg.f, wf.f)
     mid = compose(sg.K, sf.H)
     dyn = DynamicSwap(mid)

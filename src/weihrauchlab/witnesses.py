@@ -15,7 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
-from .errors import MiddleMismatch, NotACylinder, OutOfDomain
+from .errors import MiddleMismatch, NotACylinder, OutOfDomain, WorkbenchError
+from .literals import point_str
 from .machines import (
     Machine,
     PointView,
@@ -147,7 +148,10 @@ def check(w: Witness, corpus, depth: int = 16, cap: int = BEHAVIOR_CAP,
     coordinates it read, and its behavior index is the least of them."""
     report = Report(w.name, depth)
     for p in corpus:
-        label = repr(p)
+        try:
+            label = point_str(p)
+        except WorkbenchError:      # no symbol of the name can be read
+            label = repr(p)
         if not w.f.in_domain(p):
             raise OutOfDomain(f"{w.name}: corpus name outside dom({w.f.name})")
         fv = w.f.value_set(p)
@@ -225,7 +229,7 @@ def repr_transport(w: Witness, q_m: Machine, r_m: Machine, s_m: Machine,
 
 def compose_witness(w1: Witness, w2: Witness) -> Witness:
     """From f <= m and m <= g derive f <= g."""
-    if w1.g.name != w2.f.name:
+    if w1.g.key != w2.f.key:
         raise MiddleMismatch(f"{w1.g.name} vs {w2.f.name}")
     k = compose(w2.K, w1.K)
     if w1.strong and w2.strong:
@@ -289,26 +293,22 @@ def sum_witness(w1: Witness, w2: Witness) -> Witness:
 def sum_idem(f: Problem) -> tuple:
     """f <=sW f+f (left shift) and f+f <=sW f (tag a fixed branch)."""
     ss = sum_problem(f, f)
-    fwd = Witness(f, ss, diag(), shift_l(), True,
-                  name=f"{f.name} <=sW {f.name}+{f.name}")
-    bwd = Witness(ss, f, proj1(), inject(0), True,
-                  name=f"{f.name}+{f.name} <=sW {f.name}")
+    fwd = Witness(f, ss, diag(), shift_l(), True)
+    bwd = Witness(ss, f, proj1(), inject(0), True)
     return fwd, bwd
 
 
 def glb_witnesses(f: Problem, g: Problem) -> tuple:
     """f+g below both components, by answering a fixed tagged branch."""
     ss = sum_problem(f, g)
-    to_f = Witness(ss, f, proj1(), inject(0), True,
-                   name=f"{ss.name} <=sW {f.name}")
-    to_g = Witness(ss, g, proj2(), inject(1), True,
-                   name=f"{ss.name} <=sW {g.name}")
+    to_f = Witness(ss, f, proj1(), inject(0), True)
+    to_g = Witness(ss, g, proj2(), inject(1), True)
     return to_f, to_g
 
 
 def glb_factor(wf: Witness, wg: Witness) -> Witness:
     """From h <= f and h <= g derive h <= f+g."""
-    if wf.f.name != wg.f.name:
+    if wf.f.key != wg.f.key:
         raise MiddleMismatch("factoring needs a common lower problem")
     fwd, _ = sum_idem(wf.f)
     return compose_witness(fwd, sum_witness(wf, wg))
@@ -344,13 +344,12 @@ def uncylindrify(w: Witness, f: Problem, g: Problem) -> Witness:
 def to_own_cylinder(f: Problem) -> Witness:
     """f <=sW id x f: duplicate the input and read the second slot."""
     ff = product_problem(id_problem(), f)
-    return Witness(f, ff, diag(), proj2(), True,
-                   name=f"{f.name} <=sW id*{f.name}")
+    return Witness(f, ff, diag(), proj2(), True)
 
 
 def strengthen_on_cylinder(w: Witness, cyl: Witness) -> Witness:
     """Upgrade f <=W g to f <=sW g when id x g <=sW g is witnessed."""
-    if not cyl.strong or cyl.g.name != w.g.name:
+    if not cyl.strong or cyl.g.key != w.g.key:
         raise NotACylinder(f"need a strong id*{w.g.name} <=sW {w.g.name} witness")
     s0 = to_own_cylinder(w.f)
     out = compose_witness(compose_witness(s0, cylindrify(w)), cyl)
@@ -372,7 +371,7 @@ def parallel_extensive(f: Problem) -> Witness:
     h = symbol_machine("first-answer",
                        lambda w, j: w[0] if j == 0 else 0,
                        lambda j: 1 if j == 0 else j + 1)
-    return Witness(f, fh, k, h, True, name=f"{f.name} <=sW {fh.name}")
+    return Witness(f, fh, k, h, True)
 
 
 def parallelize_witness(w: Witness) -> Witness:
@@ -437,8 +436,7 @@ def parallel_idem(f: Problem) -> tuple:
         return row_of
 
     k_flat = index_machine("flatten", flatten_src, rows=flat_rows)
-    down = Witness(fhh, fh, k_flat, identity(), True,
-                   name=f"{fhh.name} <=sW {fh.name}")
+    down = Witness(fhh, fh, k_flat, identity(), True)
 
     def widen_src(i):
         _, km = pair_decode(i)
@@ -447,7 +445,7 @@ def parallel_idem(f: Problem) -> tuple:
     k_wide = index_machine("rediag", widen_src, rows=lambda p: lambda j: p)
     up = Witness(fh, fhh, k_wide,
                  index_machine("row0", lambda k: pair_encode(0, k)),
-                 True, name=f"{fh.name} <=sW {fhh.name}")
+                 True)
     return down, up
 
 
@@ -465,10 +463,8 @@ def parallel_absorb(f: Problem) -> tuple:
         return lambda n: row(a if n % 2 == 0 else b, n // 2)
 
     k_merge = index_machine("evenodd-merge", merge_src, rows=merge_rows)
-    absorb = Witness(pp, fh, k_merge, identity(), True,
-                     name=f"{fh.name}*{fh.name} <=sW {fh.name}")
-    split = Witness(fh, pp, diag(), proj1(), True,
-                    name=f"{fh.name} <=sW {fh.name}*{fh.name}")
+    absorb = Witness(pp, fh, k_merge, identity(), True)
+    split = Witness(fh, pp, diag(), proj1(), True)
     return absorb, split
 
 
@@ -499,8 +495,7 @@ def parallel_product(f: Problem, g: Problem) -> tuple:
                       if pair_decode(j)[1] <= 1 else 0),
         lambda j: 2 * pair_decode(j)[0] + 2,
     )
-    fwd = Witness(ph, pp, k_split, h_fwd, True,
-                  name=f"{ph.name} <=sW {pp.name}")
+    fwd = Witness(ph, pp, k_split, h_fwd, True)
 
     def join_src(j):
         i, t = pair_decode(j)
@@ -514,8 +509,7 @@ def parallel_product(f: Problem, g: Problem) -> tuple:
 
     h_bwd = index_machine(
         "pair-down", lambda j: pair_encode(j // 2, j % 2))
-    bwd = Witness(pp, ph, k_join, h_bwd, True,
-                  name=f"{pp.name} <=sW {ph.name}")
+    bwd = Witness(pp, ph, k_join, h_bwd, True)
     return fwd, bwd
 
 
@@ -561,8 +555,7 @@ def parallel_sum(f: Problem, g: Problem) -> Witness:
             t += 1
         return tuple(out)
 
-    return Witness(lhs, rhs, k_gather, Machine("scatter", h_fn), True,
-                   name=f"{lhs.name} <=sW {rhs.name}")
+    return Witness(lhs, rhs, k_gather, Machine("scatter", h_fn), True)
 
 
 # ---------------------------------------------------------------------------
@@ -830,10 +823,12 @@ def lpo_from_discontinuity(data: DiscontinuityData, g: Problem) -> Witness:
 
 # cylinder witnesses for the parallelized principles -------------------------
 
-def hat_is_cylinder(f: Problem) -> Witness:
-    """id x hat(f) <=sW hat(f): pack the identity slot into extra rows."""
+def hat_is_cylinder(f: Problem, idf: Witness) -> Witness:
+    """id x hat(f) <=sW hat(f) from a strong witness idf of id <=sW hat(f):
+    pack the identity slot into extra rows."""
     fh = hat_problem(f)
-    idf = id_to_llpo_hat() if fh.name == "llpo_hat" else id_to_c()
+    if not idf.strong or idf.f.key != id_problem().key:
+        raise NotACylinder(f"need a strong id <=sW {fh.name} witness, got {idf.name}")
     absorb, _ = parallel_absorb(f)
     out = compose_witness(product_witness(idf, reflexivity(fh)), absorb)
     out.name = f"cylinder({fh.name})"

@@ -112,7 +112,7 @@ def wkl_problem() -> Problem:
     def value(p):
         return tree_path_values(p.tree)
 
-    return Problem("wkl", "trees", "cantor", dom, value)
+    return Problem("wkl", dom, value)
 
 
 # ---------------------------------------------------------------------------

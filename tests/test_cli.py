@@ -186,6 +186,7 @@ def test_cli_medvedev(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "PASS" in out
+    assert "mass(evp(;0))" in out and "mass(evp(;1))" in out
 
 
 def test_cli_check_with_corpus_file(tmp_path, capsys):
@@ -210,6 +211,12 @@ def test_cli_derive_subcommands(capsys):
                  "--depth", "8", "--count", "5"]) == 0
     assert main(["derive", "cylindrify", "llpo_to_lpo",
                  "--depth", "8", "--count", "5"]) == 0
+    capsys.readouterr()
+    # a wrong number of witness names is a usage error
+    assert main(["derive", "compose", "llpo_to_lpo"]) == 2
+    assert main(["derive", "parallelize", "llpo_to_lpo", "llpo_to_lpo"]) == 2
+    err = capsys.readouterr().err
+    assert "compose takes 2" in err and "parallelize takes 1" in err
 
 
 def test_cli_swap_prints_machine_evaluation(capsys):

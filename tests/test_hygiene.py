@@ -1,6 +1,7 @@
 """Source hygiene, read from the syntax trees: no module in src/ or tests/
-imports a name it never uses, and every module-level function and class
-in src/ is referenced from src/, tests/ or bench/."""
+imports a name it never uses, every module-level function and class in
+src/ is referenced from src/, tests/ or bench/, and no code in src/
+decides an identity by comparing `.name` attributes."""
 
 import ast
 from pathlib import Path
@@ -57,3 +58,16 @@ def test_every_src_definition_is_referenced():
         and not readers.get(node.name, set()) - {(path, i)}
     ]
     assert unreferenced == []
+
+
+def test_no_name_comparisons_in_src():
+    """Problems are identified by their keys; a name is only displayed."""
+    compared = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path, tree in _modules("src").items()
+        for node in ast.walk(tree) if isinstance(node, ast.Compare)
+        and any(isinstance(op, (ast.Eq, ast.NotEq)) for op in node.ops)
+        and any(isinstance(side, ast.Attribute) and side.attr == "name"
+                for side in [node.left, *node.comparators])
+    ]
+    assert compared == []

@@ -34,7 +34,9 @@ from weihrauchlab.problems import (
     compact_choice_problem,
     compose_problems,
     const_problem,
+    double_hat_problem,
     hat_problem,
+    id_problem,
     llpo_hat_problem,
     llpo_hat_value,
     llpo_problem,
@@ -259,6 +261,19 @@ def test_coord_product_members_and_truncations():
                                 support_bound=0, tail_bits=frozenset({0, 1}))
     with pytest.raises(NonRepresentable):
         free_tail.members()
+
+
+def test_problems_are_identified_by_key_and_named_from_it():
+    assert hat_problem(lpo_problem()).key == c_problem().key == ("hat", "lpo")
+    assert llpo_hat_problem().key != c_problem().key
+    nested = compose_problems(
+        double_hat_problem(llpo_problem()),
+        product_problem(llpo_hat_problem(), sum_problem(lpo_problem(), id_problem())))
+    assert nested.name == "(llpo_hat^hato(llpo_hat*(lpo+id)))"
+    zeros, ones = EvPeriodic((), (0,)), EvPeriodic((), (1,))
+    assert const_problem([zeros]).name == const_problem([ones]).name == "c_A"
+    assert const_problem([zeros]).key != const_problem([ones]).key
+    assert const_problem([zeros], "Z").key == const_problem([zeros], "Z").key
 
 
 def test_product_and_sum_problems():

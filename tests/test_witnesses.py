@@ -8,8 +8,9 @@ from weihrauchlab.corpus import (
     pair_points,
     rng_for,
 )
-from weihrauchlab.errors import MiddleMismatch, OutOfDomain
-from weihrauchlab.machines import identity, run_on_point, symbol_machine
+from weihrauchlab.errors import MiddleMismatch, NotACylinder, OutOfDomain
+from weihrauchlab.machines import Machine, identity, run_on_point, symbol_machine
+from weihrauchlab.medvedev import MassProblem, embed_forward
 from weihrauchlab.points import EvPeriodic, Interleave, RowTuple, prefix
 from weihrauchlab.problems import (
     bottom_problem,
@@ -32,6 +33,7 @@ from weihrauchlab.witnesses import (
     glb_witnesses,
     hat_is_cylinder,
     id_to_c,
+    id_to_llpo_hat,
     least_degree,
     llpo_real_to_llpo,
     llpo_to_lpo,
@@ -110,9 +112,29 @@ def test_corpus_outside_domain_rejected():
         check(w, [EvPeriodic((1, 1), (0,))], depth=4)
 
 
+def name_alike_middle():
+    """c_A <= c_A twice, through two constant problems that both render as
+    c_A but hold different members: {1^w} then {0^w}."""
+    zeros, ones = EvPeriodic((), (0,)), EvPeriodic((), (1,))
+    f = Machine("to-zeros", lambda w: prefix(zeros, len(w)))
+    a, b, c = MassProblem([zeros]), MassProblem([ones]), MassProblem([zeros])
+    w1, w2 = embed_forward(f, a, b), embed_forward(f, c, a)
+    assert w1.g.name == w2.f.name == "c_A"
+    return w1, w2
+
+
 def test_compose_requires_matching_middle():
+    for w1, w2 in ((llpo_to_lpo(), llpo_to_lpo()), name_alike_middle()):
+        with pytest.raises(MiddleMismatch):
+            compose_witness(w1, w2)
+
+
+def test_hat_cylinder_needs_an_id_witness_into_its_own_hat():
     with pytest.raises(MiddleMismatch):
-        compose_witness(llpo_to_lpo(), llpo_to_lpo())
+        hat_is_cylinder(llpo_problem(), id_to_c())
+    with pytest.raises(NotACylinder):
+        hat_is_cylinder(llpo_problem(), parallel_extensive(llpo_problem()))
+    assert hat_is_cylinder(lpo_problem(), id_to_c()).name == "cylinder(lpo_hat)"
 
 
 def test_compose_reflexivity_both_sides():
@@ -226,7 +248,7 @@ def test_cylindrify_reflexivity():
 
 
 def test_strengthen_on_cylinder():
-    cylw = hat_is_cylinder(llpo_problem())
+    cylw = hat_is_cylinder(llpo_problem(), id_to_llpo_hat())
     strong = strengthen_on_cylinder(parallel_extensive(llpo_problem()), cylw)
     assert strong.strong
     corpus = llpo_points(rng_for("str"), 6, allow_free=False)
@@ -272,11 +294,11 @@ def test_repr_transport_through_padding():
         return TaggedUnionSet(inner, inner)   # any leading junk symbol
 
     primed_f = Problem(
-        "llpo'", "baire", "nat",
+        "llpo'",
         lambda p: llpo_problem().in_domain(strip_pt(p)),
         lambda p: padded_nats(llpo_value(strip_pt(p))))
     primed_g = Problem(
-        "lpo'", "baire", "nat",
+        "lpo'",
         lambda p: lpo_problem().in_domain(strip_pt(p)),
         lambda p: padded_nats(lpo_value(strip_pt(p))))
 
@@ -298,8 +320,7 @@ def test_lpo_from_discontinuity():
         from weihrauchlab.points import exists_zero
         return encode_nat(0 if exists_zero(p) else 1)
 
-    disc = Problem("zero-test-map", "baire", "baire",
-                   lambda p: True, lambda p: SinglePointSet(sem(p)))
+    disc = Problem("zero-test-map", lambda p: True, lambda p: SinglePointSet(sem(p)))
     q = EvPeriodic((), (1,))
 
     def family(n):

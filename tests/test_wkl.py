@@ -157,3 +157,12 @@ def test_finite_tree_rejected_before_checking():
     finite = TreeChar(FinTree(1, {(), (0,)}, ()))
     with pytest.raises(OutOfDomain):
         check(w, [finite], depth=4)
+
+
+def test_check_labels_tree_names_by_their_literals():
+    """Tree names share a repr; their literals tell the 25 corpus names apart."""
+    corpus = tree_names(rng_for("cli:wkl_to_llpo_hat"), 25)
+    report = check(wkl_to_llpo_hat(), corpus, depth=4)
+    labels = {e.point for e in report.entries}
+    assert len(labels) == 25
+    assert all(label.startswith("tree(depth=") for label in labels)
