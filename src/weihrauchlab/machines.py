@@ -20,7 +20,11 @@ computing it would raise does not surface; this is the composed stream
 function's own semantics.  A hand-written Machine(name, fn) has no view:
 its output is materialized as it stands.  The schedules of index and
 symbol machines, src(j) and needs(j), do not depend on the input, so
-each such machine caches its emitted length per input length.
+each such machine caches its emitted length per input length, and a
+caller that needs a length or a single symbol reads output_view instead
+of eval (the swap search does).  A RowView computes its length in
+closed form and, over a prefix of a point that holds its rows, reads
+that row point directly instead of going through the pairing.
 
 A machine may also carry its point action: a function from a finitely
 presented point to a finitely presented point whose prefixes the machine
@@ -50,6 +54,8 @@ from .points import (
     point_prepend,
     prefix as point_prefix,
     row,
+    row_form,
+    row_length,
     rows_of,
 )
 
@@ -99,18 +105,21 @@ class StrideView:
 
 
 class RowView:
-    """The n-th row of a tupled word under the global pairing."""
+    """The n-th row of a tupled word under the global pairing.
 
-    __slots__ = ("base", "n", "length")
+    Its length, the number of k with <n,k> below the base's length, is
+    computed in closed form.  Over a PointView whose point holds its rows
+    (points.row_form), symbol k is read from that row point directly;
+    every other base is read at <n,k>."""
+
+    __slots__ = ("base", "n", "length", "row_point")
 
     def __init__(self, base, n: int):
         self.base = base
         self.n = n
-        L = len(base)
-        k = 0
-        while pair_encode(n, k) < L:
-            k += 1
-        self.length = k
+        self.length = row_length(len(base), n)
+        self.row_point = (row_form(base.point, n) if isinstance(base, PointView)
+                          else None)
 
     def __len__(self):
         return self.length
@@ -118,7 +127,15 @@ class RowView:
     def __getitem__(self, k):
         if k < 0 or k >= self.length:
             raise IndexError(k)
+        if self.row_point is not None:
+            return self.row_point.value_at(k)
         return self.base[pair_encode(self.n, k)]
+
+    def __iter__(self):
+        if self.row_point is not None:
+            return self.row_point.symbols(self.length)
+        base, n = self.base, self.n
+        return (base[pair_encode(n, k)] for k in range(self.length))
 
 
 class LazyWord:

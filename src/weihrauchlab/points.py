@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from itertools import chain, compress, count, cycle, islice
+from typing import Callable, Iterator, Optional
 
 from .errors import UnsupportedShape
 
@@ -47,9 +48,22 @@ def pair_decode(j: int) -> tuple:
     return s - k, k
 
 
+def row_length(L: int, n: int) -> int:
+    """The number of k with pair_encode(n, k) < L.  <n,k> = s(s+1)/2 + k
+    with s = n + k grows with k, and <n,k> < L iff s(s+3) < 2(L + n)."""
+    s = (math.isqrt(8 * (L + n) + 1) - 3) // 2
+    return max(0, s - n + 1)
+
+
 def is_prefix(v, w) -> bool:
     """Prefix order on words: v is an initial segment of w."""
     return len(v) <= len(w) and tuple(w[: len(v)]) == tuple(v)
+
+
+def first_nonzero(w) -> Optional[int]:
+    """The index of the first nonzero symbol of the word w, None when all
+    its symbols are zero (symbols are naturals: nonzero is truthy)."""
+    return next(compress(count(), w), None)
 
 
 # ---------------------------------------------------------------------------
@@ -61,8 +75,12 @@ class Point:
     def value_at(self, i: int) -> int:
         raise NotImplementedError
 
+    def symbols(self, n: int) -> Iterator:
+        """The first n symbols, in order."""
+        return map(self.value_at, range(n))
+
     def prefix(self, n: int) -> Word:
-        return tuple(self.value_at(i) for i in range(n))
+        return tuple(self.symbols(n))
 
 
 @dataclass(frozen=True)
@@ -80,6 +98,9 @@ class EvPeriodic(Point):
         if i < len(self.head):
             return self.head[i]
         return self.period[(i - len(self.head)) % len(self.period)]
+
+    def symbols(self, n: int) -> Iterator:
+        return islice(chain(self.head, cycle(self.period)), n)
 
 
 @dataclass(frozen=True)
@@ -205,9 +226,7 @@ def row(p: Point, n: int) -> Point:
         # k -> encode(n,k) is quadratic; mod the period length it cycles with
         # period 2*|period|, so the row is EvPeriodic with that period.
         h, m = len(p.head), len(p.period)
-        lead = 0
-        while pair_encode(n, lead) < h:
-            lead += 1
+        lead = row_length(h, n)
         head = tuple(p.value_at(pair_encode(n, k)) for k in range(lead))
         period = tuple(p.value_at(pair_encode(n, lead + t)) for t in range(2 * m))
         return EvPeriodic(head, period)
@@ -225,6 +244,18 @@ def rows_of(p: Point) -> Point:
     if isinstance(p, Interleave):
         return normalize(p) or p
     return p
+
+
+def row_form(p: Point, n: int) -> Optional[Point]:
+    """Row n of p when p's presentation holds its rows, a row tuple's
+    row or a law's row law; None otherwise.  Normalizing a pair or
+    re-presenting a periodic stream's row costs more than reading a
+    short row through the pairing, so those are not row forms here."""
+    if isinstance(p, RowTuple):
+        return p.row(n)
+    if isinstance(p, LawPoint) and p._row_fn is not None:
+        return p.law_row(n)
+    return None
 
 
 def row_stabilization(p: EvPeriodic) -> tuple:

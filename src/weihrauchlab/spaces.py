@@ -14,7 +14,11 @@ from .points import (
     EvPeriodic,
     Point,
     Word,
+    first_nonzero,
     nonzero_census,
+    normalize,
+    pair_decode,
+    pair_encode,
     prefix,
 )
 
@@ -95,10 +99,10 @@ def decode_ternary(p: Point) -> TernaryValue:
 
 def ternary_of_word(w) -> TernaryValue | None:
     """Decode a finite prefix: determined value or None while all zeros."""
-    for i, v in enumerate(w):
-        if v != 0:
-            return T0 if i % 2 == 1 else T1
-    return None
+    i = first_nonzero(w)
+    if i is None:
+        return None
+    return T0 if i % 2 == 1 else T1
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +269,6 @@ def encode_clopen(k: ClopenCompact) -> EvPeriodic:
 
 def decode_clopen(p: Point) -> ClopenCompact:
     """Recover the compact from a structurally finite name."""
-    from .points import normalize
     q = normalize(p)
     if q is None or any(x != 0 for x in q.period):
         raise NotAName("clopen names are zero-padded code lists")
@@ -317,12 +320,10 @@ def _unzigzag(z: int) -> int:
 
 
 def dyadic_code(d: Dyadic) -> int:
-    from .points import pair_encode
     return pair_encode(_zigzag(d.numerator), d.exponent)
 
 
 def dyadic_from_code(c: int) -> Dyadic:
-    from .points import pair_decode
     z, e = pair_decode(c)
     return Dyadic(_unzigzag(z), e)
 
@@ -334,7 +335,6 @@ def encode_dyadic(x: Dyadic) -> EvPeriodic:
 
 def decode_dyadic(p: Point) -> Dyadic:
     """Exact value of a convergent dyadic name (eventually constant codes)."""
-    from .points import normalize
     q = normalize(p)
     if q is None:
         raise NotAName("dyadic names must be eventually periodic at desk scale")

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 from .errors import ArityCap, InvariantViolation
 from .machines import Machine, RowView
+from .points import first_nonzero, pair_encode
 from .spaces import T0, T1, THALF, TernaryValue
 
 ARITY_CAP = 8
@@ -166,25 +167,19 @@ def extension_value(table: Sequence, ts: Sequence) -> TernaryValue:
 # ---------------------------------------------------------------------------
 # stream realizers
 
-def _first_nonzero(word) -> int:
-    for i in range(len(word)):
-        if word[i] != 0:
-            return i
-    return None
+def nand_shape(u: tuple, v: tuple) -> tuple:
+    """The shape of nand_word's output from the shapes of its inputs.
 
-
-def nand_word(u, v) -> tuple:
-    """Monotone word function underlying the NAND realizer.
-
-    Zeros are emitted while the verdict is open; a pulse of the correct
-    parity is committed at the replay stage where the case split first
-    resolves.  Pair symbols are revealed alternately, so the first
-    nonzero of u at index j becomes visible at stage 2j+1 and of v at
-    stage 2j+2; the earliest resolving stage is computed directly.
+    A word's shape is (length, index of its first nonzero or None); the
+    NAND word reads nothing else of its inputs, and its own output is
+    zeros with at most one 1, so its shape determines it.  Zeros are
+    emitted while the verdict is open; a pulse of the correct parity is
+    committed at the replay stage where the case split first resolves.
+    Pair symbols are revealed alternately, so the first nonzero of u at
+    index j becomes visible at stage 2j+1 and of v at stage 2j+2; the
+    earliest resolving stage is computed directly.
     """
-    a, b = len(u), len(v)
-    k = _first_nonzero(u)
-    n = _first_nonzero(v)
+    (a, k), (b, n) = u, v
     events = []
     if k is not None and k % 2 == 1:
         events.append(2 * k + 1)
@@ -193,13 +188,13 @@ def nand_word(u, v) -> tuple:
     if (k is not None and k % 2 == 0 and n is not None and n % 2 == 0):
         events.append(max(2 * k + 1, 2 * n + 2))
     if not events:
-        return (0,) * min(a, b)
+        return min(a, b), None
     t = min(events)
     if t > a + b:
         # the evidence sits outside the alternating reveal window of the
         # current lengths; using it early would break monotonicity under
         # componentwise extension
-        return (0,) * min(a, b)
+        return min(a, b), None
     vis_k = k if (k is not None and 2 * k + 1 <= t) else None
     vis_n = n if (n is not None and 2 * n + 2 <= t) else None
     odd = [j for j in (vis_k, vis_n) if j is not None and j % 2 == 1]
@@ -207,9 +202,26 @@ def nand_word(u, v) -> tuple:
         pos = min(odd) + 1          # even position: names 1
     else:
         pos = max(vis_k, vis_n) + 1  # both even: odd position names 0
-    out = [0] * (pos + 1 + min(a, b))
-    out[pos] = 1
-    return tuple(out)
+    return pos + 1 + min(a, b), pos
+
+
+def shape_of(w) -> tuple:
+    """A word's shape: its length and the index of its first nonzero."""
+    return len(w), first_nonzero(w)
+
+
+def word_of_shape(shape: tuple) -> tuple:
+    """The word of zeros with a 1 at its first-nonzero index, if any."""
+    length, pos = shape
+    if pos is None:
+        return (0,) * length
+    return (0,) * pos + (1,) + (0,) * (length - pos - 1)
+
+
+def nand_word(u, v) -> tuple:
+    """Monotone word function underlying the NAND realizer: the word of
+    nand_shape's rule."""
+    return word_of_shape(nand_shape(shape_of(u), shape_of(v)))
 
 
 def nand_realizer() -> Machine:
@@ -222,12 +234,18 @@ def nand_realizer() -> Machine:
 
 
 def gatewise_realizer(c: NandCircuit) -> Machine:
-    """Substitute the NAND realizer through the circuit, row-tupled input."""
+    """Substitute the NAND realizer through the circuit, row-tupled input.
+
+    Each wire carries the shape of its word through nand_shape's rule;
+    only the output word is built."""
     def fn(w):
-        words = [tuple(RowView(w, i)) for i in range(c.arity)]
+        rows = [RowView(w, i) for i in range(c.arity)]
+        if c.output < c.arity:
+            return tuple(rows[c.output])
+        shapes = [shape_of(r) for r in rows]
         for a, b in c.gates:
-            words.append(nand_word(words[a], words[b]))
-        return words[c.output]
+            shapes.append(nand_shape(shapes[a], shapes[b]))
+        return word_of_shape(shapes[c.output])
     return Machine(f"gatewise[{c.arity}]", fn)
 
 
@@ -251,14 +269,10 @@ def resolution_realizer(table: Sequence, arity: int, floor: int = 0) -> Machine:
     def fn(w):
         L = len(w)
         pulses = []   # (flat position, row, value)
-        from .points import pair_encode
         for i in range(arity):
-            rv = RowView(w, i)
-            for j in range(len(rv)):
-                if rv[j] != 0:
-                    pulses.append((pair_encode(i, j), i,
-                                   T0 if j % 2 == 1 else T1))
-                    break
+            j = first_nonzero(RowView(w, i))
+            if j is not None:
+                pulses.append((pair_encode(i, j), i, T0 if j % 2 == 1 else T1))
         events = sorted({1} | {p + 1 for p, _, _ in pulses if p + 1 <= L})
         for stage in events:
             dets = [None] * arity

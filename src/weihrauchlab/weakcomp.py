@@ -18,12 +18,20 @@ from .errors import (
     NonRepresentable,
     UnsupportedShape,
 )
-from .machines import Machine, PointView, compose, compose_all, emit_rows
+from .machines import (
+    Machine,
+    PointView,
+    compose,
+    compose_all,
+    emit_rows,
+    output_view,
+)
 from .points import (
     EvPeriodic,
     LawPoint,
     Point,
     RowTuple,
+    first_nonzero,
     pair_decode,
     pair_encode,
     row,
@@ -135,10 +143,11 @@ def emit_width(m: Machine, compact: ClopenCompact, n: int, start: int,
                k_cap: int) -> Optional[int]:
     """The least width k in [start, k_cap] at which the compact admits some
     word of length k and every such word makes m emit symbol n; None when
-    no width up to k_cap does."""
+    no width up to k_cap does.  m's output is read as a view, so a machine
+    with one gives its length without computing a symbol."""
     for k in range(start, k_cap + 1):
         words = compact.admitted_words(k)
-        if words and all(len(m.eval(w)) > n for w in words):
+        if words and all(len(output_view(m, w)) > n for w in words):
             return k
     return None
 
@@ -178,11 +187,12 @@ class TruthTableFamily:
 
 def truth_table(m: Machine, compact: ClopenCompact, n: int, arity: int) -> tuple:
     """Symbol n of m on every word of length arity, in lexicographic order;
-    the words the compact excludes read 0."""
+    the words the compact excludes read 0.  m's output is read as a view,
+    so a machine with one computes symbol n alone."""
     table = []
     for w in itertools.product((0, 1), repeat=arity):
         if compact.admits(w):
-            out = m.eval(w)
+            out = output_view(m, w)
             if len(out) <= n:
                 raise FuelExhausted(f"machine stalled on admitted word {w}")
             table.append(out[n])
@@ -394,27 +404,41 @@ class DynamicSwap:
     negative information seen so far supports the exhaustive search; the
     committed realizers then stream their verdicts.  Deterministic in the
     input prefix, hence a monotone machine.
+
+    A search depends only on the exclusions, the row and the start width,
+    so each is made once per swap and every replay reuses its result.
     """
 
     def __init__(self, mid: Machine, k_cap: int = 8, row_cap: int = 8):
         self.mid = mid
         self.k_cap = k_cap
         self.row_cap = row_cap
+        self._searches: dict = {}   # (exclusions, row, start) -> search
+
+    def search(self, excluded: frozenset, n: int, start: int):
+        """Row n's commit under the exclusions from width start on:
+        (width, table), or None when no width up to k_cap fits."""
+        key = (excluded, n, start)
+        if key not in self._searches:
+            compact = ClopenCompact(excluded)
+            width = emit_width(self.mid, compact, n, start, self.k_cap)
+            self._searches[key] = None if width is None else (
+                width, truth_table(self.mid, compact, n, width))
+        return self._searches[key]
 
     def replay(self, symbol_at: Callable, length: int, max_rows: int):
         excluded: set = set()
         commits: dict = {}
 
         def drain(ell):
-            compact = ClopenCompact(excluded)
+            frozen = frozenset(excluded)
             while len(commits) < max_rows:
                 n = len(commits)
                 start = commits[n - 1][1] if n else 1
-                width = emit_width(self.mid, compact, n, start, self.k_cap)
-                if width is None:
+                found = self.search(frozen, n, start)
+                if found is None:
                     return
-                commits[n] = (ell, width,
-                              truth_table(self.mid, compact, n, width))
+                commits[n] = (ell, *found)
 
         drain(1)
         for ell in range(1, length + 1):
@@ -485,7 +509,7 @@ class DynamicSwapMirror:
             width = 16
             while width <= 4 * self.cap:
                 word = mach.eval(PointView(self.q1, width))
-                pos = next((i for i, s in enumerate(word) if s != 0), None)
+                pos = first_nonzero(word)
                 if pos is not None:
                     outcome = EvPeriodic(tuple(word[: pos + 1]), (0,))
                     break
@@ -497,8 +521,7 @@ class DynamicSwapMirror:
         return out
 
     def pulse(self, n: int) -> Optional[int]:
-        r = self.row(n)
-        return next((i for i, s in enumerate(r.head) if s != 0), None)
+        return first_nonzero(self.row(n).head)
 
 
 def scan_bound_or(p: Point, fallback: int) -> int:

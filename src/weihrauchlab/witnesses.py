@@ -47,6 +47,7 @@ from .points import (
     Point,
     RowTuple,
     depair,
+    first_nonzero,
     min_zero,
     nonzero_census,
     pair_decode,
@@ -706,11 +707,7 @@ def llpo_to_llpo_real() -> Witness:
     """Map a pulse position to a signed power of two."""
     def k_fn(w):
         L = len(w)
-        j = None
-        for i in range(L):
-            if w[i] != 0:
-                j = i
-                break
+        j = first_nonzero(w)
         if j is None:
             count = max(0, L // 2)
             return (_ZERO_CODE,) * count

@@ -1,7 +1,8 @@
 """Source hygiene, read from the syntax trees: no module in src/ or tests/
 imports a name it never uses, every module-level function and class in
-src/ is referenced from src/, tests/ or bench/, and no code in src/
-decides an identity by comparing `.name` attributes."""
+src/ is referenced from src/, tests/ or bench/, no code in src/ decides an
+identity by comparing `.name` attributes, and a module in src/ imports
+inside a function only what it could not import at module level."""
 
 import ast
 from pathlib import Path
@@ -71,3 +72,51 @@ def test_no_name_comparisons_in_src():
                 for side in [node.left, *node.comparators])
     ]
     assert compared == []
+
+
+def _package_imports(path, nodes) -> set:
+    """The package modules that import statements among nodes name."""
+    out = set()
+    for node in nodes:
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1 and node.module:
+                out.add(node.module)
+            elif node.level == 1:
+                out.update(alias.name for alias in node.names)
+            elif node.module and node.module.startswith("weihrauchlab."):
+                out.add(node.module.split(".")[1])
+    return out
+
+
+def test_function_local_imports_are_circular_only():
+    """A function-local import is kept only where the module-level form
+    would close an import cycle: the imported module reaches this one
+    through module-level imports."""
+    modules = {path.stem: (path, tree)
+               for path, tree in _modules("src/weihrauchlab").items()}
+    top = {name: _package_imports(path, tree.body)
+           for name, (path, tree) in modules.items()}
+
+    def reaches(start, goal):
+        seen, todo = set(), [start]
+        while todo:
+            m = todo.pop()
+            if m == goal:
+                return True
+            if m not in seen:
+                seen.add(m)
+                todo.extend(top.get(m, ()))
+        return False
+
+    local = []
+    for name, (path, tree) in modules.items():
+        # an import in a nested function is walked once per enclosing one
+        nested = {node.lineno: node for fn in ast.walk(tree)
+                  if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for node in ast.walk(fn)
+                  if isinstance(node, (ast.Import, ast.ImportFrom))}
+        for node in nested.values():
+            targets = _package_imports(path, [node])
+            if not targets or not all(reaches(t, name) for t in targets):
+                local.append(f"{path.relative_to(ROOT)}:{node.lineno}")
+    assert local == []

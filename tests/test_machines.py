@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from weihrauchlab.corpus import any_points, rng_for
+from weihrauchlab.corpus import any_points, rng_for, thin_tree
 from weihrauchlab.errors import UnsupportedShape
 from weihrauchlab.machines import (
     Machine,
@@ -35,9 +35,11 @@ from weihrauchlab.points import (
     pair_encode,
     prefix,
     row,
+    row_length,
     rows_of,
 )
 from weihrauchlab.problems import llpo_problem, lpo_problem
+from weihrauchlab.spaces import TreeChar
 from weihrauchlab.witnesses import (
     VALIDATE_WIDTH,
     Witness,
@@ -474,3 +476,49 @@ def test_registry_Ks_still_emit_their_full_budget():
         w = entry.build()
         for p in entry.corpus(rng_for(f"cli:{name}"), 3):
             assert len(w.K.eval(PointView(p, VALIDATE_WIDTH))) == emitted, name
+
+
+# row views ------------------------------------------------------------------
+
+def test_row_length_is_the_counting_loop():
+    """A row view's closed-form length equals counting k while <n,k> < L."""
+    for n in range(64):
+        k = 0
+        for L in range(5000):
+            while pair_encode(n, k) < L:
+                k += 1
+            assert len(RowView(range(L), n)) == k, (n, L)
+
+
+def _laws(q):
+    """q as a value law, and as a row law over q's own rows."""
+    return st.sampled_from([
+        LawPoint(fn=q.value_at, label="value-law"),
+        LawPoint(row_fn=lambda n: row(rows_of(q), n), label="row-law"),
+    ])
+
+
+ROWABLE = st.one_of(EVP, st.builds(Interleave, EVP, EVP),
+                    st.builds(RowTuple, st.dictionaries(st.integers(0, 5), EVP,
+                                                        max_size=3), EVP))
+ROW_BASES = st.one_of(
+    ROWABLE,
+    ROWABLE.flatmap(_laws),
+    # a pair with a law part does not normalize: no row form
+    st.builds(lambda q, r: Interleave(LawPoint(fn=q.value_at), r), EVP, EVP),
+    st.integers(0, 2 ** 16).map(lambda s: TreeChar(thin_tree(rng_for(s)))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ROW_BASES, st.integers(0, 600), st.integers(0, 8))
+def test_row_view_reads_as_pair_addressing(p, width, n):
+    """Whether it reads a row point or pairs, a row view of a point's
+    prefix holds the symbols at <n,k>, and nothing past them."""
+    r = RowView(PointView(p, width), n)
+    want = tuple(p.value_at(pair_encode(n, k)) for k in range(len(r)))
+    assert len(r) == row_length(width, n)
+    assert tuple(r) == want
+    assert tuple(r[k] for k in range(len(r))) == want
+    with pytest.raises(IndexError):
+        r[len(r)]

@@ -1,17 +1,21 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weihrauchlab.corpus import rng_for
 from weihrauchlab.errors import ArityCap
-from weihrauchlab.machines import audit_monotone, run_on_point
-from weihrauchlab.points import EvPeriodic, Interleave, RowTuple
+from weihrauchlab.machines import PointView, audit_monotone, run_on_point
+from weihrauchlab.points import EvPeriodic, Interleave, LawPoint, RowTuple, pair_encode
 from weihrauchlab.spaces import T0, T1, THALF, encode_ternary, ternary_of_word
 from weihrauchlab.ternary import (
+    NandCircuit,
     circuit_table,
     gatewise_realizer,
     nand_realizer,
     nand_value,
+    nand_word,
     synthesize,
     table_of,
     ternary_extend,
@@ -194,36 +198,37 @@ def test_truth_table_line_format():
         == [0, 1, 1, 0]
 
 
+def _nand_replay(u, v):
+    """The NAND word by definition: replay the alternating reveal order
+    stage by stage until the case split resolves."""
+    a, b = len(u), len(v)
+    for t in range(1, a + b + 1):
+        av, bv = min((t + 1) // 2, a), min(t // 2, b)
+        k = next((i for i in range(av) if u[i] != 0), None)
+        n = next((i for i in range(bv) if v[i] != 0), None)
+        odd = [j for j in (k, n) if j is not None and j % 2 == 1]
+        if odd:
+            pos = min(odd) + 1
+        elif k is not None and n is not None:
+            pos = max(k, n) + 1
+        else:
+            continue
+        out = [0] * (pos + 1 + min(a, b))
+        out[pos] = 1
+        return tuple(out)
+    return (0,) * min(a, b)
+
+
 def test_nand_word_matches_definitional_replay():
     """The direct stage computation equals replaying the alternating
     reveal order stage by stage."""
-    from weihrauchlab.ternary import nand_word
-
-    def reference(u, v):
-        a, b = len(u), len(v)
-        for t in range(1, a + b + 1):
-            av, bv = min((t + 1) // 2, a), min(t // 2, b)
-            k = next((i for i in range(av) if u[i] != 0), None)
-            n = next((i for i in range(bv) if v[i] != 0), None)
-            odd = [j for j in (k, n) if j is not None and j % 2 == 1]
-            if odd:
-                pos = min(odd) + 1
-            elif k is not None and n is not None:
-                pos = max(k, n) + 1
-            else:
-                continue
-            out = [0] * (pos + 1 + min(a, b))
-            out[pos] = 1
-            return tuple(out)
-        return (0,) * min(a, b)
-
     rng = rng_for("nand-ref")
     for _ in range(400):
         u = tuple(rng.randrange(3) if rng.random() < 0.2 else 0
                   for _ in range(rng.randrange(12)))
         v = tuple(rng.randrange(3) if rng.random() < 0.2 else 0
                   for _ in range(rng.randrange(12)))
-        assert nand_word(u, v) == reference(u, v), (u, v)
+        assert nand_word(u, v) == _nand_replay(u, v), (u, v)
 
 
 def test_gatewise_network_monotone_componentwise():
@@ -242,3 +247,56 @@ def test_gatewise_network_monotone_componentwise():
             name = _tuple_name(tuple(tv[c] for c in ts))
             lengths = sorted(rng.sample(range(1, 120), 10))
             assert audit_monotone(mach, name, lengths), (table, ts)
+
+
+# gate-wise evaluation by wire shapes ----------------------------------------
+
+@st.composite
+def circuits(draw):
+    arity = draw(st.integers(1, 3))
+    gates = tuple((draw(st.integers(0, arity + g - 1)),
+                   draw(st.integers(0, arity + g - 1)))
+                  for g in range(draw(st.integers(0, 8))))
+    return NandCircuit(arity, gates, draw(st.integers(0, arity + len(gates) - 1)))
+
+
+# mostly zeros, so that the first nonzero of a row falls anywhere
+SPARSE = st.sampled_from((0, 0, 0, 0, 0, 1, 2))
+NAMES = st.builds(EvPeriodic, st.lists(SPARSE, max_size=12).map(tuple),
+                  st.lists(SPARSE, min_size=1, max_size=3).map(tuple))
+ROWS = st.builds(RowTuple, st.dictionaries(st.integers(0, 3), NAMES, max_size=3),
+                 NAMES)
+WORDS = st.one_of(
+    st.lists(SPARSE, max_size=300).map(tuple),
+    st.builds(PointView, st.one_of(
+        ROWS,
+        NAMES,
+        ROWS.map(lambda q: LawPoint(row_fn=q.row, label="row-law")),
+        ROWS.map(lambda q: LawPoint(fn=q.value_at, label="value-law")),
+        st.builds(Interleave, NAMES, NAMES),
+        st.builds(lambda q, r: Interleave(LawPoint(fn=q.value_at), r), NAMES, NAMES),
+    ), st.integers(0, 3000)),
+)
+
+
+def _gatewise_fold(c, w):
+    """Materialize every input row by pair addressing, then fold the NAND
+    word through the gates."""
+    words = []
+    for i in range(c.arity):
+        k, r = 0, []
+        while pair_encode(i, k) < len(w):
+            r.append(w[pair_encode(i, k)])
+            k += 1
+        words.append(tuple(r))
+    for a, b in c.gates:
+        words.append(_nand_replay(words[a], words[b]))
+    return words[c.output]
+
+
+@settings(max_examples=300, deadline=None)
+@given(circuits(), WORDS)
+def test_gatewise_shapes_match_the_word_fold(c, w):
+    """Propagating wire shapes gives the word that folding the NAND word
+    over materialized rows gives."""
+    assert gatewise_realizer(c).eval(w) == _gatewise_fold(c, w)

@@ -11,6 +11,7 @@ from weihrauchlab.corpus import (
 from weihrauchlab.errors import FuelExhausted, NonRepresentable
 from weihrauchlab.machines import (
     Machine,
+    compose,
     identity,
     pair_machine,
     proj1,
@@ -21,10 +22,12 @@ from weihrauchlab.machines import (
 from weihrauchlab.points import EvPeriodic, RowTuple
 from weihrauchlab.problems import llpo_hat_value
 from weihrauchlab.spaces import ClopenCompact, encode_clopen
+from weihrauchlab import weakcomp
 from weihrauchlab.weakcomp import (
     DynamicSwap,
     compact_choice_witnesses,
     compact_image,
+    emit_width,
     extract_tables,
     llpo_swap,
     modulus,
@@ -223,7 +226,16 @@ def test_weak_compose_identity_reductions():
     assert rep.passed, rep.render()
 
 
-def test_weak_compose_llpo_chain():
+def test_weak_compose_llpo_chain(monkeypatch):
+    """The chain passes, and its swap searches each (exclusions, row,
+    start width) triple once over every replay of machine and mirror."""
+    searched = []
+
+    def counted(m, compact, n, start, k_cap):
+        searched.append((compact.excluded, n, start))
+        return emit_width(m, compact, n, start, k_cap)
+
+    monkeypatch.setattr(weakcomp, "emit_width", counted)
     wf = parallel_extensive(llpo_problem())
     wg = parallel_extensive(llpo_problem())
     w = weak_compose(wf, wg)
@@ -231,6 +243,37 @@ def test_weak_compose_llpo_chain():
               EvPeriodic((2,), (0,))]
     rep = check(w, corpus, depth=4, validate_width=24)
     assert rep.passed, rep.render()
+    assert searched and len(set(searched)) == len(searched)
+
+
+def _lazy_first(w):
+    """Every symbol once the first coordinate is 1, else a quarter of them:
+    a swap commits its later rows only after exclusions force that."""
+    n = len(w) if len(w) and w[0] == 1 else len(w) // 4
+    return tuple(w[:n])
+
+
+def test_dynamic_swap_replays_reuse_searches_without_changing_commits():
+    """A swap that has replayed other prefixes commits what a fresh swap
+    commits, at rising lengths and row budgets."""
+    rng = rng_for("dyn-replay")
+    # pulses at 0, 5 and 14 force coordinate 0 to 1, at 20 to 0
+    names = [EvPeriodic((0,) * i + (1,), (0,)) for i in (0, 5, 14, 20)]
+    names += [free_heavy_rowtuple(rng, forced=rng.randrange(4)) for _ in range(4)]
+    w = parallel_extensive(llpo_problem())
+    stages = {}
+    for mid in (Machine("lazy-first", _lazy_first), compose(w.K, w.H)):
+        shared = DynamicSwap(mid)
+        for p in names:
+            for length in (8, 32, 96):
+                for max_rows in (2, 8, 24):
+                    got = shared.replay(p.value_at, length, max_rows)
+                    want = DynamicSwap(mid).replay(p.value_at, length, max_rows)
+                    assert got == want, (mid.name, p, length, max_rows)
+                    stages.setdefault(mid.name, set()).update(
+                        ell for ell, _, _ in got.values())
+    # lazy-first commits rows at the stages where exclusions arrive
+    assert stages["lazy-first"] == {1, 6, 15}
 
 
 def test_weak_compose_negative_control():
