@@ -28,7 +28,7 @@ from .literals import (
     point_str,
 )
 from .machines import (
-    Machine,
+    const_machine,
     identity,
     pair_machine,
     proj1,
@@ -125,14 +125,20 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _run_check(entry_name: str, entry, seed: str, verbose: bool = True) -> bool:
+def _exit_code(report) -> int:
+    """0 on a pass, 3 when branches only stalled at fuel, 1 on a failure."""
+    if report.passed:
+        return 0
+    return 3 if report.unverified else 1
+
+
+def _run_check(entry_name: str, entry, seed: str):
     w = entry.build()
     rng = gen.rng_for(f"{seed}:{entry_name}")
     corpus = entry.corpus(rng, entry.count)
     report = check(w, corpus, depth=entry.depth)
-    if verbose:
-        print(f"{entry_name}: {report.verdict()}")
-    return report.passed
+    print(f"{entry_name}: {report.verdict()}")
+    return report
 
 
 def cmd_check(args) -> int:
@@ -151,9 +157,8 @@ def cmd_check(args) -> int:
                      if line.strip() and not line.startswith("#")]
         report = check(entry.build(), names, depth=entry.depth)
         print(f"{args.name}: {report.verdict()}")
-        return 0 if report.passed else 1
-    ok = _run_check(args.name, entry, args.seed)
-    return 0 if ok else 1
+        return _exit_code(report)
+    return _exit_code(_run_check(args.name, entry, args.seed))
 
 
 # op -> (number of witness names, constructor)
@@ -195,7 +200,7 @@ def cmd_derive(args) -> int:
         corpus = [Interleave(x, y) for x, y in zip(a, b)]
     report = check(derived, corpus, depth=depth)
     print(f"derived {derived.name}: {report.verdict()}")
-    return 0 if report.passed else 1
+    return _exit_code(report)
 
 
 def cmd_list(args) -> int:
@@ -212,12 +217,15 @@ def cmd_suite(args) -> int:
         if args.depth:
             entry.depth = min(entry.depth, args.depth)
         try:
-            ok = _run_check(name, entry, args.seed)
+            report = _run_check(name, entry, args.seed)
         except CAPACITY_ERRORS as exc:
             print(f"{name}: CAPACITY ({exc})")
             capacity += 1
             continue
-        failures += 0 if ok else 1
+        if report.unverified:   # a stall at fuel is not a refutation
+            capacity += 1
+        elif not report.passed:
+            failures += 1
     for name, (w, corpus_fn) in sorted(corrupted_witnesses().items()):
         rng = gen.rng_for(f"{args.seed}:{name}")
         report = check(w, corpus_fn(rng, 5), depth=8)
@@ -247,7 +255,7 @@ def cmd_wkl(args) -> int:
     ok = True
     for key in ("wkl_to_llpo_hat", "llpo_hat_to_wkl"):
         entry = entries[key]
-        ok = _run_check(key, entry, args.seed) and ok
+        ok = _run_check(key, entry, args.seed).passed and ok
     return 0 if ok else 1
 
 
@@ -286,7 +294,7 @@ def cmd_limit(args) -> int:
 def cmd_medvedev(args) -> int:
     a = parse_mass(args.a)
     b = parse_mass(args.b)
-    f = Machine("cli-const", lambda w: a.members[0].prefix(len(w)))
+    f = const_machine(a.members[0], "cli-const")
     if args.mode == "check":
         report = medvedev_check(a, b, f, depth=args.depth)
         ok = report.passed

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import random
 
-from .points import EvPeriodic, Interleave, Point, RowTuple, pair_encode
+from .points import EvPeriodic, Interleave, Point, RowTuple, pair_encode, pulse
 from .spaces import ClopenCompact, Dyadic, FinTree, TreeChar, encode_clopen, encode_dyadic
 
 
@@ -212,10 +212,8 @@ def squared_input(rng, forced_outer=10, free_outer=2) -> RowTuple:
     outer = list(range(forced_outer + free_outer))
     rng.shuffle(outer)
     for k in outer[:forced_outer]:
-        pos = 2 * rng.randrange(3)       # even position: forces 1
-        head = [0] * (pos + 1)
-        head[pos] = 1
-        exceptions[pair_encode(k, 0)] = EvPeriodic(tuple(head), (0,))
+        # a pulse at an even position: forces 1
+        exceptions[pair_encode(k, 0)] = pulse(2 * rng.randrange(3))
     return RowTuple(exceptions, default)
 
 

@@ -10,21 +10,26 @@ lazily evaluated points without materializing them.
 Evaluation is demand-driven.  Each primitive defines its output once, as
 a view: a length known from the input's length alone, and an indexer.
 identity's view is its input and the projections' are stride views; the
-others are LazyWords, whose symbols are computed on first read and
-memoized with the view.  eval is that view materialized.  The
+others (diag, and the index and symbol machines, const_machine, inject
+and shift_l among them) are LazyWords, whose symbols are computed on
+first read and memoized with the view.  eval is that view materialized.  The
 combinators pass views along: compose hands the outer machine the inner
-stage's view, and pair_machine and tensor interleave the views of their
-parts, so a composite computes only the inner symbols its outer stages
-read.  A symbol no stage reads is never computed, and an exception
-computing it would raise does not surface; this is the composed stream
-function's own semantics.  A hand-written Machine(name, fn) has no view:
-its output is materialized as it stands.  The schedules of index and
-symbol machines, src(j) and needs(j), do not depend on the input, so
-each such machine caches its emitted length per input length, and a
-caller that needs a length or a single symbol reads output_view instead
-of eval (the swap search does).  A RowView computes its length in
-closed form and, over a prefix of a point that holds its rows, reads
-that row point directly instead of going through the pairing.
+stage's view, pair_machine and tensor interleave the views of their
+parts, and tag_case, the copairing of a tagged union, hands the branch
+its tag selects the rest of the input as a view.  So a composite
+computes only the inner symbols its outer stages read.  A symbol no
+stage reads is never computed, and an exception computing it would raise
+does not surface; this is the composed stream function's own semantics.
+The hand-written Machine(name, fn)s that remain are searches and per-row
+replays, whose output length depends on the symbols they read; they and
+countable_tuple have no view, and their output is materialized as it
+stands.  The schedules of index and symbol machines, src(j) and
+needs(j), do not depend on the input, so each such machine caches its
+emitted length per input length, and a caller that needs a length or a
+single symbol reads output_view instead of eval (the swap search does).
+A RowView computes its length in closed form and, over a prefix of a
+point that holds its rows, reads that row point directly instead of
+going through the pairing.
 
 A machine may also carry its point action: a function from a finitely
 presented point to a finitely presented point whose prefixes the machine
@@ -52,7 +57,6 @@ from .points import (
     pair_encode,
     point_drop,
     point_prepend,
-    prefix as point_prefix,
     row,
     row_form,
     row_length,
@@ -265,21 +269,6 @@ def identity() -> Machine:
     return Machine("id", fn, point=lambda p: p, view=view)
 
 
-def const_machine(q: Point, name: str = None) -> Machine:
-    return Machine(name or "const", lambda w: point_prefix(q, len(w)),
-                   point=lambda p: q)
-
-
-def shift_l() -> Machine:
-    return Machine("L", lambda w: tuple(w[i] for i in range(1, len(w))),
-                   point=point_drop)
-
-
-def inject(sym: int) -> Machine:
-    return Machine(f"inject{sym}", lambda w: (sym,) + tuple(w),
-                   point=lambda p: point_prepend(sym, p))
-
-
 def proj1() -> Machine:
     def fn(w):
         return tuple(first_half(w))
@@ -346,6 +335,20 @@ def compose_all(*ms: Machine) -> Machine:
     for nxt in ms[1:]:
         m = compose(m, nxt)
     return m
+
+
+def tag_case(zero: Machine, other: Machine) -> Machine:
+    """Copairing for a tagged union: read the tag, symbol 0, then run zero
+    (tag 0) or other (any other tag) on the rest of the input."""
+    def view(w):
+        if len(w) == 0:
+            return ()
+        branch = zero if w[0] == 0 else other
+        return output_view(branch, StrideView(w, 1, 1))
+
+    def fn(w):
+        return tuple(view(w))
+    return Machine(f"case({zero.name}|{other.name})", fn, view=view)
 
 
 def countable_tuple(ms: Sequence, uniform: Machine) -> Machine:
@@ -435,6 +438,22 @@ def symbol_machine(name: str, sym: Callable, needs: Callable,
     def fn(w):
         return tuple(view(w))
     return Machine(name, fn, point=point, view=view)
+
+
+def const_machine(q: Point, name: str = None) -> Machine:
+    """The constant q, as long as the input read so far."""
+    return symbol_machine(name or "const", lambda w, j: q.value_at(j),
+                          lambda j: j + 1, point=lambda p: q)
+
+
+def shift_l() -> Machine:
+    return index_machine("L", lambda j: j + 1, point=point_drop)
+
+
+def inject(sym: int) -> Machine:
+    """Prepend sym: the tag of a tagged-union answer."""
+    return symbol_machine(f"inject{sym}", lambda w, j: w[j - 1] if j else sym,
+                          lambda j: j, point=lambda p: point_prepend(sym, p))
 
 
 # diagnostics ---------------------------------------------------------------

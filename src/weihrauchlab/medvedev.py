@@ -124,7 +124,7 @@ def set_ops_correspondence(a: MassProblem, b: MassProblem) -> dict:
     c_tensor = set_tensor(a, b).problem()
     prod = product_problem(ca, cb)
     summ = sum_problem(ca, cb)
-    ident = Machine("copy", lambda w: tuple(w))
+    ident = identity()
 
     return {
         "sum_to_prod": Witness(c_sum, prod, diag(), ident, True),

@@ -67,6 +67,25 @@ def first_nonzero(w) -> Optional[int]:
 
 
 # ---------------------------------------------------------------------------
+# the pulse encoding: a lone 1 at an even position names 1, at an odd
+# position names 0, and no 1 leaves the bit open (LLPO and ternary names)
+
+def pulse_bit(pos: int) -> int:
+    """The bit a lone 1 at pos names."""
+    return 1 - pos % 2
+
+
+def pulse_position(start: int, bit: int) -> int:
+    """The first position at or after start whose pulse names bit."""
+    return start if pulse_bit(start) == bit else start + 1
+
+
+def pulse(pos: int) -> EvPeriodic:
+    """The name with a single 1, at pos."""
+    return EvPeriodic((0,) * pos + (1,), (0,))
+
+
+# ---------------------------------------------------------------------------
 # point constructors
 
 class Point:

@@ -31,6 +31,7 @@ from .points import (
     pair_decode,
     pair_encode,
     point_prepend,
+    pulse_bit,
     row,
     row_stabilization,
     rows_of,
@@ -518,7 +519,7 @@ def llpo_value(p: Point) -> frozenset:
         raise OutOfDomain(f"two nonzero entries (first at {pos})")
     if kind == "zero":
         return frozenset({0, 1})
-    return frozenset({0}) if pos % 2 == 1 else frozenset({1})
+    return frozenset({pulse_bit(pos)})
 
 
 def _llpo_dom(p: Point) -> bool:

@@ -11,11 +11,14 @@ from . import corpus as gen
 from .machines import (
     Machine,
     compose,
+    const_machine,
     diag,
+    inject,
     pair_machine,
     proj1,
     proj2,
     symbol_machine,
+    tag_case,
 )
 from .points import EvPeriodic, Interleave, RowTuple
 from .problems import (
@@ -214,7 +217,7 @@ def _med_ops():
 
 def _med_embed():
     a, b = _fixture_mass()
-    f = Machine("to-A", lambda w: EvPeriodic((), (0,)).prefix(len(w)))
+    f = const_machine(EvPeriodic((), (0,)), "to-A")
     return embed_forward(f, a, b)
 
 
@@ -292,16 +295,8 @@ def _sum_comm(reverse=False):
     f, g = lpo_problem(), llpo_problem()
     if reverse:
         f, g = g, f
-
-    def h_fn(w):
-        if len(w) == 0:
-            return ()
-        n = w[0]
-        rest = tuple(w[i] for i in range(1, len(w)))
-        return ((1 if n == 0 else 0),) + rest
-
     return Witness(sum_problem(f, g), sum_problem(g, f), _swap(),
-                   Machine("retag", h_fn), True, name="sum_comm")
+                   tag_case(inject(1), inject(0)), True, name="sum_comm")
 
 
 def _sum_assoc(reverse=False):
@@ -311,39 +306,14 @@ def _sum_assoc(reverse=False):
     right = sum_problem(f, sum_problem(f, f))
     to_right, to_left = _renesting()
 
-    def h_fwd(w):
-        # right-nested tag stream n.(m.)r -> left-nested
-        if len(w) == 0:
-            return ()
-        n = w[0]
-        rest = tuple(w[i] for i in range(1, len(w)))
-        if n == 0:
-            return (0, 0) + rest
-        if len(rest) == 0:
-            return ()
-        m = rest[0]
-        rr = rest[1:]
-        return ((0, 1) + rr) if m == 0 else ((1,) + rr)
-
-    def h_bwd(w):
-        # left-nested tag stream (n.m.)r -> right-nested
-        if len(w) == 0:
-            return ()
-        n = w[0]
-        rest = tuple(w[i] for i in range(1, len(w)))
-        if n != 0:
-            return (1, 1) + rest
-        if len(rest) == 0:
-            return ()
-        m = rest[0]
-        rr = rest[1:]
-        return ((0,) + rr) if m == 0 else ((1, 0) + rr)
-
+    # re-tag: right-nested n.(m.)r <-> left-nested (n.m.)r
+    h_fwd = tag_case(compose(inject(0), inject(0)),
+                     tag_case(compose(inject(0), inject(1)), inject(1)))
+    h_bwd = tag_case(tag_case(inject(0), compose(inject(1), inject(0))),
+                     compose(inject(1), inject(1)))
     if reverse:
-        return Witness(right, left, to_left, Machine("renest-l", h_bwd), True,
-                       name="sum_assoc_rev")
-    return Witness(left, right, to_right, Machine("renest-r", h_fwd), True,
-                   name="sum_assoc")
+        return Witness(right, left, to_left, h_bwd, True, name="sum_assoc_rev")
+    return Witness(left, right, to_right, h_fwd, True, name="sum_assoc")
 
 
 def _prod_comm(reverse=False):
@@ -415,7 +385,7 @@ def corrupted_witnesses() -> dict:
     )
 
     a, b = _fixture_mass()
-    wrong = Machine("to-B-not-A", lambda wd: b.members[0].prefix(len(wd)))
+    wrong = const_machine(b.members[0], "to-B-not-A")
     out["medvedev_wrong_target"] = (
         embed_forward(wrong, a, b),
         lambda rng, n: gen.any_points(rng, max(1, n // 5)),

@@ -20,6 +20,9 @@ from .points import (
     pair_decode,
     pair_encode,
     prefix,
+    pulse,
+    pulse_bit,
+    pulse_position,
 )
 
 
@@ -79,11 +82,9 @@ T0, T1, THALF = TernaryValue.ZERO, TernaryValue.ONE, TernaryValue.HALF
 
 
 def encode_ternary(t: TernaryValue) -> EvPeriodic:
-    if t is T0:
-        return EvPeriodic((0, 1), (0,))
-    if t is T1:
-        return EvPeriodic((1,), (0,))
-    return EvPeriodic((), (0,))
+    if t is THALF:
+        return EvPeriodic((), (0,))
+    return pulse(pulse_position(0, t.value))
 
 
 def decode_ternary(p: Point) -> TernaryValue:
@@ -94,7 +95,7 @@ def decode_ternary(p: Point) -> TernaryValue:
         raise NotAName(f"two nonzero entries (first at {pos})")
     if kind == "zero":
         return THALF
-    return T0 if pos % 2 == 1 else T1
+    return TernaryValue(pulse_bit(pos))
 
 
 def ternary_of_word(w) -> TernaryValue | None:
@@ -102,7 +103,7 @@ def ternary_of_word(w) -> TernaryValue | None:
     i = first_nonzero(w)
     if i is None:
         return None
-    return T0 if i % 2 == 1 else T1
+    return TernaryValue(pulse_bit(i))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,13 @@ from typing import Callable, Sequence
 
 from .errors import ArityCap, InvariantViolation
 from .machines import Machine, RowView
-from .points import first_nonzero, pair_encode
+from .points import (
+    first_nonzero,
+    pair_encode,
+    pulse,
+    pulse_bit,
+    pulse_position,
+)
 from .spaces import T0, T1, THALF, TernaryValue
 
 ARITY_CAP = 8
@@ -272,7 +278,7 @@ def resolution_realizer(table: Sequence, arity: int, floor: int = 0) -> Machine:
         for i in range(arity):
             j = first_nonzero(RowView(w, i))
             if j is not None:
-                pulses.append((pair_encode(i, j), i, T0 if j % 2 == 1 else T1))
+                pulses.append((pair_encode(i, j), i, TernaryValue(pulse_bit(j))))
         events = sorted({1} | {p + 1 for p, _, _ in pulses if p + 1 <= L})
         for stage in events:
             dets = [None] * arity
@@ -282,11 +288,8 @@ def resolution_realizer(table: Sequence, arity: int, floor: int = 0) -> Machine:
             verdict = settled(dets)
             if verdict is None:
                 continue
-            base = max(stage, floor)
-            pos = base if base % 2 == (0 if verdict is T1 else 1) else base + 1
-            out = [0] * max(L, pos + 1)
-            out[pos] = 1
-            return tuple(out)
+            pos = pulse_position(max(stage, floor), verdict.value)
+            return pulse(pos).prefix(max(L, pos + 1))
         return (0,) * L
 
     return Machine(f"resolution[{arity}]", fn)

@@ -24,6 +24,7 @@ from .machines import (
     compose,
     compose_all,
     emit_rows,
+    identity,
     output_view,
 )
 from .points import (
@@ -34,6 +35,8 @@ from .points import (
     first_nonzero,
     pair_decode,
     pair_encode,
+    pulse,
+    pulse_position,
     row,
     row_stabilization,
     rows_of,
@@ -301,8 +304,8 @@ def compact_encoder_machine(row_cap: int = 10) -> Machine:
 
 def llpo_hat_to_compact() -> Witness:
     return Witness(llpo_hat_problem(), compact_choice_problem(),
-                   compact_encoder_machine(), Machine("copy", lambda w: tuple(w)),
-                   True, name="llpo_hat_to_compact")
+                   compact_encoder_machine(), identity(), True,
+                   name="llpo_hat_to_compact")
 
 
 class CylinderBlocking:
@@ -334,9 +337,8 @@ class CylinderBlocking:
                 b0 = not compact.alive(v + (0,))
                 b1 = not compact.alive(v + (1,))
                 if b0 or b1:
-                    side = 0 if b0 else 1
-                    pos = ell if ell % 2 == side else ell + 1
-                    state = ("pulse", pos)
+                    # the pulse names the child to take: 1 when 0 is blocked
+                    state = ("pulse", pulse_position(ell, 1 if b0 else 0))
                     break
             self._commits[r] = state
         return self._commits[r]
@@ -370,10 +372,7 @@ def compact_blocking_machine() -> Machine:
             state = blocking.commit(r)
             if state is None:
                 return EvPeriodic((), (0,))
-            pos = state[1]
-            head = [0] * (pos + 1)
-            head[pos] = 1
-            return EvPeriodic(tuple(head), (0,))
+            return pulse(state[1])
 
         return LawPoint(row_fn=row_of, label="compact-blocking")
 
@@ -511,7 +510,7 @@ class DynamicSwapMirror:
                 word = mach.eval(PointView(self.q1, width))
                 pos = first_nonzero(word)
                 if pos is not None:
-                    outcome = EvPeriodic(tuple(word[: pos + 1]), (0,))
+                    outcome = pulse(pos)
                     break
                 width *= 2
             if outcome is None:
@@ -592,9 +591,7 @@ def _condensed_rows(mirror: DynamicSwapMirror, tail_scan: int = SCAN_CAP):
             s += 1
         if best is None:
             return EvPeriodic((), (0,))
-        head = [0] * (best + 1)
-        head[best] = 1
-        return EvPeriodic(tuple(head), (0,))
+        return pulse(best)
 
     return row_of
 

@@ -38,6 +38,7 @@ from .machines import (
     second_half,
     shift_l,
     symbol_machine,
+    tag_case,
     tensor,
 )
 from .points import (
@@ -54,6 +55,9 @@ from .points import (
     pair_encode,
     point_map,
     prefix,
+    pulse,
+    pulse_bit,
+    pulse_position,
     row,
     rows_of,
     scan_bound,
@@ -123,12 +127,22 @@ class Report:
     def failures(self) -> list:
         return [e for e in self.entries if e.status != "pass"]
 
+    @property
+    def unverified(self) -> bool:
+        """No branch refutes the witness, yet some stalled at their fuel:
+        a stall bounds the run's budget, not the witness."""
+        bad = self.failures()
+        return bool(bad) and all(e.status == "stall" for e in bad)
+
     def verdict(self) -> str:
         if self.passed:
             return f"PASS (verified to depth {self.depth})"
         bad = self.failures()
         if not self.entries:
             return "EMPTY (no corpus entries)"
+        if self.unverified:
+            return (f"UNVERIFIED ({len(bad)}/{len(self.entries)} branches "
+                    f"stall at fuel)")
         e = bad[0]
         where = f" at coordinate {e.coordinate}" if e.coordinate is not None else ""
         return f"FAIL ({len(bad)}/{len(self.entries)} branches, first {e.status}{where})"
@@ -264,31 +278,22 @@ def sum_witness(w1: Witness, w2: Witness) -> Witness:
     gg = sum_problem(w1.g, w2.g)
     k = tensor(w1.K, w2.K)
     if w1.strong and w2.strong:
-        def h_fn(w):
-            if len(w) == 0:
-                return ()
-            n, rest = w[0], tuple(w[i] for i in range(1, len(w)))
-            inner = w1.H if n == 0 else w2.H
-            return ((0 if n == 0 else 1),) + tuple(inner.eval(rest))
-        return Witness(ff, gg, k, Machine("sumH", h_fn), True,
-                       name=f"({w1.name}) + ({w2.name})")
+        h = tag_case(compose(inject(0), w1.H), compose(inject(1), w2.H))
+        return Witness(ff, gg, k, h, True, name=f"({w1.name}) + ({w2.name})")
 
     a, b = as_ordinary(w1), as_ordinary(w2)
 
-    def h_fn(w):
-        pq = [w[i] for i in range(0, len(w), 2)]
-        tagged = [w[i] for i in range(1, len(w), 2)]
-        if not tagged:
-            return ()
-        n, rest = tagged[0], tuple(tagged[1:])
-        p_word = tuple(pq[i] for i in range(0, len(pq), 2))
-        q_word = tuple(pq[i] for i in range(1, len(pq), 2))
-        if n == 0:
-            return (0,) + tuple(a.H.eval(interleave_words(p_word, rest)))
-        return (1,) + tuple(b.H.eval(interleave_words(q_word, rest)))
+    # the input interleaves both instances with the tagged answer; copy the
+    # tag to the front, then feed branch s instance s (input 2j + 2s at
+    # even j) interleaved with the answer's rest (input j + 2 at odd j)
+    def branch(s, h):
+        feed = index_machine(f"feed{s}",
+                             lambda j: 2 * j + 2 * s if j % 2 == 0 else j + 2)
+        return compose_all(inject(s), h, feed)
 
-    return Witness(ff, gg, k, Machine("sumH", h_fn), False,
-                   name=f"({w1.name}) + ({w2.name})")
+    tag_first = index_machine("tag-first", lambda j: j - 1 if j else 1)
+    h = compose(tag_case(branch(0, a.H), branch(1, b.H)), tag_first)
+    return Witness(ff, gg, k, h, False, name=f"({w1.name}) + ({w2.name})")
 
 
 def sum_idem(f: Problem) -> tuple:
@@ -543,20 +548,11 @@ def parallel_sum(f: Problem, g: Problem) -> Witness:
             return 0
         return 1 + pair_encode(u - 1, j)
 
-    # row j of the answer repeats the tag, then reads its slice of the flat answer
-    def h_fn(w):
-        L = len(w)
-        out = []
-        t = 0
-        while t < L:
-            src = h_src(t)
-            if src >= L:
-                break
-            out.append(w[src])
-            t += 1
-        return tuple(out)
-
-    return Witness(lhs, rhs, k_gather, Machine("scatter", h_fn), True)
+    # row j of the answer repeats the tag, then reads its slice of the flat
+    # answer; at most one output symbol per input symbol
+    h = symbol_machine("scatter", lambda w, t: w[h_src(t)],
+                       lambda t: max(t, h_src(t)) + 1)
+    return Witness(lhs, rhs, k_gather, h, True)
 
 
 # ---------------------------------------------------------------------------
@@ -705,25 +701,22 @@ _ZERO_CODE = dyadic_code(Dyadic(0, 0))
 
 def llpo_to_llpo_real() -> Witness:
     """Map a pulse position to a signed power of two."""
+    def named(j):
+        # the pulse at j names the sign of +-2^-(j // 2), from stage j // 2 on
+        x = Dyadic(1 if pulse_bit(j) else -1, j // 2)
+        return EvPeriodic((_ZERO_CODE,) * (j // 2), (dyadic_code(x),))
+
     def k_fn(w):
-        L = len(w)
         j = first_nonzero(w)
         if j is None:
-            count = max(0, L // 2)
-            return (_ZERO_CODE,) * count
-        m = j // 2
-        kk = j // 2
-        x = Dyadic(1, kk) if j % 2 == 0 else Dyadic(-1, kk)
-        return (_ZERO_CODE,) * m + (dyadic_code(x),) * (L - m)
+            return (_ZERO_CODE,) * (len(w) // 2)
+        return named(j).prefix(len(w))
 
     def kp(p):
         kind, pos = nonzero_census(p)
         if kind == "zero":
             return EvPeriodic((), (_ZERO_CODE,))
-        j = pos
-        kk = j // 2
-        x = Dyadic(1, kk) if j % 2 == 0 else Dyadic(-1, kk)
-        return EvPeriodic((_ZERO_CODE,) * (j // 2), (dyadic_code(x),))
+        return named(pos)
 
     return Witness(llpo_problem(), llpo_real_problem(),
                    Machine("pulse-to-dyadic", k_fn, point=kp), identity(), True,
@@ -732,39 +725,28 @@ def llpo_to_llpo_real() -> Witness:
 
 def llpo_real_to_llpo() -> Witness:
     """Stage-search the sign; emit a pulse of the matching parity."""
-    def detect(w):
+    def pulse_at(w):
+        # where the pulse naming the sign first seen in w goes, or None
         for i in range(len(w)):
-            x = dyadic_from_code(w[i])
-            num, den = x.as_fraction()
+            num, den = dyadic_from_code(w[i]).as_fraction()
             if num * (2 ** i) > den:
-                return i, 1
+                return pulse_position(i, 1)
             if -num * (2 ** i) > den:
-                return i, 0
+                return pulse_position(i, 0)
         return None
 
     def k_fn(w):
-        L = len(w)
-        hit = detect(w)
-        if hit is None:
-            return (0,) * L
-        i_det, want = hit
-        pos = i_det if i_det % 2 == (0 if want == 1 else 1) else i_det + 1
-        out = [0] * max(L, pos + 1)
-        out[pos] = 1
-        return tuple(out[:max(L, pos + 1)])
+        pos = pulse_at(w)
+        if pos is None:
+            return (0,) * len(w)
+        return pulse(pos).prefix(max(len(w), pos + 1))
 
     def kp(p):
         x = decode_dyadic(p)
         if x.sign() == 0:
             return EvPeriodic((), (0,))
         # replay the machine's detection on the actual name
-        bound = scan_bound(p) + x.exponent + 4
-        w = prefix(p, bound)
-        i_det, want = detect(w)
-        pos = i_det if i_det % 2 == (0 if want == 1 else 1) else i_det + 1
-        head = [0] * (pos + 1)
-        head[pos] = 1
-        return EvPeriodic(tuple(head), (0,))
+        return pulse(pulse_at(prefix(p, scan_bound(p) + x.exponent + 4)))
 
     return Witness(llpo_real_problem(), llpo_problem(),
                    Machine("sign-search", k_fn, point=kp), identity(), True,
@@ -801,20 +783,19 @@ def lpo_from_discontinuity(data: DiscontinuityData, g: Problem) -> Witness:
             ell += 1
         return prefix(data.q, ell)
 
-    def h_fn(w):
-        k = data.cell_count
-        if len(w) < k:
-            return ()
-        seen = tuple(w[i] for i in range(k))
-        verdict = 1 if seen == tuple(data.expected) else 0
-        return (verdict,) + (0,) * (len(w) - k)
+    def ball_test(w, j):
+        if j:
+            return 0
+        seen = tuple(w[i] for i in range(data.cell_count))
+        return 1 if seen == tuple(data.expected) else 0
 
     def kp(p):
         j = min_zero(p)
         return data.q if j is None else data.family(j)
 
-    return Witness(lpo_problem(), g, Machine("select-family", k_fn, point=kp),
-                   Machine("ball-test", h_fn), True,
+    h = symbol_machine("ball-test", ball_test, lambda j: data.cell_count + j)
+    return Witness(lpo_problem(), g, Machine("select-family", k_fn, point=kp), h,
+                   True,
                    name=f"lpo_from_discontinuity({g.name})")
 
 

@@ -21,6 +21,8 @@ from .points import (
     RowTuple,
     pair_decode,
     pair_encode,
+    pulse,
+    pulse_position,
     row,
     rows_of,
     scan_bound,
@@ -165,15 +167,10 @@ def q_stream(tree, w) -> EvPeriodic:
         return EvPeriodic((), (0,))
     b0 = _child_blocked_at(tree, w + (0,), n)
     b1 = _child_blocked_at(tree, w + (1,), n)
-    if b0 and not b1:
-        pos = 2 * n           # even pulse names 1: go right
-    elif b1 and not b0:
-        pos = 2 * n + 1       # odd pulse names 0: go left
-    else:
+    if b0 == b1:
         return EvPeriodic((), (0,))
-    head = [0] * (pos + 1)
-    head[pos] = 1
-    return EvPeriodic(tuple(head), (0,))
+    # the pulse names the child to take: 1 (go right) when 0 is blocked
+    return pulse(pulse_position(2 * n, 1 if b0 else 0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 from weihrauchlab.cli import main
 from weihrauchlab.corpus import rng_for, thin_tree, mixed_clopen, any_points
 from weihrauchlab.literals import (
@@ -226,3 +228,23 @@ def test_cli_swap_prints_machine_evaluation(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "G(point) prefix" in out
+
+
+def test_cli_check_stall_is_unverified(capsys):
+    """Runs that reach their fuel refute nothing: the verdict names the
+    stall and the exit code is 3, as for capacity."""
+    code = main(["check", "wkl_to_llpo_hat", "--depth", "24"])
+    out = capsys.readouterr().out
+    assert code == 3
+    assert out == "wkl_to_llpo_hat: UNVERIFIED (200/200 branches stall at fuel)\n"
+
+
+def test_suite_full_output_is_pinned(capsys):
+    """`suite full` prints the recorded output and exits 0 at two seeds;
+    the records under tests/data pin every verdict line."""
+    data = Path(__file__).parent / "data"
+    for seed, argv in (("default", []), ("7", ["--seed", "7"])):
+        code = main(argv + ["suite", "full"])
+        out = capsys.readouterr().out
+        assert code == 0, seed
+        assert out == (data / f"suite-full-{seed}.txt").read_text(), seed

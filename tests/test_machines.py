@@ -18,6 +18,7 @@ from weihrauchlab.machines import (
     identity,
     index_machine,
     inject,
+    interleave_words,
     pair_machine,
     proj1,
     proj2,
@@ -25,6 +26,7 @@ from weihrauchlab.machines import (
     second_half,
     shift_l,
     symbol_machine,
+    tag_case,
     tensor,
 )
 from weihrauchlab.points import (
@@ -32,6 +34,7 @@ from weihrauchlab.points import (
     Interleave,
     LawPoint,
     RowTuple,
+    pair_decode,
     pair_encode,
     prefix,
     row,
@@ -42,10 +45,19 @@ from weihrauchlab.problems import llpo_problem, lpo_problem
 from weihrauchlab.spaces import TreeChar
 from weihrauchlab.witnesses import (
     VALIDATE_WIDTH,
+    DiscontinuityData,
     Witness,
+    as_ordinary,
+    id_to_c,
+    llpo_to_lpo,
+    lpo_from_discontinuity,
     parallel_absorb,
+    parallel_extensive,
     parallel_idem,
     parallel_product,
+    parallel_sum,
+    reflexivity,
+    sum_witness,
 )
 
 
@@ -186,8 +198,6 @@ def test_determinism():
 def test_fed_through_composition_against_handwritten_oracle():
     """The combinator assembly of the fed-through composition equals a
     directly written word function for the same formula."""
-    from weihrauchlab.machines import interleave_words
-
     h_outer = Machine("H'", lambda w: tuple(x + 1 for x in w))
     h_inner = Machine("H", lambda w: tuple(2 * x for x in w))
     k_inner = shift_l()
@@ -299,6 +309,7 @@ def _combined(parts):
         st.tuples(st.just("tensor"), parts, parts),
         st.tuples(st.just("compose"), parts, parts),
         st.tuples(st.just("tuple"), st.lists(parts, max_size=2), parts),
+        st.tuples(st.just("case"), parts, parts),
     )
 
 
@@ -308,7 +319,8 @@ def build(shape) -> Machine:
         return args[0]
     if kind == "tuple":
         return countable_tuple([build(s) for s in args[0]], build(args[1]))
-    combinator = {"pair": pair_machine, "tensor": tensor, "compose": compose}[kind]
+    combinator = {"pair": pair_machine, "tensor": tensor, "compose": compose,
+                  "case": tag_case}[kind]
     return combinator(build(args[0]), build(args[1]))
 
 
@@ -326,6 +338,12 @@ def reference_eval(shape, w):
                                      reference_eval(args[1], second_half(w)))
     if kind == "compose":
         return reference_eval(args[0], reference_eval(args[1], w))
+    if kind == "case":
+        # the tag loop of the hand-written sum machines
+        if len(w) == 0:
+            return ()
+        rest = tuple(w[i] for i in range(1, len(w)))
+        return reference_eval(args[0] if w[0] == 0 else args[1], rest)
     ms, uniform = args
     return emit_rows(lambda n: reference_eval(ms[n] if n < len(ms) else uniform,
                                               RowView(w, n)))
@@ -333,16 +351,28 @@ def reference_eval(shape, w):
 
 LEVEL1 = st.one_of(LEAVES, _combined(LEAVES))
 SHAPES = st.one_of(LEVEL1, _combined(LEVEL1))   # combinator trees two deep
-TREES = SHAPES.map(build)
 WIDE = 256
 
 
+def _has_case(shape) -> bool:
+    kind, *args = shape
+    if kind == "leaf":
+        return False
+    parts = [*args[0], args[1]] if kind == "tuple" else args
+    return kind == "case" or any(map(_has_case, parts))
+
+
 @settings(max_examples=150, deadline=None)
-@given(TREES, POINTS)
-def test_derived_point_action_agrees_with_eval(m, p):
+@given(SHAPES, POINTS)
+def test_derived_point_action_agrees_with_eval(shape, p):
     """A combinator's point action, built from its parts', emits what the
     machine emits, far past the checker's validation window; where the
     action has rows, its rows are the machine's rows."""
+    m = build(shape)
+    # tag_case has no point action, and a tree through it has none
+    assert (m.point is None) == _has_case(shape), m.name
+    if m.point is None:
+        return
     try:
         q = m.point(p)
     except UnsupportedShape:
@@ -522,3 +552,146 @@ def test_row_view_reads_as_pair_addressing(p, width, n):
     assert tuple(r[k] for k in range(len(r))) == want
     with pytest.raises(IndexError):
         r[len(r)]
+
+
+# rewritten machines against the closures they replaced ------------------------
+
+def _retag_reference(w):
+    if len(w) == 0:
+        return ()
+    n = w[0]
+    rest = tuple(w[i] for i in range(1, len(w)))
+    return ((1 if n == 0 else 0),) + rest
+
+
+def _renest_r_reference(w):
+    # right-nested tag stream n.(m.)r -> left-nested
+    if len(w) == 0:
+        return ()
+    n = w[0]
+    rest = tuple(w[i] for i in range(1, len(w)))
+    if n == 0:
+        return (0, 0) + rest
+    if len(rest) == 0:
+        return ()
+    m = rest[0]
+    rr = rest[1:]
+    return ((0, 1) + rr) if m == 0 else ((1,) + rr)
+
+
+def _renest_l_reference(w):
+    # left-nested tag stream (n.m.)r -> right-nested
+    if len(w) == 0:
+        return ()
+    n = w[0]
+    rest = tuple(w[i] for i in range(1, len(w)))
+    if n != 0:
+        return (1, 1) + rest
+    if len(rest) == 0:
+        return ()
+    m = rest[0]
+    rr = rest[1:]
+    return ((0,) + rr) if m == 0 else ((1, 0) + rr)
+
+
+def _strong_sum_reference(h1, h2):
+    def h_fn(w):
+        if len(w) == 0:
+            return ()
+        n, rest = w[0], tuple(w[i] for i in range(1, len(w)))
+        inner = h1 if n == 0 else h2
+        return ((0 if n == 0 else 1),) + tuple(inner.eval(rest))
+    return h_fn
+
+
+def _ordinary_sum_reference(a_h, b_h):
+    def h_fn(w):
+        pq = [w[i] for i in range(0, len(w), 2)]
+        tagged = [w[i] for i in range(1, len(w), 2)]
+        if not tagged:
+            return ()
+        n, rest = tagged[0], tuple(tagged[1:])
+        p_word = tuple(pq[i] for i in range(0, len(pq), 2))
+        q_word = tuple(pq[i] for i in range(1, len(pq), 2))
+        if n == 0:
+            return (0,) + tuple(a_h.eval(interleave_words(p_word, rest)))
+        return (1,) + tuple(b_h.eval(interleave_words(q_word, rest)))
+    return h_fn
+
+
+def _scatter_reference(w):
+    def h_src(t):
+        j, u = pair_decode(t)
+        if u == 0:
+            return 0
+        return 1 + pair_encode(u - 1, j)
+
+    L = len(w)
+    out = []
+    t = 0
+    while t < L:
+        src = h_src(t)
+        if src >= L:
+            break
+        out.append(w[src])
+        t += 1
+    return tuple(out)
+
+
+def _ball_test_reference(cell_count, expected):
+    def h_fn(w):
+        if len(w) < cell_count:
+            return ()
+        seen = tuple(w[i] for i in range(cell_count))
+        verdict = 1 if seen == tuple(expected) else 0
+        return (verdict,) + (0,) * (len(w) - cell_count)
+    return h_fn
+
+
+def _rewritten_machines():
+    """(rewritten machine, the closure it replaced) for each rewrite."""
+    from weihrauchlab.registry import named_witnesses
+
+    entries = named_witnesses()
+
+    def built(name):
+        return entries[name].build()
+
+    out = [(built("sum_comm(lpo,llpo)").H, _retag_reference),
+           (built("sum_assoc(lpo)").H, _renest_r_reference),
+           (built("sum_assoc_rev(lpo)").H, _renest_l_reference),
+           (parallel_sum(llpo_problem(), llpo_problem()).H, _scatter_reference)]
+    for w1, w2 in ((llpo_to_lpo(), id_to_c()),
+                   (reflexivity(lpo_problem()), parallel_extensive(llpo_problem()))):
+        out.append((sum_witness(w1, w2).H, _strong_sum_reference(w1.H, w2.H)))
+    for w1, w2 in ((built("prod_id_elim(lpo)"), llpo_to_lpo()),
+                   (id_to_c(), built("uncyl(llpo_to_lpo)"))):
+        out.append((sum_witness(w1, w2).H,
+                    _ordinary_sum_reference(as_ordinary(w1).H, as_ordinary(w2).H)))
+    data = DiscontinuityData(q=EvPeriodic((), (1,)),
+                             family=lambda n: EvPeriodic((1,) * n + (0,), (1,)),
+                             agree_bound=lambda L: L, cell_count=2, expected=(1, 0))
+    out.append((lpo_from_discontinuity(data, lpo_problem()).H,
+                _ball_test_reference(2, (1, 0))))
+    return out
+
+
+def test_rewritten_machines_emit_what_the_replaced_closures_emitted():
+    """Each machine now built from tag_case and the schedule primitives
+    emits the replaced closure's output, length included, on every word
+    over {0,1,2} up to length 8 and on point prefixes up to width 256."""
+    from itertools import product
+
+    words = [w for n in range(9) for w in product(range(3), repeat=n)]
+    points = any_points(rng_for("rewrites"), 8) + [
+        EvPeriodic((0,), (1, 2)), EvPeriodic((1, 0), (0,)),
+        EvPeriodic((2,), (0, 1)), EvPeriodic((0, 1), (1,)),
+        Interleave(EvPeriodic((0,), (1,)), EvPeriodic((1, 2), (0,)))]
+    widths = list(range(65)) + list(range(72, 257, 8))
+    for m, reference in _rewritten_machines():
+        for w in words:
+            assert m.eval(w) == reference(w), (m.name, w)
+        for p in points:
+            for width in widths:
+                v = PointView(p, width)
+                assert m.eval(v) == reference(v), (m.name, p, width)

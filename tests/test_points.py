@@ -21,6 +21,9 @@ from weihrauchlab.points import (
     pair_decode,
     pair_encode,
     prefix,
+    pulse,
+    pulse_bit,
+    pulse_position,
     row,
     scan_bound,
     subsample,
@@ -253,3 +256,22 @@ def test_subsample_law():
         q = subsample(p, a, b)
         for n in range(120):
             assert q.value_at(n) == p.value_at(a * n + b)
+
+
+def test_pulse_encoding_is_one_rule():
+    """A pulse placed for a bit names that bit, to the encoder, the ternary
+    decoder and LLPO alike, at the first position that can."""
+    from weihrauchlab.problems import llpo_value
+    from weihrauchlab.spaces import TernaryValue, decode_ternary, encode_ternary
+
+    for start in range(12):
+        for bit in (0, 1):
+            pos = pulse_position(start, bit)
+            assert pos in (start, start + 1) and pulse_bit(pos) == bit
+            assert pos == start or pulse_bit(start) != bit
+            name = pulse(pos)
+            assert prefix(name, pos + 3) == (0,) * pos + (1, 0, 0)
+            assert decode_ternary(name) is TernaryValue(bit)
+            assert llpo_value(name) == frozenset({bit})
+    for bit in (0, 1):
+        assert encode_ternary(TernaryValue(bit)) == pulse(pulse_position(0, bit))

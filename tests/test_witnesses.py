@@ -23,7 +23,9 @@ from weihrauchlab.problems import (
     lpo_problem,
 )
 from weihrauchlab.witnesses import (
+    CheckEntry,
     DiscontinuityData,
+    Report,
     Witness,
     as_ordinary,
     check,
@@ -376,3 +378,23 @@ def test_strengthen_requires_matching_cylinder():
     wrong_cyl = reflexivity(lpo_problem())
     with pytest.raises(NotACylinder):
         strengthen_on_cylinder(parallel_extensive(llpo_problem()), wrong_cyl)
+
+
+def test_a_stall_is_unverified_not_a_failure():
+    """Branches that only stalled leave the witness unverified; a definite
+    coordinate or an error anywhere still makes the verdict FAIL.  passed
+    and failures() keep their meaning."""
+    stall = CheckEntry("p", 0, "stall", note="only 3 symbols")
+    ok = CheckEntry("p", 1, "pass")
+    rep = Report("w", 24, [ok, stall, stall])
+    assert not rep.passed and rep.failures() == [stall, stall]
+    assert rep.unverified
+    assert rep.verdict() == "UNVERIFIED (2/3 branches stall at fuel)"
+    for bad in (CheckEntry("p", 2, "fail", coordinate=5),
+                CheckEntry("q", -1, "error", note="K mirror mismatch"),
+                CheckEntry("q", -1, "fail", note="K image outside dom(lpo)")):
+        rep = Report("w", 24, [stall, bad])
+        assert not rep.unverified
+        assert rep.verdict().startswith("FAIL (2/2 branches, first stall")
+    assert not Report("w", 24, [ok]).unverified
+    assert not Report("w", 24, []).unverified
