@@ -27,6 +27,9 @@ stands.  The schedules of index and symbol machines, src(j) and
 needs(j), do not depend on the input, so each such machine caches its
 emitted length per input length, and a caller that needs a length or a
 single symbol reads output_view instead of eval (the swap search does).
+identity, the index machines and composes of them carry their index law
+as src, which lets the checker decide a copying H without running it on
+every oracle behavior.
 A RowView computes its length in closed form and, over a prefix of a
 point that holds its rows, reads that row point directly instead of
 going through the pairing.
@@ -219,6 +222,8 @@ class Machine:
     # its own fn, that view materialized, so that profiles and traces
     # attribute each evaluation to the combinator by fn's qualified name.
     view: Optional[Callable] = None
+    # the index law: output symbol j is input symbol src(j), on every input
+    src: Optional[Callable] = None
 
     def eval(self, w) -> Word:
         return self.fn(w)
@@ -266,7 +271,7 @@ def identity() -> Machine:
 
     def fn(w):
         return tuple(view(w))
-    return Machine("id", fn, point=lambda p: p, view=view)
+    return Machine("id", fn, point=lambda p: p, view=view, src=lambda j: j)
 
 
 def proj1() -> Machine:
@@ -324,10 +329,12 @@ def compose(outer: Machine, inner: Machine) -> Machine:
 
     def fn(w):
         return outer.eval(output_view(inner, w))
+    src = (None if outer.src is None or inner.src is None
+           else lambda j: inner.src(outer.src(j)))
     return Machine(f"{outer.name}.{inner.name}", fn,
                    point=_lifted(lambda p: outer.point(inner.point(p)),
                                  outer, inner),
-                   view=None if outer.view is None else view)
+                   view=None if outer.view is None else view, src=src)
 
 
 def compose_all(*ms: Machine) -> Machine:
@@ -423,7 +430,7 @@ def index_machine(name: str, src: Callable, rows: Callable = None,
         return LawPoint(fn=lambda i: p.value_at(src(i)),
                         row_fn=rows(p) if rows else None, label=name)
 
-    return Machine(name, fn, point=point or law, view=view)
+    return Machine(name, fn, point=point or law, view=view, src=src)
 
 
 def symbol_machine(name: str, sym: Callable, needs: Callable,

@@ -76,6 +76,11 @@ class ValueSet:
         """Exact finite member list, when one is finitely presentable."""
         raise NonRepresentable(f"{type(self).__name__} has no finite member list")
 
+    def boxes(self) -> Optional[tuple]:
+        """The coordinate boxes (CoordProductSets) whose union this set is,
+        when it is a finite union of them; else None."""
+        return None
+
 
 @dataclass(frozen=True)
 class FiniteNatsSet(ValueSet):
@@ -183,6 +188,9 @@ class CoordProductSet(ValueSet):
 
     def canonical_bit(self, i: int) -> int:
         return min(self.bits(i))
+
+    def boxes(self):
+        return (self,)
 
     def canonical(self) -> Point:
         return LawPoint(fn=self.canonical_bit, label="product-canonical")
@@ -448,6 +456,44 @@ class UnionSet(ValueSet):
         for part in self.parts:
             out.extend(part.members(cap))
         return out
+
+    def boxes(self):
+        parts = [part.boxes() for part in self.parts]
+        if any(b is None for b in parts):
+            return None
+        return tuple(itertools.chain.from_iterable(parts))
+
+
+def image_in_boxes(source: CoordProductSet, src: Callable, boxes: tuple,
+                   depth: int, cap: int) -> bool:
+    """Whether the word (r(src(0)), ..., r(src(depth - 1))) lies in some box
+    for every behavior r of source below depth, a box holding a word when
+    it allows each of its symbols: an H that copies by src maps every
+    oracle answer into the union of boxes.
+
+    r ranges over the behaviors explore runs on: free coordinates below
+    depth take either bit, every other coordinate its canonical bit.  With
+    src injective below depth the output positions choose independently,
+    so one pass over them decides, its state the set of boxes that still
+    hold the word read so far (a bit mask).  False means not proven: some
+    behavior leaves every box, src repeats a coordinate below depth, or
+    the states outgrow cap.
+    """
+    coords = [src(i) for i in range(depth)]
+    if not boxes or len(set(coords)) < depth:
+        return False
+    states = {(1 << len(boxes)) - 1}
+    for i, c in enumerate(coords):
+        if c < depth and len(source.bits(c)) == 2:
+            bits = (0, 1)
+        else:
+            bits = (source.canonical_bit(c),)
+        masks = [sum(1 << k for k, box in enumerate(boxes) if x in box.bits(i))
+                 for x in bits]
+        states = {s & m for s in states for m in masks}
+        if 0 in states or len(states) > cap:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

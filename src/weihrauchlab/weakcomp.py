@@ -268,6 +268,7 @@ def right_value_set(tables: TruthTableFamily, p: Point, depth: int) -> set:
 
 def llpo_swap(m: Machine, p: Point, depth: int) -> SwapResult:
     """Move a computable machine past the parallelized oracle on one input."""
+    p = rows_of(p)
     compact = compact_image(p)
     mod = modulus(m, compact, depth)
     tables = extract_tables(m, compact, mod, depth)

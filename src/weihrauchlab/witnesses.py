@@ -4,7 +4,10 @@ A Witness claims f <= g (ordinary) or f <=sW g (strong) via an input
 translation K and an output translation H.  The checker replays the claim
 against every canonical oracle behavior of g at K(p) for each corpus name
 p, forking an oracle coordinate only where H reads it: a reported failure
-pins a definite coordinate, a pass is sound to the checked depth.  The
+pins a definite coordinate, a pass is sound to the checked depth.  A
+strong witness whose H only copies coordinates is decided without forking
+where the answers form boxes: H(G(K(p))) within F(p) is then an inclusion
+of coordinate boxes.  The
 point action of K (k_point, taken from K.point) lets the oracle's value
 set be computed on a finitely presented name; it is validated against the
 machine on a sampled prefix window at every check.
@@ -65,11 +68,13 @@ from .points import (
 )
 from .problems import (
     BEHAVIOR_CAP,
+    CoordProductSet,
     Problem,
     c_problem,
     double_hat_problem,
     hat_problem,
     id_problem,
+    image_in_boxes,
     llpo_hat_problem,
     llpo_problem,
     llpo_real_problem,
@@ -160,7 +165,14 @@ def check(w: Witness, corpus, depth: int = 16, cap: int = BEHAVIOR_CAP,
 
     The oracle's behaviors are explored along H's reads (ValueSet.explore):
     an entry stands for every behavior that agrees with its run on the
-    coordinates it read, and its behavior index is the least of them."""
+    coordinates it read, and its behavior index is the least of them.
+
+    A strong witness whose H copies by an index law, from a coordinate
+    product into a union of boxes, is first decided by box inclusion
+    (problems.image_in_boxes) once one real run of H is productive and
+    copies as its law says.  A proven inclusion is one passing entry that
+    stands for every behavior (use=(), note="inclusion"); otherwise the
+    behaviors are explored as above."""
     report = Report(w.name, depth)
     for p in corpus:
         try:
@@ -181,6 +193,10 @@ def check(w: Witness, corpus, depth: int = 16, cap: int = BEHAVIOR_CAP,
                                              note=f"K image outside dom({w.g.name})"))
             continue
         gv = w.g.value_set(q)
+        if _included(w, fv, gv, depth, cap, fuel):
+            report.entries.append(CheckEntry(label, 0, "pass", use=(),
+                                             note="inclusion"))
+            continue
 
         def run(r, p=p):
             feed = r if w.strong else Interleave(p, r)
@@ -198,6 +214,22 @@ def check(w: Witness, corpus, depth: int = 16, cap: int = BEHAVIOR_CAP,
             else:
                 report.entries.append(CheckEntry(label, bi, "pass", use=use))
     return report
+
+
+def _included(w: Witness, fv, gv, depth: int, cap: int, fuel) -> bool:
+    """H(G(K(p))) within F(p) below depth, decided without forking: H is
+    strong and copies by its index law, G's value set is a coordinate
+    product, F's a union of boxes, and H's run on G's canonical answer is
+    productive and reads as the law says."""
+    src = w.H.src
+    if not (w.strong and src is not None and isinstance(gv, CoordProductSet)):
+        return False
+    boxes = fv.boxes()
+    if boxes is None or not image_in_boxes(gv, src, boxes, depth, cap):
+        return False
+    outcome = run_on_point(w.H, gv.canonical(), depth, fuel)
+    return outcome.productive and outcome.output == tuple(
+        gv.canonical_bit(src(i)) for i in range(depth))
 
 
 # ---------------------------------------------------------------------------

@@ -156,6 +156,15 @@ def test_cli_swap(capsys):
     assert "agree" in out
 
 
+def test_cli_swap_on_a_pair_literal(capsys):
+    """A pair literal names an llpo_hat instance by its row normal form."""
+    code = main(["swap", "--machine", "swap2",
+                 "--point", "pair(evp(1;0),evp(;0))"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "sides agree" in out
+
+
 def test_cli_swap_capacity_exit(capsys):
     code = main(["swap", "--machine", "identity",
                  "--point", "rows(default=evp(0 5;0);0:evp(;0))",
@@ -237,6 +246,15 @@ def test_cli_check_stall_is_unverified(capsys):
     out = capsys.readouterr().out
     assert code == 3
     assert out == "wkl_to_llpo_hat: UNVERIFIED (200/200 branches stall at fuel)\n"
+
+
+def test_cli_check_copying_witnesses_deep(capsys):
+    """A copying H is decided by box inclusion, so depth 64 passes where
+    forking every oracle coordinate hits the behavior cap."""
+    for name in ("llpo_hat_to_compact", "llpo_hat_squared"):
+        code = main(["check", name, "--depth", "64"])
+        assert capsys.readouterr().out == f"{name}: PASS (verified to depth 64)\n"
+        assert code == 0
 
 
 def test_suite_full_output_is_pinned(capsys):

@@ -2,12 +2,27 @@
 checker it replaced is kept here as the reference it must agree with."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weihrauchlab.corpus import rng_for
 from weihrauchlab.errors import CapacityExceeded, OutOfDomain
-from weihrauchlab.machines import Machine, PointView, identity, run_on_point
+from weihrauchlab.machines import (
+    Machine,
+    PointView,
+    identity,
+    index_machine,
+    run_on_point,
+    shift_l,
+)
 from weihrauchlab.points import EvPeriodic, Interleave, RowTuple, prefix
-from weihrauchlab.problems import BEHAVIOR_CAP, llpo_hat_problem
+from weihrauchlab.problems import (
+    BEHAVIOR_CAP,
+    CoordProductSet,
+    Problem,
+    UnionSet,
+    llpo_hat_problem,
+)
 from weihrauchlab.registry import corrupted_witnesses, named_witnesses
 from weihrauchlab.witnesses import (
     VALIDATE_WIDTH,
@@ -167,3 +182,94 @@ def test_capacity_counts_one_run_not_every_free_coordinate():
     report = check(w, corpus, depth=20)
     assert report.passed
     assert max(len(e.use) for e in report.entries) <= 12
+
+
+# deciding a copying H by box inclusion ---------------------------------------
+
+WIDTH = 16      # the coordinates a random box or index law names
+BITS = st.sampled_from([frozenset({0}), frozenset({1}), frozenset({0, 1})])
+
+
+def _box(bits):
+    return CoordProductSet(lambda i: bits[i] if i < len(bits) else frozenset({0}))
+
+
+SOURCES = st.lists(BITS, min_size=WIDTH, max_size=WIDTH).map(_box)
+# a target box allows both bits at most coordinates, so that inclusion
+# holds often at every depth; it may be empty at a coordinate
+BOXES = st.lists(st.sampled_from([frozenset({0, 1})] * 8 + [
+    frozenset({0}), frozenset({1}), frozenset()]),
+    min_size=WIDTH, max_size=WIDTH).map(_box)
+TARGETS = st.one_of(BOXES, st.lists(BOXES, min_size=1, max_size=3).map(UnionSet))
+
+
+@st.composite
+def index_laws(draw):
+    """A depth and the coordinates an index law copies below it, injective
+    or not; past the depth the law reads WIDTH + j."""
+    depth = draw(st.integers(0, 12))
+    coords = st.integers(0, WIDTH - 1)
+    srcs = draw(st.lists(coords, min_size=depth, max_size=depth, unique=True)
+                | st.lists(coords, min_size=depth, max_size=depth))
+    return depth, srcs
+
+
+def _copying_witness(source, target, depth, srcs):
+    g = Problem("source", lambda p: True, lambda p: source)
+    f = Problem("target", lambda p: True, lambda p: target)
+    h = index_machine("law", lambda j: srcs[j] if j < depth else WIDTH + j)
+    return Witness(f, g, identity(), h, True, name="copying")
+
+
+@settings(max_examples=150, deadline=None)
+@given(SOURCES, TARGETS, index_laws())
+def test_inclusion_decides_as_the_reference(source, target, law):
+    """check decides by inclusion exactly when the law is injective and the
+    reference passes; decided or explored, it agrees with the reference."""
+    depth, srcs = law
+    w = _copying_witness(source, target, depth, srcs)
+    name = EvPeriodic((), (0,))
+    got = check(w, [name], depth=depth)
+    decided = [e for e in got.entries if e.note == "inclusion"]
+    want = reference_check(w, [name], depth)
+    assert bool(decided) == (want.passed and len(set(srcs)) == depth)
+    if decided:
+        assert [(e.behavior, e.use, e.status) for e in got.entries] == [
+            (0, (), "pass")]
+    assert_agrees(w, [name], depth)
+
+
+def test_a_repeating_index_law_is_explored():
+    hat = llpo_hat_problem()
+    twice = index_machine("twice", lambda j: j // 2)
+    w = Witness(hat, hat, identity(), twice, True, name="twice")
+    all_free = RowTuple({}, EvPeriodic((), (0,)))
+    got = check(w, [all_free], depth=8)
+    assert got.passed
+    assert all(e.note != "inclusion" and e.use for e in got.entries)
+    assert_agrees(w, [all_free], 8)
+
+
+def test_an_ordinary_witness_is_explored():
+    """An ordinary H reads the instance interleaved with the answer; this
+    one copies the instance, whose symbol 5 no answer allows."""
+    hat = llpo_hat_problem()
+    instance = index_machine("instance", lambda j: 2 * j)
+    w = Witness(hat, hat, identity(), instance, False, name="instance")
+    name = RowTuple({0: EvPeriodic((5,), (0,))}, EvPeriodic((), (0,)))
+    got = check(w, [name], depth=8)
+    assert first_failure(got) == ("fail", 0, 0)
+    assert_agrees(w, [name], 8)
+
+
+def test_inclusion_rejects_a_shift_out_of_the_box():
+    """The shift copies free row 4 into coordinate 3, which row 3 forces
+    to 0: the box is left there on every behavior with row 4 at 1."""
+    hat = llpo_hat_problem()
+    w = Witness(hat, hat, identity(), shift_l(), True, name="shifted")
+    zero = EvPeriodic((0, 1), (0,))     # a pulse at 1: the answer 0
+    name = RowTuple({1: zero, 2: zero, 3: zero}, EvPeriodic((), (0,)))
+    got = check(w, [name], depth=8)
+    assert not got.passed
+    assert first_failure(got) == first_failure(reference_check(w, [name], 8))
+    assert first_failure(got) == ("fail", 3, 8)

@@ -282,24 +282,28 @@ def _leaf(m, reference):
     return ("leaf", m, reference)
 
 
+# the leaves that copy by an index law; index machines come with a row
+# law as the parallelization witnesses build them
+INDEX_LEAVES = [
+    _leaf(identity(), lambda w: tuple(w)),
+    _leaf(shift_l(), lambda w: tuple(w[i] for i in range(1, len(w)))),
+    *(_leaf(k, _index_reference(k)) for k in (
+        index_machine("evens", lambda i: 2 * i),
+        parallel_absorb(llpo_problem())[0].K,
+        parallel_idem(llpo_problem())[0].K,
+        parallel_product(lpo_problem(), llpo_problem())[1].K))]
 # A tree is a shape: ("leaf", machine, eager fn) or (combinator, parts...);
 # build gives its machine, reference_eval its eager evaluation.
 LEAVES = st.one_of(
     st.sampled_from([
-        _leaf(identity(), lambda w: tuple(w)),
-        _leaf(shift_l(), lambda w: tuple(w[i] for i in range(1, len(w)))),
+        *INDEX_LEAVES[:2],
         _leaf(proj1(), lambda w: tuple(first_half(w))),
         _leaf(proj2(), lambda w: tuple(second_half(w))),
         _leaf(diag(), _diag_reference),
     ]),
     st.builds(lambda s: _leaf(inject(s), lambda w: (s,) + tuple(w)), SYMS),
     st.builds(lambda q: _leaf(const_machine(q), lambda w: prefix(q, len(w))), EVP),
-    # index machines, with a row law as the parallelization witnesses build them
-    st.sampled_from([_leaf(k, _index_reference(k)) for k in (
-        index_machine("evens", lambda i: 2 * i),
-        parallel_absorb(llpo_problem())[0].K,
-        parallel_idem(llpo_problem())[0].K,
-        parallel_product(lpo_problem(), llpo_problem())[1].K)]),
+    st.sampled_from(INDEX_LEAVES[2:]),
 )
 
 
@@ -351,7 +355,19 @@ def reference_eval(shape, w):
 
 LEVEL1 = st.one_of(LEAVES, _combined(LEAVES))
 SHAPES = st.one_of(LEVEL1, _combined(LEVEL1))   # combinator trees two deep
+# composes of index-law leaves, which SHAPES draws rarely
+INDEX_CHAINS = st.recursive(
+    st.sampled_from(INDEX_LEAVES),
+    lambda parts: st.tuples(st.just("compose"), parts, parts), max_leaves=4)
 WIDE = 256
+
+
+def _has_index_law(shape) -> bool:
+    """identity, the index machines and composes of them copy by src."""
+    kind, *args = shape
+    if kind == "leaf":
+        return any(shape is leaf for leaf in INDEX_LEAVES)
+    return kind == "compose" and all(map(_has_index_law, args))
 
 
 def _has_case(shape) -> bool:
@@ -433,15 +449,20 @@ def test_witness_refuses_a_K_without_point_action():
 # demand-driven evaluation ---------------------------------------------------
 
 @settings(max_examples=200, deadline=None)
-@given(SHAPES, POINTS)
+@given(SHAPES | INDEX_CHAINS, POINTS)
 def test_views_evaluate_as_the_eager_reference(shape, p):
     """eval returns what the eager evaluation returned; a view has eval's
-    length and symbols, read in any order, and nothing past them."""
+    length and symbols, read in any order, and nothing past them.  Exactly
+    the index-law machines have src, and output symbol j is input symbol
+    src(j)."""
     m = build(shape)
+    assert (m.src is not None) == _has_index_law(shape), m.name
     for width in (0, 1, 16, 64, 256):
         w = PointView(p, width)
         out = m.eval(w)
         assert out == reference_eval(shape, w), (m.name, width)
+        if m.src is not None:
+            assert out == tuple(w[m.src(j)] for j in range(len(out))), m.name
         if m.view is None:
             continue
         v = m.view(w)
