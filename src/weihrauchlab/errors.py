@@ -55,3 +55,8 @@ class NonConvergent(WorkbenchError):
 
 class ParseError(WorkbenchError):
     """A literal could not be parsed."""
+
+
+class Stalled(FuelExhausted):
+    """A run cannot emit its next symbol within the input symbols its fuel
+    lets it read."""

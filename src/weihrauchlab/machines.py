@@ -1,11 +1,12 @@
 """Monotone word machines: the effective layer.
 
 A Machine is a pure function from a finite input prefix to a finite output
-prefix, monotone under the prefix order.  The stream function it induces is
-the limit over ever longer input prefixes; run_on_point performs that
-widening.  Evaluation receives prefix *views* (length plus indexing), which
-lets machines with sparse access patterns run on very long prefixes of
-lazily evaluated points without materializing them.
+prefix, monotone under the prefix order.  The stream function it induces
+reads its input on demand: run_on_point reads depth symbols of a
+machine's output over an unbounded view of the point, and its fuel counts
+the input symbols that read.  Evaluation receives prefix *views* (length
+plus indexing), which lets machines with sparse access patterns run on
+very long prefixes of lazily evaluated points without materializing them.
 
 Evaluation is demand-driven.  Each primitive defines its output once, as
 a view: a length known from the input's length alone, and an indexer.
@@ -20,19 +21,25 @@ its tag selects the rest of the input as a view.  So a composite
 computes only the inner symbols its outer stages read.  A symbol no
 stage reads is never computed, and an exception computing it would raise
 does not surface; this is the composed stream function's own semantics.
-The hand-written Machine(name, fn)s that remain are searches and per-row
-replays, whose output length depends on the symbols they read; they and
-countable_tuple have no view, and their output is materialized as it
-stands.  The schedules of index and symbol machines, src(j) and
-needs(j), do not depend on the input, so each such machine caches its
-emitted length per input length, and a caller that needs a length or a
-single symbol reads output_view instead of eval (the swap search does).
+The schedules of index and symbol machines, src(j) and needs(j), do not
+depend on the input, so each such machine caches its emitted length per
+input length, and a caller that needs a length or a single symbol reads
+output_view instead of eval (the swap search does).
 identity, the index machines and composes of them carry their index law
 as src, which lets the checker decide a copying H without running it on
 every oracle behavior.
 A RowView computes its length in closed form and, over a prefix of a
 point that holds its rows, reads that row point directly instead of
 going through the pairing.
+
+A view over an unbounded input has no length (View.length is None), and
+neither has any view built on it: index machine j is then one read of
+src(j).  Searches that emit their symbols in order (stream_machine)
+pull them as they are read.  The hand-written Machine(name, fn)s that remain
+are defined by their window width, and output_view reads them over an
+unbounded input as the limit of eval over windows that double from 16 up
+to the fuel; over a point the windows are PointViews, and their whole
+width counts as read.
 
 A machine may also carry its point action: a function from a finitely
 presented point to a finitely presented point whose prefixes the machine
@@ -46,9 +53,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional, Sequence
+from itertools import count, islice
+from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import UnsupportedShape
+from .errors import Stalled, UnsupportedShape
 from .points import (
     Interleave,
     LawPoint,
@@ -66,23 +74,41 @@ from .points import (
     rows_of,
 )
 
+# input symbols a run may read before it has emitted its depth
 DEFAULT_FUEL = 10 ** 6
 
 
 # ---------------------------------------------------------------------------
 # prefix views
 
-class PointView:
+class View:
+    """A word read by index.  length is None when the view is unbounded:
+    it has no len(), and only a machine that reads on demand takes one."""
+
+    __slots__ = ("length",)
+
+    def __len__(self):
+        if self.length is None:
+            raise TypeError("an unbounded view has no length")
+        return self.length
+
+    def __bool__(self):
+        return self.length != 0
+
+
+def extent(w) -> Optional[int]:
+    """len(w), or None when w is an unbounded view."""
+    return w.length if isinstance(w, View) else len(w)
+
+
+class PointView(View):
     """Length-bounded view of a point's prefix; values computed on demand."""
 
-    __slots__ = ("point", "length")
+    __slots__ = ("point",)
 
     def __init__(self, point: Point, length: int):
         self.point = point
         self.length = length
-
-    def __len__(self):
-        return self.length
 
     def __getitem__(self, i):
         if i < 0 or i >= self.length:
@@ -90,28 +116,67 @@ class PointView:
         return self.point.value_at(i)
 
 
-class StrideView:
+class ReadView(View):
+    """The whole of a point, unbounded, counting the input symbols read:
+    each distinct coordinate once, and a window's whole width when a
+    machine defined by its window evaluates on one (charge).  A read that
+    would take the count past fuel raises Stalled."""
+
+    __slots__ = ("point", "fuel", "window", "seen")
+
+    def __init__(self, point: Point, fuel: int = DEFAULT_FUEL):
+        self.length = None
+        self.point = point
+        self.fuel = fuel
+        self.window = 0         # coordinates below it count as read
+        self.seen = set()       # coordinates read at or above the window
+
+    @property
+    def reads(self) -> int:
+        return self.window + len(self.seen)
+
+    def __getitem__(self, i):
+        if i < self.window:
+            if i < 0:
+                raise IndexError(i)
+        elif i not in self.seen:
+            if self.reads >= self.fuel:
+                raise Stalled(f"a run reads more than {self.fuel} input symbols")
+            self.seen.add(i)
+        return self.point.value_at(i)
+
+    def charge(self, width: int):
+        """Count the first width coordinates as read."""
+        if width <= self.window:
+            return
+        seen = self.seen
+        if seen:
+            seen = {i for i in seen if i >= width}
+        if width + len(seen) > self.fuel:
+            raise Stalled(f"a run reads more than {self.fuel} input symbols")
+        self.window, self.seen = width, seen
+
+
+class StrideView(View):
     """Every stride-th symbol starting at offset (component of a pair)."""
 
-    __slots__ = ("base", "stride", "offset", "length")
+    __slots__ = ("base", "stride", "offset")
 
     def __init__(self, base, stride: int, offset: int):
         self.base = base
         self.stride = stride
         self.offset = offset
-        n = len(base)
-        self.length = 0 if n <= offset else (n - offset + stride - 1) // stride
-
-    def __len__(self):
-        return self.length
+        n = extent(base)
+        self.length = (None if n is None else
+                       0 if n <= offset else (n - offset + stride - 1) // stride)
 
     def __getitem__(self, i):
-        if i < 0 or i >= self.length:
+        if i < 0 or (self.length is not None and i >= self.length):
             raise IndexError(i)
         return self.base[self.offset + self.stride * i]
 
 
-class RowView:
+class RowView(View):
     """The n-th row of a tupled word under the global pairing.
 
     Its length, the number of k with <n,k> below the base's length, is
@@ -119,20 +184,18 @@ class RowView:
     (points.row_form), symbol k is read from that row point directly;
     every other base is read at <n,k>."""
 
-    __slots__ = ("base", "n", "length", "row_point")
+    __slots__ = ("base", "n", "row_point")
 
     def __init__(self, base, n: int):
         self.base = base
         self.n = n
-        self.length = row_length(len(base), n)
+        L = extent(base)
+        self.length = None if L is None else row_length(L, n)
         self.row_point = (row_form(base.point, n) if isinstance(base, PointView)
                           else None)
 
-    def __len__(self):
-        return self.length
-
     def __getitem__(self, k):
-        if k < 0 or k >= self.length:
+        if k < 0 or (self.length is not None and k >= self.length):
             raise IndexError(k)
         if self.row_point is not None:
             return self.row_point.value_at(k)
@@ -145,24 +208,21 @@ class RowView:
         return (base[pair_encode(n, k)] for k in range(self.length))
 
 
-class LazyWord:
+class LazyWord(View):
     """A machine's output as a view: symbol i is at(i), computed on its
     first read and memoized; the memo is freed with the view."""
 
-    __slots__ = ("length", "at", "memo")
+    __slots__ = ("at", "memo")
 
-    def __init__(self, length: int, at: Callable):
+    def __init__(self, length: Optional[int], at: Callable):
         self.length = length
         self.at = at
         self.memo = {}
 
-    def __len__(self):
-        return self.length
-
     def __getitem__(self, i):
         v = self.memo.get(i)
         if v is None:
-            if i < 0 or i >= self.length:
+            if i < 0 or (self.length is not None and i >= self.length):
                 raise IndexError(i)
             v = self.memo[i] = self.at(i)
         return v
@@ -170,6 +230,75 @@ class LazyWord:
     def __iter__(self):
         # read in full from the start, each symbol is computed once anyway
         return map(self.__getitem__ if self.memo else self.at, range(self.length))
+
+
+class Stream(View):
+    """An unbounded output read in order: the symbols found so far are
+    kept in memo, and fill(n) finds them up to n or raises Stalled,
+    keeping those it found."""
+
+    __slots__ = ("memo",)
+
+    def __getitem__(self, i):
+        if i < 0:
+            raise IndexError(i)
+        if i >= len(self.memo):
+            self.fill(i + 1)
+        return self.memo[i]
+
+
+class Search(Stream):
+    """The symbols an iterator yields, pulled as they are read.  An
+    iterator that ends has stalled: its machine waits on its input
+    forever."""
+
+    __slots__ = ("symbols",)
+
+    def __init__(self, symbols: Iterator):
+        self.length = None
+        self.symbols = symbols
+        self.memo = []
+
+    def fill(self, n: int):
+        memo = self.memo
+        memo.extend(islice(self.symbols, n - len(memo)))
+        if len(memo) < n:
+            raise Stalled(f"no output symbol {len(memo)} on any input read")
+
+
+class Windowed(Stream):
+    """The output of a machine defined by its window width, on an
+    unbounded view: the limit of eval over windows of the view that double
+    from 16 up to the fuel, the fuel of the run over a point and the
+    machine's own otherwise.  Over a point each window is a PointView,
+    charged as read in full; any other view is read through."""
+
+    __slots__ = ("m", "w", "fuel", "width")
+
+    def __init__(self, m, w):
+        self.length = None
+        self.m = m
+        self.w = w
+        self.fuel = w.fuel if isinstance(w, ReadView) else m.fuel
+        self.width = 0
+        self.memo = ()
+
+    def fill(self, n: int):
+        w, fuel = self.w, self.fuel
+        on_point = isinstance(w, ReadView)
+        while len(self.memo) < n:
+            if self.width >= fuel:
+                raise Stalled(f"no output symbol {len(self.memo)} on a window "
+                              f"of {fuel} input symbols")
+            width = self.width = min(2 * self.width if self.width else 16, fuel)
+            if on_point:
+                w.charge(width)
+                window = PointView(w.point, width)
+            else:
+                window = LazyWord(width, w.__getitem__)
+            out = self.m.eval(window)
+            if len(out) > len(self.memo):
+                self.memo = out
 
 
 def first_half(w):
@@ -182,8 +311,9 @@ def second_half(w):
 
 def interleave(a, b) -> LazyWord:
     """The view alternating a and b, as long as both parts allow."""
-    return LazyWord(min(2 * len(a), 2 * len(b) + 1),
-                    lambda i: b[i // 2] if i % 2 else a[i // 2])
+    la, lb = extent(a), extent(b)
+    length = None if la is None or lb is None else min(2 * la, 2 * lb + 1)
+    return LazyWord(length, lambda i: b[i // 2] if i % 2 else a[i // 2])
 
 
 def emit_rows(row_of: Callable, bound: Optional[int] = None) -> Word:
@@ -233,29 +363,38 @@ class Machine:
 
 
 def output_view(m: Machine, w):
-    """m's output on w as a view: lazy where m has a view, else its eval."""
-    return m.eval(w) if m.view is None else m.view(w)
+    """m's output on w as a view: lazy where m has a view, else its eval;
+    over an unbounded w, a machine without a view is read through windows
+    (Windowed)."""
+    if m.view is not None:
+        return m.view(w)
+    return m.eval(w) if extent(w) is not None else Windowed(m, w)
 
 
 @dataclass
 class EvalOutcome:
     output: Word
     productive: bool
+    # the input symbols the run read
     width: int = 0
 
 
 def run_on_point(m: Machine, p: Point, depth: int, fuel: int = None) -> EvalOutcome:
-    """Widen the input prefix geometrically until depth symbols are emitted."""
-    budget = m.fuel if fuel is None else fuel
-    width = min(16, budget)
-    out = ()
-    while True:
-        out = m.eval(PointView(p, width))
-        if len(out) >= depth:
-            return EvalOutcome(tuple(out[:depth]), True, width)
-        if width >= budget:
-            return EvalOutcome(tuple(out), False, width)
-        width = min(width * 2, budget)
+    """Read depth symbols of m's output on p, over a view of p that counts
+    the input symbols read.  A run that needs more than fuel of them before
+    it has depth symbols stalls: it is not productive, and its output is
+    the symbols emitted before."""
+    v = ReadView(p, m.fuel if fuel is None else fuel)
+    out = None
+    try:
+        view = output_view(m, v)
+        # read in order, so that a stall keeps the symbols read before it
+        out = (view if isinstance(view, Stream)
+               else Search(map(view.__getitem__, count())))
+        out.fill(depth)
+    except Stalled:
+        return EvalOutcome(() if out is None else tuple(out.memo), False, v.reads)
+    return EvalOutcome(tuple(out.memo[:depth]), True, v.reads)
 
 
 # primitives ----------------------------------------------------------------
@@ -288,7 +427,8 @@ def proj2() -> Machine:
 
 def diag() -> Machine:
     def view(w):
-        return LazyWord(2 * len(w), lambda i: w[i // 2])
+        n = extent(w)
+        return LazyWord(None if n is None else 2 * n, lambda i: w[i // 2])
 
     def fn(w):
         return tuple(view(w))
@@ -348,7 +488,7 @@ def tag_case(zero: Machine, other: Machine) -> Machine:
     """Copairing for a tagged union: read the tag, symbol 0, then run zero
     (tag 0) or other (any other tag) on the rest of the input."""
     def view(w):
-        if len(w) == 0:
+        if extent(w) == 0:
             return ()
         branch = zero if w[0] == 0 else other
         return output_view(branch, StrideView(w, 1, 1))
@@ -395,10 +535,14 @@ def _emit_budget(length: int) -> int:
 def _emit_lengths(ready: Callable) -> Callable:
     """Input length L -> the least j within the budget at which ready(j, L)
     fails: the closed prefix an input-independent schedule emits.  Cached
-    per input length for the machine's lifetime; only lengths are kept."""
+    per input length for the machine's lifetime; only lengths are kept.
+    An unbounded input (L None) has every symbol ready: the output is
+    unbounded too."""
     lengths: dict = {}
 
     def length(L):
+        if L is None:
+            return None
         n = lengths.get(L)
         if n is None:
             cap = _emit_budget(L)
@@ -412,8 +556,9 @@ def _emit_lengths(ready: Callable) -> Callable:
 
 def index_machine(name: str, src: Callable, rows: Callable = None,
                   point: Callable = None) -> Machine:
-    """Output symbol j is input symbol src(j); emits the longest closed
-    prefix within the evaluation budget.
+    """Output symbol j is input symbol src(j).  Over a finite input it
+    emits the longest closed prefix within the evaluation budget, over an
+    unbounded one every symbol, each a single read of src(j).
 
     The point action reads the input at src(i); rows, given the input
     point, returns the row law of the output when it has row structure.
@@ -421,7 +566,7 @@ def index_machine(name: str, src: Callable, rows: Callable = None,
     length = _emit_lengths(lambda j, L: src(j) < L)
 
     def view(w):
-        return LazyWord(length(len(w)), lambda j: w[src(j)])
+        return LazyWord(length(extent(w)), lambda j: w[src(j)])
 
     def fn(w):
         return tuple(view(w))
@@ -436,15 +581,29 @@ def index_machine(name: str, src: Callable, rows: Callable = None,
 def symbol_machine(name: str, sym: Callable, needs: Callable,
                    point: Callable = None) -> Machine:
     """Output symbol j is sym(w, j), emitted once len(w) >= needs(j),
-    within the evaluation budget.  Its point action, if any, is given."""
+    within the evaluation budget; over an unbounded input every symbol is
+    emitted.  Its point action, if any, is given."""
     length = _emit_lengths(lambda j, L: needs(j) <= L)
 
     def view(w):
-        return LazyWord(length(len(w)), partial(sym, w))
+        return LazyWord(length(extent(w)), partial(sym, w))
 
     def fn(w):
         return tuple(view(w))
     return Machine(name, fn, point=point, view=view)
+
+
+def stream_machine(name: str, symbols: Callable) -> Machine:
+    """A search that emits in order what the iterator symbols(w) yields,
+    reading w as it goes: over a finite view all it yields, over an
+    unbounded one a Search, whose symbols are pulled as they are read."""
+    def view(w):
+        it = symbols(w)
+        return Search(it) if extent(w) is None else tuple(it)
+
+    def fn(w):
+        return tuple(symbols(w))
+    return Machine(name, fn, view=view)
 
 
 def const_machine(q: Point, name: str = None) -> Machine:

@@ -16,6 +16,7 @@ machine on a sampled prefix window at every check.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Callable, Optional
 
 from .errors import MiddleMismatch, NotACylinder, OutOfDomain, WorkbenchError
@@ -23,23 +24,27 @@ from .literals import point_str
 from .machines import (
     Machine,
     PointView,
+    ReadView,
     RowView,
     compose,
     compose_all,
     const_machine,
     countable_tuple,
     diag,
+    extent,
     first_half,
     identity,
     index_machine,
     inject,
-    interleave_words,
+    interleave,
+    output_view,
     pair_machine,
     proj1,
     proj2,
     run_on_point,
     second_half,
     shift_l,
+    stream_machine,
     symbol_machine,
     tag_case,
     tensor,
@@ -418,41 +423,44 @@ def parallelize_witness(w: Witness) -> Witness:
     k = countable_tuple([], w.K)
 
     if w.strong:
-        def h_fn(wd):
-            out = []
-            kk = 0
-            while kk < len(wd):
-                word = (wd[kk],) + (0,) * max(len(wd), 4)
-                res = w.H.eval(word)
+        def answers(wd):
+            L = extent(wd)
+            for kk in count():
+                if L is not None and kk >= L:
+                    return
+                res = output_view(w.H, _padded(wd[kk],
+                                               None if L is None else max(L, 4)))
                 if not res:
-                    break
-                out.append(res[0])
-                kk += 1
-            return tuple(out)
-        return Witness(fh, gh, k, Machine("hatH", h_fn), True,
-                       name=f"hat({w.name})")
+                    return
+                yield res[0]
+    else:
+        base = as_ordinary(w)
 
-    base = as_ordinary(w)
-
-    def h_fn(wd):
-        rows = first_half(wd)
-        flat = second_half(wd)
-        out = []
-        kk = 0
-        while kk < len(flat):
-            row_word = tuple(RowView(rows, kk))
-            if not row_word:
-                break
-            answer = (flat[kk],) + (0,) * len(row_word)
-            res = base.H.eval(interleave_words(row_word, answer))
-            if not res:
-                break
-            out.append(res[0])
-            kk += 1
-        return tuple(out)
-
-    return Witness(fh, gh, k, Machine("hatH", h_fn), False,
+        def answers(wd):
+            rows, flat = first_half(wd), second_half(wd)
+            L = extent(flat)
+            for kk in count():
+                if L is not None and kk >= L:
+                    return
+                instance = RowView(rows, kk)
+                n = extent(instance)
+                if n == 0:
+                    return
+                res = output_view(base.H,
+                                  interleave(instance, _padded(flat[kk], n)))
+                if not res:
+                    return
+                yield res[0]
+    return Witness(fh, gh, k, stream_machine("hatH", answers), w.strong,
                    name=f"hat({w.name})")
+
+
+def _padded(a: int, zeros: Optional[int]):
+    """The answer a followed by zeros, or by unboundedly many when zeros
+    is None: a row's answer, which the row's own H reads."""
+    if zeros is None:
+        return ReadView(EvPeriodic((a,), (0,)))
+    return (a,) + (0,) * zeros
 
 
 def parallel_idem(f: Problem) -> tuple:
@@ -606,27 +614,19 @@ def llpo_to_lpo() -> Witness:
 
 def _min_search_h() -> Machine:
     """Emit, per output coordinate k, the least m whose cell <k,m> is zero."""
-    def fn(w):
-        L = len(w)
-        out = []
-        k = 0
-        while True:
+    def least_zeros(w):
+        L = extent(w)
+        for k in count():
             m = 0
-            found = None
             while True:
                 idx = pair_encode(k, m)
-                if idx >= L:
-                    break
+                if L is not None and idx >= L:
+                    return
                 if w[idx] == 0:
-                    found = m
+                    yield m
                     break
                 m += 1
-            if found is None:
-                break
-            out.append(found)
-            k += 1
-        return tuple(out)
-    return Machine("min-search", fn)
+    return stream_machine("min-search", least_zeros)
 
 
 def id_to_c() -> Witness:

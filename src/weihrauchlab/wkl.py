@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import OutOfDomain, UnsupportedShape
-from .machines import Machine, index_machine
+from .machines import Machine, extent, index_machine, stream_machine
 from .points import (
     EvPeriodic,
     LawPoint,
@@ -177,9 +177,10 @@ def q_stream(tree, w) -> EvPeriodic:
 # forward: tree choice reduces to parallelized LLPO
 
 def _covered_level(length: int) -> int:
-    """Largest n with every word of length n indexed below the prefix."""
+    """Largest n with every word of length n indexed below the prefix: the
+    last word of length n + 1 has index 2^(n+2) - 2."""
     n = -1
-    while 2 ** (n + 2) - 2 <= length:
+    while 2 ** (n + 2) - 2 < length:
         n += 1
     return n
 
@@ -249,22 +250,21 @@ def blocking_rows_machine() -> Machine:
 
 
 def path_extractor() -> Machine:
-    """Follow the answer bits word by word down the tree."""
-    def fn(w):
-        L = len(w)
-        path = []
+    """Follow the answer bits word by word down the tree: symbol k is the
+    answer at the index of the word of the first k symbols."""
+    def bits(w):
+        L = extent(w)
         current = ()
         while True:
             idx = word_index(current)
-            if idx >= L:
-                break
+            if L is not None and idx >= L:
+                return
             bit = w[idx]
             if bit not in (0, 1):
-                break
-            path.append(bit)
+                return
+            yield bit
             current = current + (bit,)
-        return tuple(path)
-    return Machine("path-extract", fn)
+    return stream_machine("path-extract", bits)
 
 
 def wkl_to_llpo_hat() -> Witness:

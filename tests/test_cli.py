@@ -239,13 +239,42 @@ def test_cli_swap_prints_machine_evaluation(capsys):
     assert "G(point) prefix" in out
 
 
-def test_cli_check_stall_is_unverified(capsys):
+def test_cli_check_stall_is_unverified(monkeypatch, capsys):
     """Runs that reach their fuel refute nothing: the verdict names the
-    stall and the exit code is 3, as for capacity."""
+    stall and the exit code is 3, as for capacity.  Here the registered
+    wkl_to_llpo_hat gets an H that never emits."""
+    from weihrauchlab import cli, registry
+    from weihrauchlab.machines import Machine
+    from weihrauchlab.witnesses import Witness
+
+    def patched_registry():
+        entries = registry.named_witnesses()
+        entry = entries["wkl_to_llpo_hat"]
+        build = entry.build
+
+        def silent():
+            w = build()
+            return Witness(w.f, w.g, w.K, Machine("silent", lambda wd: (), fuel=64),
+                           True, name=w.name)
+        entry.build = silent
+        return entries
+
+    monkeypatch.setattr(cli, "named_witnesses", patched_registry)
     code = main(["check", "wkl_to_llpo_hat", "--depth", "24"])
     out = capsys.readouterr().out
     assert code == 3
-    assert out == "wkl_to_llpo_hat: UNVERIFIED (200/200 branches stall at fuel)\n"
+    assert out == "wkl_to_llpo_hat: UNVERIFIED (25/25 branches stall at fuel)\n"
+
+
+def test_cli_check_path_extraction_deep(capsys):
+    """The path extractor reads its d answer bits near coordinate 2^d on
+    demand, so it passes past the depth where a finite window of the
+    answer would have to outgrow the fuel."""
+    for depth in (24, 32):
+        code = main(["check", "wkl_to_llpo_hat", "--depth", str(depth)])
+        assert capsys.readouterr().out == (
+            f"wkl_to_llpo_hat: PASS (verified to depth {depth})\n")
+        assert code == 0
 
 
 def test_cli_check_copying_witnesses_deep(capsys):

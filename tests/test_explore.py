@@ -247,6 +247,9 @@ def test_a_repeating_index_law_is_explored():
     got = check(w, [all_free], depth=8)
     assert got.passed
     assert all(e.note != "inclusion" and e.use for e in got.entries)
+    # outputs below 8 read coordinates 0-3 only: a run forks on nothing else
+    assert len(got.entries) == 16
+    assert {c for e in got.entries for c in e.use} == set(range(4))
     assert_agrees(w, [all_free], 8)
 
 

@@ -56,6 +56,7 @@ from weihrauchlab.witnesses import (
     parallel_idem,
     parallel_product,
     parallel_sum,
+    parallelize_witness,
     reflexivity,
     sum_witness,
 )
@@ -160,6 +161,19 @@ def test_run_on_point_fuel_exhaustion_flag():
     out = run_on_point(stall, EvPeriodic((), (0,)), 4)
     assert not out.productive
     assert out.output == ()
+    assert out.width == 64      # every window up to the fuel counts as read
+
+
+def test_run_on_point_counts_the_symbols_read():
+    """A read-driven run reads what its depth symbols use, however far out:
+    coordinate 4^j for symbol j, within a fuel of 8 reads."""
+    p = EvPeriodic((), (1, 2, 3))
+    spread = index_machine("powers", lambda j: 4 ** j)
+    want = tuple(p.value_at(4 ** j) for j in range(8))
+    out = run_on_point(spread, p, 8, fuel=8)
+    assert out.productive and out.width == 8 and out.output == want
+    out = run_on_point(spread, p, 9, fuel=8)
+    assert not out.productive and out.width == 8 and out.output == want
 
 
 def test_diag_law():
@@ -527,6 +541,55 @@ def test_registry_Ks_still_emit_their_full_budget():
         w = entry.build()
         for p in entry.corpus(rng_for(f"cli:{name}"), 3):
             assert len(w.K.eval(PointView(p, VALIDATE_WIDTH))) == emitted, name
+
+
+def widening_reference(m, p, depth, fuel=None):
+    """The run_on_point that read-driven runs replaced: widen a finite
+    window of p from 16 up to the fuel until eval emits depth symbols."""
+    budget = m.fuel if fuel is None else fuel
+    width = min(16, budget)
+    while True:
+        out = m.eval(PointView(p, width))
+        if len(out) >= depth:
+            return tuple(out[:depth]), True
+        if width >= budget:
+            return tuple(out), False
+        width = min(width * 2, budget)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SHAPES | INDEX_CHAINS, POINTS, st.integers(0, 48))
+def test_read_driven_runs_emit_what_the_widening_loop_emitted(shape, p, depth):
+    """Wherever the widening loop is productive, the read-driven run is,
+    and emits the same depth symbols."""
+    m = build(shape)
+    want, productive = widening_reference(m, p, depth, fuel=4096)
+    if productive:
+        got = run_on_point(m, p, depth)
+        assert got.productive, m.name
+        assert got.output == want, m.name
+
+
+def test_registry_H_runs_emit_what_the_widening_loop_emitted():
+    """The same on every registered H, and on the H of a parallelized
+    ordinary witness, on the names the checker feeds it at its registry
+    depth."""
+    from weihrauchlab.corpus import llpo_hat_inputs
+    from weihrauchlab.registry import named_witnesses
+
+    runs = [(name, e.build(), e.corpus, e.depth)
+            for name, e in sorted(named_witnesses().items())]
+    runs.append(("hat(ordinary)", parallelize_witness(as_ordinary(llpo_to_lpo())),
+                 llpo_hat_inputs, 16))
+    for name, w, corpus, depth in runs:
+        for p in corpus(rng_for("widen:" + name), 2):
+            q = w.k_point(p)
+            for r in w.g.value_set(q).behaviors(6, 64)[:2]:
+                feed = r if w.strong else Interleave(p, r)
+                want, productive = widening_reference(w.H, feed, depth)
+                assert productive, name
+                got = run_on_point(w.H, feed, depth)
+                assert got.productive and got.output == want, name
 
 
 # row views ------------------------------------------------------------------

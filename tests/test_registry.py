@@ -3,6 +3,8 @@ monotone on sampled chains, the point mirrors track the machines well past
 the checker's validation window, and the checker's pass/fail boundary sits
 exactly at the failing coordinate."""
 
+import pytest
+
 from weihrauchlab import corpus as gen
 from weihrauchlab.machines import Machine, PointView, audit_monotone, identity
 from weihrauchlab.points import EvPeriodic, Interleave, prefix
@@ -26,6 +28,21 @@ def test_registry_machines_monotone_and_mirrors_deep():
             for r in behaviors[:2]:
                 feed = r if w.strong else Interleave(p, r)
                 assert audit_monotone(w.H, feed, range(1, 65, 7)), (name, "H")
+
+
+@pytest.mark.parametrize("name", sorted(named_witnesses()))
+def test_registry_machines_total_and_monotone_on_every_prefix(name):
+    """The Type-2 condition on every finite prefix: eval is defined on each
+    prefix up to length 80 of three corpus names, and is a prefix of eval
+    on the next.  H is fed what the checker feeds it."""
+    e = named_witnesses()[name]
+    w = e.build()
+    for p in e.corpus(gen.rng_for("total:" + name), 3):
+        assert audit_monotone(w.K, p, range(81)), (name, "K")
+        q = w.k_point(p)
+        for r in w.g.value_set(q).behaviors(6, 64)[:2]:
+            feed = r if w.strong else Interleave(p, r)
+            assert audit_monotone(w.H, feed, range(81)), (name, "H")
 
 
 def test_checker_soundness_boundary():

@@ -3,12 +3,14 @@ import itertools
 import pytest
 
 from weihrauchlab.corpus import llpo_hat_inputs, rng_for, thin_tree, tree_names
+from weihrauchlab.machines import PointView
 from weihrauchlab.points import EvPeriodic, RowTuple, prefix
 from weihrauchlab.problems import llpo_hat_value, llpo_value
 from weihrauchlab.spaces import FinTree, TreeChar
 from weihrauchlab.witnesses import check
 from weihrauchlab.wkl import (
     ConstraintTree,
+    _covered_level,
     blocking_index,
     blocking_index_bruteforce,
     llpo_hat_to_wkl,
@@ -166,3 +168,17 @@ def test_check_labels_tree_names_by_their_literals():
     labels = {e.point for e in report.entries}
     assert len(labels) == 25
     assert all(label.startswith("tree(depth=") for label in labels)
+
+
+def test_blocking_rows_is_total_where_a_level_ends():
+    """A level is covered only when its last word, of index 2^(n+1) - 2,
+    lies below the prefix; at exactly that length the blocking-rows K read
+    one symbol past its input."""
+    for L in range(200):
+        n = _covered_level(L)
+        assert 2 ** (n + 1) - 2 < L <= 2 ** (n + 2) - 2, L
+    k = wkl_to_llpo_hat().K
+    for p in tree_names(rng_for("covered-level"), 3):
+        for L in (0, 2, 6, 14, 30):
+            out = k.eval(PointView(p, L))
+            assert out == prefix(k.point(p), len(out)), L
