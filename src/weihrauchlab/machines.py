@@ -21,10 +21,15 @@ its tag selects the rest of the input as a view.  So a composite
 computes only the inner symbols its outer stages read.  A symbol no
 stage reads is never computed, and an exception computing it would raise
 does not surface; this is the composed stream function's own semantics.
-The schedules of index and symbol machines, src(j) and needs(j), do not
-depend on the input, so each such machine caches its emitted length per
-input length, and a caller that needs a length or a single symbol reads
-output_view instead of eval (the swap search does).
+A row machine (row_machine) says its output by rows: row j is the point
+row_of(read, j), read reading the input by index.  Its eval builds each
+row it emits once and gathers the rows in pairing order, its view keeps
+the rows it built, and its point action is the same row law over the
+point, so machine and mirror share one expression.
+The schedules of index, symbol and row machines, src(j) and needs(j), do
+not depend on the input, so each such machine caches its emitted length
+per input length, and a caller that needs a length or a single symbol
+reads output_view instead of eval (the swap search does).
 identity, the index machines and composes of them carry their index law
 as src, which lets the checker decide a copying H without running it on
 every oracle behavior.
@@ -64,6 +69,7 @@ from .points import (
     RowTuple,
     Word,
     depair,
+    gather_rows,
     pair_decode,
     pair_encode,
     point_drop,
@@ -590,6 +596,36 @@ def symbol_machine(name: str, sym: Callable, needs: Callable,
 
     def fn(w):
         return tuple(view(w))
+    return Machine(name, fn, point=point, view=view)
+
+
+def row_machine(name: str, row_of: Callable, needs: Callable) -> Machine:
+    """Output row j is the point row_of(read, j), where read reads the
+    input by index; its symbols are emitted once len(w) >= needs(j),
+    within the evaluation budget, and over an unbounded input every row
+    is.  eval builds each row it emits once and gathers the rows in
+    pairing order; a view builds a row on its first read and keeps it with
+    the view.  The point action is the same row law over the point."""
+    length = _emit_lengths(lambda i, L: needs(pair_decode(i)[0]) <= L)
+
+    def view(w):
+        rows: dict = {}
+
+        def at(i):
+            j, k = pair_decode(i)
+            r = rows.get(j)
+            if r is None:
+                r = rows[j] = row_of(w.__getitem__, j)
+            return r.value_at(k)
+        return LazyWord(length(extent(w)), at)
+
+    def fn(w):
+        return tuple(gather_rows(partial(row_of, w.__getitem__),
+                                 length(extent(w))))
+
+    def point(p):
+        return LawPoint(row_fn=partial(row_of, p.value_at), label=name)
+
     return Machine(name, fn, point=point, view=view)
 
 

@@ -55,6 +55,22 @@ def row_length(L: int, n: int) -> int:
     return max(0, s - n + 1)
 
 
+def gather_rows(row_at: Callable, n: int) -> list:
+    """The first n symbols of the row-tupled word whose row r is the point
+    row_at(r): each row holding one of them is read once, through its own
+    symbols, and the rows are gathered in pairing order, through the
+    decode table below DECODE_BOUND."""
+    rows = []
+    m = row_length(n, 0)
+    while m:
+        rows.append(tuple(row_at(len(rows)).symbols(m)))
+        m = row_length(n, len(rows))
+    codes = zip(_ROW, _COL)
+    if n > DECODE_BOUND:
+        codes = chain(codes, map(pair_decode, range(DECODE_BOUND, n)))
+    return [rows[r][k] for r, k in islice(codes, n)]
+
+
 def is_prefix(v, w) -> bool:
     """Prefix order on words: v is an initial segment of w."""
     return len(v) <= len(w) and tuple(w[: len(v)]) == tuple(v)
@@ -147,6 +163,9 @@ class RowTuple(Point):
         n, k = pair_decode(i)
         return self.row(n).value_at(k)
 
+    def symbols(self, n: int) -> list:
+        return gather_rows(self.row, n)
+
     def __eq__(self, other):
         return (
             isinstance(other, RowTuple)
@@ -194,6 +213,13 @@ class LawPoint(Point):
                 v = self.law_row(n).value_at(k)
             self._cache[i] = v
         return v
+
+    def symbols(self, n: int) -> Iterator:
+        """With a row law, read by rows, even beside a value law: the row
+        law is what row extraction, and so a value set, reads."""
+        if self._row_fn is None:
+            return super().symbols(n)
+        return gather_rows(self.law_row, n)
 
     def __repr__(self):
         return f"LawPoint({self.label})"

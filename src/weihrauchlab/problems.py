@@ -70,6 +70,9 @@ class ValueSet:
                 for bi, r in enumerate(self.behaviors(depth, cap))]
 
     def canonical(self) -> Point:
+        """A member: the first behavior below depth 1.  A set that can
+        have more than two there overrides this, which would exceed its
+        cap of two."""
         return self.behaviors(1, 2)[0]
 
     def members(self, cap: int = BEHAVIOR_CAP) -> list:
@@ -142,6 +145,9 @@ class PointListSet(ValueSet):
         if len(self.points) > cap:
             raise CapacityExceeded(f"{len(self.points)} listed points exceed {cap}")
         return list(self.points)
+
+    def canonical(self) -> Point:
+        return self.points[0]
 
     def members(self, cap=BEHAVIOR_CAP):
         return self.behaviors(0, cap)
@@ -336,6 +342,9 @@ class PairSet(ValueSet):
             raise CapacityExceeded("pair behavior product exceeds the bound")
         return [Interleave(a, b) for a in lefts for b in rights]
 
+    def canonical(self) -> Point:
+        return Interleave(self.first.canonical(), self.second.canonical())
+
     def members(self, cap=BEHAVIOR_CAP):
         ls = self.first.members(cap)
         rs = self.second.members(cap)
@@ -425,6 +434,10 @@ class RowProductSet(ValueSet):
 
             out.append(LawPoint(row_fn=row_fn, label="rowprod-branch"))
         return out
+
+    def canonical(self) -> Point:
+        return LawPoint(row_fn=lambda n: self.row_set(n).canonical(),
+                        label="rowprod-canonical")
 
 
 @dataclass

@@ -20,7 +20,7 @@ from .machines import (
     symbol_machine,
     tag_case,
 )
-from .points import EvPeriodic, Interleave, RowTuple
+from .points import ZEROS, EvPeriodic, Interleave, RowTuple
 from .problems import (
     compose_problems,
     id_problem,
@@ -31,6 +31,7 @@ from .problems import (
     sum_problem,
 )
 from .medvedev import MassProblem, embed_forward, set_ops_correspondence
+from .spaces import FinTree, TreeChar
 from .weakcomp import compact_choice_witnesses
 from .witnesses import (
     Witness,
@@ -353,6 +354,13 @@ def _prod_id_elim():
 # ---------------------------------------------------------------------------
 # negative controls
 
+def _one_path_tree() -> TreeChar:
+    """The tree whose only path is 0^ω.  A seeded covering tree can be
+    closed under the bitwise flip, and there the flipped extractor is
+    right; here it answers 1^ω, which leaves the tree at symbol 0."""
+    return TreeChar(FinTree(3, [(0,) * n for n in range(4)], (ZEROS,)))
+
+
 def corrupted_witnesses() -> dict:
     """Deliberately broken witnesses; every one must fail with a coordinate."""
     out = {}
@@ -371,7 +379,7 @@ def corrupted_witnesses() -> dict:
         1 - s if s in (0, 1) else s for s in base.H.eval(wd)))
     out["wkl_flipped_path"] = (
         Witness(base.f, base.g, base.K, flip, True, name="broken-wkl"),
-        lambda rng, n: gen.tree_names(rng, max(1, n // 5)),
+        lambda rng, n: gen.tree_names(rng, max(1, n // 5)) + [_one_path_tree()],
     )
 
     bad_half = Witness(llpo_to_lpo().f, llpo_to_lpo().g, llpo_to_lpo().K,

@@ -41,6 +41,7 @@ from .machines import (
     pair_machine,
     proj1,
     proj2,
+    row_machine,
     run_on_point,
     second_half,
     shift_l,
@@ -50,6 +51,8 @@ from .machines import (
     tensor,
 )
 from .points import (
+    ONES,
+    ZEROS,
     EvPeriodic,
     Interleave,
     LawPoint,
@@ -629,46 +632,25 @@ def _min_search_h() -> Machine:
     return stream_machine("min-search", least_zeros)
 
 
+def _cell_guess(name: str, hit: Point, miss: Point) -> Machine:
+    """Row <k,m> of the output guesses that input symbol k is m: it is
+    hit where the guess holds and miss elsewhere."""
+    def row_of(read, j):
+        k, m = pair_decode(j)
+        return hit if read(k) == m else miss
+    return row_machine(name, row_of, lambda j: pair_decode(j)[0] + 1)
+
+
 def id_to_c() -> Witness:
     """Recover a stream from zero-search answers over guessed cells."""
-    def k_fn_sym(w, i):
-        j, _n = pair_decode(i)
-        k, m = pair_decode(j)
-        return 0 if w[k] == m else 1
-
-    def kp(p):
-        def row_of(j):
-            k_, m = pair_decode(j)
-            return EvPeriodic((), (0 if p.value_at(k_) == m else 1,))
-        return LawPoint(row_fn=row_of, label="cell-guesses")
-
-    k = symbol_machine("cell-guess", k_fn_sym,
-                       lambda i: pair_decode(pair_decode(i)[0])[0] + 1,
-                       point=kp)
+    k = _cell_guess("cell-guess", ZEROS, ONES)
     return Witness(id_problem(), c_problem(), k, _min_search_h(), True,
                    name="id_to_c")
 
 
 def id_to_llpo_hat() -> Witness:
     """As id_to_c, with single-pulse rows signalling equality parity-wise."""
-    def k_fn_sym(w, i):
-        j, n = pair_decode(i)
-        k_, m = pair_decode(j)
-        if w[k_] == m:
-            return 1 if n == 1 else 0
-        return 1 if n == 0 else 0
-
-    def kp(p):
-        def row_of(j):
-            k_, m = pair_decode(j)
-            if p.value_at(k_) == m:
-                return EvPeriodic((0, 1), (0,))
-            return EvPeriodic((1,), (0,))
-        return LawPoint(row_fn=row_of, label="cell-pulses")
-
-    k = symbol_machine("cell-guess-pulse", k_fn_sym,
-                       lambda i: pair_decode(pair_decode(i)[0])[0] + 1,
-                       point=kp)
+    k = _cell_guess("cell-guess-pulse", pulse(1), pulse(0))
     return Witness(id_problem(), llpo_hat_problem(), k, _min_search_h(), True,
                    name="id_to_llpo_hat")
 

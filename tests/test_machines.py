@@ -1,5 +1,7 @@
+from itertools import product
+
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from weihrauchlab.corpus import any_points, rng_for, thin_tree
@@ -22,6 +24,7 @@ from weihrauchlab.machines import (
     pair_machine,
     proj1,
     proj2,
+    row_machine,
     run_on_point,
     second_half,
     shift_l,
@@ -33,6 +36,7 @@ from weihrauchlab.points import (
     EvPeriodic,
     Interleave,
     LawPoint,
+    Point,
     RowTuple,
     pair_decode,
     pair_encode,
@@ -48,7 +52,9 @@ from weihrauchlab.witnesses import (
     DiscontinuityData,
     Witness,
     as_ordinary,
+    double_absorb_machine,
     id_to_c,
+    id_to_llpo_hat,
     llpo_to_lpo,
     lpo_from_discontinuity,
     parallel_absorb,
@@ -506,27 +512,38 @@ def test_compose_computes_only_the_inner_symbols_read():
 
 def test_cylinder_K_reads_few_inner_symbols(monkeypatch):
     """strong_on_cylinder's K emits its 135 symbols from at most 1,000 of
-    the inner cell-guess-pulse stage's 4,422 per name."""
+    the inner cell-guess-pulse stage's 4,422 per name, and builds each row
+    it reads them from once."""
     from weihrauchlab import witnesses
     from weihrauchlab.registry import named_witnesses
 
-    computed = []
+    built, computed = [], []
 
-    def counting_symbol_machine(name, sym, needs, point=None):
+    class Counted(Point):
+        def __init__(self, p):
+            self.p = p
+
+        def value_at(self, i):
+            computed.append(i)
+            return self.p.value_at(i)
+
+    def counting_row_machine(name, row_of, needs):
         if name == "cell-guess-pulse":
-            def counted(w, j):
-                computed.append(j)
-                return sym(w, j)
-            return symbol_machine(name, counted, needs, point)
-        return symbol_machine(name, sym, needs, point)
+            def counted(read, j):
+                built.append(j)
+                return Counted(row_of(read, j))
+            return row_machine(name, counted, needs)
+        return row_machine(name, row_of, needs)
 
-    monkeypatch.setattr(witnesses, "symbol_machine", counting_symbol_machine)
+    monkeypatch.setattr(witnesses, "row_machine", counting_row_machine)
     entry = named_witnesses()["strong_on_cylinder"]
     w = entry.build()
     for p in entry.corpus(rng_for("cli:strong_on_cylinder"), 5):
+        built.clear()
         computed.clear()
         out = w.K.eval(PointView(p, VALIDATE_WIDTH))
         assert len(out) == 135
+        assert 0 < len(built) == len(set(built))
         assert 0 < len(computed) <= 1000
 
 
@@ -636,6 +653,111 @@ def test_row_view_reads_as_pair_addressing(p, width, n):
     assert tuple(r[k] for k in range(len(r))) == want
     with pytest.raises(IndexError):
         r[len(r)]
+
+
+# row reads -----------------------------------------------------------------
+
+def _row_law_Ks():
+    """The registered index machines that carry a row law: rediag,
+    flatten, evenodd-merge, join-rows and double-absorb."""
+    down, up = parallel_idem(llpo_problem())
+    return [up.K, down.K, parallel_absorb(llpo_problem())[0].K,
+            parallel_product(lpo_problem(), llpo_problem())[1].K,
+            double_absorb_machine()]
+
+
+ROW_HELD = st.one_of(
+    # exception rows reach past the decode table's diagonals
+    st.builds(RowTuple, st.dictionaries(st.integers(0, 120), ROWABLE,
+                                        max_size=4), EVP),
+    ROWABLE.map(lambda q: LawPoint(row_fn=lambda n: row(rows_of(q), n),
+                                   label="row-law")),
+    st.tuples(st.sampled_from(_row_law_Ks()), ROWABLE).map(
+        lambda mp: mp[0].point(mp[1])),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ROW_HELD, st.integers(0, 5000))
+@example(RowTuple({100: EvPeriodic((1,), (2, 3))}, EvPeriodic((), (0, 1))), 5000)
+@example(_row_law_Ks()[1].point(RowTuple({3: EvPeriodic((1,), (2,))},
+                                         EvPeriodic((0,), (1, 3)))), 4466)
+def test_points_holding_rows_read_their_prefix_by_rows(p, n):
+    """A prefix read by rows is the prefix read symbol by symbol, on both
+    sides of the decode table's bound; for an index law with a row law,
+    the row law agrees with the value law."""
+    assert prefix(p, n) == tuple(map(p.value_at, range(n)))
+
+
+def _cell_guess_references():
+    """The cell-guess Ks of id_to_c and id_to_llpo_hat as symbol machines
+    with hand-written row-law mirrors, the form the row machines replaced."""
+    def needs(i):
+        return pair_decode(pair_decode(i)[0])[0] + 1
+
+    def guess(w, i):
+        j, _n = pair_decode(i)
+        k, m = pair_decode(j)
+        return 0 if w[k] == m else 1
+
+    def guess_point(p):
+        def row_of(j):
+            k, m = pair_decode(j)
+            return EvPeriodic((), (0 if p.value_at(k) == m else 1,))
+        return LawPoint(row_fn=row_of, label="cell-guesses")
+
+    def pulse_guess(w, i):
+        j, n = pair_decode(i)
+        k, m = pair_decode(j)
+        if w[k] == m:
+            return 1 if n == 1 else 0
+        return 1 if n == 0 else 0
+
+    def pulse_point(p):
+        def row_of(j):
+            k, m = pair_decode(j)
+            if p.value_at(k) == m:
+                return EvPeriodic((0, 1), (0,))
+            return EvPeriodic((1,), (0,))
+        return LawPoint(row_fn=row_of, label="cell-pulses")
+
+    return [(symbol_machine("cell-guess", guess, needs, point=guess_point),
+             id_to_c().K),
+            (symbol_machine("cell-guess-pulse", pulse_guess, needs,
+                            point=pulse_point),
+             id_to_llpo_hat().K)]
+
+
+def _assert_row_machine_as_reference(ref, m, w):
+    out = ref.eval(w)
+    assert m.eval(w) == out
+    v = m.view(w)
+    assert len(v) == len(out)
+    assert tuple(v[i] for i in reversed(range(len(v)))) == out[::-1]
+    for i in (len(v), len(v) + 3):
+        with pytest.raises(IndexError):
+            v[i]
+
+
+def test_cell_guess_row_machines_as_the_symbol_machines():
+    """The row machines emit, view and mirror what the symbol machines did,
+    on every word over {0,1,2} up to length 6 and on point prefixes up to
+    width 256, past the decode table's bound."""
+    words = [w for n in range(7) for w in product(range(3), repeat=n)]
+    points = any_points(rng_for("cell-guess"), 1) + [
+        EvPeriodic((0,), (1, 2)),
+        RowTuple({2: EvPeriodic((1,), (0,))}, EvPeriodic((2, 0), (1,)))]
+    widths = list(range(65)) + [72, 164, 256]
+    for ref, m in _cell_guess_references():
+        for w in words:
+            _assert_row_machine_as_reference(ref, m, w)
+        for p in points:
+            for width in widths:
+                _assert_row_machine_as_reference(ref, m, PointView(p, width))
+            n = len(m.eval(PointView(p, 64))) + 100
+            want = tuple(map(ref.point(p).value_at, range(n)))
+            assert prefix(m.point(p), n) == want
+            assert tuple(map(m.point(p).value_at, range(n))) == want
 
 
 # rewritten machines against the closures they replaced ------------------------
@@ -764,8 +886,6 @@ def test_rewritten_machines_emit_what_the_replaced_closures_emitted():
     """Each machine now built from tag_case and the schedule primitives
     emits the replaced closure's output, length included, on every word
     over {0,1,2} up to length 8 and on point prefixes up to width 256."""
-    from itertools import product
-
     words = [w for n in range(9) for w in product(range(3), repeat=n)]
     points = any_points(rng_for("rewrites"), 8) + [
         EvPeriodic((0,), (1, 2)), EvPeriodic((1, 0), (0,)),

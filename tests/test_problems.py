@@ -27,6 +27,7 @@ from weihrauchlab.problems import (
     FiniteNatsSet,
     PairSet,
     PointListSet,
+    RowProductSet,
     SinglePointSet,
     TaggedUnionSet,
     bottom_problem,
@@ -309,6 +310,29 @@ def test_behavior_capacity_is_first_class():
         free_everywhere.behaviors(16, 4096)
     # and within budget the count is exact
     assert len(free_everywhere.behaviors(3, 4096)) == 8
+
+
+def test_canonical_member_is_structural():
+    """canonical() names a member of a set with more than two behaviors
+    below depth 1 instead of raising CapacityExceeded: a list of three
+    points, a pair of such lists, and row products whose rows are pairs."""
+    pts = [EvPeriodic((), (c,)) for c in (0, 1, 2)]
+    listed = PointListSet(pts)
+    pair = PairSet(listed, listed)
+    rows = RowProductSet(lambda n: PairSet(listed, PointListSet(pts[n % 3:]))
+                         if n else SinglePointSet(pts[1]))
+    assert listed.canonical() == pts[0]
+    assert prefix(pair.canonical(), 6) == (0,) * 6
+    assert pair.check_prefix(prefix(pair.canonical(), 32)) is None
+    q = rows.canonical()
+    assert rows.check_prefix(prefix(q, 200)) is None
+    assert prefix(row(q, 1), 6) == (0, 1) * 3
+    for vs in (listed, pair):
+        with pytest.raises(CapacityExceeded):
+            vs.behaviors(1, 2)
+    # the branches of a row product read the structural canonical rows
+    [branch] = rows.behaviors(1, 2)
+    assert prefix(row(branch, 2), 6) == (0, 2) * 3
 
 
 # a free coordinate {0, 1} is drawn three times as often as each forced one

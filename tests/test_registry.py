@@ -9,7 +9,7 @@ from weihrauchlab import corpus as gen
 from weihrauchlab.machines import Machine, PointView, audit_monotone, identity
 from weihrauchlab.points import EvPeriodic, Interleave, prefix
 from weihrauchlab.problems import id_problem
-from weihrauchlab.registry import named_witnesses
+from weihrauchlab.registry import corrupted_witnesses, named_witnesses
 from weihrauchlab.witnesses import Witness, check
 
 
@@ -104,3 +104,15 @@ def test_strong_witnesses_pass_as_ordinary():
         corpus = e.corpus(gen.rng_for("ord:" + name), 4)
         rep = check(w, corpus, depth=min(e.depth, 10))
         assert rep.passed, (name, rep.verdict())
+
+
+def test_flipped_path_control_is_wrong_on_flip_closed_trees():
+    """At seed 3 the seeded trees are closed under the bitwise flip, where
+    the flipped extractor is a correct one; the fixed one-path tree in the
+    control's corpus still refutes it, at a coordinate."""
+    w, corpus_fn = corrupted_witnesses()["wkl_flipped_path"]
+    *seeded, fixed = corpus_fn(gen.rng_for("3:wkl_flipped_path"), 5)
+    assert seeded and check(w, seeded, depth=8).passed
+    rep = check(w, [*seeded, fixed], depth=8)
+    assert not rep.passed
+    assert [e.coordinate for e in rep.failures()] == [0]

@@ -42,6 +42,7 @@ from weihrauchlab.witnesses import (
     lpo_from_discontinuity,
     parallel_absorb,
     parallel_extensive,
+    parallel_idem,
     parallelize_witness,
     product_witness,
     reflexivity,
@@ -398,3 +399,23 @@ def test_a_stall_is_unverified_not_a_failure():
         assert rep.verdict().startswith("FAIL (2/2 branches, first stall")
     assert not Report("w", 24, [ok]).unverified
     assert not Report("w", 24, []).unverified
+
+
+def test_mirror_validation_reads_an_index_law_by_its_rows():
+    """Negative control of the mirror layer: rediag with a row law that
+    answers zeros while its index law copies the input.  The value set
+    reads the row law, so every name must be refused as a mirror
+    mismatch, not blamed on H."""
+    from weihrauchlab.machines import index_machine
+    from weihrauchlab.points import ZEROS
+    from weihrauchlab.registry import named_witnesses
+
+    up = parallel_idem(llpo_problem())[1]
+    k = index_machine("rediag", up.K.src, rows=lambda p: lambda j: ZEROS)
+    wrong = Witness(up.f, up.g, k, up.H, True, name="zero-rows")
+    entry = named_witnesses()["parallel_idem_up(llpo)"]
+    corpus = entry.corpus(rng_for("cli:parallel_idem_up(llpo)"), entry.count)
+    rep = check(wrong, corpus, depth=entry.depth)
+    assert len(rep.entries) == len(corpus) == 25
+    assert all(e.status == "error" and e.note == "K mirror mismatch"
+               for e in rep.entries)
