@@ -26,6 +26,7 @@ row_of(read, j), read reading the input by index.  Its eval builds each
 row it emits once and gathers the rows in pairing order, its view keeps
 the rows it built, and its point action is the same row law over the
 point, so machine and mirror share one expression.
+emit_rows is the one emitter of a word given by its row words.
 The schedules of index, symbol and row machines, src(j) and needs(j), do
 not depend on the input, so each such machine caches its emitted length
 per input length, and a caller that needs a length or a single symbol
@@ -209,7 +210,7 @@ class RowView(View):
 
     def __iter__(self):
         if self.row_point is not None:
-            return self.row_point.symbols(self.length)
+            return iter(self.row_point.symbols(self.length))
         base, n = self.base, self.n
         return (base[pair_encode(n, k)] for k in range(self.length))
 

@@ -1,9 +1,10 @@
 """Mass problems at desk scale and their embedding into the reduction
-lattice as constant multi-valued problems."""
+lattice as constant multi-valued problems; a recovered translation keeps
+its composite's view."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .machines import (
     Machine,
@@ -96,7 +97,7 @@ def embed_backward(w: Witness) -> Machine:
     outer translation alongside the member."""
     base = as_ordinary(w)
     m = compose(base.H, pair_machine(const_machine(ZEROS, "zeros"), identity()))
-    return Machine(f"extract({w.name})", m.fn)
+    return replace(m, name=f"extract({w.name})")
 
 
 def set_sum(a: MassProblem, b: MassProblem) -> MassProblem:

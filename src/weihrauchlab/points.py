@@ -6,14 +6,16 @@ row tuples over the global pairing, characteristic streams of decidable
 trees (see spaces), and law-backed streams used internally for oracle
 names.  Structural predicates (zero search, progression tests, row
 extraction, normalization) are decided from the presentation, never by
-unbounded scanning.
+unbounded scanning.  Rows are read through one layer: row_length(s),
+gather_rows, and the period walk row_period / period_row.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, compress, count, cycle, islice
+from functools import partial
+from itertools import chain, compress, count, cycle, islice, takewhile
 from typing import Callable, Iterator, Optional
 
 from .errors import UnsupportedShape
@@ -55,16 +57,17 @@ def row_length(L: int, n: int) -> int:
     return max(0, s - n + 1)
 
 
+def row_lengths(L: int) -> list:
+    """The lengths of the nonempty rows of a word of length L, by row."""
+    return list(takewhile(bool, map(partial(row_length, L), count())))
+
+
 def gather_rows(row_at: Callable, n: int) -> list:
     """The first n symbols of the row-tupled word whose row r is the point
     row_at(r): each row holding one of them is read once, through its own
     symbols, and the rows are gathered in pairing order, through the
     decode table below DECODE_BOUND."""
-    rows = []
-    m = row_length(n, 0)
-    while m:
-        rows.append(tuple(row_at(len(rows)).symbols(m)))
-        m = row_length(n, len(rows))
+    rows = [tuple(row_at(r).symbols(m)) for r, m in enumerate(row_lengths(n))]
     codes = zip(_ROW, _COL)
     if n > DECODE_BOUND:
         codes = chain(codes, map(pair_decode, range(DECODE_BOUND, n)))
@@ -303,13 +306,26 @@ def row_form(p: Point, n: int) -> Optional[Point]:
     return None
 
 
-def row_stabilization(p: EvPeriodic) -> tuple:
-    """(n_star, cycle): rows n >= n_star of p repeat with period cycle."""
-    h, m = len(p.head), len(p.period)
-    n = 0
-    while pair_encode(n, 0) < h:
-        n += 1
-    return n, 2 * m
+def row_period(p: Point) -> tuple:
+    """(head, tail): p's rows as its first n_star = len(head) rows, by
+    index, and the cycle of rows that every row n >= n_star repeats, row n
+    being tail[(n - n_star) % len(tail)].  A row tuple's head runs to its
+    last exception row and its tail is its default; a periodic stream's
+    head runs to the last row starting inside its head, and its rows
+    repeat with period twice its period's length (see row)."""
+    if isinstance(p, RowTuple):
+        return [p.row(n) for n in range(max(p.rows, default=-1) + 1)], [p.default]
+    if isinstance(p, EvPeriodic):
+        n_star = len(row_lengths(len(p.head)))   # the rows starting in the head
+        rows = [row(p, n) for n in range(n_star + 2 * len(p.period))]
+        return rows[:n_star], rows[n_star:]
+    raise UnsupportedShape(f"row period of {type(p).__name__}")
+
+
+def period_row(period: tuple, n: int) -> Point:
+    """Row n of a point, read from its row_period (head, tail)."""
+    head, tail = period
+    return head[n] if n < len(head) else tail[(n - len(head)) % len(tail)]
 
 
 def depair(p: Point) -> tuple:
@@ -405,6 +421,11 @@ def _normalize_rowtuple(p: RowTuple):
 # ---------------------------------------------------------------------------
 # structural predicates
 
+def _default_row(p: RowTuple) -> int:
+    """The least row index at which p's default stands."""
+    return next(n for n in count() if n not in p.rows)
+
+
 def scan_bound(p: Point) -> int:
     """A prefix length provably containing the least zero / least nonzero, if any."""
     if isinstance(p, EvPeriodic):
@@ -412,11 +433,7 @@ def scan_bound(p: Point) -> int:
     if isinstance(p, Interleave):
         return 2 * max(scan_bound(p.first), scan_bound(p.second)) + 2
     if isinstance(p, RowTuple):
-        idxs = set(p.rows)
-        n0 = 0
-        while n0 in idxs:
-            n0 += 1
-        bound = pair_encode(n0, scan_bound(p.default)) + 1
+        bound = pair_encode(_default_row(p), scan_bound(p.default)) + 1
         for n, r in p.rows.items():
             bound = max(bound, pair_encode(n, scan_bound(r)) + 1)
         return bound
@@ -442,11 +459,7 @@ def _min_hit(p: Point, want_zero: bool):
         cands = []
         d = _min_hit(p.default, want_zero)
         if d is not None:
-            idxs = set(p.rows)
-            n0 = 0
-            while n0 in idxs:
-                n0 += 1
-            cands.append(pair_encode(n0, d))
+            cands.append(pair_encode(_default_row(p), d))
         for n, r in p.rows.items():
             m = _min_hit(r, want_zero)
             if m is not None:
@@ -487,18 +500,8 @@ def nonzero_census(p: Point) -> tuple:
             return "zero", None
         return "one", first
     if isinstance(p, RowTuple):
-        kd, pd = nonzero_census(p.default)
-        if kd != "zero":
-            idxs = set(p.rows)
-            n0 = 0
-            while n0 in idxs:
-                n0 += 1
-            first = pair_encode(n0, pd)
-            for n, r in p.rows.items():
-                m = _min_hit(r, False)
-                if m is not None:
-                    first = min(first, pair_encode(n, m))
-            return "many", first
+        if nonzero_census(p.default)[0] != "zero":
+            return "many", _min_hit(p, False)
         count = 0
         first = None
         for n, r in p.rows.items():

@@ -3,7 +3,7 @@ names plus a computable value-set description.  The discontinuous maps
 (the omniscience principles, tree choice, compact choice) have no
 computable realizer; they are evaluated structurally on finitely
 presented names, and the value sets drive the witness checker's oracle
-exploration.
+exploration.  Rows are read through RowView and points.row_period.
 """
 
 from __future__ import annotations
@@ -19,12 +19,12 @@ from .errors import (
     OutOfDomain,
     UnsupportedShape,
 )
+from .machines import RowView
 from .points import (
     EvPeriodic,
     Interleave,
     LawPoint,
     Point,
-    RowTuple,
     depair,
     exists_zero,
     nonzero_census,
@@ -33,7 +33,9 @@ from .points import (
     point_prepend,
     pulse_bit,
     row,
-    row_stabilization,
+    period_row,
+    row_lengths,
+    row_period,
     rows_of,
 )
 from .spaces import (
@@ -72,7 +74,7 @@ class ValueSet:
     def canonical(self) -> Point:
         """A member: the first behavior below depth 1.  A set that can
         have more than two there overrides this, which would exceed its
-        cap of two."""
+        cap of two.  An empty set has none: IndexError."""
         return self.behaviors(1, 2)[0]
 
     def members(self, cap: int = BEHAVIOR_CAP) -> list:
@@ -374,6 +376,14 @@ class TaggedUnionSet(ValueSet):
             raise CapacityExceeded("tagged union behaviors exceed the bound")
         return out
 
+    def canonical(self) -> Point:
+        """The first member: tag 0 before the zero branch's canonical, or,
+        when that branch is empty, tag 1 before the other's."""
+        try:
+            return point_prepend(0, self.zero.canonical())
+        except IndexError:      # an empty set has no canonical member
+            return point_prepend(1, self.other.canonical())
+
     def members(self, cap=BEHAVIOR_CAP):
         out = [point_prepend(0, m) for m in self.zero.members(cap)]
         out += [point_prepend(1, m) for m in self.other.members(cap)]
@@ -393,30 +403,17 @@ class RowProductSet(ValueSet):
         return self._memo[n]
 
     def check_prefix(self, w):
-        L = len(w)
         fails = []
-        n = 0
-        while pair_encode(n, 0) < L:
-            k = 0
-            while pair_encode(n, k) < L:
-                k += 1
-            rw = tuple(w[pair_encode(n, j)] for j in range(k))
-            c = self.row_set(n).check_prefix(rw)
+        for n in range(len(row_lengths(len(w)))):
+            c = self.row_set(n).check_prefix(tuple(RowView(w, n)))
             if c is not None:
                 fails.append(pair_encode(n, c))
-            n += 1
         return min(fails) if fails else None
 
     def behaviors(self, depth, cap=BEHAVIOR_CAP):
-        rows = 0
-        while pair_encode(rows, 0) < depth:
-            rows += 1
         per_row = []
         total = 1
-        for n in range(rows):
-            k = 0
-            while pair_encode(n, k) < depth:
-                k += 1
+        for n, k in enumerate(row_lengths(depth)):
             bs = self.row_set(n).behaviors(k, cap)
             total *= len(bs)
             if total > cap:
@@ -463,6 +460,15 @@ class UnionSet(ValueSet):
             if len(out) > cap:
                 raise CapacityExceeded("union behaviors exceed the bound")
         return out
+
+    def canonical(self) -> Point:
+        """The canonical member of the first nonempty part."""
+        for part in self.parts:
+            try:
+                return part.canonical()
+            except IndexError:  # an empty part has no canonical member
+                pass
+        raise IndexError("an empty union has no member")
 
     def members(self, cap=BEHAVIOR_CAP):
         out = []
@@ -606,16 +612,11 @@ def hat_problem(f: Problem) -> Problem:
     def dom(p):
         try:
             p = rows_of(p)
-            if isinstance(p, RowTuple):
-                rows = [p.default, *p.rows.values()]
-            elif isinstance(p, EvPeriodic):
-                n_star, cycle = row_stabilization(p)
-                rows = (row(p, n) for n in range(n_star + cycle))
-            elif isinstance(p, LawPoint):
+            if isinstance(p, LawPoint):
                 # bounded validation on law-backed names; construction carries the tail
                 rows = (row(p, n) for n in range(LAW_DOMAIN_WINDOW))
             else:
-                return False
+                rows = itertools.chain(*row_period(p))
             return all(f.in_domain(r) for r in rows)
         except UnsupportedShape:
             return False
@@ -625,20 +626,20 @@ def hat_problem(f: Problem) -> Problem:
         if f.answers is None:
             return RowProductSet(lambda n: f.value_set(row(p, n)))
 
-        def bits(n):
-            return f.answers(row(p, n))
+        try:
+            period = row_period(p)
+        except UnsupportedShape:
+            return CoordProductSet(lambda n: f.answers(row(p, n)))
 
-        if isinstance(p, RowTuple):
-            return CoordProductSet(bits, support_bound=max(p.rows, default=-1) + 1,
-                                   tail_bits=f.answers(p.default))
-        if isinstance(p, EvPeriodic):
-            # rows from n_star on repeat with period cycle: one answer set
-            # on a whole cycle is the answer set of every later row
-            n_star, cycle = row_stabilization(p)
-            tails = {bits(n) for n in range(n_star, n_star + cycle)}
-            if len(tails) == 1:
-                return CoordProductSet(bits, support_bound=n_star,
-                                       tail_bits=tails.pop())
+        def bits(n):
+            return f.answers(period_row(period, n))
+
+        # one answer set on the whole tail cycle is that of every later row
+        head, tail = period
+        tails = set(map(f.answers, tail))
+        if len(tails) == 1:
+            return CoordProductSet(bits, support_bound=len(head),
+                                   tail_bits=tails.pop())
         return CoordProductSet(bits)
 
     return Problem(("hat", f.key), dom, value)

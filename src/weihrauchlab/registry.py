@@ -67,7 +67,6 @@ class Entry:
     corpus: Callable           # (rng, n) -> list of names
     depth: int = 16
     count: int = 25
-    expect_pass: bool = True
 
 
 def _fixture_mass():

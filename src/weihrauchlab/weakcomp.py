@@ -2,7 +2,7 @@
 LLPO, moduli of uniform continuity, truth-table extraction, the
 coordinate-swap construction that moves a machine past the parallelized
 oracle, composition of weakly computable reductions, and the compact
-choice witnesses.
+choice witnesses.  Their row-tupled machines emit through emit_rows.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from .errors import (
 from .machines import (
     Machine,
     PointView,
+    RowView,
     compose,
     compose_all,
     emit_rows,
@@ -28,17 +29,18 @@ from .machines import (
     output_view,
 )
 from .points import (
+    ZEROS,
     EvPeriodic,
     LawPoint,
     Point,
-    RowTuple,
     first_nonzero,
     pair_decode,
     pair_encode,
     pulse,
     pulse_position,
     row,
-    row_stabilization,
+    row_length,
+    row_period,
     rows_of,
     scan_bound,
 )
@@ -60,7 +62,13 @@ from .spaces import (
     decode_ternary,
     word_at,
 )
-from .ternary import classify, extension_value, resolution_realizer
+from .ternary import (
+    classify,
+    extension_value,
+    resolution_realizer,
+    shape_of,
+    word_of_shape,
+)
 from .witnesses import (
     Witness,
     double_absorb_machine,
@@ -72,6 +80,7 @@ from .wkl import path_extractor
 
 EXCLUSION_CAP = 4096
 MODULUS_K_CAP = 16
+ENCODER_ROW_CAP = 10
 
 
 # ---------------------------------------------------------------------------
@@ -80,24 +89,11 @@ MODULUS_K_CAP = 16
 def forced_bits(p: Point) -> dict:
     """Forced coordinates of the parallelized-LLPO image; the forced set
     must be finite to be clopen-representable."""
-    p = rows_of(p)
-    if isinstance(p, RowTuple):
-        if len(llpo_value(p.default)) == 1:
-            raise NonRepresentable("default row forces a bit: infinite negative information")
-        out = {}
-        for n, r in p.rows.items():
-            bits = llpo_value(r)
-            if len(bits) == 1:
-                out[n] = min(bits)
-        return out
-    if isinstance(p, EvPeriodic):
-        n_star, cycle = row_stabilization(p)
-        for n in range(n_star, n_star + cycle):
-            if len(llpo_value(row(p, n))) == 1:
-                raise NonRepresentable("periodic tail forces bits: infinite negative information")
-        return {n: min(llpo_value(row(p, n)))
-                for n in range(n_star) if len(llpo_value(row(p, n))) == 1}
-    raise UnsupportedShape(f"compact image on {type(p).__name__}")
+    head, tail = row_period(rows_of(p))
+    if any(len(llpo_value(r)) == 1 for r in tail):
+        raise NonRepresentable("tail rows force bits: infinite negative information")
+    heads = map(llpo_value, head)
+    return {n: min(bits) for n, bits in enumerate(heads) if len(bits) == 1}
 
 
 def exclusion_blocks(n: int, forced_bit: int) -> list:
@@ -281,8 +277,9 @@ def llpo_swap(m: Machine, p: Point, depth: int) -> SwapResult:
 # ---------------------------------------------------------------------------
 # compact choice witnesses
 
-def compact_encoder_machine(row_cap: int = 10) -> Machine:
-    """Stream the forced coordinates of a row point as excluded cylinders."""
+def compact_encoder_machine() -> Machine:
+    """Stream the forced coordinates of a row point as excluded cylinders;
+    on a word, a forced coordinate beyond ENCODER_ROW_CAP is refused."""
     def codes(symbol_at, length, cap):
         out = []
         for i in range(length):
@@ -299,7 +296,7 @@ def compact_encoder_machine(row_cap: int = 10) -> Machine:
         return EvPeriodic(codes(p.value_at, scan_bound(p), None), (0,))
 
     def fn(w):
-        return codes(w.__getitem__, len(w), row_cap)
+        return codes(w.__getitem__, len(w), ENCODER_ROW_CAP)
     return Machine("compact-encode", fn, point=point)
 
 
@@ -329,19 +326,19 @@ class CylinderBlocking:
             self.snapshots.append((ell, ClopenCompact(excluded)))
         self._commits: dict = {}
 
-    def commit(self, r: int):
-        """("pulse", pos) once blocking evidence appears, else None."""
+    def commit(self, r: int) -> Optional[int]:
+        """Row r's pulse position once blocking evidence appears, else None."""
         if r not in self._commits:
             v = word_at(r)
-            state = None
+            pos = None
             for ell, compact in self.snapshots:
                 b0 = not compact.alive(v + (0,))
                 b1 = not compact.alive(v + (1,))
                 if b0 or b1:
                     # the pulse names the child to take: 1 when 0 is blocked
-                    state = ("pulse", pulse_position(ell, 1 if b0 else 0))
+                    pos = pulse_position(ell, 1 if b0 else 0)
                     break
-            self._commits[r] = state
+            self._commits[r] = pos
         return self._commits[r]
 
 
@@ -351,29 +348,16 @@ def compact_blocking_machine() -> Machine:
         L = len(w)
         blocking = CylinderBlocking(lambda i: w[i], L)
 
-        def sym(r, j):
-            state = blocking.commit(r)
-            if state is None:
-                return 0
-            return 1 if j == state[1] else 0
-
-        out = []
-        i = 0
-        while i < L:
-            r, j = pair_decode(i)
-            out.append(sym(r, j))
-            i += 1
-        return tuple(out)
+        return emit_rows(lambda r: word_of_shape((row_length(L, r),
+                                                  blocking.commit(r))), L)
 
     def point(p):
         bound = scan_bound(p) + 1
         blocking = CylinderBlocking(p.value_at, bound)
 
         def row_of(r):
-            state = blocking.commit(r)
-            if state is None:
-                return EvPeriodic((), (0,))
-            return pulse(state[1])
+            pos = blocking.commit(r)
+            return ZEROS if pos is None else pulse(pos)
 
         return LawPoint(row_fn=row_of, label="compact-blocking")
 
@@ -409,19 +393,20 @@ class DynamicSwap:
     so each is made once per swap and every replay reuses its result.
     """
 
-    def __init__(self, mid: Machine, k_cap: int = 8, row_cap: int = 8):
+    K_CAP = 8       # the widest modulus a row's search tries
+    ROW_CAP = 8     # pulses of rows beyond it exclude nothing
+
+    def __init__(self, mid: Machine):
         self.mid = mid
-        self.k_cap = k_cap
-        self.row_cap = row_cap
         self._searches: dict = {}   # (exclusions, row, start) -> search
 
     def search(self, excluded: frozenset, n: int, start: int):
         """Row n's commit under the exclusions from width start on:
-        (width, table), or None when no width up to k_cap fits."""
+        (width, table), or None when no width up to K_CAP fits."""
         key = (excluded, n, start)
         if key not in self._searches:
             compact = ClopenCompact(excluded)
-            width = emit_width(self.mid, compact, n, start, self.k_cap)
+            width = emit_width(self.mid, compact, n, start, self.K_CAP)
             self._searches[key] = None if width is None else (
                 width, truth_table(self.mid, compact, n, width))
         return self._searches[key]
@@ -444,7 +429,7 @@ class DynamicSwap:
         for ell in range(1, length + 1):
             if symbol_at(ell - 1) == 0:
                 continue
-            _, blocks = pulse_exclusions(ell - 1, self.row_cap)
+            _, blocks = pulse_exclusions(ell - 1, self.ROW_CAP)
             excluded.update(blocks or ())
             drain(ell)
         return commits
@@ -469,11 +454,10 @@ class DynamicSwap:
 class DynamicSwapMirror:
     """Point-level mirror of the dynamic swap on a fixed input name."""
 
-    def __init__(self, swap: DynamicSwap, q1: Point, replay_cap: int = REPLAY_CAP):
+    def __init__(self, swap: DynamicSwap, q1: Point):
         self.swap = swap
         self.q1 = q1
-        self.cap = replay_cap
-        self.length = min(replay_cap, scan_bound_or(q1, replay_cap))
+        self.length = min(REPLAY_CAP, scan_bound_or(q1, REPLAY_CAP))
         self._max_rows = 8
         self.commits = swap.replay(q1.value_at, self.length, self._max_rows)
         self._rows: dict = {}
@@ -507,7 +491,7 @@ class DynamicSwapMirror:
             mach = resolution_realizer(table, arity, floor=ell)
             outcome = None
             width = 16
-            while width <= 4 * self.cap:
+            while width <= 4 * REPLAY_CAP:
                 word = mach.eval(PointView(self.q1, width))
                 pos = first_nonzero(word)
                 if pos is not None:
@@ -534,36 +518,13 @@ def scan_bound_or(p: Point, fallback: int) -> int:
 def condenser_machine() -> Machine:
     """Collapse each row to its first nonzero entry (parity preserved)."""
     def fn(w):
-        L = len(w)
-        firsts: dict = {}
-
-        def first_nz(k, upto):
-            best = firsts.get(k)
-            if best is not None:
-                return best
-            t = 0
-            while True:
-                idx = pair_encode(k, t)
-                if idx >= L or t > upto:
-                    return None
-                if w[idx] != 0:
-                    firsts[k] = t
-                    return t
-                t += 1
-
-        out = []
-        i = 0
-        while i < L:
-            k, j = pair_decode(i)
-            t0 = first_nz(k, j)
-            out.append(1 if t0 == j else 0)
-            i += 1
-        return tuple(out)
+        return emit_rows(lambda k: word_of_shape(shape_of(RowView(w, k))),
+                         len(w))
 
     return Machine("condense", fn)
 
 
-def _condensed_rows(mirror: DynamicSwapMirror, tail_scan: int = SCAN_CAP):
+def _condensed_rows(mirror: DynamicSwapMirror):
     """Row k of the condensed target: the earliest mapped contributor pulse.
 
     The scan stops where the middle machine's commit capability ends; the
@@ -577,7 +538,7 @@ def _condensed_rows(mirror: DynamicSwapMirror, tail_scan: int = SCAN_CAP):
             n = s // 2
             if best is not None and pair_encode(n, 0) * 2 > best:
                 break
-            if s > 2 * tail_scan:
+            if s > 2 * SCAN_CAP:
                 break
             inner = pair_encode(k, s)
             try:

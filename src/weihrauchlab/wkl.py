@@ -5,7 +5,9 @@ The forward direction turns a tree name into one blocking stream per
 binary word; an oracle answer supplies, per word, a bit whose child is
 still on arbitrarily long tree branches, and the path extractor follows
 those bits.  The backward direction encodes the rows' constraints as a
-tree whose paths are exactly the admissible answer streams.
+tree whose paths are exactly the admissible answer streams.  Blocking
+rows go out through emit_rows; the constraint tree's machine and mirror
+share one parity test, parity_chi.
 """
 
 from __future__ import annotations
@@ -13,17 +15,17 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import OutOfDomain, UnsupportedShape
-from .machines import Machine, extent, index_machine, stream_machine
+from .machines import Machine, emit_rows, extent, index_machine, stream_machine
 from .points import (
     EvPeriodic,
     LawPoint,
     Point,
-    RowTuple,
-    pair_decode,
     pair_encode,
+    period_row,
     pulse,
     pulse_position,
-    row,
+    row_length,
+    row_period,
     rows_of,
     scan_bound,
 )
@@ -36,11 +38,25 @@ from .problems import (
     llpo_hat_value,
 )
 from .spaces import FinTree, TreeChar, extensions, word_at, word_index
+from .ternary import word_of_shape
 from .witnesses import Witness, compose_witness
 
 
 # ---------------------------------------------------------------------------
 # the constraint tree of a row point (free tails allowed)
+
+def parity_chi(read, v) -> int:
+    """The constraint tree's membership bit of the word v: 1 when every row
+    m < len(v) reads 0 at 2k + v[m] for every k < len(v), 0 at the first
+    such symbol, in row order, that is not 0.  read(m, j) is symbol j of
+    row m."""
+    n = len(v)
+    for m in range(n):
+        for k in range(n):
+            if read(m, 2 * k + v[m]) != 0:
+                return 0
+    return 1
+
 
 class ConstraintTree:
     """Tree of words obeying the rows' parity constraints level by level.
@@ -52,25 +68,18 @@ class ConstraintTree:
 
     def __init__(self, point: Point):
         point = rows_of(point)
-        if not isinstance(point, (RowTuple, EvPeriodic)):
-            raise UnsupportedShape("constraint trees need structural row points")
-        self.point = point
+        head, tail = self.period = row_period(point)   # UnsupportedShape off row points
         self.values = llpo_hat_value(point)
-        if isinstance(point, RowTuple):
-            rows = list(point.rows.values()) + [point.default]
-        else:
-            rows = [row(point, n) for n in range(8)]
-        max_nz = max(scan_bound(r) for r in rows)
+        max_nz = max(scan_bound(r) for r in head + tail)
         self.stub_depth = max(1, max_nz // 2 + 1)
 
-    def member(self, w) -> bool:
-        w = tuple(w)
-        n = len(w)
-        return all(row(self.point, m).value_at(2 * k + w[m]) == 0
-                   for m in range(n) for k in range(n))
-
     def chi(self, w) -> int:
-        return 1 if self.member(w) else 0
+        w = tuple(w)
+        rows = [period_row(self.period, m) for m in range(len(w))]
+        return parity_chi(lambda m, j: rows[m].value_at(j), w)
+
+    def member(self, w) -> bool:
+        return self.chi(w) == 1
 
     def alive(self, w) -> bool:
         w = tuple(w)
@@ -202,42 +211,19 @@ def blocking_rows_machine() -> Machine:
         def blocked(wi, n):
             return all(not comparable(v, wi) for v in levels[n])
 
-        q_cache: dict = {}
+        def row_of(r):
+            v = word_at(r)
+            for n in range(ell + 1):
+                c0 = blocked(v + (0,), n)
+                c1 = blocked(v + (1,), n)
+                if c0 or c1:
+                    # a pulse at the level's parity names the child to take
+                    pos = None if c0 == c1 else 2 * n + (0 if c0 else 1)
+                    return word_of_shape((row_length(L, r), pos))
+            # no blocking within the covered levels: zeros are safe there
+            return (0,) * (2 * ell + 2)
 
-        def q_sym(r, j):
-            if r not in q_cache:
-                v = word_at(r)
-                found = None
-                for n in range(ell + 1):
-                    c0 = blocked(v + (0,), n)
-                    c1 = blocked(v + (1,), n)
-                    if c0 or c1:
-                        found = (n, c0, c1)
-                        break
-                q_cache[r] = found
-            found = q_cache[r]
-            if found is None:
-                # no blocking within the covered levels: zeros are safe there
-                return 0 if j <= 2 * ell + 1 else None
-            n, c0, c1 = found
-            if c0 and not c1:
-                pos = 2 * n
-            elif c1 and not c0:
-                pos = 2 * n + 1
-            else:
-                pos = None
-            return 1 if j == pos else 0
-
-        out = []
-        i = 0
-        while i < L:
-            r, j = pair_decode(i)
-            s = q_sym(r, j)
-            if s is None:
-                break
-            out.append(s)
-            i += 1
-        return tuple(out)
+        return emit_rows(row_of, L)
 
     def point(p):
         if not isinstance(p, TreeChar):
@@ -278,27 +264,15 @@ def wkl_to_llpo_hat() -> Witness:
 def constraint_tree_machine() -> Machine:
     """Emit the characteristic stream of the constraint tree of the rows."""
     def fn(w):
-        L = len(w)
-
-        def chi(v):
-            n = len(v)
-            for m in range(n):
-                for k in range(n):
-                    idx = pair_encode(m, 2 * k + v[m])
-                    if idx >= L:
-                        return None
-                    if w[idx] != 0:
-                        return 0
-            return 1
+        def read(m, j):
+            return w[pair_encode(m, j)]
 
         out = []
-        j = 0
-        while j < L:
-            s = chi(word_at(j))
-            if s is None:
+        for j in range(len(w)):
+            try:
+                out.append(parity_chi(read, word_at(j)))
+            except IndexError:      # a read past the input: not yet determined
                 break
-            out.append(s)
-            j += 1
         return tuple(out)
 
     return Machine("constraint-tree", fn,

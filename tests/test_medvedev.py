@@ -1,5 +1,12 @@
 from weihrauchlab.corpus import any_points, pair_points, rng_for, any_point
-from weihrauchlab.machines import Machine, identity
+from weihrauchlab.machines import (
+    Machine,
+    ReadView,
+    Windowed,
+    identity,
+    output_view,
+    run_on_point,
+)
 from weihrauchlab.medvedev import (
     MassProblem,
     embed_backward,
@@ -10,6 +17,7 @@ from weihrauchlab.medvedev import (
     set_tensor,
 )
 from weihrauchlab.points import EvPeriodic, prefix
+from weihrauchlab.registry import _fixture_mass, _med_embed
 from weihrauchlab.witnesses import check
 
 
@@ -62,6 +70,20 @@ def test_embed_backward_roundtrip():
     w = embed_forward(f, a, b)
     g = embed_backward(w)
     assert medvedev_check(a, b, g, 16).passed
+
+
+def test_embed_backward_reads_on_demand():
+    """The recovered machine keeps the view of the composite it is made
+    of, so a run reads the member on demand, not through windows: the
+    constant translation of the registry fixture reads no symbol of it."""
+    a, b = _fixture_mass()
+    g = embed_backward(_med_embed())
+    assert g.view is not None
+    assert medvedev_check(a, b, g, 16).passed
+    for q in b.members:
+        assert not isinstance(output_view(g, ReadView(q)), Windowed)
+        outcome = run_on_point(g, q, 16)
+        assert outcome.productive and outcome.width == 0
 
 
 def test_embedding_fidelity_on_fixture_lattice():

@@ -19,7 +19,7 @@ from weihrauchlab.points import (
     RowTuple,
     prefix,
     row,
-    row_stabilization,
+    row_period,
 )
 from weihrauchlab.problems import (
     CoordProductSet,
@@ -30,6 +30,8 @@ from weihrauchlab.problems import (
     RowProductSet,
     SinglePointSet,
     TaggedUnionSet,
+    UnionSet,
+    ValueSet,
     bottom_problem,
     c_problem,
     compact_choice_problem,
@@ -96,7 +98,8 @@ def test_hat_tail_on_eventually_periodic_names():
     exact = 0
     for _ in range(40):
         p = ev_periodic(rng)
-        n_star, cycle = row_stabilization(p)
+        head, tail = row_period(p)
+        n_star, cycle = len(head), len(tail)
         vs = c_problem().value_set(p)
         if vs.tail_bits is None:
             assert len({vs.bits(i) for i in range(n_star, n_star + cycle)}) == 2
@@ -333,6 +336,39 @@ def test_canonical_member_is_structural():
     # the branches of a row product read the structural canonical rows
     [branch] = rows.behaviors(1, 2)
     assert prefix(row(branch, 2), 6) == (0, 2) * 3
+
+
+def test_union_canonicals_are_structural():
+    """A tagged union and a union name their first member without
+    enumerating behaviors, which raised CapacityExceeded on these; where
+    the enumerating base method answers, they answer the same member."""
+    zeros, ones, twos = (EvPeriodic((), (c,)) for c in (0, 1, 2))
+    three = PointListSet([zeros, ones, twos])
+    tagged = TaggedUnionSet(three, PointListSet([zeros]))
+    union = UnionSet([SinglePointSet(p) for p in (zeros, ones, twos)])
+    for vs in (tagged, union):
+        with pytest.raises(CapacityExceeded):
+            ValueSet.canonical(vs)
+    assert prefix(tagged.canonical(), 8) == (0,) * 8
+    assert union.canonical() == zeros
+    small = [SinglePointSet(ones), PointListSet([twos]), EmptySet(),
+             PairSet(SinglePointSet(twos), SinglePointSet(ones)),
+             CoordProductSet(lambda i: {i % 2, 1}), three]
+    cases = [TaggedUnionSet(a, b) for a in small for b in small]
+    cases += [UnionSet(parts) for parts in
+              ([], [EmptySet()], [EmptySet(), small[3]], small[:2], [small[4]])]
+    cases.append(TaggedUnionSet(cases[-1], EmptySet()))
+    answered = 0
+    for vs in cases:
+        try:
+            want = ValueSet.canonical(vs)
+        except (CapacityExceeded, IndexError):
+            continue
+        answered += 1
+        assert prefix(vs.canonical(), 24) == prefix(want, 24), vs
+    assert answered >= 20
+    with pytest.raises(IndexError):
+        TaggedUnionSet(EmptySet(), EmptySet()).canonical()
 
 
 # a free coordinate {0, 1} is drawn three times as often as each forced one
