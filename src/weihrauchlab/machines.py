@@ -13,7 +13,8 @@ a view: a length known from the input's length alone, and an indexer.
 identity's view is its input and the projections' are stride views; the
 others (diag, and the index and symbol machines, const_machine, inject
 and shift_l among them) are LazyWords, whose symbols are computed on
-first read and memoized with the view.  eval is that view materialized.  The
+first read and memoized with the view.  eval is that view materialized,
+but for an index machine, whose eval maps its law over the input.  The
 combinators pass views along: compose hands the outer machine the inner
 stage's view, pair_machine and tensor interleave the views of their
 parts, and tag_case, the copairing of a tagged union, hands the branch
@@ -565,7 +566,9 @@ def index_machine(name: str, src: Callable, rows: Callable = None,
                   point: Callable = None) -> Machine:
     """Output symbol j is input symbol src(j).  Over a finite input it
     emits the longest closed prefix within the evaluation budget, over an
-    unbounded one every symbol, each a single read of src(j).
+    unbounded one every symbol, each a single read of src(j).  eval maps
+    the law over its input, writing no memo; the view stays lazy, for
+    composites and unbounded runs.
 
     The point action reads the input at src(i); rows, given the input
     point, returns the row law of the output when it has row structure.
@@ -576,7 +579,7 @@ def index_machine(name: str, src: Callable, rows: Callable = None,
         return LazyWord(length(extent(w)), lambda j: w[src(j)])
 
     def fn(w):
-        return tuple(view(w))
+        return tuple(map(w.__getitem__, map(src, range(length(extent(w))))))
 
     def law(p):
         return LawPoint(fn=lambda i: p.value_at(src(i)),

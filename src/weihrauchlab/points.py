@@ -64,10 +64,19 @@ def row_lengths(L: int) -> list:
 
 def gather_rows(row_at: Callable, n: int) -> list:
     """The first n symbols of the row-tupled word whose row r is the point
-    row_at(r): each row holding one of them is read once, through its own
-    symbols, and the rows are gathered in pairing order, through the
-    decode table below DECODE_BOUND."""
-    rows = [tuple(row_at(r).symbols(m)) for r, m in enumerate(row_lengths(n))]
+    row_at(r): each distinct row point holding one of them is read once,
+    through its own symbols, and the rows are gathered in pairing order,
+    through the decode table below DECODE_BOUND.  Row lengths do not
+    increase, so a row point's first read is its longest, and a later row
+    that is the same object is read from it."""
+    read: dict = {}     # id -> (row point, its symbols); the point kept alive
+    rows = []
+    for r, m in enumerate(row_lengths(n)):
+        pt = row_at(r)
+        got = read.get(id(pt))
+        if got is None:
+            got = read[id(pt)] = pt, tuple(pt.symbols(m))
+        rows.append(got[1])
     codes = zip(_ROW, _COL)
     if n > DECODE_BOUND:
         codes = chain(codes, map(pair_decode, range(DECODE_BOUND, n)))
@@ -507,16 +516,17 @@ def nonzero_census(p: Point) -> tuple:
         for n, r in p.rows.items():
             k, pos = nonzero_census(r)
             if k == "many":
-                return "many", pair_encode(n, pos)
+                count = 2
+                break
             if k == "one":
                 count += 1
-                here = pair_encode(n, pos)
-                first = here if first is None else min(first, here)
+                first = pair_encode(n, pos)
         if count == 0:
             return "zero", None
         if count == 1:
             return "one", first
-        return "many", first
+        # the first nonzero may stand in any row, not the one found many
+        return "many", _min_hit(p, False)
     raise UnsupportedShape(f"nonzero census on {type(p).__name__}")
 
 

@@ -616,7 +616,9 @@ def hat_problem(f: Problem) -> Problem:
                 # bounded validation on law-backed names; construction carries the tail
                 rows = (row(p, n) for n in range(LAW_DOMAIN_WINDOW))
             else:
-                rows = itertools.chain(*row_period(p))
+                # a row tuple's head repeats its default row: test each
+                # row object once (the dict keeps each one alive)
+                rows = {id(r): r for r in itertools.chain(*row_period(p))}.values()
             return all(f.in_domain(r) for r in rows)
         except UnsupportedShape:
             return False

@@ -23,7 +23,6 @@ from .errors import MiddleMismatch, NotACylinder, OutOfDomain, WorkbenchError
 from .literals import point_str
 from .machines import (
     Machine,
-    PointView,
     ReadView,
     RowView,
     compose,
@@ -171,6 +170,10 @@ def check(w: Witness, corpus, depth: int = 16, cap: int = BEHAVIOR_CAP,
           validate_width: int = VALIDATE_WIDTH, fuel: int = None) -> Report:
     """Replay the witness on every corpus name and oracle behavior branch.
 
+    K is validated on the name's word: its first validate_width symbols,
+    read once (p.prefix), and K's whole output on them is compared with
+    the mirror's prefix of the same length.
+
     The oracle's behaviors are explored along H's reads (ValueSet.explore):
     an entry stands for every behavior that agrees with its run on the
     coordinates it read, and its behavior index is the least of them.
@@ -191,7 +194,7 @@ def check(w: Witness, corpus, depth: int = 16, cap: int = BEHAVIOR_CAP,
             raise OutOfDomain(f"{w.name}: corpus name outside dom({w.f.name})")
         fv = w.f.value_set(p)
         q = w.k_point(p)
-        kout = tuple(w.K.eval(PointView(p, validate_width)))
+        kout = tuple(w.K.eval(p.prefix(validate_width)))
         if kout != prefix(q, len(kout)):
             report.entries.append(CheckEntry(label, -1, "error",
                                              note="K mirror mismatch"))

@@ -199,6 +199,39 @@ def test_census_agrees_with_scan():
             assert nz and nz[0] == pos
 
 
+def test_census_of_a_row_tuple_finds_its_first_nonzero():
+    """A row with many nonzeros may come after a row with an earlier one,
+    in insertion order: the census's first position is still the least."""
+    p = RowTuple({3: EvPeriodic((1, 1), (0,)), 0: EvPeriodic((0, 1, 1), (0,))},
+                 EvPeriodic((), (0,)))
+    assert nonzero_census(p) == ("many", 2)
+    from weihrauchlab.problems import llpo_problem
+    assert not llpo_problem().in_domain(p)
+
+
+CENSUS_ROWS = st.builds(EvPeriodic, st.lists(st.integers(0, 1), max_size=5),
+                        st.lists(st.integers(0, 1), min_size=1, max_size=2))
+
+
+@given(st.dictionaries(st.integers(0, 6), CENSUS_ROWS, max_size=4),
+       st.sampled_from([EvPeriodic((), (0,)), EvPeriodic((0, 0), (0,)),
+                        EvPeriodic((0, 1), (0,)), EvPeriodic((), (0, 1))]))
+def test_census_of_row_tuples_agrees_with_a_scan(rows, default):
+    """On row tuples the census's kind and first position are those of a
+    scan of value_at: below scan_bound for the first nonzero, and below a
+    bound that holds two periods of every row and two default rows for
+    the count."""
+    p = RowTuple(rows, default)
+    kind, pos = nonzero_census(p)
+    reach = max(scan_bound(r) for r in [default, *rows.values()])
+    wide = pair_encode(max(rows, default=0) + 2, 2 * reach) + 1
+    nz = [i for i in range(max(wide, scan_bound(p))) if p.value_at(i) != 0]
+    assert (kind == "zero") == (not nz)
+    if nz:
+        assert pos == nz[0] and nz[0] < scan_bound(p)
+        assert kind == ("one" if len(nz) == 1 else "many")
+
+
 def test_progression_examples():
     assert all_zero_on_progression(EvPeriodic((), (0,)), 2, 0)
     assert not all_zero_on_progression(EvPeriodic((0, 1), (0,)), 2, 1)

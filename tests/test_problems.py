@@ -47,6 +47,7 @@ from weihrauchlab.problems import (
     llpo_value,
     lpo_problem,
     lpo_value,
+    nat_problem,
     product_problem,
     sum_problem,
 )
@@ -129,6 +130,31 @@ def test_llpo_hat_examples():
 def test_llpo_hat_domain_error_names_row():
     bad = RowTuple({2: EvPeriodic((1, 1), (0,))}, EvPeriodic((), (0,)))
     assert not llpo_hat_problem().in_domain(bad)
+
+
+def test_hat_domain_tests_each_row_object_once():
+    """A row tuple's head repeats its default row: the hat's domain test
+    asks f about each distinct row object once, in row order, and its
+    verdict is that of asking about every row."""
+    asked = []
+
+    def stub_dom(r):
+        asked.append(r)
+        return r.value_at(0) != 9
+
+    hat = hat_problem(nat_problem("stub", stub_dom, lambda r: frozenset({0})))
+    a, b, d = EvPeriodic((1,), (0,)), EvPeriodic((2,), (0,)), EvPeriodic((), (0,))
+    assert hat.in_domain(RowTuple({0: a, 3: b, 5: a}, d))
+    assert list(map(id, asked)) == [id(a), id(d), id(b)]
+    asked.clear()
+    assert not hat.in_domain(RowTuple({4: EvPeriodic((9,), (0,))}, d))
+    assert list(map(id, asked))[:1] == [id(d)] and len(asked) == 2
+    asked.clear()
+    # the rows of a periodic name are distinct objects: each is asked
+    name = EvPeriodic((1, 2, 3), (0, 4))
+    assert hat.in_domain(name)
+    head, tail = row_period(name)
+    assert len(asked) == len(head) + len(tail)
 
 
 def test_c_map_agrees_with_rowwise_lpo():
