@@ -229,6 +229,7 @@ class ClopenCompact:
         # every liveness query reads the depth
         object.__setattr__(self, "_depth",
                            max((len(w) for w in self.excluded), default=0))
+        object.__setattr__(self, "_alive", {})
 
     def depth(self) -> int:
         return self._depth
@@ -248,10 +249,13 @@ class ClopenCompact:
 
     def alive(self, w) -> bool:
         """w extends to a member: w is admitted and, below the excluded
-        depth, some admitted word of that depth extends it."""
+        depth, one of its children is alive."""
         w = tuple(w)
-        return self.admits(w) and bool(
-            extensions(w, max(self.depth(), len(w)), self.admits))
+        if w not in self._alive:
+            self._alive[w] = self.admits(w) and (len(w) >= self._depth
+                                                 or self.alive(w + (0,))
+                                                 or self.alive(w + (1,)))
+        return self._alive[w]
 
 
 def clopen_word_code(w) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from math import inf
 from typing import Callable, Optional
 
 from .errors import (
@@ -309,36 +310,44 @@ def llpo_hat_to_compact() -> Witness:
 class CylinderBlocking:
     """Per-row blocking commits over a negative-information stream.
 
-    Exclusion snapshots are taken at the stages where codes arrive, so each
-    row's verdict replays over at most one snapshot per code.  A doubly
-    blocked word is off every branch; pinning one side keeps the row decided
-    and the extraction unaffected.
+    Each excluded word keeps the stage at which its code first arrived.  A
+    word dies, extending to no admitted word, at the first stage of an
+    excluded prefix, or, while an excluded word lies strictly below it, once
+    both children have died.  A row commits at the first death of a child
+    of its word; a doubly blocked word is off every branch, and pinning one
+    side keeps the row decided and the extraction unaffected.
     """
 
     def __init__(self, code_stream, length: int):
-        self.snapshots = []
-        excluded: set = set()
+        self.stage: dict = {}
         for ell in range(1, length + 1):
             c = code_stream(ell - 1)
-            if c == 0:
-                continue
-            excluded.add(clopen_code_word(c))
-            self.snapshots.append((ell, ClopenCompact(excluded)))
+            if c != 0:
+                self.stage.setdefault(clopen_code_word(c), ell)
+        self.inner = {e[:i] for e in self.stage for i in range(len(e))}
+        self.depth = max(map(len, self.stage), default=0)
+        self._death: dict = {}
         self._commits: dict = {}
+
+    def death(self, w) -> float:
+        """The first stage at which w extends to no admitted word (inf: never)."""
+        w = w[:self.depth]      # no excluded word reaches deeper
+        if w not in self._death:
+            d = min(self.stage.get(w[:i], inf) for i in range(len(w) + 1))
+            if w in self.inner:
+                d = min(d, max(self.death(w + (0,)), self.death(w + (1,))))
+            self._death[w] = d
+        return self._death[w]
 
     def commit(self, r: int) -> Optional[int]:
         """Row r's pulse position once blocking evidence appears, else None."""
         if r not in self._commits:
             v = word_at(r)
-            pos = None
-            for ell, compact in self.snapshots:
-                b0 = not compact.alive(v + (0,))
-                b1 = not compact.alive(v + (1,))
-                if b0 or b1:
-                    # the pulse names the child to take: 1 when 0 is blocked
-                    pos = pulse_position(ell, 1 if b0 else 0)
-                    break
-            self._commits[r] = pos
+            d0, d1 = self.death(v + (0,)), self.death(v + (1,))
+            d = min(d0, d1)
+            # the pulse names the child to take: 1 when 0 is blocked
+            self._commits[r] = (None if d == inf
+                                else pulse_position(d, 1 if d0 <= d1 else 0))
         return self._commits[r]
 
 

@@ -72,11 +72,14 @@ class ConstraintTree:
         self.values = llpo_hat_value(point)
         max_nz = max(scan_bound(r) for r in head + tail)
         self.stub_depth = max(1, max_nz // 2 + 1)
+        self._chi: dict = {}
 
     def chi(self, w) -> int:
         w = tuple(w)
-        rows = [period_row(self.period, m) for m in range(len(w))]
-        return parity_chi(lambda m, j: rows[m].value_at(j), w)
+        if w not in self._chi:
+            rows = [period_row(self.period, m) for m in range(len(w))]
+            self._chi[w] = parity_chi(lambda m, j: rows[m].value_at(j), w)
+        return self._chi[w]
 
     def member(self, w) -> bool:
         return self.chi(w) == 1
@@ -156,28 +159,34 @@ def _child_blocked_at(tree, wi, n: int) -> bool:
     return not tree.extension_exists(wi, n)
 
 
+def _blocking_search(tree, w) -> Optional[tuple]:
+    """(n, b0, b1): the minimal level n at which a child of w is blocked,
+    with each child's blocked bit there; None when both children are alive.
+    Both tree presentations are prefix-closed, so no level up to len(w)
+    blocks a child of a tree word, and the search starts past it."""
+    w0, w1 = w + (0,), w + (1,)
+    if tree.alive(w0) and tree.alive(w1):
+        return None
+    start = len(w) + 1 if tree.member(w) else 0
+    for n in range(start, tree.blocking_search_bound(w) + 1):
+        b0, b1 = _child_blocked_at(tree, w0, n), _child_blocked_at(tree, w1, n)
+        if b0 or b1:
+            return n, b0, b1
+    raise OutOfDomain("blocking analysis failed on a malformed tree")
+
+
 def blocking_index(tree, w) -> Optional[int]:
     """Minimal level at which some child of w falls off every long branch."""
-    w = tuple(w)
-    if tree.alive(w + (0,)) and tree.alive(w + (1,)):
-        return None
-    bound = tree.blocking_search_bound(w)
-    for n in range(bound + 1):
-        if _child_blocked_at(tree, w + (0,), n) or _child_blocked_at(tree, w + (1,), n):
-            return n
-    raise OutOfDomain("blocking analysis failed on a malformed tree")
+    found = _blocking_search(tree, tuple(w))
+    return None if found is None else found[0]
 
 
 def q_stream(tree, w) -> EvPeriodic:
     """The per-word blocking stream: a pulse flags the doomed child."""
-    w = tuple(w)
-    n = blocking_index(tree, w)
-    if n is None:
+    found = _blocking_search(tree, tuple(w))
+    if found is None or found[1] == found[2]:
         return EvPeriodic((), (0,))
-    b0 = _child_blocked_at(tree, w + (0,), n)
-    b1 = _child_blocked_at(tree, w + (1,), n)
-    if b0 == b1:
-        return EvPeriodic((), (0,))
+    n, b0, _ = found
     # the pulse names the child to take: 1 (go right) when 0 is blocked
     return pulse(pulse_position(2 * n, 1 if b0 else 0))
 
@@ -205,11 +214,14 @@ def blocking_rows_machine() -> Machine:
         def member(v):
             return w[word_index(v)] == 1
 
-        levels = [extensions((), n, member) if member(()) else []
+        levels = [set(extensions((), n, member)) if member(()) else set()
                   for n in range(ell + 1)]
 
         def blocked(wi, n):
-            return all(not comparable(v, wi) for v in levels[n])
+            k = len(wi)
+            if n <= k:
+                return wi[:n] not in levels[n]
+            return all(v[:k] != wi for v in levels[n])
 
         def row_of(r):
             v = word_at(r)

@@ -19,11 +19,19 @@ from weihrauchlab.points import (
     pair_decode,
     pair_encode,
     period_row,
+    pulse_position,
     row,
     row_period,
 )
 from weihrauchlab.registry import named_witnesses
-from weihrauchlab.spaces import extensions, word_at, word_index
+from weihrauchlab.spaces import (
+    ClopenCompact,
+    clopen_code_word,
+    clopen_word_code,
+    extensions,
+    word_at,
+    word_index,
+)
 from weihrauchlab.weakcomp import (
     CylinderBlocking,
     compact_blocking_machine,
@@ -117,12 +125,39 @@ def reference_constraint_tree(w):
     return tuple(out)
 
 
+def snapshot_commits(code_stream, length):
+    """The per-snapshot scan: one ClopenCompact per code arrival, and row r
+    commits at the first snapshot where a child of its word is not alive."""
+    snapshots = []
+    excluded: set = set()
+    for ell in range(1, length + 1):
+        c = code_stream(ell - 1)
+        if c == 0:
+            continue
+        excluded.add(clopen_code_word(c))
+        snapshots.append((ell, ClopenCompact(excluded)))
+    commits: dict = {}
+
+    def commit(r):
+        if r not in commits:
+            v = word_at(r)
+            commits[r] = None
+            for ell, compact in snapshots:
+                b0 = not compact.alive(v + (0,))
+                b1 = not compact.alive(v + (1,))
+                if b0 or b1:
+                    commits[r] = pulse_position(ell, 1 if b0 else 0)
+                    break
+        return commits[r]
+    return commit
+
+
 def reference_compact_blocking(w):
     L = len(w)
-    blocking = CylinderBlocking(lambda i: w[i], L)
+    commit = snapshot_commits(lambda i: w[i], L)
 
     def sym(r, j):
-        pos = blocking.commit(r)
+        pos = commit(r)
         if pos is None:
             return 0
         return 1 if j == pos else 0
@@ -201,6 +236,21 @@ def test_row_machines_as_their_references_on_registry_names(build, reference):
             for width in WIDTHS:
                 w = PointView(p, width)
                 assert outcome(m.eval, w) == outcome(reference, w), (name, p, width)
+
+
+CODES = st.one_of(st.just(0), st.sampled_from(
+    [clopen_word_code(w) for n in range(5) for w in product((0, 1), repeat=n)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(CODES, max_size=24))
+def test_cylinder_blocking_commits_as_the_snapshot_scan(codes):
+    """Stage map and death against one ClopenCompact per code arrival, on
+    streams of words up to length 4 with zeros and repeated codes."""
+    blocking = CylinderBlocking(codes.__getitem__, len(codes))
+    commit = snapshot_commits(codes.__getitem__, len(codes))
+    for r in range(64):
+        assert blocking.commit(r) == commit(r), r
 
 
 # ---------------------------------------------------------------------------

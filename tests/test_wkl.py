@@ -4,8 +4,9 @@ import pytest
 
 from weihrauchlab.corpus import llpo_hat_inputs, rng_for, thin_tree, tree_names
 from weihrauchlab.machines import PointView
-from weihrauchlab.points import EvPeriodic, RowTuple, prefix
+from weihrauchlab.points import EvPeriodic, RowTuple, period_row, prefix
 from weihrauchlab.problems import llpo_hat_value, llpo_value
+from weihrauchlab.registry import named_witnesses
 from weihrauchlab.spaces import FinTree, TreeChar
 from weihrauchlab.witnesses import check
 from weihrauchlab.wkl import (
@@ -14,6 +15,7 @@ from weihrauchlab.wkl import (
     blocking_index,
     blocking_index_bruteforce,
     llpo_hat_to_wkl,
+    parity_chi,
     q_stream,
     wkl_round_trip,
     wkl_to_llpo_hat,
@@ -29,6 +31,15 @@ def fixture_trees():
     out.append(FinTree(2, {(), (0,), (1,), (0, 0), (1, 1)}, (zeros, ones)))
     out.append(FinTree(1, {(), (0,)}, (zeros,)))
     return out
+
+
+def constraint_trees():
+    corpus = named_witnesses()["llpo_hat_to_wkl"].corpus(rng_for("wkl-fix:ct"), 6)
+    return [ConstraintTree(p) for p in corpus]
+
+
+def all_trees():
+    return fixture_trees() + constraint_trees()
 
 
 def all_words(max_len):
@@ -52,7 +63,7 @@ def test_blocking_index_single_live_path():
 
 
 def test_blocking_index_agrees_with_bruteforce():
-    for t in fixture_trees():
+    for t in all_trees():
         for w in all_words(5):
             got = blocking_index(t, w)
             want = blocking_index_bruteforce(t, w, 10)
@@ -62,8 +73,26 @@ def test_blocking_index_agrees_with_bruteforce():
                 assert got == want, (t, w)
 
 
+def test_tree_presentations_are_prefix_closed():
+    """The blocking search starts past a tree word's own length on this."""
+    for t in all_trees():
+        for w in all_words(7):
+            if w and t.member(w):
+                assert t.member(w[:-1]), (t, w)
+
+
+def test_constraint_tree_chi_is_parity_chi():
+    for t in constraint_trees():
+        for w in all_words(5):
+            t.chi(w)
+        for w in all_words(6):
+            rows = [period_row(t.period, m) for m in range(len(w))]
+            fresh = parity_chi(lambda m, j: rows[m].value_at(j), w)
+            assert t.chi(w) == fresh, (t, w)
+
+
 def test_q_stream_trichotomy_and_domain():
-    for t in fixture_trees():
+    for t in all_trees():
         for w in all_words(5):
             q = q_stream(t, w)
             census = [s for s in q.head if s != 0]
@@ -73,13 +102,34 @@ def test_q_stream_trichotomy_and_domain():
 
 
 def test_q_stream_guides_to_live_children():
-    for t in fixture_trees():
+    for t in all_trees():
         for w in all_words(4):
             if not t.member(w) or not t.alive(w):
                 continue
             bits = llpo_value(q_stream(t, w))
             for i in bits:
                 assert t.alive(tuple(w) + (i,)), (w, i)
+
+
+def test_q_stream_reads_few_memberships_along_a_live_path():
+    """On a tree word the search starts past the word's length: one
+    membership test for the word and one per child, where a search from
+    level 0 made 2 * (len(w) + 1) before it got there."""
+    for p in tree_names(rng_for("wkl-fix:guard"), 3):
+        t = p.tree
+        member = t.member
+        calls = []
+
+        def counted(w):
+            calls.append(w)
+            return member(w)
+
+        t.member = counted
+        for path in t.live_paths:
+            for n in range(21):
+                calls.clear()
+                q_stream(t, prefix(path, n))
+                assert len(calls) <= 3, (t, n, calls)
 
 
 def test_forward_witness_path_soundness():
