@@ -45,6 +45,11 @@ class MiddleMismatch(WorkbenchError):
     """Witness composition with a mismatched middle problem."""
 
 
+class NotParallelizable(WorkbenchError):
+    """A reduction that parallelize_witness cannot apply row by row: one of
+    its problems is not a single-answer (nat-valued) problem."""
+
+
 class NotACylinder(WorkbenchError):
     """Strengthening requested against a problem with no registered cylinder witness."""
 

@@ -42,10 +42,18 @@ going through the pairing.
 A view over an unbounded input has no length (View.length is None), and
 neither has any view built on it: index machine j is then one read of
 src(j).  Searches that emit their symbols in order (stream_machine)
-pull them as they are read.  The hand-written Machine(name, fn)s that remain
-are defined by their window width, and output_view reads them over an
-unbounded input as the limit of eval over windows that double from 16 up
-to the fuel; over a point the windows are PointViews, and their whole
+pull them as they are read.  A row rule (row_rule_machine: the ternary
+realizers) is a rule over its input's rows: eval applies it to the
+RowViews of a word, and over an unbounded input its view applies it at
+an input length that gives the symbols asked for, reading each row it
+needs once, in bulk (ReadView.read_row counts a row by its extent).  The
+hand-written Machine(name, fn)s that remain (the NAND realizer, the swap,
+compact-choice and condenser machines of weakcomp, wkl's blocking-rows
+and constraint-tree machines, the K searches of llpo_to_llpo_real,
+llpo_real_to_llpo and lpo_from_discontinuity, and a negative control's
+flip) are defined by their window width, and output_view reads them over
+an unbounded input as the limit of eval over windows that double from 16
+up to the fuel; over a point the windows are PointViews, and their whole
 width counts as read.
 
 A machine may also carry its point action: a function from a finitely
@@ -126,31 +134,38 @@ class PointView(View):
 
 class ReadView(View):
     """The whole of a point, unbounded, counting the input symbols read:
-    each distinct coordinate once, and a window's whole width when a
-    machine defined by its window evaluates on one (charge).  A read that
-    would take the count past fuel raises Stalled."""
+    each distinct coordinate once, whether a flat read, a row read
+    (read_row) or a window's whole width when a machine defined by its
+    window evaluates on one (charge) touched it.  A read that would take
+    the count past fuel raises Stalled."""
 
-    __slots__ = ("point", "fuel", "window", "seen")
+    __slots__ = ("point", "fuel", "window", "rows", "seen", "reads")
 
     def __init__(self, point: Point, fuel: int = DEFAULT_FUEL):
         self.length = None
         self.point = point
         self.fuel = fuel
         self.window = 0         # coordinates below it count as read
-        self.seen = set()       # coordinates read at or above the window
+        self.rows = {}          # row n -> e: its symbols k < e count as read
+        self.seen = set()       # the other coordinates read, none below the window
+        self.reads = 0          # the distinct coordinates counted
 
-    @property
-    def reads(self) -> int:
-        return self.window + len(self.seen)
+    def _stall(self):
+        raise Stalled(f"a run reads more than {self.fuel} input symbols")
+
+    def _in_rows(self, i) -> bool:
+        n, k = pair_decode(i)
+        return k < self.rows.get(n, 0)
 
     def __getitem__(self, i):
         if i < self.window:
             if i < 0:
                 raise IndexError(i)
-        elif i not in self.seen:
+        elif i not in self.seen and not (self.rows and self._in_rows(i)):
             if self.reads >= self.fuel:
-                raise Stalled(f"a run reads more than {self.fuel} input symbols")
+                self._stall()
             self.seen.add(i)
+            self.reads += 1
         return self.point.value_at(i)
 
     def charge(self, width: int):
@@ -160,9 +175,36 @@ class ReadView(View):
         seen = self.seen
         if seen:
             seen = {i for i in seen if i >= width}
-        if width + len(seen) > self.fuel:
-            raise Stalled(f"a run reads more than {self.fuel} input symbols")
-        self.window, self.seen = width, seen
+        reads = width + len(seen)
+        if self.rows:
+            reads += sum(max(0, e - row_length(width, n))
+                         for n, e in self.rows.items())
+        if reads > self.fuel:
+            self._stall()
+        self.window, self.seen, self.reads = width, seen, reads
+
+    def read_row(self, n: int, m: int) -> Word:
+        """Symbols k < m of row n, read in bulk: from the point's row when
+        it holds its rows (points.row_form), else at <n,k>.  The row's
+        symbols are counted as read by their extent, not one by one."""
+        e = self.rows.get(n, 0)
+        if m > e:
+            # below lo, the window or the row's extent has counted them
+            lo = max(e, row_length(self.window, n))
+            new = max(0, m - lo)
+            seen = self.seen
+            dup = (seen.intersection(map(partial(pair_encode, n), range(lo, m)))
+                   if seen and new else ())
+            if self.reads + new - len(dup) > self.fuel:
+                self._stall()
+            seen.difference_update(dup)
+            self.rows[n] = m
+            self.reads += new - len(dup)
+        rp = row_form(self.point, n)
+        if rp is not None:
+            return tuple(rp.symbols(m))
+        at = self.point.value_at
+        return tuple(at(pair_encode(n, k)) for k in range(m))
 
 
 class StrideView(View):
@@ -307,6 +349,38 @@ class Windowed(Stream):
             out = self.m.eval(window)
             if len(out) > len(self.memo):
                 self.memo = out
+
+
+class RowRule(Stream):
+    """The output of a row rule (row_rule_machine) on an unbounded view:
+    fill(n) applies the rule once, at an input length need(n) whose rows
+    give it n output symbols, reading each row it asks for once (prefix_row);
+    an output still short of n raises the length and the rule runs again."""
+
+    __slots__ = ("rule", "w", "need")
+
+    def __init__(self, rule: Callable, w, need: Callable):
+        self.length = None
+        self.rule = rule
+        self.w = w
+        self.need = need
+        self.memo = ()
+
+    def fill(self, n: int):
+        L = self.need(n)
+        while len(self.memo) < n:
+            # the rule is monotone: a longer input extends the output
+            self.memo = self.rule(L, partial(prefix_row, self.w, L))
+            L *= 2
+
+
+def prefix_row(w, L: int, n: int) -> Word:
+    """Row n of the length-L prefix of the unbounded view w: read in bulk
+    and counted by its extent over a ReadView, else symbol by symbol."""
+    m = row_length(L, n)
+    if isinstance(w, ReadView):
+        return w.read_row(n, m)
+    return tuple(w[pair_encode(n, k)] for k in range(m))
 
 
 def first_half(w):
@@ -574,12 +648,17 @@ def index_machine(name: str, src: Callable, rows: Callable = None,
     point, returns the row law of the output when it has row structure.
     An explicit point replaces the derived action."""
     length = _emit_lengths(lambda j, L: src(j) < L)
+    sources: dict = {}      # input length -> the indices eval gathers
 
     def view(w):
         return LazyWord(length(extent(w)), lambda j: w[src(j)])
 
     def fn(w):
-        return tuple(map(w.__getitem__, map(src, range(length(extent(w))))))
+        L = len(w)
+        at = sources.get(L)
+        if at is None:
+            at = sources[L] = tuple(map(src, range(length(L))))
+        return tuple(map(w.__getitem__, at))
 
     def law(p):
         return LawPoint(fn=lambda i: p.value_at(src(i)),
@@ -631,6 +710,21 @@ def row_machine(name: str, row_of: Callable, needs: Callable) -> Machine:
         return LawPoint(row_fn=partial(row_of, p.value_at), label=name)
 
     return Machine(name, fn, point=point, view=view)
+
+
+def row_rule_machine(name: str, rule: Callable, need: Callable) -> Machine:
+    """A machine given by a rule over its input's rows: on a word of length
+    L its output is rule(L, row), row(i) being row i of the word, and the
+    rule is monotone under componentwise extension of the rows.  eval reads
+    the rows as RowViews; over an unbounded input the view is a RowRule,
+    which applies the rule at the input length need(n) that gives n output
+    symbols and reads each row the rule asks for once."""
+    def fn(w):
+        return rule(len(w), partial(RowView, w))
+
+    def view(w):
+        return fn(w) if extent(w) is not None else RowRule(rule, w, need)
+    return Machine(name, fn, view=view)
 
 
 def stream_machine(name: str, symbols: Callable) -> Machine:

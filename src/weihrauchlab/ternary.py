@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .errors import ArityCap, InvariantViolation
-from .machines import Machine, RowView
+from .machines import Machine, row_rule_machine
 from .points import (
     first_nonzero,
     pair_encode,
@@ -243,16 +243,17 @@ def gatewise_realizer(c: NandCircuit) -> Machine:
     """Substitute the NAND realizer through the circuit, row-tupled input.
 
     Each wire carries the shape of its word through nand_shape's rule;
-    only the output word is built."""
-    def fn(w):
-        rows = [RowView(w, i) for i in range(c.arity)]
+    only the output word is built.  An output is never shorter than its
+    shortest input row, so n symbols need every row n long."""
+    def rule(L, row):
         if c.output < c.arity:
-            return tuple(rows[c.output])
-        shapes = [shape_of(r) for r in rows]
+            return tuple(row(c.output))
+        shapes = [shape_of(row(i)) for i in range(c.arity)]
         for a, b in c.gates:
             shapes.append(nand_shape(shapes[a], shapes[b]))
         return word_of_shape(shapes[c.output])
-    return Machine(f"gatewise[{c.arity}]", fn)
+    return row_rule_machine(f"gatewise[{c.arity}]", rule,
+                            lambda n: pair_encode(c.arity - 1, n - 1) + 1)
 
 
 def resolution_realizer(table: Sequence, arity: int, floor: int = 0) -> Machine:
@@ -262,7 +263,8 @@ def resolution_realizer(table: Sequence, arity: int, floor: int = 0) -> Machine:
     consistent with zeros emitted before the table was committed).
 
     Determinations only change when an input row's pulse scrolls into
-    view, so the earliest settled stage is found among those events.
+    view, so the earliest settled stage is found among those events.  On
+    an input of length L the output has at least L symbols.
     """
     table = tuple(table)
 
@@ -272,15 +274,13 @@ def resolution_realizer(table: Sequence, arity: int, floor: int = 0) -> Machine:
         v = extension_value(table, ts)
         return v if v is not THALF else None
 
-    def fn(w):
-        L = len(w)
-        pulses = []   # (flat position, row, value)
+    def rule(L, row):
+        pulses = []   # (flat position, row, value), each below L
         for i in range(arity):
-            j = first_nonzero(RowView(w, i))
+            j = first_nonzero(row(i))
             if j is not None:
                 pulses.append((pair_encode(i, j), i, TernaryValue(pulse_bit(j))))
-        events = sorted({1} | {p + 1 for p, _, _ in pulses if p + 1 <= L})
-        for stage in events:
+        for stage in sorted({1} | {p + 1 for p, _, _ in pulses}):
             dets = [None] * arity
             for p, i, val in pulses:
                 if p < stage:
@@ -292,7 +292,7 @@ def resolution_realizer(table: Sequence, arity: int, floor: int = 0) -> Machine:
             return pulse(pos).prefix(max(L, pos + 1))
         return (0,) * L
 
-    return Machine(f"resolution[{arity}]", fn)
+    return row_rule_machine(f"resolution[{arity}]", rule, lambda n: n)
 
 
 @dataclass

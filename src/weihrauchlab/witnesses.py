@@ -19,7 +19,13 @@ from dataclasses import dataclass, field
 from itertools import count
 from typing import Callable, Optional
 
-from .errors import MiddleMismatch, NotACylinder, OutOfDomain, WorkbenchError
+from .errors import (
+    MiddleMismatch,
+    NotACylinder,
+    NotParallelizable,
+    OutOfDomain,
+    WorkbenchError,
+)
 from .literals import point_str
 from .machines import (
     Machine,
@@ -424,7 +430,12 @@ def parallel_extensive(f: Problem) -> Witness:
 
 
 def parallelize_witness(w: Witness) -> Witness:
-    """Apply a reduction between single-answer problems row by row."""
+    """Apply a reduction between single-answer problems row by row; a
+    reduction between any other problems is refused (NotParallelizable)."""
+    if w.f.answers is None or w.g.answers is None:
+        raise NotParallelizable(
+            f"{w.name} reduces {w.f.name} to {w.g.name}: only a reduction "
+            "between single-answer problems is parallelized row by row")
     fh, gh = hat_problem(w.f), hat_problem(w.g)
     k = countable_tuple([], w.K)
 

@@ -230,6 +230,17 @@ def test_cli_derive_subcommands(capsys):
     assert "compose takes 2" in err and "parallelize takes 1" in err
 
 
+def test_cli_derive_parallelize_refuses_multi_answer_problems(capsys):
+    """Parallelization is monotone, so no parallelized reduction may FAIL:
+    one it cannot apply row by row is refused as an error."""
+    for name in ("id_to_c", "prod_comm(lpo,llpo)"):
+        assert main(["derive", "parallelize", name]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert "single-answer problems" in captured.err
+
+
 def test_cli_swap_prints_machine_evaluation(capsys):
     code = main(["swap", "--machine", "identity",
                  "--point", "rows(default=evp(;0);0:evp(5;0))",

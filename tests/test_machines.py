@@ -5,10 +5,11 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 from weihrauchlab.corpus import any_points, rng_for, thin_tree
-from weihrauchlab.errors import UnsupportedShape
+from weihrauchlab.errors import Stalled, UnsupportedShape
 from weihrauchlab.machines import (
     Machine,
     PointView,
+    ReadView,
     RowView,
     audit_monotone,
     compose,
@@ -180,6 +181,48 @@ def test_run_on_point_counts_the_symbols_read():
     assert out.productive and out.width == 8 and out.output == want
     out = run_on_point(spread, p, 9, fuel=8)
     assert not out.productive and out.width == 8 and out.output == want
+
+
+READS = st.one_of(
+    st.tuples(st.just("flat"), st.integers(0, 80)),
+    st.tuples(st.just("charge"), st.integers(0, 80)),
+    st.tuples(st.just("row"), st.integers(0, 6), st.integers(0, 12)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from((EvPeriodic((3, 0, 2), (1, 0)),
+                        RowTuple({1: EvPeriodic((5,), (2,)), 4: EvPeriodic((), (7, 8))},
+                                 EvPeriodic((1,), (0, 3))))),
+       st.integers(0, 90), st.lists(READS, max_size=12))
+def test_read_view_counts_each_coordinate_once(p, fuel, reads):
+    """Flat reads, charged windows and row reads mixed: reads is the number
+    of distinct coordinates touched, and a read stalls exactly when it
+    would take that number past the fuel, touching nothing."""
+    v = ReadView(p, fuel)
+    touched = set()
+    for op, *args in reads:
+        if op == "flat":
+            want = touched | {args[0]}
+        elif op == "charge":
+            want = touched | set(range(args[0]))
+        else:
+            n, m = args
+            want = touched | {pair_encode(n, k) for k in range(m)}
+        if len(want) > fuel:
+            with pytest.raises(Stalled):
+                (v.__getitem__ if op == "flat" else
+                 v.charge if op == "charge" else v.read_row)(*args)
+        else:
+            if op == "flat":
+                assert v[args[0]] == p.value_at(args[0])
+            elif op == "charge":
+                v.charge(args[0])
+            else:
+                assert v.read_row(*args) == tuple(
+                    p.value_at(pair_encode(n, k)) for k in range(m))
+            touched = want
+        assert v.reads == len(touched)
 
 
 def test_diag_law():

@@ -6,19 +6,52 @@ from hypothesis import strategies as st
 
 from weihrauchlab.corpus import rng_for
 from weihrauchlab.errors import ArityCap
-from weihrauchlab.machines import PointView, audit_monotone, run_on_point
-from weihrauchlab.points import EvPeriodic, Interleave, LawPoint, RowTuple, pair_encode
-from weihrauchlab.spaces import T0, T1, THALF, encode_ternary, ternary_of_word
+from weihrauchlab.machines import (
+    DEFAULT_FUEL,
+    PointView,
+    ReadView,
+    RowView,
+    Windowed,
+    audit_monotone,
+    compose,
+    index_machine,
+    output_view,
+    run_on_point,
+)
+from weihrauchlab.points import (
+    EvPeriodic,
+    Interleave,
+    LawPoint,
+    RowTuple,
+    first_nonzero,
+    pair_encode,
+    pulse,
+    pulse_bit,
+    pulse_position,
+)
+from weihrauchlab.spaces import (
+    T0,
+    T1,
+    THALF,
+    TernaryValue,
+    encode_ternary,
+    ternary_of_word,
+)
 from weihrauchlab.ternary import (
     NandCircuit,
     circuit_table,
+    extension_value,
     gatewise_realizer,
     nand_realizer,
     nand_value,
+    nand_shape,
     nand_word,
+    resolution_realizer,
+    shape_of,
     synthesize,
     table_of,
     ternary_extend,
+    word_of_shape,
 )
 
 TERNARY = (T0, T1, THALF)
@@ -300,3 +333,144 @@ def test_gatewise_shapes_match_the_word_fold(c, w):
     """Propagating wire shapes gives the word that folding the NAND word
     over materialized rows gives."""
     assert gatewise_realizer(c).eval(w) == _gatewise_fold(c, w)
+
+
+# the realizers' rows read on demand, against window doubling ---------------
+
+def _gatewise_window_fn(c):
+    """The gatewise realizer as a function of its input window: the
+    reference for its row rule."""
+    def fn(w):
+        rows = [RowView(w, i) for i in range(c.arity)]
+        if c.output < c.arity:
+            return tuple(rows[c.output])
+        shapes = [shape_of(r) for r in rows]
+        for a, b in c.gates:
+            shapes.append(nand_shape(shapes[a], shapes[b]))
+        return word_of_shape(shapes[c.output])
+    return fn
+
+
+def _resolution_window_fn(table, arity, floor=0):
+    """The resolution realizer as a function of its input window: the
+    reference for its row rule."""
+    table = tuple(table)
+
+    def settled(dets):
+        ts = [THALF if d is None else d for d in dets]
+        v = extension_value(table, ts)
+        return v if v is not THALF else None
+
+    def fn(w):
+        L = len(w)
+        pulses = []
+        for i in range(arity):
+            j = first_nonzero(RowView(w, i))
+            if j is not None:
+                pulses.append((pair_encode(i, j), i, TernaryValue(pulse_bit(j))))
+        events = sorted({1} | {p + 1 for p, _, _ in pulses if p + 1 <= L})
+        for stage in events:
+            dets = [None] * arity
+            for p, i, val in pulses:
+                if p < stage:
+                    dets[i] = val
+            verdict = settled(dets)
+            if verdict is None:
+                continue
+            pos = pulse_position(max(stage, floor), verdict.value)
+            return pulse(pos).prefix(max(L, pos + 1))
+        return (0,) * L
+    return fn
+
+
+def _windowed_run(fn, p, depth, fuel=DEFAULT_FUEL):
+    """(output, productive) of a run of the window function fn on p: fn
+    over windows of p that double from 16 up to the fuel, until one gives
+    depth symbols."""
+    out, width = (), 0
+    while len(out) < depth:
+        if width >= fuel:
+            return tuple(out), False
+        width = min(2 * width if width else 16, fuel)
+        got = fn(PointView(p, width))
+        if len(got) > len(out):
+            out = got
+    return tuple(out[:depth]), True
+
+
+def _reference_tables():
+    """All 20 arity-1 and arity-2 tables and 6 seeded arity-3 ones."""
+    tables = [(t, 1) for t in all_tables(1)] + [(t, 2) for t in all_tables(2)]
+    rng = rng_for("three-tables")
+    return tables + [(tuple(rng.randrange(2) for _ in range(8)), 3)
+                     for _ in range(6)]
+
+
+def test_realizer_runs_emit_what_window_doubling_emitted():
+    """run_on_point's output and productive flag, for both realizers on
+    every ternary input, equal the window functions' read by doubling."""
+    for table, arity in _reference_tables():
+        ext = ternary_extend(synthesize(table, arity))
+        for mach, fn in ((ext.gatewise(), _gatewise_window_fn(ext.circuit)),
+                         (ext.realizer(), _resolution_window_fn(table, arity))):
+            for ts in itertools.product(TERNARY, repeat=arity):
+                name = _tuple_name(ts)
+                for depth in (16, 64, 512):
+                    out = run_on_point(mach, name, depth)
+                    assert (out.output, out.productive) == \
+                        _windowed_run(fn, name, depth), (mach, ts, depth)
+
+
+def test_realizer_eval_is_the_window_function_on_short_words():
+    """eval equals the window function on every word over {0,1,2} up to
+    length 8, for identity, gate and resolution outputs and a floor."""
+    cases = []
+    for table, arity in (((0, 1), 1), ((1, 0), 1), ((0, 1, 1, 0), 2),
+                         (table_of(lambda a, b, c: (a + b + c) >= 2, 3), 3)):
+        ext = ternary_extend(synthesize(table, arity))
+        cases.append((ext.gatewise(), _gatewise_window_fn(ext.circuit)))
+        cases.append((ext.realizer(), _resolution_window_fn(ext.table, arity)))
+    cases.append((resolution_realizer((0, 0, 0, 1), 2, floor=5),
+                  _resolution_window_fn((0, 0, 0, 1), 2, floor=5)))
+    words = [w for n in range(9) for w in itertools.product((0, 1, 2), repeat=n)]
+    assert len(words) == 9841
+    for mach, fn in cases:
+        for w in words:
+            assert mach.eval(w) == fn(w), (mach, w)
+
+
+def _all_half_gatewise():
+    c = synthesize((0, 1, 1, 0, 1, 0, 0, 1), 3)
+    return gatewise_realizer(c), _gatewise_window_fn(c), _tuple_name((THALF,) * 3)
+
+
+def test_gatewise_run_reads_only_the_rows_it_needs():
+    """512 output symbols of an open three-input circuit need 512 symbols
+    of each row, not the 2^18-symbol window that doubling reached."""
+    mach, _, name = _all_half_gatewise()
+    out = run_on_point(mach, name, 512)
+    assert out.productive and len(out.output) == 512
+    assert out.width <= 1600
+
+
+def test_gatewise_run_below_its_reads_stalls_on_a_prefix():
+    mach, fn, name = _all_half_gatewise()
+    reads = run_on_point(mach, name, 512).width
+    want, _ = _windowed_run(fn, name, 512)
+    for fuel in (reads - 1, reads // 2, 40):
+        out = run_on_point(mach, name, 512, fuel=fuel)
+        assert not out.productive and out.width <= fuel
+        assert want[:len(out.output)] == out.output
+
+
+def test_realizers_are_not_read_through_windows():
+    """Over a point a realizer reads rows, not windows; over another
+    machine's unbounded output it reads that output by index, and emits
+    the same symbols."""
+    name = _tuple_name((T1, THALF, T0))
+    copy = index_machine("copy", lambda j: j)
+    for mach in (gatewise_realizer(synthesize((0, 1) * 4, 3)),
+                 resolution_realizer((0, 1) * 4, 3)):
+        assert not isinstance(output_view(mach, ReadView(name)), Windowed)
+        assert run_on_point(compose(mach, copy), name, 64).output == \
+            run_on_point(mach, name, 64).output
