@@ -37,7 +37,7 @@ from .machines import (
     shift_l,
 )
 from .medvedev import embed_forward, medvedev_check
-from .points import Interleave, Point
+from .points import Interleave, Point, RowTuple
 from .problems import (
     CoordProductSet,
     FiniteNatsSet,
@@ -191,7 +191,11 @@ def cmd_derive(args) -> int:
     if args.op == "compose":
         corpus = parents[0].corpus(rng, count)
     elif args.op == "parallelize":
-        corpus = gen.llpo_hat_inputs(rng, count)
+        # hat names whose default row and rows 0-2 are the parent's names
+        corpus = []
+        for _ in range(count):
+            default, *rows = parents[0].corpus(rng, 4)
+            corpus.append(RowTuple(dict(enumerate(rows)), default))
     else:
         # pairs: the two parents' names, or any point beside the parent's name
         first = gen.any_points if args.op == "cylindrify" else parents[0].corpus

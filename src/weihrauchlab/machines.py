@@ -31,7 +31,7 @@ emit_rows is the one emitter of a word given by its row words.
 The schedules of index, symbol and row machines, src(j) and needs(j), do
 not depend on the input, so each such machine caches its emitted length
 per input length, and a caller that needs a length or a single symbol
-reads output_view instead of eval (the swap search does).
+reads the view instead of eval (the swap search does).
 identity, the index machines and composes of them carry their index law
 as src, which lets the checker decide a copying H without running it on
 every oracle behavior.
@@ -41,20 +41,20 @@ going through the pairing.
 
 A view over an unbounded input has no length (View.length is None), and
 neither has any view built on it: index machine j is then one read of
-src(j).  Searches that emit their symbols in order (stream_machine)
-pull them as they are read.  A row rule (row_rule_machine: the ternary
-realizers) is a rule over its input's rows: eval applies it to the
-RowViews of a word, and over an unbounded input its view applies it at
-an input length that gives the symbols asked for, reading each row it
-needs once, in bulk (ReadView.read_row counts a row by its extent).  The
-hand-written Machine(name, fn)s that remain (the NAND realizer, the swap,
-compact-choice and condenser machines of weakcomp, wkl's blocking-rows
-and constraint-tree machines, the K searches of llpo_to_llpo_real,
-llpo_real_to_llpo and lpo_from_discontinuity, and a negative control's
-flip) are defined by their window width, and output_view reads them over
-an unbounded input as the limit of eval over windows that double from 16
-up to the fuel; over a point the windows are PointViews, and their whole
-width counts as read.
+src(j).  Every machine is its view: eval is the view read in full, but
+for the index and row machines, whose eval gathers faster.  Searches that
+emit their symbols in order (stream_machine) pull them as they are read,
+and over a finite word they end at their first read past it.  A rule
+machine (row_rule_machine) is a monotone rule over its input's prefixes,
+read by index or by rows: eval applies it to the word, and over an
+unbounded input its view applies it once to the prefix whose length
+need(n) gives the n symbols asked for, reading what the rule reads and
+each row it reads in full once, in bulk (ReadView.read_row counts a row
+by its extent).  A Machine given by its fn alone is such a rule.  The
+ternary and NAND realizers, the swap machines of weakcomp, the condenser
+and the blocking machines are rules; the K searches of
+llpo_to_llpo_real, llpo_real_to_llpo and lpo_from_discontinuity, the
+compact encoder and the constraint tree are streams.
 
 A machine may also carry its point action: a function from a finitely
 presented point to a finitely presented point whose prefixes the machine
@@ -134,20 +134,18 @@ class PointView(View):
 
 class ReadView(View):
     """The whole of a point, unbounded, counting the input symbols read:
-    each distinct coordinate once, whether a flat read, a row read
-    (read_row) or a window's whole width when a machine defined by its
-    window evaluates on one (charge) touched it.  A read that would take
-    the count past fuel raises Stalled."""
+    each distinct coordinate once, whether a flat read or a row read
+    (read_row) touched it.  A read that would take the count past fuel
+    raises Stalled."""
 
-    __slots__ = ("point", "fuel", "window", "rows", "seen", "reads")
+    __slots__ = ("point", "fuel", "rows", "seen", "reads")
 
     def __init__(self, point: Point, fuel: int = DEFAULT_FUEL):
         self.length = None
         self.point = point
         self.fuel = fuel
-        self.window = 0         # coordinates below it count as read
         self.rows = {}          # row n -> e: its symbols k < e count as read
-        self.seen = set()       # the other coordinates read, none below the window
+        self.seen = set()       # the other coordinates read
         self.reads = 0          # the distinct coordinates counted
 
     def _stall(self):
@@ -158,30 +156,14 @@ class ReadView(View):
         return k < self.rows.get(n, 0)
 
     def __getitem__(self, i):
-        if i < self.window:
-            if i < 0:
-                raise IndexError(i)
-        elif i not in self.seen and not (self.rows and self._in_rows(i)):
+        if i < 0:
+            raise IndexError(i)
+        if i not in self.seen and not (self.rows and self._in_rows(i)):
             if self.reads >= self.fuel:
                 self._stall()
             self.seen.add(i)
             self.reads += 1
         return self.point.value_at(i)
-
-    def charge(self, width: int):
-        """Count the first width coordinates as read."""
-        if width <= self.window:
-            return
-        seen = self.seen
-        if seen:
-            seen = {i for i in seen if i >= width}
-        reads = width + len(seen)
-        if self.rows:
-            reads += sum(max(0, e - row_length(width, n))
-                         for n, e in self.rows.items())
-        if reads > self.fuel:
-            self._stall()
-        self.window, self.seen, self.reads = width, seen, reads
 
     def read_row(self, n: int, m: int) -> Word:
         """Symbols k < m of row n, read in bulk: from the point's row when
@@ -189,22 +171,36 @@ class ReadView(View):
         symbols are counted as read by their extent, not one by one."""
         e = self.rows.get(n, 0)
         if m > e:
-            # below lo, the window or the row's extent has counted them
-            lo = max(e, row_length(self.window, n))
-            new = max(0, m - lo)
+            # below e the row's extent has counted them
             seen = self.seen
-            dup = (seen.intersection(map(partial(pair_encode, n), range(lo, m)))
-                   if seen and new else ())
-            if self.reads + new - len(dup) > self.fuel:
+            dup = (seen.intersection(map(partial(pair_encode, n), range(e, m)))
+                   if seen else ())
+            new = m - e - len(dup)
+            if self.reads + new > self.fuel:
                 self._stall()
             seen.difference_update(dup)
             self.rows[n] = m
-            self.reads += new - len(dup)
+            self.reads += new
         rp = row_form(self.point, n)
         if rp is not None:
             return tuple(rp.symbols(m))
         at = self.point.value_at
         return tuple(at(pair_encode(n, k)) for k in range(m))
+
+
+class PrefixView(View):
+    """The first length symbols of an unbounded view, read through it."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, base, length: int):
+        self.base = base
+        self.length = length
+
+    def __getitem__(self, i):
+        if i < 0 or i >= self.length:
+            raise IndexError(i)
+        return self.base[i]
 
 
 class StrideView(View):
@@ -232,7 +228,8 @@ class RowView(View):
     Its length, the number of k with <n,k> below the base's length, is
     computed in closed form.  Over a PointView whose point holds its rows
     (points.row_form), symbol k is read from that row point directly;
-    every other base is read at <n,k>."""
+    every other base is read at <n,k>.  Read in full over a prefix of a
+    ReadView, the row is one bulk read (ReadView.read_row)."""
 
     __slots__ = ("base", "n", "row_point")
 
@@ -255,6 +252,8 @@ class RowView(View):
         if self.row_point is not None:
             return iter(self.row_point.symbols(self.length))
         base, n = self.base, self.n
+        if isinstance(base, PrefixView) and isinstance(base.base, ReadView):
+            return iter(base.base.read_row(n, self.length))
         return (base[pair_encode(n, k)] for k in range(self.length))
 
 
@@ -316,71 +315,37 @@ class Search(Stream):
             raise Stalled(f"no output symbol {len(memo)} on any input read")
 
 
-class Windowed(Stream):
-    """The output of a machine defined by its window width, on an
-    unbounded view: the limit of eval over windows of the view that double
-    from 16 up to the fuel, the fuel of the run over a point and the
-    machine's own otherwise.  Over a point each window is a PointView,
-    charged as read in full; any other view is read through."""
-
-    __slots__ = ("m", "w", "fuel", "width")
-
-    def __init__(self, m, w):
-        self.length = None
-        self.m = m
-        self.w = w
-        self.fuel = w.fuel if isinstance(w, ReadView) else m.fuel
-        self.width = 0
-        self.memo = ()
-
-    def fill(self, n: int):
-        w, fuel = self.w, self.fuel
-        on_point = isinstance(w, ReadView)
-        while len(self.memo) < n:
-            if self.width >= fuel:
-                raise Stalled(f"no output symbol {len(self.memo)} on a window "
-                              f"of {fuel} input symbols")
-            width = self.width = min(2 * self.width if self.width else 16, fuel)
-            if on_point:
-                w.charge(width)
-                window = PointView(w.point, width)
-            else:
-                window = LazyWord(width, w.__getitem__)
-            out = self.m.eval(window)
-            if len(out) > len(self.memo):
-                self.memo = out
-
-
 class RowRule(Stream):
-    """The output of a row rule (row_rule_machine) on an unbounded view:
-    fill(n) applies the rule once, at an input length need(n) whose rows
-    give it n output symbols, reading each row it asks for once (prefix_row);
-    an output still short of n raises the length and the rule runs again."""
+    """The output of a rule (row_rule_machine) on an unbounded view:
+    fill(n) applies the rule once, to the view's prefix of length need(n)
+    (n when need is None), reading what the rule reads.  An output still
+    short of n doubles the length and the rule runs again, up to the
+    view's fuel (DEFAULT_FUEL over a view that is not a ReadView); past it
+    the run stalls."""
 
-    __slots__ = ("rule", "w", "need")
+    __slots__ = ("rule", "w", "need", "bound")
 
-    def __init__(self, rule: Callable, w, need: Callable):
+    def __init__(self, rule: Callable, w, need: Optional[Callable]):
         self.length = None
         self.rule = rule
         self.w = w
-        self.need = need
+        self.need = need or (lambda n: n)
+        self.bound = w.fuel if isinstance(w, ReadView) else DEFAULT_FUEL
         self.memo = ()
 
     def fill(self, n: int):
         L = self.need(n)
-        while len(self.memo) < n:
+        while True:
+            out = self.rule(PrefixView(self.w, L))
             # the rule is monotone: a longer input extends the output
-            self.memo = self.rule(L, partial(prefix_row, self.w, L))
-            L *= 2
-
-
-def prefix_row(w, L: int, n: int) -> Word:
-    """Row n of the length-L prefix of the unbounded view w: read in bulk
-    and counted by its extent over a ReadView, else symbol by symbol."""
-    m = row_length(L, n)
-    if isinstance(w, ReadView):
-        return w.read_row(n, m)
-    return tuple(w[pair_encode(n, k)] for k in range(m))
+            if len(out) > len(self.memo):
+                self.memo = out
+            if len(self.memo) >= n:
+                return
+            if L >= self.bound:
+                raise Stalled(f"no output symbol {len(self.memo)} on "
+                              f"{L} input symbols")
+            L = min(2 * L, self.bound)
 
 
 def first_half(w):
@@ -392,10 +357,12 @@ def second_half(w):
 
 
 def interleave(a, b) -> LazyWord:
-    """The view alternating a and b, as long as both parts allow."""
+    """The view alternating a and b, as long as both parts allow: an
+    unbounded part allows every symbol."""
     la, lb = extent(a), extent(b)
-    length = None if la is None or lb is None else min(2 * la, 2 * lb + 1)
-    return LazyWord(length, lambda i: b[i // 2] if i % 2 else a[i // 2])
+    ends = ([] if la is None else [2 * la]) + ([] if lb is None else [2 * lb + 1])
+    return LazyWord(min(ends, default=None),
+                    lambda i: b[i // 2] if i % 2 else a[i // 2])
 
 
 def emit_rows(row_of: Callable, bound: Optional[int] = None) -> Word:
@@ -428,29 +395,25 @@ def interleave_words(a: Sequence, b: Sequence) -> Word:
 class Machine:
     name: str
     fn: Callable
-    fuel: int = DEFAULT_FUEL
     point: Optional[Callable] = None
-    # input view -> output view.  A combinator with a view still defines
-    # its own fn, that view materialized, so that profiles and traces
-    # attribute each evaluation to the combinator by fn's qualified name.
+    # input view -> output view; eval is the view read in full.  Each
+    # constructor defines its own fn, so that profiles and traces attribute
+    # each evaluation to it by fn's qualified name, and the index and row
+    # machines gather their eval faster than their views.  A machine given
+    # by fn alone is the rule fn over its input's prefixes (row_rule_machine).
     view: Optional[Callable] = None
     # the index law: output symbol j is input symbol src(j), on every input
     src: Optional[Callable] = None
+
+    def __post_init__(self):
+        if self.view is None:
+            self.view = partial(_rule_output, self.fn, None)
 
     def eval(self, w) -> Word:
         return self.fn(w)
 
     def __repr__(self):
         return f"Machine({self.name})"
-
-
-def output_view(m: Machine, w):
-    """m's output on w as a view: lazy where m has a view, else its eval;
-    over an unbounded w, a machine without a view is read through windows
-    (Windowed)."""
-    if m.view is not None:
-        return m.view(w)
-    return m.eval(w) if extent(w) is not None else Windowed(m, w)
 
 
 @dataclass
@@ -466,10 +429,10 @@ def run_on_point(m: Machine, p: Point, depth: int, fuel: int = None) -> EvalOutc
     the input symbols read.  A run that needs more than fuel of them before
     it has depth symbols stalls: it is not productive, and its output is
     the symbols emitted before."""
-    v = ReadView(p, m.fuel if fuel is None else fuel)
+    v = ReadView(p, DEFAULT_FUEL if fuel is None else fuel)
     out = None
     try:
-        view = output_view(m, v)
+        view = m.view(v)
         # read in order, so that a stall keeps the symbols read before it
         out = (view if isinstance(view, Stream)
                else Search(map(view.__getitem__, count())))
@@ -519,7 +482,7 @@ def diag() -> Machine:
 
 def pair_machine(f: Machine, g: Machine) -> Machine:
     def view(w):
-        return interleave(output_view(f, w), output_view(g, w))
+        return interleave(f.view(w), g.view(w))
 
     def fn(w):
         return tuple(view(w))
@@ -535,8 +498,7 @@ def tensor(f: Machine, g: Machine) -> Machine:
         return Interleave(f.point(a), g.point(b))
 
     def view(w):
-        return interleave(output_view(f, first_half(w)),
-                          output_view(g, second_half(w)))
+        return interleave(f.view(first_half(w)), g.view(second_half(w)))
 
     def fn(w):
         return tuple(view(w))
@@ -547,16 +509,16 @@ def tensor(f: Machine, g: Machine) -> Machine:
 def compose(outer: Machine, inner: Machine) -> Machine:
     """outer after inner; outer reads inner's output through its view."""
     def view(w):
-        return outer.view(output_view(inner, w))
+        return outer.view(inner.view(w))
 
     def fn(w):
-        return outer.eval(output_view(inner, w))
+        return outer.eval(inner.view(w))
     src = (None if outer.src is None or inner.src is None
            else lambda j: inner.src(outer.src(j)))
     return Machine(f"{outer.name}.{inner.name}", fn,
                    point=_lifted(lambda p: outer.point(inner.point(p)),
                                  outer, inner),
-                   view=None if outer.view is None else view, src=src)
+                   view=view, src=src)
 
 
 def compose_all(*ms: Machine) -> Machine:
@@ -573,7 +535,7 @@ def tag_case(zero: Machine, other: Machine) -> Machine:
         if extent(w) == 0:
             return ()
         branch = zero if w[0] == 0 else other
-        return output_view(branch, StrideView(w, 1, 1))
+        return branch.view(StrideView(w, 1, 1))
 
     def fn(w):
         return tuple(view(w))
@@ -590,6 +552,19 @@ def countable_tuple(ms: Sequence, uniform: Machine) -> Machine:
     def fn(w):
         return emit_rows(lambda n: machine_at(n).eval(RowView(w, n)))
 
+    def view(w):
+        if extent(w) is not None:
+            return fn(w)
+        rows: dict = {}
+
+        def at(i):
+            n, k = pair_decode(i)
+            r = rows.get(n)
+            if r is None:
+                r = rows[n] = machine_at(n).view(RowView(w, n))
+            return r[k]
+        return LazyWord(None, at)
+
     def point(p):
         p = rows_of(p)
         if isinstance(p, RowTuple):
@@ -603,7 +578,7 @@ def countable_tuple(ms: Sequence, uniform: Machine) -> Machine:
         return LawPoint(row_fn=lambda n: machine_at(n).point(row(p, n)),
                         label="rowwise")
 
-    return Machine(f"tuple({uniform.name})", fn,
+    return Machine(f"tuple({uniform.name})", fn, view=view,
                    point=_lifted(point, uniform, *ms))
 
 
@@ -712,32 +687,43 @@ def row_machine(name: str, row_of: Callable, needs: Callable) -> Machine:
     return Machine(name, fn, point=point, view=view)
 
 
-def row_rule_machine(name: str, rule: Callable, need: Callable) -> Machine:
-    """A machine given by a rule over its input's rows: on a word of length
-    L its output is rule(L, row), row(i) being row i of the word, and the
-    rule is monotone under componentwise extension of the rows.  eval reads
-    the rows as RowViews; over an unbounded input the view is a RowRule,
-    which applies the rule at the input length need(n) that gives n output
-    symbols and reads each row the rule asks for once."""
-    def fn(w):
-        return rule(len(w), partial(RowView, w))
-
-    def view(w):
-        return fn(w) if extent(w) is not None else RowRule(rule, w, need)
-    return Machine(name, fn, view=view)
+def _rule_output(rule: Callable, need: Optional[Callable], w):
+    """The output of a rule over its input's prefixes on w: rule(w) on a
+    word, a RowRule over an unbounded view."""
+    return rule(w) if extent(w) is not None else RowRule(rule, w, need)
 
 
-def stream_machine(name: str, symbols: Callable) -> Machine:
+def row_rule_machine(name: str, rule: Callable, need: Callable = None,
+                     point: Callable = None) -> Machine:
+    """A machine given by a rule over its input's prefixes: on a word w its
+    output is rule(w), and the rule is monotone under the prefix order.
+    The rule reads w by index, or by rows through RowView.  eval applies
+    it to the word; over an unbounded input the view is a RowRule, which
+    applies it to the prefix of length need(n) (n by default) that gives n
+    output symbols, and reads each row the rule reads in full once.  Its
+    point action, if any, is given."""
+    return Machine(name, rule, point=point,
+                   view=partial(_rule_output, rule, need))
+
+
+def stream_machine(name: str, symbols: Callable,
+                   point: Callable = None) -> Machine:
     """A search that emits in order what the iterator symbols(w) yields,
-    reading w as it goes: over a finite view all it yields, over an
-    unbounded one a Search, whose symbols are pulled as they are read."""
-    def view(w):
-        it = symbols(w)
-        return Search(it) if extent(w) is None else tuple(it)
-
+    reading w as it goes: over a finite view it ends at its first read
+    past the word, and eval is what it yielded before; over an unbounded
+    one it is a Search, whose symbols are pulled as they are read.  Its
+    point action, if any, is given."""
     def fn(w):
-        return tuple(symbols(w))
-    return Machine(name, fn, view=view)
+        out = []
+        try:
+            out.extend(symbols(w))
+        except IndexError:      # a read past the word: the rest waits on input
+            pass
+        return tuple(out)
+
+    def view(w):
+        return fn(w) if extent(w) is not None else Search(symbols(w))
+    return Machine(name, fn, point=point, view=view)
 
 
 def const_machine(q: Point, name: str = None) -> Machine:

@@ -374,8 +374,9 @@ def corrupted_witnesses() -> dict:
     )
 
     base = wkl_to_llpo_hat()
-    flip = Machine("flip-path", lambda wd: tuple(
-        1 - s if s in (0, 1) else s for s in base.H.eval(wd)))
+    flip = compose(symbol_machine(
+        "flip-path", lambda wd, j: 1 - wd[j] if wd[j] in (0, 1) else wd[j],
+        lambda j: j + 1), base.H)
     out["wkl_flipped_path"] = (
         Witness(base.f, base.g, base.K, flip, True, name="broken-wkl"),
         lambda rng, n: gen.tree_names(rng, max(1, n // 5)) + [_one_path_tree()],

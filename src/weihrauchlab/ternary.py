@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Sequence
 
 from .errors import ArityCap, InvariantViolation
-from .machines import Machine, row_rule_machine
+from .machines import Machine, RowView, first_half, row_rule_machine, second_half
 from .points import (
     first_nonzero,
     pair_encode,
@@ -231,12 +232,12 @@ def nand_word(u, v) -> tuple:
 
 
 def nand_realizer() -> Machine:
-    """NAND on interleaved pairs of ternary names."""
-    def fn(w):
-        u = tuple(w[i] for i in range(0, len(w), 2))
-        v = tuple(w[i] for i in range(1, len(w), 2))
-        return nand_word(u, v)
-    return Machine("nand", fn)
+    """NAND on interleaved pairs of ternary names: the rule reads its
+    input's two halves.  Its output is never shorter than the shorter
+    half, so n symbols need 2n input symbols."""
+    def rule(w):
+        return nand_word(first_half(w), second_half(w))
+    return row_rule_machine("nand", rule, lambda n: 2 * n)
 
 
 def gatewise_realizer(c: NandCircuit) -> Machine:
@@ -245,7 +246,8 @@ def gatewise_realizer(c: NandCircuit) -> Machine:
     Each wire carries the shape of its word through nand_shape's rule;
     only the output word is built.  An output is never shorter than its
     shortest input row, so n symbols need every row n long."""
-    def rule(L, row):
+    def rule(w):
+        row = partial(RowView, w)
         if c.output < c.arity:
             return tuple(row(c.output))
         shapes = [shape_of(row(i)) for i in range(c.arity)]
@@ -274,7 +276,8 @@ def resolution_realizer(table: Sequence, arity: int, floor: int = 0) -> Machine:
         v = extension_value(table, ts)
         return v if v is not THALF else None
 
-    def rule(L, row):
+    def rule(w):
+        L, row = len(w), partial(RowView, w)
         pulses = []   # (flat position, row, value), each below L
         for i in range(arity):
             j = first_nonzero(row(i))

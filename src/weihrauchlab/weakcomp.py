@@ -27,7 +27,8 @@ from .machines import (
     compose_all,
     emit_rows,
     identity,
-    output_view,
+    row_rule_machine,
+    stream_machine,
 )
 from .points import (
     ZEROS,
@@ -143,11 +144,11 @@ def emit_width(m: Machine, compact: ClopenCompact, n: int, start: int,
                k_cap: int) -> Optional[int]:
     """The least width k in [start, k_cap] at which the compact admits some
     word of length k and every such word makes m emit symbol n; None when
-    no width up to k_cap does.  m's output is read as a view, so a machine
-    with one gives its length without computing a symbol."""
+    no width up to k_cap does.  m's output is read as a view, so a lazy
+    one gives its length without computing a symbol."""
     for k in range(start, k_cap + 1):
         words = compact.admitted_words(k)
-        if words and all(len(output_view(m, w)) > n for w in words):
+        if words and all(len(m.view(w)) > n for w in words):
             return k
     return None
 
@@ -188,11 +189,11 @@ class TruthTableFamily:
 def truth_table(m: Machine, compact: ClopenCompact, n: int, arity: int) -> tuple:
     """Symbol n of m on every word of length arity, in lexicographic order;
     the words the compact excludes read 0.  m's output is read as a view,
-    so a machine with one computes symbol n alone."""
+    so a lazy one computes symbol n alone."""
     table = []
     for w in itertools.product((0, 1), repeat=arity):
         if compact.admits(w):
-            out = output_view(m, w)
+            out = m.view(w)
             if len(out) <= n:
                 raise FuelExhausted(f"machine stalled on admitted word {w}")
             table.append(out[n])
@@ -232,11 +233,11 @@ def swap_g_machine(tables: TruthTableFamily) -> Machine:
     realizers = [resolution_realizer(tables.table(n), tables.arity(n))
                  for n in range(len(tables.entries))]
 
-    def fn(w):
+    def rule(w):
         return emit_rows(lambda n: realizers[n].eval(w) if n < len(realizers)
                          else (), len(w))
 
-    return Machine("swap-G", fn)
+    return row_rule_machine("swap-G", rule)
 
 
 def left_value_set(m: Machine, p: Point, depth: int, mod: Modulus,
@@ -281,24 +282,21 @@ def llpo_swap(m: Machine, p: Point, depth: int) -> SwapResult:
 def compact_encoder_machine() -> Machine:
     """Stream the forced coordinates of a row point as excluded cylinders;
     on a word, a forced coordinate beyond ENCODER_ROW_CAP is refused."""
-    def codes(symbol_at, length, cap):
-        out = []
-        for i in range(length):
-            if symbol_at(i) == 0:
-                continue
-            n, blocks = pulse_exclusions(i, cap)
-            if blocks is None:
-                raise CapacityExceeded(f"forced coordinate {n} beyond the cap")
-            out.extend(clopen_word_code(word) for word in blocks)
-        return tuple(out)
+    def codes(w):
+        for i in itertools.count():
+            if w[i] != 0:
+                n, blocks = pulse_exclusions(i, ENCODER_ROW_CAP)
+                if blocks is None:
+                    raise CapacityExceeded(f"forced coordinate {n} beyond the cap")
+                yield from map(clopen_word_code, blocks)
 
     def point(p):
         forced_bits(p)   # NonRepresentable on forcing tails
-        return EvPeriodic(codes(p.value_at, scan_bound(p), None), (0,))
+        pulses = [i for i in range(scan_bound(p)) if p.value_at(i) != 0]
+        return EvPeriodic(tuple(clopen_word_code(word) for i in pulses
+                                for word in pulse_exclusions(i)[1]), (0,))
 
-    def fn(w):
-        return codes(w.__getitem__, len(w), ENCODER_ROW_CAP)
-    return Machine("compact-encode", fn, point=point)
+    return stream_machine("compact-encode", codes, point=point)
 
 
 def llpo_hat_to_compact() -> Witness:
@@ -353,7 +351,7 @@ class CylinderBlocking:
 
 def compact_blocking_machine() -> Machine:
     """Clopen name in, blocking tuple out, with observation-stage pulses."""
-    def fn(w):
+    def rule(w):
         L = len(w)
         blocking = CylinderBlocking(lambda i: w[i], L)
 
@@ -370,7 +368,7 @@ def compact_blocking_machine() -> Machine:
 
         return LawPoint(row_fn=row_of, label="compact-blocking")
 
-    return Machine("compact-blocking", fn, point=point)
+    return row_rule_machine("compact-blocking", rule, point=point)
 
 
 def compact_to_llpo_hat() -> Witness:
@@ -444,7 +442,7 @@ class DynamicSwap:
         return commits
 
     def machine(self) -> Machine:
-        def fn(w):
+        def rule(w):
             L = len(w)
             commits = self.replay(lambda i: w[i], L, L)
 
@@ -457,7 +455,7 @@ class DynamicSwap:
 
             return emit_rows(out_row, L)
 
-        return Machine(f"dyn-swap({self.mid.name})", fn)
+        return row_rule_machine(f"dyn-swap({self.mid.name})", rule)
 
 
 class DynamicSwapMirror:
@@ -497,19 +495,12 @@ class DynamicSwapMirror:
             out = EvPeriodic((), (0,))
         else:
             ell, arity, table = self.commit(n)
+            # the realizer is monotone: its widest window has the first pulse
             mach = resolution_realizer(table, arity, floor=ell)
-            outcome = None
-            width = 16
-            while width <= 4 * REPLAY_CAP:
-                word = mach.eval(PointView(self.q1, width))
-                pos = first_nonzero(word)
-                if pos is not None:
-                    outcome = pulse(pos)
-                    break
-                width *= 2
-            if outcome is None:
+            pos = first_nonzero(mach.eval(PointView(self.q1, 4 * REPLAY_CAP)))
+            if pos is None:
                 raise FuelExhausted(f"row {n} pulse beyond the replay cap")
-            out = outcome
+            out = pulse(pos)
         self._rows[n] = out
         return out
 
@@ -526,11 +517,11 @@ def scan_bound_or(p: Point, fallback: int) -> int:
 
 def condenser_machine() -> Machine:
     """Collapse each row to its first nonzero entry (parity preserved)."""
-    def fn(w):
+    def rule(w):
         return emit_rows(lambda k: word_of_shape(shape_of(RowView(w, k))),
                          len(w))
 
-    return Machine("condense", fn)
+    return row_rule_machine("condense", rule)
 
 
 def _condensed_rows(mirror: DynamicSwapMirror):

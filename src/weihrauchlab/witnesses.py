@@ -36,13 +36,11 @@ from .machines import (
     const_machine,
     countable_tuple,
     diag,
-    extent,
     first_half,
     identity,
     index_machine,
     inject,
     interleave,
-    output_view,
     pair_machine,
     proj1,
     proj2,
@@ -439,32 +437,20 @@ def parallelize_witness(w: Witness) -> Witness:
     fh, gh = hat_problem(w.f), hat_problem(w.g)
     k = countable_tuple([], w.K)
 
+    # a read past the input word ends the answers
     if w.strong:
         def answers(wd):
-            L = extent(wd)
             for kk in count():
-                if L is not None and kk >= L:
-                    return
-                res = output_view(w.H, _padded(wd[kk],
-                                               None if L is None else max(L, 4)))
-                if not res:
-                    return
-                yield res[0]
+                yield w.H.view(_padded(wd[kk]))[0]
     else:
         base = as_ordinary(w)
 
         def answers(wd):
             rows, flat = first_half(wd), second_half(wd)
-            L = extent(flat)
             for kk in count():
-                if L is not None and kk >= L:
-                    return
-                instance = RowView(rows, kk)
-                n = extent(instance)
-                if n == 0:
-                    return
-                res = output_view(base.H,
-                                  interleave(instance, _padded(flat[kk], n)))
+                a, instance = flat[kk], RowView(rows, kk)
+                instance[0]     # an empty row ends them too
+                res = base.H.view(interleave(instance, _padded(a)))
                 if not res:
                     return
                 yield res[0]
@@ -472,12 +458,10 @@ def parallelize_witness(w: Witness) -> Witness:
                    name=f"hat({w.name})")
 
 
-def _padded(a: int, zeros: Optional[int]):
-    """The answer a followed by zeros, or by unboundedly many when zeros
-    is None: a row's answer, which the row's own H reads."""
-    if zeros is None:
-        return ReadView(EvPeriodic((a,), (0,)))
-    return (a,) + (0,) * zeros
+def _padded(a: int) -> ReadView:
+    """The answer a followed by unboundedly many zeros: a row's answer,
+    which the row's own H reads on demand."""
+    return ReadView(EvPeriodic((a,), (0,)))
 
 
 def parallel_idem(f: Problem) -> tuple:
@@ -632,17 +616,11 @@ def llpo_to_lpo() -> Witness:
 def _min_search_h() -> Machine:
     """Emit, per output coordinate k, the least m whose cell <k,m> is zero."""
     def least_zeros(w):
-        L = extent(w)
         for k in count():
             m = 0
-            while True:
-                idx = pair_encode(k, m)
-                if L is not None and idx >= L:
-                    return
-                if w[idx] == 0:
-                    yield m
-                    break
+            while w[pair_encode(k, m)] != 0:
                 m += 1
+            yield m
     return stream_machine("min-search", least_zeros)
 
 
@@ -734,11 +712,19 @@ def llpo_to_llpo_real() -> Witness:
         x = Dyadic(1 if pulse_bit(j) else -1, j // 2)
         return EvPeriodic((_ZERO_CODE,) * (j // 2), (dyadic_code(x),))
 
-    def k_fn(w):
-        j = first_nonzero(w)
-        if j is None:
-            return (_ZERO_CODE,) * (len(w) // 2)
-        return named(j).prefix(len(w))
+    def codes(w):
+        # zero codes while no pulse is read: code t once input 2t + 1 is read
+        for i in count():
+            if w[i] != 0:
+                break
+            if i % 2:
+                yield _ZERO_CODE
+        # the pulse at i names the stream; symbol t > i waits for input t
+        x = named(i)
+        for t in count(i // 2):
+            if t > i:
+                w[t]
+            yield x.value_at(t)
 
     def kp(p):
         kind, pos = nonzero_census(p)
@@ -747,37 +733,44 @@ def llpo_to_llpo_real() -> Witness:
         return named(pos)
 
     return Witness(llpo_problem(), llpo_real_problem(),
-                   Machine("pulse-to-dyadic", k_fn, point=kp), identity(), True,
+                   stream_machine("pulse-to-dyadic", codes, point=kp),
+                   identity(), True,
                    name="llpo_to_llpo_real")
 
 
 def llpo_real_to_llpo() -> Witness:
     """Stage-search the sign; emit a pulse of the matching parity."""
-    def pulse_at(w):
-        # where the pulse naming the sign first seen in w goes, or None
-        for i in range(len(w)):
-            num, den = dyadic_from_code(w[i]).as_fraction()
-            if num * (2 ** i) > den:
-                return pulse_position(i, 1)
-            if -num * (2 ** i) > den:
-                return pulse_position(i, 0)
+    def pulse_at(i, code):
+        # where the pulse naming the sign seen at stage i goes, or None
+        num, den = dyadic_from_code(code).as_fraction()
+        if num * (2 ** i) > den:
+            return pulse_position(i, 1)
+        if -num * (2 ** i) > den:
+            return pulse_position(i, 0)
         return None
 
-    def k_fn(w):
-        pos = pulse_at(w)
-        if pos is None:
-            return (0,) * len(w)
-        return pulse(pos).prefix(max(len(w), pos + 1))
+    def search(w):
+        for i in count():
+            pos = pulse_at(i, w[i])
+            if pos is not None:
+                break
+            yield 0
+        # the pulse goes out whole; symbol t > pos waits for input t
+        yield from (0,) * (pos - i) + (1,)
+        for t in count(pos + 1):
+            w[t]
+            yield 0
 
     def kp(p):
         x = decode_dyadic(p)
         if x.sign() == 0:
             return EvPeriodic((), (0,))
         # replay the machine's detection on the actual name
-        return pulse(pulse_at(prefix(p, scan_bound(p) + x.exponent + 4)))
+        word = prefix(p, scan_bound(p) + x.exponent + 4)
+        return pulse(first_nonzero(k.eval(word)))
 
-    return Witness(llpo_real_problem(), llpo_problem(),
-                   Machine("sign-search", k_fn, point=kp), identity(), True,
+    k = stream_machine("sign-search", search, point=kp)
+    return Witness(llpo_real_problem(), llpo_problem(), k, identity(), True,
                    name="llpo_real_to_llpo")
 
 
@@ -797,19 +790,23 @@ class DiscontinuityData:
 
 
 def lpo_from_discontinuity(data: DiscontinuityData, g: Problem) -> Witness:
-    def k_fn(w):
-        L = len(w)
-        j = None
-        for i in range(L):
-            if w[i] == 0:
-                j = i
-                break
-        if j is not None:
-            return prefix(data.family(j), L)
+    def select(w):
+        # q's symbols while no zero is read, as far as every family member
+        # a later zero could select agrees with q
         ell = 0
-        while ell < L and data.agree_bound(ell + 1) <= L:
-            ell += 1
-        return prefix(data.q, ell)
+        for L in count(1):
+            if w[L - 1] == 0:
+                break
+            while ell < L and data.agree_bound(ell + 1) <= L:
+                yield data.q.value_at(ell)
+                ell += 1
+        # the zero at j selects its family member; symbol t > j waits for input t
+        j = L - 1
+        member = data.family(j)
+        for t in count(ell):
+            if t > j:
+                w[t]
+            yield member.value_at(t)
 
     def ball_test(w, j):
         if j:
@@ -822,8 +819,8 @@ def lpo_from_discontinuity(data: DiscontinuityData, g: Problem) -> Witness:
         return data.q if j is None else data.family(j)
 
     h = symbol_machine("ball-test", ball_test, lambda j: data.cell_count + j)
-    return Witness(lpo_problem(), g, Machine("select-family", k_fn, point=kp), h,
-                   True,
+    return Witness(lpo_problem(), g, stream_machine("select-family", select,
+                                                    point=kp), h, True,
                    name=f"lpo_from_discontinuity({g.name})")
 
 

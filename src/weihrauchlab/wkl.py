@@ -12,10 +12,17 @@ share one parity test, parity_chi.
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Optional
 
 from .errors import OutOfDomain, UnsupportedShape
-from .machines import Machine, emit_rows, extent, index_machine, stream_machine
+from .machines import (
+    Machine,
+    emit_rows,
+    index_machine,
+    row_rule_machine,
+    stream_machine,
+)
 from .points import (
     EvPeriodic,
     LawPoint,
@@ -204,8 +211,9 @@ def _covered_level(length: int) -> int:
 
 
 def blocking_rows_machine() -> Machine:
-    """Tree name in, tupled blocking streams out (one row per word)."""
-    def fn(w):
+    """Tree name in, tupled blocking streams out (one row per word): a
+    rule over the levels the name's prefix covers."""
+    def rule(w):
         L = len(w)
         ell = _covered_level(L)
         if ell < 0:
@@ -244,20 +252,16 @@ def blocking_rows_machine() -> Machine:
         return LawPoint(row_fn=lambda r: q_stream(tree, word_at(r)),
                         label="blocking-rows")
 
-    return Machine("blocking-rows", fn, point=point)
+    return row_rule_machine("blocking-rows", rule, point=point)
 
 
 def path_extractor() -> Machine:
     """Follow the answer bits word by word down the tree: symbol k is the
     answer at the index of the word of the first k symbols."""
     def bits(w):
-        L = extent(w)
         current = ()
         while True:
-            idx = word_index(current)
-            if L is not None and idx >= L:
-                return
-            bit = w[idx]
+            bit = w[word_index(current)]
             if bit not in (0, 1):
                 return
             yield bit
@@ -275,20 +279,16 @@ def wkl_to_llpo_hat() -> Witness:
 
 def constraint_tree_machine() -> Machine:
     """Emit the characteristic stream of the constraint tree of the rows."""
-    def fn(w):
+    def chis(w):
         def read(m, j):
             return w[pair_encode(m, j)]
 
-        out = []
-        for j in range(len(w)):
-            try:
-                out.append(parity_chi(read, word_at(j)))
-            except IndexError:      # a read past the input: not yet determined
-                break
-        return tuple(out)
+        for j in count():
+            w[j]        # word j's bit waits for input symbol j
+            yield parity_chi(read, word_at(j))
 
-    return Machine("constraint-tree", fn,
-                   point=lambda p: TreeChar(ConstraintTree(p)))
+    return stream_machine("constraint-tree", chis,
+                          point=lambda p: TreeChar(ConstraintTree(p)))
 
 
 def llpo_hat_to_wkl() -> Witness:

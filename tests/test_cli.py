@@ -241,6 +241,32 @@ def test_cli_derive_parallelize_refuses_multi_answer_problems(capsys):
         assert "single-answer problems" in captured.err
 
 
+def test_cli_derive_parallelize_draws_rows_from_the_parent_corpus(capsys):
+    """A parallelization is checked on hat names whose rows are names of
+    the parent's own corpus, so a parent on real names is in its domain."""
+    for name in ("llpo_real_to_llpo", "llpo_real_to_lpo"):
+        assert main(["derive", "parallelize", name, "--depth", "12"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("derived hat(llpo_real_to_llpo")
+        assert out.endswith("): PASS (verified to depth 12)\n")
+
+
+def test_cli_swap_g_prefixes_are_pinned(capsys):
+    """G, the swapped machine, is read on demand over the point: its first
+    symbols on these names are the ones its windows gave."""
+    for machine, point, depth, g in (
+            ("identity", "rows(default=evp(;0);0:evp(5;0))", 2, "0 0 0"),
+            ("shift", "rows(default=evp(;0);0:evp(5;0);1:evp(0 1;0))", 3,
+             "0 0 1 0 0 0"),
+            ("swap2", "pair(evp(;0),evp(1;0))", 2, "0 0 0"),
+            ("swap2", "pair(evp(0 1;0),evp(;0))", 3, "0 0 0 0 1 0")):
+        code = main(["swap", "--machine", machine, "--point", point,
+                     "--depth", str(depth)])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.splitlines()[0] == f"G(point) prefix = {g}", point
+
+
 def test_cli_swap_prints_machine_evaluation(capsys):
     code = main(["swap", "--machine", "identity",
                  "--point", "rows(default=evp(;0);0:evp(5;0))",
@@ -255,7 +281,7 @@ def test_cli_check_stall_is_unverified(monkeypatch, capsys):
     stall and the exit code is 3, as for capacity.  Here the registered
     wkl_to_llpo_hat gets an H that never emits."""
     from weihrauchlab import cli, registry
-    from weihrauchlab.machines import Machine
+    from weihrauchlab.machines import stream_machine
     from weihrauchlab.witnesses import Witness
 
     def patched_registry():
@@ -265,7 +291,7 @@ def test_cli_check_stall_is_unverified(monkeypatch, capsys):
 
         def silent():
             w = build()
-            return Witness(w.f, w.g, w.K, Machine("silent", lambda wd: (), fuel=64),
+            return Witness(w.f, w.g, w.K, stream_machine("silent", lambda wd: iter(())),
                            True, name=w.name)
         entry.build = silent
         return entries

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import count, product
 
 import pytest
 from hypothesis import example, given, reject, settings
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from weihrauchlab.corpus import any_points, rng_for, thin_tree
 from weihrauchlab.errors import Stalled, UnsupportedShape
 from weihrauchlab.machines import (
+    DEFAULT_FUEL,
     Machine,
     PointView,
     ReadView,
@@ -29,6 +30,7 @@ from weihrauchlab.machines import (
     run_on_point,
     second_half,
     shift_l,
+    stream_machine,
     symbol_machine,
     tag_case,
     tensor,
@@ -164,11 +166,12 @@ def test_run_on_point_identity_and_const():
 
 
 def test_run_on_point_fuel_exhaustion_flag():
-    stall = Machine("stall", lambda w: (), fuel=64)
-    out = run_on_point(stall, EvPeriodic((), (0,)), 4)
+    # reads every input symbol and emits none
+    stall = stream_machine("stall", lambda w: (i for i in count() if w[i] is None))
+    out = run_on_point(stall, EvPeriodic((), (0,)), 4, fuel=64)
     assert not out.productive
     assert out.output == ()
-    assert out.width == 64      # every window up to the fuel counts as read
+    assert out.width == 64      # every symbol it read up to the fuel
 
 
 def test_run_on_point_counts_the_symbols_read():
@@ -185,7 +188,6 @@ def test_run_on_point_counts_the_symbols_read():
 
 READS = st.one_of(
     st.tuples(st.just("flat"), st.integers(0, 80)),
-    st.tuples(st.just("charge"), st.integers(0, 80)),
     st.tuples(st.just("row"), st.integers(0, 6), st.integers(0, 12)),
 )
 
@@ -196,28 +198,23 @@ READS = st.one_of(
                                  EvPeriodic((1,), (0, 3))))),
        st.integers(0, 90), st.lists(READS, max_size=12))
 def test_read_view_counts_each_coordinate_once(p, fuel, reads):
-    """Flat reads, charged windows and row reads mixed: reads is the number
-    of distinct coordinates touched, and a read stalls exactly when it
-    would take that number past the fuel, touching nothing."""
+    """Flat reads and row reads mixed: reads is the number of distinct
+    coordinates touched, and a read stalls exactly when it would take that
+    number past the fuel, touching nothing."""
     v = ReadView(p, fuel)
     touched = set()
     for op, *args in reads:
         if op == "flat":
             want = touched | {args[0]}
-        elif op == "charge":
-            want = touched | set(range(args[0]))
         else:
             n, m = args
             want = touched | {pair_encode(n, k) for k in range(m)}
         if len(want) > fuel:
             with pytest.raises(Stalled):
-                (v.__getitem__ if op == "flat" else
-                 v.charge if op == "charge" else v.read_row)(*args)
+                (v.__getitem__ if op == "flat" else v.read_row)(*args)
         else:
             if op == "flat":
                 assert v[args[0]] == p.value_at(args[0])
-            elif op == "charge":
-                v.charge(args[0])
             else:
                 assert v.read_row(*args) == tuple(
                     p.value_at(pair_encode(n, k)) for k in range(m))
@@ -526,8 +523,6 @@ def test_views_evaluate_as_the_eager_reference(shape, p):
         assert out == reference_eval(shape, w), (m.name, width)
         if m.src is not None:
             assert out == tuple(w[m.src(j)] for j in range(len(out))), m.name
-        if m.view is None:
-            continue
         v = m.view(w)
         assert len(v) == len(out), (m.name, width)
         assert tuple(v[i] for i in reversed(range(len(v)))) == out[::-1], m.name
@@ -606,7 +601,7 @@ def test_registry_Ks_still_emit_their_full_budget():
 def widening_reference(m, p, depth, fuel=None):
     """The run_on_point that read-driven runs replaced: widen a finite
     window of p from 16 up to the fuel until eval emits depth symbols."""
-    budget = m.fuel if fuel is None else fuel
+    budget = DEFAULT_FUEL if fuel is None else fuel
     width = min(16, budget)
     while True:
         out = m.eval(PointView(p, width))

@@ -6,7 +6,13 @@ exactly at the failing coordinate."""
 import pytest
 
 from weihrauchlab import corpus as gen
-from weihrauchlab.machines import Machine, PointView, audit_monotone, identity
+from weihrauchlab.machines import (
+    Machine,
+    PointView,
+    audit_monotone,
+    identity,
+    run_on_point,
+)
 from weihrauchlab.points import EvPeriodic, Interleave, prefix
 from weihrauchlab.problems import id_problem
 from weihrauchlab.registry import corrupted_witnesses, named_witnesses
@@ -43,6 +49,44 @@ def test_registry_machines_total_and_monotone_on_every_prefix(name):
         for r in w.g.value_set(q).behaviors(6, 64)[:2]:
             feed = r if w.strong else Interleave(p, r)
             assert audit_monotone(w.H, feed, range(81)), (name, "H")
+
+
+def _depths(n: int) -> list:
+    """Every depth up to 600, and past it 64 spread up to n and n itself:
+    a run to depth d costs d reads, so every depth of a 4,422-symbol
+    output would cost about 10 million."""
+    return sorted({*range(min(n, 600) + 1), *range(600, n, max(1, n // 64)), n})
+
+
+def _machines_fed(name):
+    """A registered witness or negative control, 4 of its `cli` corpus
+    names, and each of its machines beside an input the checker feeds it:
+    K the name, H the answers of two oracle behaviors at K's image."""
+    controls = corrupted_witnesses()
+    if name in controls:
+        w, corpus_fn = controls[name]
+        names = corpus_fn(gen.rng_for(f"cli:{name}"), 20)[:4]
+    else:
+        e = named_witnesses()[name]
+        w, names = e.build(), e.corpus(gen.rng_for(f"cli:{name}"), 4)
+    for p in names:
+        yield w.K, p
+        for r in w.g.value_set(w.k_point(p)).behaviors(6, 64)[:2]:
+            yield w.H, r if w.strong else Interleave(p, r)
+
+
+@pytest.mark.parametrize("name", sorted(named_witnesses())
+                         + sorted(corrupted_witnesses()))
+def test_every_machine_runs_as_it_evaluates(name):
+    """Every machine is its view: a run over the whole point, reading on
+    demand, emits at each depth what eval emits on the point's prefix of
+    width 0, 16 or 64, as far as that finite output reaches."""
+    for m, p in _machines_fed(name):
+        for width in (0, 16, 64):
+            out = tuple(m.eval(p.prefix(width)))
+            for n in _depths(len(out)):
+                assert run_on_point(m, p, n).output == out[:n], (
+                    name, m.name, repr(p), width, n)
 
 
 def test_checker_soundness_boundary():
