@@ -8,12 +8,23 @@ names.  Structural predicates (zero search, progression tests, row
 extraction, normalization) are decided from the presentation, never by
 unbounded scanning.  Rows are read through one layer: row_length(s),
 gather_rows, and the period walk row_period / period_row.
+
+Points are immutable, and a check asks the same few structural questions
+of the same names many times over: the domain test of every oracle
+branch, the value set, and each row of a tupled name.  So three facts of
+an EvPeriodic, Interleave or RowTuple are computed once per point and
+kept in its declared facts slot, which stays None until a fact is first
+asked for: nonzero_census, row_period, and subsample(p, a, b).  The slot
+is a declared attribute: a census kept through the instance's __dict__
+instead made the suite's lpo-only checks about a fifth slower.  A
+computation that raises stores nothing, so it raises again when asked
+again.  LawPoint keeps its own memo of values and rows.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import chain, compress, count, cycle, islice, takewhile
 from typing import Callable, Iterator, Optional
@@ -134,6 +145,8 @@ class Point:
 class EvPeriodic(Point):
     head: Word
     period: Word
+    _facts: Optional[dict] = field(default=None, init=False, compare=False,
+                                   repr=False)
 
     def __post_init__(self):
         if len(self.period) == 0:
@@ -154,6 +167,8 @@ class EvPeriodic(Point):
 class Interleave(Point):
     first: Point
     second: Point
+    _facts: Optional[dict] = field(default=None, init=False, compare=False,
+                                   repr=False)
 
     def value_at(self, i: int) -> int:
         if i % 2 == 0:
@@ -167,6 +182,7 @@ class RowTuple(Point):
     def __init__(self, rows: dict, default: Point):
         self.rows = dict(rows)
         self.default = default
+        self._facts: Optional[dict] = None
 
     def row(self, n: int) -> Point:
         return self.rows.get(n, self.default)
@@ -256,12 +272,33 @@ ZEROS = const_point(0)
 ONES = const_point(1)
 
 
-def subsample(p: Point, a: int, b: int) -> EvPeriodic:
-    """The stream n -> p(a*n + b) of a normalizable point, as EvPeriodic.
+_FACTFUL = (EvPeriodic, Interleave, RowTuple)   # the points with a facts slot
 
-    Indices beyond the head cycle mod the period with cycle length at most
-    the period length, so head + one cycle determines the result.
-    """
+
+def _fact(p: Point, key, compute: Callable):
+    """The fact key of p: compute(p), computed once and kept in p's facts
+    slot when p has one.  A computation that raises stores nothing."""
+    if not isinstance(p, _FACTFUL):
+        return compute(p)
+    facts = p._facts
+    if facts is None:
+        facts = {}
+        object.__setattr__(p, "_facts", facts)   # the dataclasses are frozen
+    got = facts.get(key)
+    if got is None:
+        got = facts[key] = compute(p)
+    return got
+
+
+def subsample(p: Point, a: int, b: int) -> EvPeriodic:
+    """The stream n -> p(a*n + b) of a normalizable point, as EvPeriodic;
+    computed once per point and progression."""
+    return _fact(p, (a, b), partial(_subsample, a=a, b=b))
+
+
+def _subsample(p: Point, a: int, b: int) -> EvPeriodic:
+    """Indices beyond the head cycle mod the period with cycle length at most
+    the period length, so head + one cycle determines the result."""
     q = normalize(p)
     if q is None:
         raise UnsupportedShape("subsample needs a normalizable point")
@@ -316,17 +353,22 @@ def row_form(p: Point, n: int) -> Optional[Point]:
 
 
 def row_period(p: Point) -> tuple:
-    """(head, tail): p's rows as its first n_star = len(head) rows, by
-    index, and the cycle of rows that every row n >= n_star repeats, row n
-    being tail[(n - n_star) % len(tail)].  A row tuple's head runs to its
-    last exception row and its tail is its default; a periodic stream's
-    head runs to the last row starting inside its head, and its rows
-    repeat with period twice its period's length (see row)."""
+    """(head, tail), two tuples: p's rows as its first n_star = len(head)
+    rows, by index, and the cycle of rows that every row n >= n_star
+    repeats, row n being tail[(n - n_star) % len(tail)].  A row tuple's
+    head runs to its last exception row and its tail is its default; a
+    periodic stream's head runs to the last row starting inside its head,
+    and its rows repeat with period twice its period's length (see row).
+    Computed once per point."""
+    return _fact(p, "row_period", _row_period)
+
+
+def _row_period(p: Point) -> tuple:
     if isinstance(p, RowTuple):
-        return [p.row(n) for n in range(max(p.rows, default=-1) + 1)], [p.default]
+        return tuple(map(p.row, range(max(p.rows, default=-1) + 1))), (p.default,)
     if isinstance(p, EvPeriodic):
         n_star = len(row_lengths(len(p.head)))   # the rows starting in the head
-        rows = [row(p, n) for n in range(n_star + 2 * len(p.period))]
+        rows = tuple(row(p, n) for n in range(n_star + 2 * len(p.period)))
         return rows[:n_star], rows[n_star:]
     raise UnsupportedShape(f"row period of {type(p).__name__}")
 
@@ -486,7 +528,12 @@ def exists_zero(p: Point) -> bool:
 
 
 def nonzero_census(p: Point) -> tuple:
-    """("zero", None) | ("one", pos) | ("many", first_pos); decided structurally."""
+    """("zero", None) | ("one", pos) | ("many", first_pos); decided
+    structurally, once per point."""
+    return _fact(p, "census", _nonzero_census)
+
+
+def _nonzero_census(p: Point) -> tuple:
     if isinstance(p, EvPeriodic):
         if any(x != 0 for x in p.period):
             first = _min_hit(p, False)

@@ -37,10 +37,12 @@ def word_index(w: Word) -> int:
     return (1 << n) - 1 + v
 
 
+_BIT = {"0": 0, "1": 1}
+
+
 def word_at(i: int) -> Word:
-    n = (i + 1).bit_length() - 1
-    v = i - ((1 << n) - 1)
-    return tuple((v >> (n - 1 - j)) & 1 for j in range(n))
+    """The word of index i: the binary digits of i + 1 after its leading 1."""
+    return tuple(map(_BIT.__getitem__, bin(i + 1)[3:]))
 
 
 def extensions(start, n: int, member: Callable) -> list:

@@ -6,8 +6,11 @@ binary word; an oracle answer supplies, per word, a bit whose child is
 still on arbitrarily long tree branches, and the path extractor follows
 those bits.  The backward direction encodes the rows' constraints as a
 tree whose paths are exactly the admissible answer streams.  Blocking
-rows go out through emit_rows; the constraint tree's machine and mirror
-share one parity test, parity_chi.
+rows go out through emit_rows.  The constraint tree's machine reads the
+whole parity test, parity_chi, for each word; the mirror's
+ConstraintTree.chi decides a word from its parent's answer and the new
+last row and column, O(n) row symbols for a word of length n where
+parity_chi reads O(n^2), and parity_chi is its reference in the tests.
 """
 
 from __future__ import annotations
@@ -82,11 +85,28 @@ class ConstraintTree:
         self._chi: dict = {}
 
     def chi(self, w) -> int:
+        """parity_chi of w on the rows, from chi(w[:-1]): w's constraints
+        are its prefix's plus the new last column, rows m < n - 1 at
+        k = n - 1, and the new last row, row n - 1 at every k < n.  O(n)
+        symbols per word, each prefix decided once."""
         w = tuple(w)
-        if w not in self._chi:
-            rows = [period_row(self.period, m) for m in range(len(w))]
-            self._chi[w] = parity_chi(lambda m, j: rows[m].value_at(j), w)
-        return self._chi[w]
+        got = self._chi.get(w)
+        if got is None:
+            got = self._chi[w] = self._extend(w)
+        return got
+
+    def _extend(self, w) -> int:
+        n = len(w)
+        if n == 0:
+            return 1
+        if not self.chi(w[:-1]):
+            return 0
+        last, period = n - 1, self.period
+        if any(period_row(period, m).value_at(2 * last + w[m])
+               for m in range(last)):
+            return 0
+        row, b = period_row(period, last), w[last]
+        return 0 if any(row.value_at(2 * k + b) for k in range(n)) else 1
 
     def member(self, w) -> bool:
         return self.chi(w) == 1

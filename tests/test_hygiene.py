@@ -1,8 +1,9 @@
 """Source hygiene, read from the syntax trees: no module in src/ or tests/
 imports a name it never uses, every module-level function and class in
 src/ is referenced from src/, tests/ or bench/, no code in src/ decides an
-identity by comparing `.name` attributes, and a module in src/ imports
-inside a function only what it could not import at module level."""
+identity by comparing `.name` attributes or reads an instance's
+`.__dict__`, and a module in src/ imports inside a function only what it
+could not import at module level."""
 
 import ast
 from pathlib import Path
@@ -72,6 +73,19 @@ def test_no_name_comparisons_in_src():
                 for side in [node.left, *node.comparators])
     ]
     assert compared == []
+
+
+def test_no_dict_reads_in_src():
+    """Memoized facts live in a declared slot (points._fact): a census kept
+    through a point's __dict__ made the suite's lpo-only checks about a
+    fifth slower."""
+    read = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path, tree in _modules("src").items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "__dict__"
+    ]
+    assert read == []
 
 
 def _package_imports(path, nodes) -> set:

@@ -10,7 +10,11 @@ from weihrauchlab.points import (
     DECODE_BOUND,
     EvPeriodic,
     Interleave,
+    LawPoint,
     RowTuple,
+    _nonzero_census,
+    _row_period,
+    _subsample,
     all_zero_on_progression,
     depair,
     exists_zero,
@@ -25,6 +29,8 @@ from weihrauchlab.points import (
     pulse_bit,
     pulse_position,
     row,
+    row_period,
+    rows_of,
     scan_bound,
     subsample,
     value_at,
@@ -289,6 +295,74 @@ def test_subsample_law():
         q = subsample(p, a, b)
         for n in range(120):
             assert q.value_at(n) == p.value_at(a * n + b)
+
+
+def _rebuilt(p):
+    """A fresh point equal to p, sharing no facts slot with it; law points
+    and tree names keep no facts and are shared."""
+    if isinstance(p, EvPeriodic):
+        return EvPeriodic(p.head, p.period)
+    if isinstance(p, Interleave):
+        return Interleave(_rebuilt(p.first), _rebuilt(p.second))
+    if isinstance(p, RowTuple):
+        return RowTuple({n: _rebuilt(r) for n, r in p.rows.items()},
+                        _rebuilt(p.default))
+    return p
+
+
+def _answer(fn, p):
+    try:
+        return fn(p)
+    except UnsupportedShape as e:
+        return UnsupportedShape, str(e)
+
+
+FACTS = [
+    ("census", nonzero_census, _nonzero_census),
+    ("row_period", row_period, _row_period),
+    *[(f"subsample{a, b}", lambda p, a=a, b=b: subsample(p, a, b),
+       lambda p, a=a, b=b: _subsample(p, a, b))
+      for a, b in [(2, 0), (2, 1), (1, 1), (3, 2)]],
+]
+
+
+def _fact_inputs():
+    """Four names per registry entry, as the CLI seeds them, with their
+    rows 0-7 and both halves; plus an Interleave holding a law point."""
+    from weihrauchlab.corpus import rng_for
+    from weihrauchlab.registry import named_witnesses
+
+    law = LawPoint(fn=lambda i: i % 2, label="law")
+    out = [Interleave(law, EvPeriodic((), (0,))), Interleave(EvPeriodic((1,), (0,)), law)]
+    for name, entry in sorted(named_witnesses().items()):
+        for p in entry.corpus(rng_for(f"cli:{name}"), 4):
+            out.append(p)
+            out.extend(depair(p))
+            try:
+                out.extend(row(rows_of(p), n) for n in range(8))
+            except UnsupportedShape:
+                pass
+    return out
+
+
+def test_memoized_facts_are_the_plain_functions_answers():
+    """Each fact asked twice answers as the plain function on a freshly
+    built equal point, the second time from the facts slot; a fact that
+    raises stores nothing and raises again."""
+    raised = set()
+    for p in _fact_inputs():
+        for name, memo, plain in FACTS:
+            want = _answer(plain, _rebuilt(p))
+            first = _answer(memo, p)
+            second = _answer(memo, p)
+            assert first == want and second == want, (name, p)
+            if isinstance(want, tuple) and want[:1] == (UnsupportedShape,):
+                raised.add(name)
+            else:
+                assert second is first, (name, p)
+            if name == "row_period" and second is first:
+                assert len(first) == 2 and all(type(x) is tuple for x in first)
+    assert {"census", "row_period"} <= raised
 
 
 def test_pulse_encoding_is_one_rule():

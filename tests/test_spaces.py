@@ -33,8 +33,11 @@ from weihrauchlab.wkl import ConstraintTree
 def test_word_enumeration_order():
     words = [word_at(i) for i in range(7)]
     assert words == [(), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1)]
-    for i in range(200):
-        assert word_index(word_at(i)) == i
+    words = [word_at(i) for i in range(1 << 14)]
+    assert words[: (1 << 14) - 1] == [
+        w for n in range(14) for w in itertools.product((0, 1), repeat=n)]
+    for i, w in enumerate(words):
+        assert word_index(w) == i and all(type(b) is int for b in w)
 
 
 def test_nat_roundtrip():

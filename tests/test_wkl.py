@@ -33,9 +33,12 @@ def fixture_trees():
     return out
 
 
+def constraint_names():
+    return named_witnesses()["llpo_hat_to_wkl"].corpus(rng_for("wkl-fix:ct"), 6)
+
+
 def constraint_trees():
-    corpus = named_witnesses()["llpo_hat_to_wkl"].corpus(rng_for("wkl-fix:ct"), 6)
-    return [ConstraintTree(p) for p in corpus]
+    return [ConstraintTree(p) for p in constraint_names()]
 
 
 def all_trees():
@@ -89,6 +92,22 @@ def test_constraint_tree_chi_is_parity_chi():
             rows = [period_row(t.period, m) for m in range(len(w))]
             fresh = parity_chi(lambda m, j: rows[m].value_at(j), w)
             assert t.chi(w) == fresh, (t, w)
+
+
+def test_constraint_tree_chi_cold_order():
+    """A length-7 word asked first of a fresh tree fills in its prefixes
+    through the recursion, also past a prefix that has left the tree."""
+    left_early = 0
+    for p in constraint_names():
+        for w in itertools.product((0, 1), repeat=7):
+            t = ConstraintTree(p)
+            rows = [period_row(t.period, m) for m in range(7)]
+            want = [parity_chi(lambda m, j: rows[m].value_at(j), w[:n])
+                    for n in range(8)]
+            assert t.chi(w) == want[7], (p, w)
+            assert [t.chi(w[:n]) for n in range(8)] == want, (p, w)
+            left_early += 0 in want[:7]
+    assert left_early
 
 
 def test_q_stream_trichotomy_and_domain():
