@@ -41,8 +41,8 @@ from .points import Interleave, Point, RowTuple
 from .problems import (
     CoordProductSet,
     FiniteNatsSet,
-    PointListSet,
     SinglePointSet,
+    UnionSet,
     c_problem,
     compact_choice_problem,
     id_problem,
@@ -79,8 +79,9 @@ def _render_value_set(vs) -> str:
         return "{" + ",".join(map(str, sorted(vs.values))) + "}"
     if isinstance(vs, SinglePointSet):
         return "point " + point_str(vs.point)
-    if isinstance(vs, PointListSet):
-        return "{" + "; ".join(point_str(q) for q in vs.points) + "}"
+    if isinstance(vs, UnionSet) and all(isinstance(part, SinglePointSet)
+                                        for part in vs.parts):
+        return "{" + "; ".join(point_str(part.point) for part in vs.parts) + "}"
     if isinstance(vs, CoordProductSet):
         try:
             (only,) = vs.members(cap=1)    # an exact single answer

@@ -64,12 +64,13 @@ def llpo_points(rng, n, allow_free=True) -> list:
     return [llpo_point(rng, allow_free) for _ in range(n)]
 
 
-def llpo_hat_input(rng, max_free=3, rows=5) -> RowTuple:
-    """Row tuple in the parallelized domain with few free coordinates."""
+def llpo_hat_input(rng, max_free=3) -> RowTuple:
+    """Row tuple in the parallelized domain with few free coordinates:
+    one to four exception rows among the first 5 + max_free."""
     default = EvPeriodic((0, rng.randrange(1, 4)), (0,))   # forces 0
     exceptions = {}
     free_budget = rng.randrange(max_free + 1)
-    used = rng.sample(range(rows + max_free), rng.randrange(1, rows))
+    used = rng.sample(range(5 + max_free), rng.randrange(1, 5))
     for n in used:
         if free_budget > 0 and rng.random() < 0.4:
             exceptions[n] = EvPeriodic((), (0,))           # free coordinate
@@ -79,8 +80,8 @@ def llpo_hat_input(rng, max_free=3, rows=5) -> RowTuple:
     return RowTuple(exceptions, default)
 
 
-def llpo_hat_inputs(rng, n, max_free=3) -> list:
-    return [llpo_hat_input(rng, max_free) for _ in range(n)]
+def llpo_hat_inputs(rng, n) -> list:
+    return [llpo_hat_input(rng) for _ in range(n)]
 
 
 def free_heavy_rowtuple(rng, forced=2) -> RowTuple:
@@ -92,11 +93,11 @@ def free_heavy_rowtuple(rng, forced=2) -> RowTuple:
     return RowTuple(exceptions, default)
 
 
-def compact_backward_input(rng, forced=6) -> RowTuple:
-    """Forced low coordinates over a free default, keeping the excluded
+def compact_backward_input(rng) -> RowTuple:
+    """Six forced low coordinates over a free default, keeping the excluded
     blocks small and the free coordinates below the checking depth few."""
     default = EvPeriodic((), (0,))
-    exceptions = {n: llpo_point(rng, allow_free=False) for n in range(forced)}
+    exceptions = {n: llpo_point(rng, allow_free=False) for n in range(6)}
     return RowTuple(exceptions, default)
 
 
@@ -110,9 +111,10 @@ def _path(head, period) -> EvPeriodic:
     return EvPeriodic(tuple(head), tuple(period))
 
 
-def covering_tree(rng, depth=3) -> FinTree:
-    """Live paths covering every word of a small depth, so that blocking
+def covering_tree(rng) -> FinTree:
+    """Live paths covering every word of depth 3, so that blocking
     streams leave few free coordinates below the checking depth."""
+    depth = 3
     live = []
     for idx in range(2 ** depth):
         head = tuple((idx >> (depth - 1 - j)) & 1 for j in range(depth))
@@ -154,9 +156,10 @@ def tree_names(rng, n, bushy=True) -> list:
 
 # clopen compacts --------------------------------------------------------------
 
-def product_clopen(rng, forced=2) -> ClopenCompact:
+def product_clopen(rng) -> ClopenCompact:
+    """Two of the first three coordinates forced."""
     excluded = set()
-    for n in rng.sample(range(3), min(forced, 3)):
+    for n in rng.sample(range(3), 2):
         bad = rng.randrange(2)
         for idx in range(2 ** n):
             head = tuple((idx >> (n - 1 - j)) & 1 for j in range(n))
@@ -164,13 +167,14 @@ def product_clopen(rng, forced=2) -> ClopenCompact:
     return ClopenCompact(excluded)
 
 
-def mixed_clopen(rng, words=2, max_len=4) -> ClopenCompact:
-    """Compacts with a thin alive-tree: one short exclusion plus a few deep
-    ones, so the blocking tuple leaves few coordinates undetermined."""
+def mixed_clopen(rng) -> ClopenCompact:
+    """Compacts with a thin alive-tree: one short exclusion plus two deep
+    ones of length 2-4, so the blocking tuple leaves few coordinates
+    undetermined."""
     root_kill = (rng.randrange(2),)
     excluded = {root_kill}
-    while len(excluded) < words + 1:
-        L = rng.randrange(2, max_len + 1)
+    while len(excluded) < 3:
+        L = rng.randrange(2, 5)
         w = (1 - root_kill[0],) + tuple(rng.randrange(2) for _ in range(L - 1))
         k = ClopenCompact(excluded | {w})
         if not k.is_empty():
@@ -204,14 +208,14 @@ def dyadic_names(rng, n) -> list:
 
 # composite inputs for the squared witness ---------------------------------------
 
-def squared_input(rng, forced_outer=10, free_outer=2) -> RowTuple:
-    """Inner rows forcing bit one at <k,0> for most small outer coordinates,
-    keeping the behavior enumeration within budget."""
+def squared_input(rng) -> RowTuple:
+    """Inner rows forcing bit one at <k,0> for 10 of the outer coordinates
+    below 12, keeping the behavior enumeration within budget."""
     default = EvPeriodic((0, 1), (0,))   # forces 0
     exceptions = {}
-    outer = list(range(forced_outer + free_outer))
+    outer = list(range(12))
     rng.shuffle(outer)
-    for k in outer[:forced_outer]:
+    for k in outer[:10]:
         # a pulse at an even position: forces 1
         exceptions[pair_encode(k, 0)] = pulse(2 * rng.randrange(3))
     return RowTuple(exceptions, default)

@@ -10,6 +10,7 @@ from .errors import NonConvergent
 from .points import EvPeriodic, scan_bound
 
 QUIET_PERIOD = 64
+SCAN_CAP = 4096
 
 
 @dataclass
@@ -35,31 +36,25 @@ class LimitRun:
         return self.guesses[-1][1] if self.guesses else ()
 
 
-def run_lpo_k(k: int, inputs: Sequence, budget: int = 4096) -> LimitRun:
-    """Default all-ones guess; flip a component when its zero is found.
-
-    The scan runs to the inputs' structural bounds (capped by the budget),
-    so zero detection is exact on finitely presented inputs whenever the
-    budget covers them.
-    """
+def run_lpo_k(k: int, inputs: Sequence) -> LimitRun:
+    """lpo_k_machine replayed on the inputs' prefixes of every length up
+    to the horizon, their largest scan bound capped at SCAN_CAP, so zero
+    detection is exact on finitely presented inputs whenever the cap
+    covers them."""
     if len(inputs) != k:
         raise ValueError(f"expected {k} inputs")
+    machine = lpo_k_machine(k)
+    horizon = min(SCAN_CAP, max((scan_bound(p) for p in inputs), default=0))
+    words = [p.prefix(horizon) for p in inputs]
     run = LimitRun()
-    guess = [1] * k
-    run.record(0, tuple(guess))
-    horizon = min(budget, max((scan_bound(p) for p in inputs), default=0))
-    flipped = [False] * k
-    for t in range(horizon):
-        for i in range(k):
-            if not flipped[i] and inputs[i].value_at(t) == 0:
-                flipped[i] = True
-                guess[i] = 0
-                run.record(t + 1, tuple(guess))
+    for t in range(horizon + 1):
+        run.record(t, machine([w[:t] for w in words]))
     return run
 
 
 def lpo_k_machine(k: int) -> Callable:
-    """The scanning machine above, exposed prefix-in guess-out."""
+    """Guess 1 for each component until its prefix shows a zero, prefix-in
+    guess-out."""
     def step(prefixes):
         return tuple(0 if any(s == 0 for s in prefixes[i]) else 1
                      for i in range(k))
@@ -72,8 +67,7 @@ class AdversaryResult:
     run: LimitRun
 
 
-def adversary(machine: Callable, k: int, budget: int = 4096,
-              quiet: int = QUIET_PERIOD) -> AdversaryResult:
+def adversary(machine: Callable, k: int, budget: int = 4096) -> AdversaryResult:
     """Feed all-ones prefixes until the guess is quiet, then plant a zero in
     the next component; repeat through every component."""
     prefixes = [[] for _ in range(k)]
@@ -87,7 +81,7 @@ def adversary(machine: Callable, k: int, budget: int = 4096,
     def wait_for_quiet():
         stable = 0
         last = machine([tuple(p) for p in prefixes])
-        while stable < quiet:
+        while stable < QUIET_PERIOD:
             if len(prefixes[0]) >= budget:
                 raise NonConvergent("no stable guess within the budget")
             feed([1] * k)

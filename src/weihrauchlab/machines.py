@@ -542,15 +542,10 @@ def tag_case(zero: Machine, other: Machine) -> Machine:
     return Machine(f"case({zero.name}|{other.name})", fn, view=view)
 
 
-def countable_tuple(ms: Sequence, uniform: Machine) -> Machine:
-    """Row n of the output is (ms[n] or uniform) applied to row n of the input."""
-    ms = list(ms)
-
-    def machine_at(n):
-        return ms[n] if n < len(ms) else uniform
-
+def countable_tuple(m: Machine) -> Machine:
+    """Row n of the output is m applied to row n of the input."""
     def fn(w):
-        return emit_rows(lambda n: machine_at(n).eval(RowView(w, n)))
+        return emit_rows(lambda n: m.eval(RowView(w, n)))
 
     def view(w):
         if extent(w) is not None:
@@ -561,25 +556,21 @@ def countable_tuple(ms: Sequence, uniform: Machine) -> Machine:
             n, k = pair_decode(i)
             r = rows.get(n)
             if r is None:
-                r = rows[n] = machine_at(n).view(RowView(w, n))
+                r = rows[n] = m.view(RowView(w, n))
             return r[k]
         return LazyWord(None, at)
 
     def point(p):
         p = rows_of(p)
         if isinstance(p, RowTuple):
-            rows = {n: machine_at(n).point(r) for n, r in p.rows.items()}
-            rows.update({n: ms[n].point(p.default)
-                         for n in range(len(ms)) if n not in rows})
-            return RowTuple(rows, uniform.point(p.default))
+            return RowTuple({n: m.point(r) for n, r in p.rows.items()},
+                            m.point(p.default))
         if isinstance(p, Interleave):
             # refuse now: a pair that does not normalize has no rows to read
             raise UnsupportedShape("rowwise action on a pair without row form")
-        return LawPoint(row_fn=lambda n: machine_at(n).point(row(p, n)),
-                        label="rowwise")
+        return LawPoint(row_fn=lambda n: m.point(row(p, n)), label="rowwise")
 
-    return Machine(f"tuple({uniform.name})", fn, view=view,
-                   point=_lifted(point, uniform, *ms))
+    return Machine(f"tuple({m.name})", fn, view=view, point=_lifted(point, m))
 
 
 def _emit_budget(length: int) -> int:

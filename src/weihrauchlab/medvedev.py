@@ -4,7 +4,7 @@ its composite's view."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .machines import (
     Machine,
@@ -15,11 +15,10 @@ from .machines import (
     pair_machine,
     proj1,
     proj2,
-    run_on_point,
 )
 from .points import Interleave, ZEROS, point_prepend
 from .problems import Problem, const_problem, product_problem, sum_problem
-from .witnesses import Witness, as_ordinary
+from .witnesses import Report, Witness, as_ordinary, check
 
 
 @dataclass
@@ -39,45 +38,13 @@ class MassProblem:
         return f"mass[{self.name}]({len(self.members)})"
 
 
-@dataclass
-class MedvedevEntry:
-    member: str
-    status: str
-    coordinate: int = None
-
-
-@dataclass
-class MedvedevReport:
-    entries: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return bool(self.entries) and all(e.status == "pass" for e in self.entries)
-
-
 def medvedev_check(a: MassProblem, b: MassProblem, f: Machine,
-                   depth: int = 16, fuel: int = None) -> MedvedevReport:
-    """Does f carry every member of b into a, to the checked depth?"""
-    report = MedvedevReport()
-    for q in b.members:
-        outcome = run_on_point(f, q, depth, fuel)
-        word = outcome.output
-        best_fail = -1
-        consistent = False
-        for cand in a.members:
-            d = next((i for i in range(len(word))
-                      if word[i] != cand.value_at(i)), None)
-            if d is None:
-                consistent = True
-                break
-            best_fail = max(best_fail, d)
-        if consistent and outcome.productive:
-            report.entries.append(MedvedevEntry(repr(q), "pass"))
-        elif consistent:
-            report.entries.append(MedvedevEntry(repr(q), "stall"))
-        else:
-            report.entries.append(MedvedevEntry(repr(q), "fail", best_fail))
-    return report
+                   depth: int) -> Report:
+    """Does f carry every member of b into a, to the checked depth?  The
+    check of the embedded reduction c_A <=W c_B on one name: its oracle
+    behaviors are b's members, and each run of f on one must match some
+    member of a and be productive."""
+    return check(embed_forward(f, a, b), [ZEROS], depth)
 
 
 def embed_forward(f: Machine, a: MassProblem, b: MassProblem) -> Witness:

@@ -123,65 +123,19 @@ class SinglePointSet(ValueSet):
         return [self.point]
 
 
-@dataclass
-class PointListSet(ValueSet):
-    points: tuple
-
-    def __init__(self, points: Iterable):
-        self.points = tuple(points)
-
-    def check_prefix(self, w):
-        worst = -1
-        for q in self.points:
-            d = None
-            for i in range(len(w)):
-                if w[i] != q.value_at(i):
-                    d = i
-                    break
-            if d is None:
-                return None
-            worst = max(worst, d)
-        return worst if worst >= 0 else 0
-
-    def behaviors(self, depth, cap=BEHAVIOR_CAP):
-        if len(self.points) > cap:
-            raise CapacityExceeded(f"{len(self.points)} listed points exceed {cap}")
-        return list(self.points)
-
-    def canonical(self) -> Point:
-        return self.points[0]
-
-    def members(self, cap=BEHAVIOR_CAP):
-        return self.behaviors(0, cap)
-
-
-class EmptySet(ValueSet):
-    """The value set of the bottom object: no realizer can be consistent."""
-
-    def check_prefix(self, w):
-        return 0
-
-    def behaviors(self, depth, cap=BEHAVIOR_CAP):
-        return []
-
-    def members(self, cap=BEHAVIOR_CAP):
-        return []
-
-
 class CoordProductSet(ValueSet):
     """Product of per-coordinate allowed bit sets.
 
-    bits_fn gives the allowed subset of {0,1} per coordinate; when the
-    constraints stabilize (all coordinates >= support_bound share tail_bits)
-    the exact member list is enumerable.
+    bits_fn gives the allowed subset of {0,1} per coordinate.  When the
+    sets are eventually periodic, period = (head, cycle) gives them as two
+    tuples of bit sets, coordinate i allowing period_row(period, i); with
+    singleton cycle sets the exact member list is enumerable.
     """
 
-    def __init__(self, bits_fn: Callable, support_bound: Optional[int] = None,
-                 tail_bits: Optional[frozenset] = None):
+    def __init__(self, bits_fn: Callable, period: Optional[tuple] = None):
         self._bits_fn = bits_fn
         self._memo: dict = {}
-        self.support_bound = support_bound
-        self.tail_bits = frozenset(tail_bits) if tail_bits is not None else None
+        self.period = period
 
     def bits(self, i: int) -> frozenset:
         if i not in self._memo:
@@ -279,15 +233,13 @@ class CoordProductSet(ValueSet):
         return [tuple(c) for c in itertools.product(*sets)]
 
     def members(self, cap=BEHAVIOR_CAP):
-        if self.support_bound is None or self.tail_bits is None:
+        if self.period is None:
             raise NonRepresentable("product without a stabilized tail")
-        if len(self.tail_bits) != 1:
+        head, cycle = self.period
+        if any(len(bits) != 1 for bits in cycle):
             raise NonRepresentable("free tail: infinitely many members")
-        tail = min(self.tail_bits)
-        out = []
-        for head in self.truncations(self.support_bound, cap):
-            out.append(EvPeriodic(head, (tail,)))
-        return out
+        tail = tuple(min(bits) for bits in cycle)
+        return [EvPeriodic(word, tail) for word in self.truncations(len(head), cap)]
 
 
 @dataclass
@@ -474,6 +426,8 @@ class UnionSet(ValueSet):
         out = []
         for part in self.parts:
             out.extend(part.members(cap))
+            if len(out) > cap:
+                raise CapacityExceeded(f"{len(out)} union members exceed {cap}")
         return out
 
     def boxes(self):
@@ -629,22 +583,21 @@ def hat_problem(f: Problem) -> Problem:
             return RowProductSet(lambda n: f.value_set(row(p, n)))
 
         try:
-            period = row_period(p)
+            head, tail = row_period(p)
         except UnsupportedShape:
             return CoordProductSet(lambda n: f.answers(row(p, n)))
-
-        def bits(n):
-            return f.answers(period_row(period, n))
-
-        # one answer set on the whole tail cycle is that of every later row
-        head, tail = period
-        tails = set(map(f.answers, tail))
-        if len(tails) == 1:
-            return CoordProductSet(bits, support_bound=len(head),
-                                   tail_bits=tails.pop())
-        return CoordProductSet(bits)
+        period = (tuple(map(f.answers, head)),
+                  _shortest_cycle(tuple(map(f.answers, tail))))
+        return CoordProductSet(lambda n: period_row(period, n), period)
 
     return Problem(("hat", f.key), dom, value)
+
+
+def _shortest_cycle(cycle: tuple) -> tuple:
+    """The shortest prefix of cycle whose repetition is cycle."""
+    n = len(cycle)
+    return next(cycle[:d] for d in range(1, n + 1)
+                if n % d == 0 and cycle == cycle[:d] * (n // d))
 
 
 def c_problem() -> Problem:
@@ -686,12 +639,11 @@ def _product_shape(k: ClopenCompact):
 def compact_choice_value(k: ClopenCompact) -> ValueSet:
     forced = _product_shape(k)
     if forced is not None:
-        support = max(forced, default=-1) + 1
-        return CoordProductSet(
-            lambda i: frozenset({forced[i]}) if i in forced else frozenset({0, 1}),
-            support_bound=support,
-            tail_bits=frozenset({0, 1}),
-        )
+        free = frozenset({0, 1})
+        head = tuple(frozenset({forced[i]}) if i in forced else free
+                     for i in range(max(forced, default=-1) + 1))
+        period = (head, (free,))
+        return CoordProductSet(lambda i: period_row(period, i), period)
     if k.depth() > COMPACT_DEPTH_CAP:
         raise CapacityExceeded(
             f"mixed compact beyond excluded-depth {COMPACT_DEPTH_CAP}")
@@ -737,16 +689,18 @@ def llpo_real_problem() -> Problem:
 # constant problems and the bottom object -----------------------------------
 
 def const_problem(points: Iterable, label: str = "A") -> Problem:
+    """The constant problem of a finite point set: every name's answers
+    are the points, a union of single points."""
     pts = tuple(points)
     if not pts:
         return bottom_problem()
     return Problem(("const", label, pts), lambda p: True,
-                   lambda p: PointListSet(pts))
+                   lambda p: UnionSet(map(SinglePointSet, pts)))
 
 
 def bottom_problem() -> Problem:
-    """The distinguished object with an empty realizer set."""
-    return Problem("bottom", lambda p: True, lambda p: EmptySet())
+    """The distinguished object with an empty realizer set: the empty union."""
+    return Problem("bottom", lambda p: True, lambda p: UnionSet(()))
 
 
 def id_problem() -> Problem:
@@ -798,11 +752,10 @@ def double_hat_problem(f: Problem) -> Problem:
     return Problem(("hat^hat", f.key), dom, value)
 
 
-def compose_problems(outer: Problem, inner: Problem, cap: int = BEHAVIOR_CAP) -> Problem:
+def compose_problems(outer: Problem, inner: Problem) -> Problem:
     """Multi-valued composition on the finitely enumerable fragment."""
     def member_names(p):
-        vs = inner.value_set(p)
-        return vs.members(cap)
+        return inner.value_set(p).members()
 
     def dom(p):
         if not inner.in_domain(p):

@@ -240,13 +240,12 @@ def swap_g_machine(tables: TruthTableFamily) -> Machine:
     return row_rule_machine("swap-G", rule)
 
 
-def left_value_set(m: Machine, p: Point, depth: int, mod: Modulus,
-                   cap: int = EXCLUSION_CAP) -> set:
+def left_value_set(m: Machine, p: Point, depth: int, mod: Modulus) -> set:
     """Push every observable member of the parallelized image through m."""
     vs = llpo_hat_value(p)
     width = max(1, mod(depth))
     out = set()
-    for word in vs.truncations(width, cap):
+    for word in vs.truncations(width, EXCLUSION_CAP):
         res = m.eval(word)
         if len(res) < depth:
             raise FuelExhausted("machine under-produces on a member prefix")

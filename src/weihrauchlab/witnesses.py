@@ -170,8 +170,8 @@ class Report:
 VALIDATE_WIDTH = 64
 
 
-def check(w: Witness, corpus, depth: int = 16, cap: int = BEHAVIOR_CAP,
-          validate_width: int = VALIDATE_WIDTH, fuel: int = None) -> Report:
+def check(w: Witness, corpus, depth: int = 16,
+          validate_width: int = VALIDATE_WIDTH) -> Report:
     """Replay the witness on every corpus name and oracle behavior branch.
 
     K is validated on the name's word: its first validate_width symbols,
@@ -208,16 +208,16 @@ def check(w: Witness, corpus, depth: int = 16, cap: int = BEHAVIOR_CAP,
                                              note=f"K image outside dom({w.g.name})"))
             continue
         gv = w.g.value_set(q)
-        if _included(w, fv, gv, depth, cap, fuel):
+        if _included(w, fv, gv, depth):
             report.entries.append(CheckEntry(label, 0, "pass", use=(),
                                              note="inclusion"))
             continue
 
         def run(r, p=p):
             feed = r if w.strong else Interleave(p, r)
-            return run_on_point(w.H, feed, depth, fuel)
+            return run_on_point(w.H, feed, depth)
 
-        for bi, use, outcome in gv.explore(depth, cap, run):
+        for bi, use, outcome in gv.explore(depth, BEHAVIOR_CAP, run):
             coord = fv.check_prefix(outcome.output)
             if coord is not None:
                 report.entries.append(CheckEntry(label, bi, "fail", coord,
@@ -231,7 +231,7 @@ def check(w: Witness, corpus, depth: int = 16, cap: int = BEHAVIOR_CAP,
     return report
 
 
-def _included(w: Witness, fv, gv, depth: int, cap: int, fuel) -> bool:
+def _included(w: Witness, fv, gv, depth: int) -> bool:
     """H(G(K(p))) within F(p) below depth, decided without forking: H is
     strong and copies by its index law, G's value set is a coordinate
     product, F's a union of boxes, and H's run on G's canonical answer is
@@ -240,9 +240,9 @@ def _included(w: Witness, fv, gv, depth: int, cap: int, fuel) -> bool:
     if not (w.strong and src is not None and isinstance(gv, CoordProductSet)):
         return False
     boxes = fv.boxes()
-    if boxes is None or not image_in_boxes(gv, src, boxes, depth, cap):
+    if boxes is None or not image_in_boxes(gv, src, boxes, depth, BEHAVIOR_CAP):
         return False
-    outcome = run_on_point(w.H, gv.canonical(), depth, fuel)
+    outcome = run_on_point(w.H, gv.canonical(), depth)
     return outcome.productive and outcome.output == tuple(
         gv.canonical_bit(src(i)) for i in range(depth))
 
@@ -418,7 +418,7 @@ def parallel_extensive(f: Problem) -> Witness:
     The outer translation reads the first flat answer bit, so the witness
     is even strong."""
     fh = hat_problem(f)
-    # every row is the instance; the RowTuple keeps the exact support bound
+    # every row is the instance; the RowTuple keeps the exact row period
     k = index_machine("diag-tuple", lambda i: pair_decode(i)[1],
                       point=lambda p: RowTuple({}, p))
     h = symbol_machine("first-answer",
@@ -435,7 +435,7 @@ def parallelize_witness(w: Witness) -> Witness:
             f"{w.name} reduces {w.f.name} to {w.g.name}: only a reduction "
             "between single-answer problems is parallelized row by row")
     fh, gh = hat_problem(w.f), hat_problem(w.g)
-    k = countable_tuple([], w.K)
+    k = countable_tuple(w.K)
 
     # a read past the input word ends the answers
     if w.strong:

@@ -41,8 +41,9 @@ from .points import (
 )
 from .problems import (
     CoordProductSet,
-    PointListSet,
     Problem,
+    SinglePointSet,
+    UnionSet,
     ValueSet,
     llpo_hat_problem,
     llpo_hat_value,
@@ -139,7 +140,7 @@ class ConstraintTree:
 def tree_path_values(tree) -> ValueSet:
     """The path set of a tree presentation, as a value set."""
     if isinstance(tree, FinTree):
-        return PointListSet(tree.live_paths)
+        return UnionSet(map(SinglePointSet, tree.live_paths))
     if isinstance(tree, ConstraintTree):
         return tree.path_values()
     raise UnsupportedShape(f"no path set for {type(tree).__name__}")

@@ -94,6 +94,14 @@ def test_cli_eval_hat_of_eventually_periodic_name(capsys):
         assert capsys.readouterr().out == f"{problem}({literal}) = {want}\n"
 
 
+def test_cli_eval_prints_a_periodic_hat_answer_exactly(capsys):
+    """Rows of evp(0 1 1;1 1 0) answer 0 0, then repeat 1 0 0: the answer
+    is one eventually periodic point, not a product."""
+    assert main(["eval", "lpo_hat", "evp(0 1 1;1 1 0)"]) == 0
+    assert capsys.readouterr().out == (
+        "lpo_hat(evp(0 1 1;1 1 0)) = point evp(0 0;1 0 0)\n")
+
+
 def test_cli_suite_capacity_stays_local(monkeypatch, capsys):
     """A witness that hits capacity is reported on its own line; the later
     witnesses and the negative controls still run, and the exit code is 3."""
@@ -177,6 +185,11 @@ def test_cli_limit_run(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "answer = (1, 0)" in out
+
+
+def test_cli_limit_run_counts_equal_indices_once(capsys):
+    assert main(["limit", "run", "--inputs", "evp(0;1)", "evp(0;1)"]) == 0
+    assert capsys.readouterr().out == "answer = (0, 0), mind changes = 1\n"
 
 
 def test_cli_limit_adversary(capsys):

@@ -1,6 +1,7 @@
 """Source hygiene, read from the syntax trees: no module in src/ or tests/
 imports a name it never uses, every module-level function and class in
-src/ is referenced from src/, tests/ or bench/, no code in src/ decides an
+src/ is referenced from src/, tests/ or bench/, every defaulted parameter
+of a function in src/ is passed at some call, no code in src/ decides an
 identity by comparing `.name` attributes or reads an instance's
 `.__dict__`, and a module in src/ imports inside a function only what it
 could not import at module level."""
@@ -147,3 +148,71 @@ def test_no_new_hand_written_machines():
         and node.func.id == "Machine"
     ]
     assert built == []
+
+
+def _defaulted_parameters(tree):
+    """(callee name, defaulted parameters) for every module-level function
+    and method of a module that has some; each defaulted parameter is
+    (name, position, None for keyword-only).  A method is called without
+    its first parameter, an __init__ by its class's name."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            defs = [(node, top) for node in top.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+        elif isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            defs = [(top, None)]
+        else:
+            continue
+        for fn, cls in defs:
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            bound = cls is not None and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod"
+                for d in fn.decorator_list)
+            first = len(positional) - len(args.defaults)
+            defaulted = [(a.arg, i - bound) for i, a in enumerate(positional)
+                         if i >= first]
+            defaulted += [(a.arg, None) for a, d in zip(args.kwonlyargs,
+                                                        args.kw_defaults)
+                          if d is not None]
+            callee = cls.name if cls is not None and fn.name == "__init__" else fn.name
+            if defaulted:
+                yield callee, defaulted
+
+
+def test_every_default_is_set_somewhere():
+    """A defaulted parameter of a module-level function or method in src/
+    is passed, by position or by keyword, at some call in src/, tests/ or
+    bench/: a default that no call sets is a constant.  Calls are matched
+    by the callee's name, and a call with *args or **kwargs passes
+    everything it could.  A nested function's defaults, closure captures
+    such as `def run(r, p=p)`, are not parameters of this kind."""
+    positions: dict = {}    # callee name -> the most positional arguments
+    keywords: dict = {}     # callee name -> the keywords passed
+    everything = set()      # callee names called with *args or **kwargs
+    for tree in _modules("src", "tests", "bench").values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Name):
+                name = func.id
+            elif isinstance(func, ast.Attribute):
+                name = func.attr
+            else:
+                continue
+            if any(isinstance(a, ast.Starred) for a in node.args) or any(
+                    k.arg is None for k in node.keywords):
+                everything.add(name)
+            positions[name] = max(positions.get(name, 0), len(node.args))
+            keywords.setdefault(name, set()).update(k.arg for k in node.keywords)
+    never = [
+        f"{path.relative_to(ROOT)}: {callee}({arg})"
+        for path, tree in _modules("src").items()
+        for callee, defaulted in _defaulted_parameters(tree)
+        if callee not in everything
+        for arg, position in defaulted
+        if arg not in keywords.get(callee, ())
+        and (position is None or position >= positions.get(callee, 0))
+    ]
+    assert never == []

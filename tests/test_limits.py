@@ -24,6 +24,31 @@ def test_run_staggered_changes():
     assert r.mind_changes == 3
 
 
+def test_equal_indices_change_the_guess_once():
+    """Zeros at the same index change lpo_k_machine's guess once, from
+    (1, 1) to (0, 0) on the prefixes of length 1: one mind change."""
+    both = EvPeriodic((0,), (1,))
+    r = run_lpo_k(2, [both, both])
+    assert r.guesses == [(0, (1, 1)), (1, (0, 0))]
+    assert r.answer == (0, 0) and r.mind_changes == 1
+
+
+def test_run_replays_the_machine_on_every_prefix():
+    """run_lpo_k records lpo_k_machine's guess on the prefixes of each
+    length up to the largest scan bound, and nothing else."""
+    rng = rng_for("limit-replay")
+    for _ in range(100):
+        k = rng.randrange(1, 5)
+        inputs = [ev_periodic(rng, alphabet=2) for _ in range(k)]
+        horizon = max(len(p.head) + len(p.period) for p in inputs)
+        want = []
+        for t in range(horizon + 1):
+            guess = lpo_k_machine(k)([p.prefix(t) for p in inputs])
+            if not want or want[-1][1] != guess:
+                want.append((t, guess))
+        assert run_lpo_k(k, inputs).guesses == want
+
+
 def test_run_correct_and_bounded_on_500_random_tuples():
     rng = rng_for("limit-500")
     total = 0

@@ -120,21 +120,21 @@ def test_preorder_composition_against_oracle():
 
 
 def test_countable_tuple_identity():
-    m = countable_tuple([], identity())
+    m = countable_tuple(identity())
     p = RowTuple({1: EvPeriodic((5,), (0,))}, EvPeriodic((), (2,)))
     w = prefix(p, 40)
     assert m.eval(w) == w
 
 
 def test_countable_tuple_const_rows():
-    m = countable_tuple([], const_machine(EvPeriodic((), (0,))))
+    m = countable_tuple(const_machine(EvPeriodic((), (0,))))
     p = RowTuple({}, EvPeriodic((), (9,)))
     out = m.eval(PointView(p, 30))
     assert set(out) == {0}
 
 
 def test_countable_tuple_shift_rows():
-    m = countable_tuple([], shift_l())
+    m = countable_tuple(shift_l())
     p = RowTuple({}, EvPeriodic((1,), (0,)))
     out = run_on_point(m, p, 64).output
     # every row of the image should be all zeros
@@ -146,7 +146,7 @@ def test_countable_tuple_shift_rows():
 
 
 def test_countable_tuple_row_commutes():
-    m = countable_tuple([], shift_l())
+    m = countable_tuple(shift_l())
     p = RowTuple({2: EvPeriodic((7, 8, 9), (0,))}, EvPeriodic((3,), (1,)))
     out = run_on_point(m, p, 80).output
     from weihrauchlab.points import row
@@ -237,7 +237,7 @@ def test_monotonicity_audit():
         identity(), shift_l(), proj1(), proj2(), diag(), inject(1),
         pair_machine(identity(), shift_l()),
         tensor(shift_l(), identity()),
-        countable_tuple([], shift_l()),
+        countable_tuple(shift_l()),
         compose(proj1(), diag()),
     ]
     rng = rng_for("monotone")
@@ -249,7 +249,7 @@ def test_monotonicity_audit():
 
 
 def test_determinism():
-    m = countable_tuple([shift_l()], identity())
+    m = countable_tuple(shift_l())
     p = RowTuple({0: EvPeriodic((1, 2), (3,))}, EvPeriodic((), (0,)))
     w = prefix(p, 50)
     assert m.eval(w) == m.eval(w)
@@ -280,7 +280,7 @@ def test_fed_through_composition_against_handwritten_oracle():
 
 def test_composition_respects_induced_semantics():
     """Running a composite on a point chains the stage outputs."""
-    inner = countable_tuple([], shift_l())
+    inner = countable_tuple(shift_l())
     outer = proj1()
     composite = compose(outer, inner)
     for p in any_points(rng_for("chain"), 8):
@@ -372,7 +372,7 @@ def _combined(parts):
         st.tuples(st.just("pair"), parts, parts),
         st.tuples(st.just("tensor"), parts, parts),
         st.tuples(st.just("compose"), parts, parts),
-        st.tuples(st.just("tuple"), st.lists(parts, max_size=2), parts),
+        st.tuples(st.just("tuple"), parts),
         st.tuples(st.just("case"), parts, parts),
     )
 
@@ -382,7 +382,7 @@ def build(shape) -> Machine:
     if kind == "leaf":
         return args[0]
     if kind == "tuple":
-        return countable_tuple([build(s) for s in args[0]], build(args[1]))
+        return countable_tuple(build(args[0]))
     combinator = {"pair": pair_machine, "tensor": tensor, "compose": compose,
                   "case": tag_case}[kind]
     return combinator(build(args[0]), build(args[1]))
@@ -408,9 +408,7 @@ def reference_eval(shape, w):
             return ()
         rest = tuple(w[i] for i in range(1, len(w)))
         return reference_eval(args[0] if w[0] == 0 else args[1], rest)
-    ms, uniform = args
-    return emit_rows(lambda n: reference_eval(ms[n] if n < len(ms) else uniform,
-                                              RowView(w, n)))
+    return emit_rows(lambda n: reference_eval(args[0], RowView(w, n)))
 
 
 LEVEL1 = st.one_of(LEAVES, _combined(LEAVES))
@@ -434,8 +432,7 @@ def _has_case(shape) -> bool:
     kind, *args = shape
     if kind == "leaf":
         return False
-    parts = [*args[0], args[1]] if kind == "tuple" else args
-    return kind == "case" or any(map(_has_case, parts))
+    return kind == "case" or any(map(_has_case, args))
 
 
 @settings(max_examples=150, deadline=None)
@@ -469,7 +466,7 @@ def test_derived_point_action_agrees_with_eval(shape, p):
 
 def test_derived_point_action_reaches_past_the_validation_window():
     p = RowTuple({1: EvPeriodic((2,), (1,))}, EvPeriodic((0, 3), (1,)))
-    m = compose(countable_tuple([], compose(inject(5), shift_l())), identity())
+    m = compose(countable_tuple(compose(inject(5), shift_l())), identity())
     out = m.eval(PointView(p, WIDE))
     assert len(out) > 3 * VALIDATE_WIDTH
     assert prefix(m.point(p), len(out)) == tuple(out)
@@ -490,7 +487,7 @@ def test_row_laws_read_pairs_in_row_form():
             r = RowView(out, n)
             assert prefix(row(q, n), len(r)) == tuple(r)
     merge = parallel_absorb(llpo_problem())[0].K
-    rowwise = compose(countable_tuple([], identity()), pair_machine(identity(), merge))
+    rowwise = compose(countable_tuple(identity()), pair_machine(identity(), merge))
     with pytest.raises(UnsupportedShape):
         rowwise.point(zeros)
 

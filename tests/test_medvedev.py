@@ -1,6 +1,7 @@
 from weihrauchlab.corpus import any_points, pair_points, rng_for, any_point
 from weihrauchlab.machines import (
     Machine,
+    const_machine,
     identity,
     run_on_point,
 )
@@ -46,6 +47,59 @@ def test_medvedev_check_examples():
     rep = medvedev_check(a, b, identity(), 12)
     assert not rep.passed
     assert rep.entries[0].coordinate == 0
+
+
+def replayed_statuses(a: MassProblem, b: MassProblem, f: Machine,
+                      depth: int) -> list:
+    """The replay loop medvedev_check was before it went through check:
+    f runs on each member of b, and its output matches a's first member it
+    agrees with (a pass, or a stall when the run is not productive) or
+    fails at the latest of its first mismatches."""
+    statuses = []
+    for q in b.members:
+        outcome = run_on_point(f, q, depth)
+        word = outcome.output
+        best_fail = -1
+        consistent = False
+        for cand in a.members:
+            d = next((i for i in range(len(word))
+                      if word[i] != cand.value_at(i)), None)
+            if d is None:
+                consistent = True
+                break
+            best_fail = max(best_fail, d)
+        if consistent and outcome.productive:
+            statuses.append(("pass", None))
+        elif consistent:
+            statuses.append(("stall", None))
+        else:
+            statuses.append(("fail", best_fail))
+    return statuses
+
+
+def test_medvedev_check_agrees_with_the_replay_loop():
+    """On the fixture lattice, with the identity, the translations, the
+    constant machines of every member and one that emits three zeros and
+    stops, medvedev_check gives the replay loop's verdict and its
+    entries' statuses and coordinates."""
+    lat = fixture_lattice()
+    members = {q for m in lat for q in m.members}
+    short = Machine("short", lambda w: prefix(EvPeriodic((), (0,)), min(len(w), 3)))
+    machines = ([identity(), short] + [translation_to(a) for a in lat]
+                + [const_machine(q) for q in sorted(members, key=repr)])
+    verdicts, statuses = set(), set()
+    for a in lat:
+        for b in lat:
+            for f in machines:
+                want = replayed_statuses(a, b, f, 12)
+                rep = medvedev_check(a, b, f, 12)
+                assert rep.passed == (bool(want) and all(
+                    status == "pass" for status, _ in want)), (a, b, f.name)
+                assert [(e.status, e.coordinate) for e in rep.entries] == want
+                verdicts.add(rep.passed)
+                statuses.update(status for status, _ in want)
+    assert verdicts == {True, False}
+    assert statuses == {"pass", "stall", "fail"}
 
 
 def test_embed_forward_and_negative():

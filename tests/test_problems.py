@@ -17,16 +17,15 @@ from weihrauchlab.points import (
     EvPeriodic,
     Interleave,
     RowTuple,
+    period_row,
     prefix,
     row,
     row_period,
 )
 from weihrauchlab.problems import (
     CoordProductSet,
-    EmptySet,
     FiniteNatsSet,
     PairSet,
-    PointListSet,
     RowProductSet,
     SinglePointSet,
     TaggedUnionSet,
@@ -52,6 +51,11 @@ from weihrauchlab.problems import (
     sum_problem,
 )
 from weihrauchlab.spaces import ClopenCompact, Dyadic, encode_clopen
+
+
+def _listed(*pts):
+    """A finite point set as const_problem answers it."""
+    return const_problem(pts).value_set(EvPeriodic((), (0,)))
 
 
 def test_lpo_examples():
@@ -93,25 +97,31 @@ def test_lpo_hat_rowtuples():
 
 
 def test_hat_tail_on_eventually_periodic_names():
-    """Rows of an eventually periodic name repeat from n_star on; when one
-    cycle of them shares an answer set, that set is the exact tail."""
+    """Rows of an eventually periodic name repeat from n_star on, so its
+    answers do: the period's head answers the first n_star rows and its
+    cycle, at its shortest, every later row.  With one answer per row the
+    one member is that eventually periodic point, constant tail or not."""
     rng = rng_for("hat-tail")
-    exact = 0
+    cycles = []
     for _ in range(40):
         p = ev_periodic(rng)
         head, tail = row_period(p)
-        n_star, cycle = len(head), len(tail)
+        n_star = len(head)
         vs = c_problem().value_set(p)
-        if vs.tail_bits is None:
-            assert len({vs.bits(i) for i in range(n_star, n_star + cycle)}) == 2
-            continue
-        exact += 1
-        assert vs.support_bound == n_star
-        assert all(vs.bits(i) == vs.tail_bits
-                   for i in range(n_star, n_star + 4 * cycle))
-    assert exact >= 10
+        answer_head, cycle = vs.period
+        assert len(answer_head) == n_star and len(tail) % len(cycle) == 0
+        assert not any(cycle == cycle[:d] * (len(cycle) // d)
+                       for d in range(1, len(cycle)) if len(cycle) % d == 0)
+        cycles.append(len(cycle))
+        through = n_star + 4 * len(tail)    # four cycles of rows
+        want = [lpo_value(row(p, i)) for i in range(through)]
+        assert [vs.bits(i) for i in range(through)] == want
+        assert [period_row(vs.period, i) for i in range(through)] == want
+        (member,) = vs.members()
+        assert prefix(member, through) == tuple(min(a) for a in want)
+    assert cycles.count(1) >= 10 and len(cycles) - cycles.count(1) >= 3
     free_tail = llpo_hat_value(EvPeriodic((0, 0, 5), (0,)))
-    assert free_tail.tail_bits == {0, 1}
+    assert free_tail.period[1] == (frozenset({0, 1}),)
     with pytest.raises(NonRepresentable):
         free_tail.members()
 
@@ -201,10 +211,10 @@ def test_wkl_problem_examples():
     prob = wkl_problem()
     name = TreeChar(t)
     assert prob.in_domain(name)
-    assert prob.value_set(name).points == (zeros,)
+    assert prob.value_set(name).members() == [zeros]
     t2 = FinTree(2, {(), (0,), (0, 0), (0, 1)}, (zeros, alt))
     vs = prob.value_set(TreeChar(t2))
-    assert set(vs.points) == {zeros, alt}
+    assert set(vs.members()) == {zeros, alt}
     finite = TreeChar(FinTree(1, {(), (0,)}, ()))
     assert not prob.in_domain(finite)
     with pytest.raises(OutOfDomain):
@@ -216,7 +226,7 @@ def test_wkl_paths_stay_in_tree():
     from weihrauchlab.wkl import wkl_problem
     prob = wkl_problem()
     for name in tree_names(rng_for("wkl-paths"), 6):
-        for q in prob.value_set(name).points:
+        for q in prob.value_set(name).members():
             for n in range(65):
                 assert name.tree.chi(prefix(q, n)) == 1
 
@@ -252,14 +262,17 @@ def test_const_and_bottom():
     zeros = EvPeriodic((), (0,))
     ones = EvPeriodic((), (1,))
     ca = const_problem([zeros])
-    assert ca.value_set(ones).points == (zeros,)
+    assert ca.value_set(ones).members() == [zeros]
     cab = const_problem([zeros, ones])
-    assert set(cab.value_set(zeros).points) == {zeros, ones}
+    assert set(cab.value_set(zeros).members()) == {zeros, ones}
     bot = bottom_problem()
+    assert bot.key == const_problem([]).key == "bottom"
     vs = bot.value_set(zeros)
-    assert isinstance(vs, EmptySet)
+    assert vs.members() == []
     assert vs.behaviors(8) == []
     assert vs.check_prefix(()) == 0
+    with pytest.raises(IndexError):
+        vs.canonical()
 
 
 def test_value_set_check_prefix_semantics():
@@ -268,7 +281,7 @@ def test_value_set_check_prefix_semantics():
     sp = SinglePointSet(EvPeriodic((2,), (0,)))
     assert sp.check_prefix((2, 0)) is None
     assert sp.check_prefix((2, 5)) == 1
-    pl = PointListSet([EvPeriodic((), (0,)), EvPeriodic((), (1,))])
+    pl = _listed(EvPeriodic((), (0,)), EvPeriodic((), (1,)))
     assert pl.check_prefix((1, 1)) is None
     assert pl.check_prefix((1, 0)) == 1
     pr = PairSet(FiniteNatsSet({0}), FiniteNatsSet({1}))
@@ -281,16 +294,25 @@ def test_value_set_check_prefix_semantics():
 
 
 def test_coord_product_members_and_truncations():
-    vs = CoordProductSet(lambda i: frozenset({0, 1}) if i == 1 else frozenset({0}),
-                         support_bound=2, tail_bits=frozenset({0}))
+    zero, free = frozenset({0}), frozenset({0, 1})
+    vs = CoordProductSet(lambda i: free if i == 1 else zero,
+                         ((zero, free), (zero,)))
     ms = vs.members()
     assert len(ms) == 2
     assert {prefix(m, 3) for m in ms} == {(0, 0, 0), (0, 1, 0)}
     assert set(vs.truncations(2)) == {(0, 0), (0, 1)}
-    free_tail = CoordProductSet(lambda i: frozenset({0, 1}),
-                                support_bound=0, tail_bits=frozenset({0, 1}))
-    with pytest.raises(NonRepresentable):
+    one = frozenset({1})
+    cycled = CoordProductSet(lambda i: free if i == 0 else (one, zero)[(i - 1) % 2],
+                             ((free,), (one, zero)))
+    assert {prefix(m, 6) for m in cycled.members()} == {(0, 1, 0, 1, 0, 1),
+                                                        (1, 1, 0, 1, 0, 1)}
+    with pytest.raises(CapacityExceeded):
+        cycled.members(1)
+    free_tail = CoordProductSet(lambda i: free, ((), (free,)))
+    with pytest.raises(NonRepresentable, match="free tail"):
         free_tail.members()
+    with pytest.raises(NonRepresentable, match="without a stabilized tail"):
+        CoordProductSet(lambda i: zero).members()
 
 
 def test_problems_are_identified_by_key_and_named_from_it():
@@ -346,9 +368,9 @@ def test_canonical_member_is_structural():
     below depth 1 instead of raising CapacityExceeded: a list of three
     points, a pair of such lists, and row products whose rows are pairs."""
     pts = [EvPeriodic((), (c,)) for c in (0, 1, 2)]
-    listed = PointListSet(pts)
+    listed = _listed(*pts)
     pair = PairSet(listed, listed)
-    rows = RowProductSet(lambda n: PairSet(listed, PointListSet(pts[n % 3:]))
+    rows = RowProductSet(lambda n: PairSet(listed, _listed(*pts[n % 3:]))
                          if n else SinglePointSet(pts[1]))
     assert listed.canonical() == pts[0]
     assert prefix(pair.canonical(), 6) == (0,) * 6
@@ -369,21 +391,21 @@ def test_union_canonicals_are_structural():
     enumerating behaviors, which raised CapacityExceeded on these; where
     the enumerating base method answers, they answer the same member."""
     zeros, ones, twos = (EvPeriodic((), (c,)) for c in (0, 1, 2))
-    three = PointListSet([zeros, ones, twos])
-    tagged = TaggedUnionSet(three, PointListSet([zeros]))
+    three = _listed(zeros, ones, twos)
+    tagged = TaggedUnionSet(three, _listed(zeros))
     union = UnionSet([SinglePointSet(p) for p in (zeros, ones, twos)])
     for vs in (tagged, union):
         with pytest.raises(CapacityExceeded):
             ValueSet.canonical(vs)
     assert prefix(tagged.canonical(), 8) == (0,) * 8
     assert union.canonical() == zeros
-    small = [SinglePointSet(ones), PointListSet([twos]), EmptySet(),
+    small = [SinglePointSet(ones), _listed(twos), _listed(),
              PairSet(SinglePointSet(twos), SinglePointSet(ones)),
              CoordProductSet(lambda i: {i % 2, 1}), three]
     cases = [TaggedUnionSet(a, b) for a in small for b in small]
     cases += [UnionSet(parts) for parts in
-              ([], [EmptySet()], [EmptySet(), small[3]], small[:2], [small[4]])]
-    cases.append(TaggedUnionSet(cases[-1], EmptySet()))
+              ([], [_listed()], [_listed(), small[3]], small[:2], [small[4]])]
+    cases.append(TaggedUnionSet(cases[-1], _listed()))
     answered = 0
     for vs in cases:
         try:
@@ -394,7 +416,7 @@ def test_union_canonicals_are_structural():
         assert prefix(vs.canonical(), 24) == prefix(want, 24), vs
     assert answered >= 20
     with pytest.raises(IndexError):
-        TaggedUnionSet(EmptySet(), EmptySet()).canonical()
+        TaggedUnionSet(_listed(), _listed()).canonical()
 
 
 # a free coordinate {0, 1} is drawn three times as often as each forced one
@@ -477,3 +499,39 @@ def test_compact_choice_depth_cap():
     deep = ClopenCompact({tuple([0] * 13)})
     with pytest.raises(CapacityExceeded):
         compact_choice_value(deep)
+
+
+SYMBOLS = st.integers(0, 2)
+EVP = st.builds(EvPeriodic, st.lists(SYMBOLS, max_size=3).map(tuple),
+                st.lists(SYMBOLS, min_size=1, max_size=3).map(tuple))
+LISTED_POINTS = st.one_of(
+    EVP,
+    st.builds(Interleave, EVP, EVP),
+    st.builds(RowTuple, st.dictionaries(st.integers(0, 4), EVP, max_size=2), EVP))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(LISTED_POINTS, max_size=4),
+       st.lists(SYMBOLS, max_size=10).map(tuple), st.integers(0, 5))
+def test_const_value_sets_answer_as_point_lists(pts, w, cap):
+    """A constant problem's union of single points answers as the finite
+    point list it replaced: a prefix is consistent when it agrees with
+    some point, else it leaves at the latest first mismatch (0 with no
+    points); behaviors and members are the points in order, past cap a
+    capacity error; the canonical member is the first point."""
+    vs = const_problem(pts).value_set(EvPeriodic((), (0,)))
+    mismatches = [next((i for i in range(len(w)) if w[i] != q.value_at(i)), None)
+                  for q in pts]
+    want = None if None in mismatches else max(mismatches, default=0)
+    assert vs.check_prefix(w) == want
+    for listed in (lambda: vs.behaviors(len(w), cap), lambda: vs.members(cap)):
+        if len(pts) > cap:
+            with pytest.raises(CapacityExceeded):
+                listed()
+        else:
+            assert listed() == pts
+    if pts:
+        assert vs.canonical() == pts[0]
+    else:
+        with pytest.raises(IndexError):
+            vs.canonical()

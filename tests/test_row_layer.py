@@ -260,7 +260,7 @@ def test_row_view_iterates_a_row_tuple_row():
     """A row tuple's row read through a RowView over a PointView: the row
     point's symbols are a list, which __iter__ hands on as an iterator."""
     p = RowTuple({0: RowTuple({}, ZEROS)}, RowTuple({}, ONES))
-    out = countable_tuple([], identity()).eval(PointView(p, 10))
+    out = countable_tuple(identity()).eval(PointView(p, 10))
     assert out == tuple(p.value_at(i) for i in range(10))
     assert list(RowView(PointView(p, 10), 0)) == [0] * 4
 
