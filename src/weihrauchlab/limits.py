@@ -37,28 +37,34 @@ class LimitRun:
 
 
 def run_lpo_k(k: int, inputs: Sequence) -> LimitRun:
-    """lpo_k_machine replayed on the inputs' prefixes of every length up
-    to the horizon, their largest scan bound capped at SCAN_CAP, so zero
+    """lpo_k_machine's guess on the inputs' prefixes of every length up to
+    the horizon, their largest scan bound capped at SCAN_CAP, so zero
     detection is exact on finitely presented inputs whenever the cap
-    covers them."""
+    covers them.  Each guess steps the last by one symbol per input."""
     if len(inputs) != k:
         raise ValueError(f"expected {k} inputs")
-    machine = lpo_k_machine(k)
     horizon = min(SCAN_CAP, max((scan_bound(p) for p in inputs), default=0))
     words = [p.prefix(horizon) for p in inputs]
+    guess = lpo_k_machine(k)([()] * k)
     run = LimitRun()
-    for t in range(horizon + 1):
-        run.record(t, machine([w[:t] for w in words]))
+    run.record(0, guess)
+    for t in range(1, horizon + 1):
+        guess = tuple(lpo_step(g, w[t - 1:t]) for g, w in zip(guess, words))
+        run.record(t, guess)
     return run
+
+
+def lpo_step(guess: int, symbols) -> int:
+    """A component's guess after reading symbols more: 0 from a zero on."""
+    return 0 if 0 in symbols else guess
 
 
 def lpo_k_machine(k: int) -> Callable:
     """Guess 1 for each component until its prefix shows a zero, prefix-in
-    guess-out."""
-    def step(prefixes):
-        return tuple(0 if any(s == 0 for s in prefixes[i]) else 1
-                     for i in range(k))
-    return step
+    guess-out: guess 1 stepped by the whole prefix."""
+    def machine(prefixes):
+        return tuple(lpo_step(1, prefixes[i]) for i in range(k))
+    return machine
 
 
 @dataclass

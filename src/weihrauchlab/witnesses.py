@@ -10,12 +10,13 @@ where the answers form boxes: H(G(K(p))) within F(p) is then an inclusion
 of coordinate boxes.  The
 point action of K (k_point, taken from K.point) lets the oracle's value
 set be computed on a finitely presented name; it is validated against the
-machine on a sampled prefix window at every check.
+machine on a prefix of the name once per witness, name and width, and
+every later check of that name reuses the verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import count
 from typing import Callable, Optional
 
@@ -105,6 +106,9 @@ class Witness:
     strong: bool
     name: str = ""
     k_point: Callable = field(init=False)
+    # (id(p), width) -> (p, check's validation status); p keeps id(p) unused
+    _validated: dict = field(init=False, repr=False, compare=False,
+                             default_factory=dict)
 
     def __post_init__(self):
         if self.K.point is None:
@@ -135,6 +139,7 @@ class Report:
     witness: str
     depth: int
     entries: list = field(default_factory=list)
+    validated: int = 0      # names whose validation this check ran
 
     @property
     def passed(self) -> bool:
@@ -176,7 +181,8 @@ def check(w: Witness, corpus, depth: int = 16,
 
     K is validated on the name's word: its first validate_width symbols,
     read once (p.prefix), and K's whole output on them is compared with
-    the mirror's prefix of the same length.
+    the mirror's prefix of the same length.  The status (_validate) is
+    kept per witness, name and width, so later checks validate no more.
 
     The oracle's behaviors are explored along H's reads (ValueSet.explore):
     an entry stands for every behavior that agrees with its run on the
@@ -194,20 +200,26 @@ def check(w: Witness, corpus, depth: int = 16,
             label = point_str(p)
         except WorkbenchError:      # no symbol of the name can be read
             label = repr(p)
-        if not w.f.in_domain(p):
+        key = id(p), validate_width
+        got = w._validated.get(key)
+        if got is None:
+            status, q = _validate(w, p, validate_width)
+            w._validated[key] = p, status
+            report.validated += 1
+        else:
+            status, q = got[1], None
+        if status == "outdom":
             raise OutOfDomain(f"{w.name}: corpus name outside dom({w.f.name})")
-        fv = w.f.value_set(p)
-        q = w.k_point(p)
-        kout = tuple(w.K.eval(p.prefix(validate_width)))
-        if kout != prefix(q, len(kout)):
+        if status == "mismatch":
             report.entries.append(CheckEntry(label, -1, "error",
                                              note="K mirror mismatch"))
             continue
-        if not w.g.in_domain(q):
+        if status == "outside":
             report.entries.append(CheckEntry(label, -1, "fail",
                                              note=f"K image outside dom({w.g.name})"))
             continue
-        gv = w.g.value_set(q)
+        fv = w.f.value_set(p)
+        gv = w.g.value_set(w.k_point(p) if q is None else q)
         if _included(w, fv, gv, depth):
             report.entries.append(CheckEntry(label, 0, "pass", use=(),
                                              note="inclusion"))
@@ -229,6 +241,20 @@ def check(w: Witness, corpus, depth: int = 16,
             else:
                 report.entries.append(CheckEntry(label, bi, "pass", use=use))
     return report
+
+
+def _validate(w: Witness, p: Point, width: int) -> tuple:
+    """(status, K's image of p or None): outdom, mismatch, outside
+    (dom(g)) or ok."""
+    if not w.f.in_domain(p):
+        return "outdom", None
+    q = w.k_point(p)
+    kout = tuple(w.K.eval(p.prefix(width)))
+    if kout != prefix(q, len(kout)):
+        return "mismatch", q
+    if not w.g.in_domain(q):
+        return "outside", q
+    return "ok", q
 
 
 def _included(w: Witness, fv, gv, depth: int) -> bool:
@@ -406,8 +432,7 @@ def strengthen_on_cylinder(w: Witness, cyl: Witness) -> Witness:
         raise NotACylinder(f"need a strong id*{w.g.name} <=sW {w.g.name} witness")
     s0 = to_own_cylinder(w.f)
     out = compose_witness(compose_witness(s0, cylindrify(w)), cyl)
-    out.name = f"strong({w.name})"
-    return out
+    return replace(out, name=f"strong({w.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -834,5 +859,4 @@ def hat_is_cylinder(f: Problem, idf: Witness) -> Witness:
         raise NotACylinder(f"need a strong id <=sW {fh.name} witness, got {idf.name}")
     absorb, _ = parallel_absorb(f)
     out = compose_witness(product_witness(idf, reflexivity(fh)), absorb)
-    out.name = f"cylinder({fh.name})"
-    return out
+    return replace(out, name=f"cylinder({fh.name})")

@@ -1,6 +1,7 @@
+from weihrauchlab import limits
 from weihrauchlab.corpus import ev_periodic, rng_for
 from weihrauchlab.errors import NonConvergent
-from weihrauchlab.limits import adversary, lpo_k_machine, run_lpo_k
+from weihrauchlab.limits import adversary, lpo_k_machine, lpo_step, run_lpo_k
 from weihrauchlab.points import EvPeriodic
 from weihrauchlab.problems import lpo_value
 
@@ -47,6 +48,23 @@ def test_run_replays_the_machine_on_every_prefix():
             if not want or want[-1][1] != guess:
                 want.append((t, guess))
         assert run_lpo_k(k, inputs).guesses == want
+
+
+def test_run_steps_each_symbol_once(monkeypatch):
+    """Two names of 4000 ones and then zeros: run_lpo_k steps by each input
+    symbol up to the horizon (the scan bound 4001) once, so a run is
+    linear in the horizon."""
+    read = []
+
+    def step(guess, symbols):
+        read.extend(symbols)
+        return lpo_step(guess, symbols)
+
+    monkeypatch.setattr(limits, "lpo_step", step)
+    p = EvPeriodic((1,) * 4000, (0,))
+    r = run_lpo_k(2, [p, p])
+    assert r.guesses == [(0, (1, 1)), (4001, (0, 0))]
+    assert read == [1] * 8000 + [0, 0]
 
 
 def test_run_correct_and_bounded_on_500_random_tuples():

@@ -1,0 +1,125 @@
+"""check validates each name once per witness, name object and width.
+
+The validation status (dom(f), the K mirror on the name's first symbols,
+dom(g) of the image) is kept on the witness; a later check of the same
+name, at any depth, reuses it.  A fresh witness per check, which
+validates every name again, is the reference.
+"""
+
+import dataclasses
+
+import pytest
+from test_explore import LADDER
+
+from weihrauchlab.corpus import rng_for
+from weihrauchlab.errors import NonRepresentable, OutOfDomain
+from weihrauchlab.machines import identity, index_machine
+from weihrauchlab.points import ONES, ZEROS, EvPeriodic
+from weihrauchlab.problems import llpo_problem
+from weihrauchlab.registry import named_witnesses
+from weihrauchlab.witnesses import (
+    Witness,
+    check,
+    parallel_idem,
+    reflexivity,
+)
+
+RUNGS = (8, 12, 16, 20)
+
+
+def _entries(report):
+    return [(e.point, e.behavior, e.status, e.coordinate, e.use, e.note)
+            for e in report.entries]
+
+
+def _counting_K(monkeypatch, w):
+    """Count w.K.eval calls."""
+    calls = []
+    original = w.K.eval
+
+    def eval_(word):
+        calls.append(len(word))
+        return original(word)
+
+    monkeypatch.setattr(w.K, "eval", eval_)
+    return calls
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_ladder_on_one_witness_reports_as_a_fresh_witness_per_depth(name):
+    entry = named_witnesses()[name]
+    corpus = entry.corpus(rng_for(f"cli:{name}"), entry.count)
+    distinct = len({id(p) for p in corpus})
+    shared = entry.build()
+    for i, depth in enumerate(RUNGS):
+        got = check(shared, corpus, depth=depth)
+        want = check(entry.build(), corpus, depth=depth)
+        assert _entries(got) == _entries(want), (name, depth)
+        assert want.validated == distinct
+        assert got.validated == (distinct if i == 0 else 0)
+
+
+def test_K_evaluates_once_per_name_and_width(monkeypatch):
+    entry = named_witnesses()["id_to_llpo_hat"]
+    corpus = entry.corpus(rng_for("cli:id_to_llpo_hat"), 6)
+    w = entry.build()
+    calls = _counting_K(monkeypatch, w)
+    first = check(w, corpus, depth=8)
+    assert first.validated == len(corpus) and calls == [64] * len(corpus)
+    again = check(w, corpus, depth=12)
+    assert again.validated == 0 and len(calls) == len(corpus)
+    narrow = check(w, corpus, depth=8, validate_width=24)
+    assert narrow.validated == len(corpus)
+    assert calls == [64] * len(corpus) + [24] * len(corpus)
+    assert _entries(narrow) == _entries(first)
+
+
+def test_a_name_held_twice_gives_two_identical_groups():
+    entry = named_witnesses()["parallel_idem_up(llpo)"]
+    p = entry.corpus(rng_for("cli:parallel_idem_up(llpo)"), 1)[0]
+    w = entry.build()
+    report = check(w, [p, p], depth=entry.depth)
+    assert report.validated == 1
+    got = _entries(report)
+    half = len(got) // 2
+    assert half > 0 and got[:half] == got[half:]
+    assert got[:half] == _entries(check(entry.build(), [p], depth=entry.depth))
+
+
+def test_mirror_negative_control_is_a_mismatch_at_every_depth():
+    up = parallel_idem(llpo_problem())[1]
+    k = index_machine("rediag", up.K.src, rows=lambda p: lambda j: ZEROS)
+    wrong = Witness(up.f, up.g, k, up.H, True, name="zero-rows")
+    entry = named_witnesses()["parallel_idem_up(llpo)"]
+    corpus = entry.corpus(rng_for("cli:parallel_idem_up(llpo)"), entry.count)
+    for depth in RUNGS:
+        report = check(wrong, corpus, depth=depth)
+        assert len(report.entries) == len(corpus)
+        assert all(e.status == "error" and e.note == "K mirror mismatch"
+                   for e in report.entries), depth
+
+
+def test_a_name_outside_the_domain_raises_on_every_call(monkeypatch):
+    w = reflexivity(llpo_problem())
+    calls = _counting_K(monkeypatch, w)
+    for depth in RUNGS:
+        with pytest.raises(OutOfDomain):
+            check(w, [ONES], depth=depth)
+    assert calls == []
+
+
+def test_a_mirror_that_raises_raises_again():
+    tried = []
+
+    def mirror(p):
+        tried.append(p)
+        raise NonRepresentable("no finite presentation")
+
+    w = Witness(llpo_problem(), llpo_problem(),
+                dataclasses.replace(identity(), point=mirror),
+                identity(), True)
+    p = EvPeriodic((0, 1), (0,))
+    for _ in range(2):
+        with pytest.raises(NonRepresentable):
+            check(w, [p], depth=8)
+    assert tried == [p, p]
