@@ -731,17 +731,3 @@ def inject(sym: int) -> Machine:
     """Prepend sym: the tag of a tagged-union answer."""
     return symbol_machine(f"inject{sym}", lambda w, j: w[j - 1] if j else sym,
                           lambda j: j, point=lambda p: point_prepend(sym, p))
-
-
-# diagnostics ---------------------------------------------------------------
-
-def audit_monotone(m: Machine, point: Point, lengths) -> bool:
-    """Check eval(v) is a prefix of eval(w) along a chain of prefixes of point."""
-    prev = None
-    for n in sorted(lengths):
-        cur = m.eval(PointView(point, n))
-        if prev is not None:
-            if tuple(cur[: len(prev)]) != tuple(prev):
-                return False
-        prev = cur
-    return True

@@ -18,14 +18,16 @@ asked for: nonzero_census, row_period, and subsample(p, a, b).  The slot
 is a declared attribute: a census kept through the instance's __dict__
 instead made the suite's lpo-only checks about a fifth slower.  A
 computation that raises stores nothing, so it raises again when asked
-again.  LawPoint keeps its own memo of values and rows.
+again.  LawPoint keeps its own memo of values and rows.  pulse hands out
+one shared point per position, so a pulse's facts are computed once per
+process, however many rows or images hold it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import cache, partial
 from itertools import chain, compress, count, cycle, islice, takewhile
 from typing import Callable, Iterator, Optional
 
@@ -119,8 +121,9 @@ def pulse_position(start: int, bit: int) -> int:
     return start if pulse_bit(start) == bit else start + 1
 
 
+@cache
 def pulse(pos: int) -> EvPeriodic:
-    """The name with a single 1, at pos."""
+    """The name with a single 1, at pos: one shared point per position."""
     return EvPeriodic((0,) * pos + (1,), (0,))
 
 

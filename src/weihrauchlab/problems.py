@@ -524,8 +524,13 @@ def _census_ok(p: Point) -> bool:
         return False
 
 
+# lpo's and llpo's answer sets, one object each for every name
+BIT_ANSWERS = frozenset({0}), frozenset({1})
+BOTH_ANSWERS = frozenset({0, 1})
+
+
 def lpo_value(p: Point) -> frozenset:
-    return frozenset({0}) if exists_zero(p) else frozenset({1})
+    return BIT_ANSWERS[0 if exists_zero(p) else 1]
 
 
 def lpo_problem() -> Problem:
@@ -537,8 +542,8 @@ def llpo_value(p: Point) -> frozenset:
     if kind == "many":
         raise OutOfDomain(f"two nonzero entries (first at {pos})")
     if kind == "zero":
-        return frozenset({0, 1})
-    return frozenset({pulse_bit(pos)})
+        return BOTH_ANSWERS
+    return BIT_ANSWERS[pulse_bit(pos)]
 
 
 def _llpo_dom(p: Point) -> bool:

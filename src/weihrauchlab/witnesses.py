@@ -11,7 +11,9 @@ of coordinate boxes.  The
 point action of K (k_point, taken from K.point) lets the oracle's value
 set be computed on a finitely presented name; it is validated against the
 machine on a prefix of the name once per witness, name and width, and
-every later check of that name reuses the verdict.
+every later check of that name reuses the verdict.  A name's second check
+keeps its two value sets, which take no depth, and every check after that
+reuses them; a name checked once keeps only its verdict.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ class Witness:
     strong: bool
     name: str = ""
     k_point: Callable = field(init=False)
-    # (id(p), width) -> (p, check's validation status); p keeps id(p) unused
+    # (id(p), width) -> (p, validation status, (F(p), G(K(p))) from the
+    # name's second check on, else None); p keeps id(p) unused
     _validated: dict = field(init=False, repr=False, compare=False,
                              default_factory=dict)
 
@@ -140,6 +143,7 @@ class Report:
     depth: int
     entries: list = field(default_factory=list)
     validated: int = 0      # names whose validation this check ran
+    reused: int = 0         # names whose value sets this check kept from before
 
     @property
     def passed(self) -> bool:
@@ -183,6 +187,8 @@ def check(w: Witness, corpus, depth: int = 16,
     read once (p.prefix), and K's whole output on them is compared with
     the mirror's prefix of the same length.  The status (_validate) is
     kept per witness, name and width, so later checks validate no more.
+    From the second check of an ok name on, its value sets are kept as
+    well and later checks explore those: their memos hold no depth.
 
     The oracle's behaviors are explored along H's reads (ValueSet.explore):
     an entry stands for every behavior that agrees with its run on the
@@ -204,10 +210,10 @@ def check(w: Witness, corpus, depth: int = 16,
         got = w._validated.get(key)
         if got is None:
             status, q = _validate(w, p, validate_width)
-            w._validated[key] = p, status
+            w._validated[key] = p, status, None
             report.validated += 1
         else:
-            status, q = got[1], None
+            _, status, sets = got
         if status == "outdom":
             raise OutOfDomain(f"{w.name}: corpus name outside dom({w.f.name})")
         if status == "mismatch":
@@ -218,8 +224,14 @@ def check(w: Witness, corpus, depth: int = 16,
             report.entries.append(CheckEntry(label, -1, "fail",
                                              note=f"K image outside dom({w.g.name})"))
             continue
-        fv = w.f.value_set(p)
-        gv = w.g.value_set(w.k_point(p) if q is None else q)
+        if got is None:
+            fv, gv = w.f.value_set(p), w.g.value_set(q)
+        elif sets is None:
+            fv, gv = sets = w.f.value_set(p), w.g.value_set(w.k_point(p))
+            w._validated[key] = p, status, sets
+        else:
+            fv, gv = sets
+            report.reused += 1
         if _included(w, fv, gv, depth):
             report.entries.append(CheckEntry(label, 0, "pass", use=(),
                                              note="inclusion"))

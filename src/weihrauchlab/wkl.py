@@ -160,26 +160,6 @@ def wkl_problem() -> Problem:
 # ---------------------------------------------------------------------------
 # blocking levels
 
-def comparable(v, w) -> bool:
-    v, w = tuple(v), tuple(w)
-    shorter, longer = (v, w) if len(v) <= len(w) else (w, v)
-    return longer[: len(shorter)] == shorter
-
-
-def in_blocked_set(tree, w, n: int, i: int) -> bool:
-    """No length-n tree word is comparable with the child w·i."""
-    wi = tuple(w) + (i,)
-    return all(not comparable(v, wi) for v in tree.level(n))
-
-
-def blocking_index_bruteforce(tree, w, n_max: int) -> Optional[int]:
-    """Level-enumeration oracle for the minimal blocking level."""
-    for n in range(n_max + 1):
-        if in_blocked_set(tree, w, n, 0) or in_blocked_set(tree, w, n, 1):
-            return n
-    return None
-
-
 def _child_blocked_at(tree, wi, n: int) -> bool:
     """Presentation-aware test: no length-n tree word comparable with wi."""
     if n <= len(wi):

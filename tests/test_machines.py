@@ -3,6 +3,7 @@ from itertools import count, product
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from references import audit_monotone
 
 from weihrauchlab.corpus import any_points, rng_for, thin_tree
 from weihrauchlab.errors import Stalled, UnsupportedShape
@@ -12,7 +13,6 @@ from weihrauchlab.machines import (
     PointView,
     ReadView,
     RowView,
-    audit_monotone,
     compose,
     const_machine,
     countable_tuple,

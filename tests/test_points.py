@@ -365,6 +365,46 @@ def test_memoized_facts_are_the_plain_functions_answers():
     assert {"census", "row_period"} <= raised
 
 
+def test_a_pulse_is_one_shared_point_per_position():
+    assert all(pulse(k) is pulse(k) for k in range(48))
+    assert pulse(3) == EvPeriodic((0, 0, 0, 1), (0,))
+
+
+def _is_pulse(p):
+    return (type(p) is EvPeriodic and p.period == (0,)
+            and p.head[-1:] == (1,) and sum(p.head) == 1)
+
+
+def test_a_pulse_census_is_computed_once_however_many_rows_hold_it(
+        monkeypatch):
+    """Rows and K images built apart from each other hold one shared
+    pulse per position, so each pulse's census is computed once."""
+    from weihrauchlab import points
+    from weihrauchlab.corpus import rng_for, tree_names
+    from weihrauchlab.witnesses import check
+    from weihrauchlab.wkl import wkl_to_llpo_hat
+
+    pulse.cache_clear()
+    computed = []
+
+    def census(p):
+        computed.append(p)
+        return _nonzero_census(p)
+
+    monkeypatch.setattr(points, "_nonzero_census", census)
+    for _ in range(3):
+        image = RowTuple({n: pulse(5) for n in range(10)}, EvPeriodic((), (0,)))
+        assert nonzero_census(image)[0] == "many"
+    assert [p for p in computed if _is_pulse(p)] == [pulse(5)]
+
+    computed.clear()
+    names = tree_names(rng_for("pulse-census"), 4)
+    for _ in range(2):      # a fresh witness builds fresh images
+        assert check(wkl_to_llpo_hat(), names, depth=8).passed
+    pulses = [p for p in computed if _is_pulse(p)]
+    assert pulses and len(pulses) == len(set(pulses))
+
+
 def test_pulse_encoding_is_one_rule():
     """A pulse placed for a bit names that bit, to the encoder, the ternary
     decoder and LLPO alike, at the first position that can."""

@@ -23,6 +23,8 @@ from weihrauchlab.points import (
     row_period,
 )
 from weihrauchlab.problems import (
+    BIT_ANSWERS,
+    BOTH_ANSWERS,
     CoordProductSet,
     FiniteNatsSet,
     PairSet,
@@ -56,6 +58,18 @@ from weihrauchlab.spaces import ClopenCompact, Dyadic, encode_clopen
 def _listed(*pts):
     """A finite point set as const_problem answers it."""
     return const_problem(pts).value_set(EvPeriodic((), (0,)))
+
+
+def test_lpo_and_llpo_answer_with_shared_sets():
+    names = [EvPeriodic((), (0,)), EvPeriodic((0, 0, 3), (0,)),
+             EvPeriodic((), (1,)), EvPeriodic((7,), (0,)),
+             EvPeriodic((0, 2), (0,))]
+    assert [lpo_value(p) for p in names] == [{0}, {0}, {1}, {0}, {0}]
+    assert all(any(lpo_value(p) is s for s in BIT_ANSWERS) for p in names)
+    got = [llpo_value(p) for p in names if p != names[2]]
+    assert got == [{0, 1}, {1}, {1}, {0}]
+    assert got[0] is BOTH_ANSWERS
+    assert all(s is BIT_ANSWERS[min(s)] for s in got[1:])
 
 
 def test_lpo_examples():

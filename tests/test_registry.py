@@ -4,12 +4,12 @@ the checker's validation window, and the checker's pass/fail boundary sits
 exactly at the failing coordinate."""
 
 import pytest
+from references import audit_monotone
 
 from weihrauchlab import corpus as gen
 from weihrauchlab.machines import (
     Machine,
     PointView,
-    audit_monotone,
     identity,
     run_on_point,
 )

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import comparable
 
 from weihrauchlab.corpus import any_point, ev_periodic, rng_for
 from weihrauchlab.machines import PointView, RowView, countable_tuple, identity
@@ -40,7 +41,6 @@ from weihrauchlab.weakcomp import (
 from weihrauchlab.wkl import (
     _covered_level,
     blocking_rows_machine,
-    comparable,
     constraint_tree_machine,
 )
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import audit_monotone
 
 from weihrauchlab.corpus import rng_for
 from weihrauchlab.errors import ArityCap
@@ -10,7 +11,6 @@ from weihrauchlab.machines import (
     DEFAULT_FUEL,
     PointView,
     RowView,
-    audit_monotone,
     compose,
     index_machine,
     run_on_point,
@@ -264,7 +264,6 @@ def test_nand_word_matches_definitional_replay():
 def test_gatewise_network_monotone_componentwise():
     """Gate words grow unevenly inside substituted networks; outputs must
     still only extend."""
-    from weihrauchlab.machines import audit_monotone
     rng = rng_for("gatewise-mono")
     tables = [tuple(rng.randrange(2) for _ in range(8)) for _ in range(4)]
     tables.append(table_of(lambda a, b, c: (a + b + c) >= 2, 3))

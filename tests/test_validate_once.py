@@ -2,8 +2,10 @@
 
 The validation status (dom(f), the K mirror on the name's first symbols,
 dom(g) of the image) is kept on the witness; a later check of the same
-name, at any depth, reuses it.  A fresh witness per check, which
-validates every name again, is the reference.
+name, at any depth, reuses it.  From a name's second check on, the
+witness keeps its two value sets too, and later checks explore those.
+A fresh witness per check, which validates every name again and builds
+its value sets again, is the reference.
 """
 
 import dataclasses
@@ -13,10 +15,10 @@ from test_explore import LADDER
 
 from weihrauchlab.corpus import rng_for
 from weihrauchlab.errors import NonRepresentable, OutOfDomain
-from weihrauchlab.machines import identity, index_machine
+from weihrauchlab.machines import const_machine, identity, index_machine
 from weihrauchlab.points import ONES, ZEROS, EvPeriodic
 from weihrauchlab.problems import llpo_problem
-from weihrauchlab.registry import named_witnesses
+from weihrauchlab.registry import corrupted_witnesses, named_witnesses
 from weihrauchlab.witnesses import (
     Witness,
     check,
@@ -45,18 +47,51 @@ def _counting_K(monkeypatch, w):
     return calls
 
 
+def _counting_value_sets(monkeypatch, problem):
+    """Count problem.value_set calls."""
+    calls = []
+    original = problem.value_set
+
+    def value_set(p):
+        calls.append(p)
+        return original(p)
+
+    monkeypatch.setattr(problem, "value_set", value_set)
+    return calls
+
+
 @pytest.mark.parametrize("name", LADDER)
-def test_ladder_on_one_witness_reports_as_a_fresh_witness_per_depth(name):
+def test_ladder_on_one_witness_reports_as_a_fresh_witness_per_depth(
+        monkeypatch, name):
     entry = named_witnesses()[name]
     corpus = entry.corpus(rng_for(f"cli:{name}"), entry.count)
     distinct = len({id(p) for p in corpus})
+    assert distinct == len(corpus)
     shared = entry.build()
+    g_sets = _counting_value_sets(monkeypatch, shared.g)
     for i, depth in enumerate(RUNGS):
         got = check(shared, corpus, depth=depth)
         want = check(entry.build(), corpus, depth=depth)
         assert _entries(got) == _entries(want), (name, depth)
-        assert want.validated == distinct
+        assert want.validated == distinct and want.reused == 0
         assert got.validated == (distinct if i == 0 else 0)
+        assert got.reused == (distinct if i >= 2 else 0)
+        assert len(g_sets) == distinct * min(i + 1, 2)
+
+
+@pytest.mark.parametrize("name", sorted(named_witnesses()))
+def test_registry_on_one_witness_reports_as_a_fresh_witness_per_depth(name):
+    """Depth 8, registry depth, then depth 8 again: the third check
+    explores the value sets that the second kept, at a smaller depth."""
+    entry = named_witnesses()[name]
+    corpus = entry.corpus(rng_for(f"cli:{name}"), entry.count)
+    shared = entry.build()
+    want = {d: _entries(check(entry.build(), corpus, depth=d))
+            for d in (8, entry.depth)}
+    for i, depth in enumerate((8, entry.depth, 8)):
+        got = check(shared, corpus, depth=depth)
+        assert _entries(got) == want[depth], (name, depth)
+        assert got.reused == (len(corpus) if i == 2 else 0)
 
 
 def test_K_evaluates_once_per_name_and_width(monkeypatch):
@@ -86,26 +121,54 @@ def test_a_name_held_twice_gives_two_identical_groups():
     assert got[:half] == _entries(check(entry.build(), [p], depth=entry.depth))
 
 
-def test_mirror_negative_control_is_a_mismatch_at_every_depth():
+def test_mirror_negative_control_is_a_mismatch_at_every_depth(monkeypatch):
     up = parallel_idem(llpo_problem())[1]
     k = index_machine("rediag", up.K.src, rows=lambda p: lambda j: ZEROS)
     wrong = Witness(up.f, up.g, k, up.H, True, name="zero-rows")
+    g_sets = _counting_value_sets(monkeypatch, wrong.g)
     entry = named_witnesses()["parallel_idem_up(llpo)"]
     corpus = entry.corpus(rng_for("cli:parallel_idem_up(llpo)"), entry.count)
     for depth in RUNGS:
         report = check(wrong, corpus, depth=depth)
-        assert len(report.entries) == len(corpus)
+        assert len(report.entries) == len(corpus) and report.reused == 0
         assert all(e.status == "error" and e.note == "K mirror mismatch"
                    for e in report.entries), depth
+    assert g_sets == []
+
+
+def test_an_image_outside_dom_g_keeps_no_value_sets(monkeypatch):
+    w = Witness(llpo_problem(), llpo_problem(), const_machine(ONES, "ones"),
+                identity(), True, name="to-ones")
+    f_sets = _counting_value_sets(monkeypatch, w.f)
+    corpus = [EvPeriodic((0, 1), (0,)), ZEROS]
+    for depth in RUNGS:
+        report = check(w, corpus, depth=depth)
+        assert report.reused == 0
+        assert [(e.status, e.note) for e in report.entries] == [
+            ("fail", "K image outside dom(llpo)")] * len(corpus), depth
+    assert f_sets == []
+
+
+@pytest.mark.parametrize("name", sorted(corrupted_witnesses()))
+def test_negative_controls_are_rejected_with_a_coordinate_at_every_depth(name):
+    w, corpus_fn = corrupted_witnesses()[name]
+    corpus = corpus_fn(rng_for("acc-neg:" + name), 5)
+    for depth in RUNGS:
+        report = check(w, corpus, depth=depth)
+        assert _entries(report) == _entries(
+            check(corrupted_witnesses()[name][0], corpus, depth=depth)), depth
+        assert not report.passed
+        assert any(e.coordinate is not None for e in report.failures()), depth
 
 
 def test_a_name_outside_the_domain_raises_on_every_call(monkeypatch):
     w = reflexivity(llpo_problem())
     calls = _counting_K(monkeypatch, w)
+    f_sets = _counting_value_sets(monkeypatch, w.f)
     for depth in RUNGS:
         with pytest.raises(OutOfDomain):
             check(w, [ONES], depth=depth)
-    assert calls == []
+    assert calls == [] and f_sets == []
 
 
 def test_a_mirror_that_raises_raises_again():

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from references import blocking_index_bruteforce
 
 from weihrauchlab.corpus import llpo_hat_inputs, rng_for, thin_tree, tree_names
 from weihrauchlab.machines import PointView
@@ -13,7 +14,6 @@ from weihrauchlab.wkl import (
     ConstraintTree,
     _covered_level,
     blocking_index,
-    blocking_index_bruteforce,
     llpo_hat_to_wkl,
     parity_chi,
     q_stream,
