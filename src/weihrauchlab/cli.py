@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_derive)
 
     p = sub.add_parser("suite", help="run the whole acceptance corpus")
-    p.add_argument("what", nargs="?", default="full")
+    p.add_argument("what", nargs="?", default="full", choices=["full"])
     p.add_argument("--depth", type=int, default=0)
     p.set_defaults(fn=cmd_suite)
 

@@ -34,7 +34,9 @@ per input length, and a caller that needs a length or a single symbol
 reads the view instead of eval (the swap search does).
 identity, the index machines and composes of them carry their index law
 as src, which lets the checker decide a copying H without running it on
-every oracle behavior.
+every oracle behavior.  A shuffle is said once: an index machine given
+its row law or its point action instead of src reads src off that
+action's image of the index stream i -> i.
 A RowView computes its length in closed form and, over a prefix of a
 point that holds its rows, reads that row point directly instead of
 going through the pairing.
@@ -61,7 +63,10 @@ presented point to a finitely presented point whose prefixes the machine
 emits.  Every combinator builds it from the point actions of its parts;
 a primitive whose action is structural (a search, a guess, a split of
 rows) is given its action by hand, and the checker validates either kind
-against eval.
+against eval.  Where machine and action are one expression, a row
+machine or an index machine that reads its src off its action, that
+validation cannot disagree: a wrong shuffle is refused by the value sets
+instead.
 """
 
 from __future__ import annotations
@@ -602,7 +607,7 @@ def _emit_lengths(ready: Callable) -> Callable:
     return length
 
 
-def index_machine(name: str, src: Callable, rows: Callable = None,
+def index_machine(name: str, src: Callable = None, rows: Callable = None,
                   point: Callable = None) -> Machine:
     """Output symbol j is input symbol src(j).  Over a finite input it
     emits the longest closed prefix within the evaluation budget, over an
@@ -610,9 +615,21 @@ def index_machine(name: str, src: Callable, rows: Callable = None,
     the law over its input, writing no memo; the view stays lazy, for
     composites and unbounded runs.
 
-    The point action reads the input at src(i); rows, given the input
-    point, returns the row law of the output when it has row structure.
-    An explicit point replaces the derived action."""
+    A shuffle is said once: by its index law src, whose point action
+    reads the input at src(i); by rows, which given the input point
+    returns the row law of the output; or by its point action.  Given no
+    src, the machine reads it off its action's image of the index stream
+    i -> i: a shuffle only moves symbols, so that image's symbol j is
+    src(j).  A src that is given is kept."""
+    if point is None:
+        if rows is not None:
+            def point(p):
+                return LawPoint(row_fn=rows(p), label=name)
+        else:
+            def point(p):
+                return LawPoint(fn=lambda i: p.value_at(src(i)), label=name)
+    if src is None:
+        src = point(LawPoint(fn=lambda i: i, label="indices")).value_at
     length = _emit_lengths(lambda j, L: src(j) < L)
     sources: dict = {}      # input length -> the indices eval gathers
 
@@ -626,11 +643,7 @@ def index_machine(name: str, src: Callable, rows: Callable = None,
             at = sources[L] = tuple(map(src, range(length(L))))
         return tuple(map(w.__getitem__, at))
 
-    def law(p):
-        return LawPoint(fn=lambda i: p.value_at(src(i)),
-                        row_fn=rows(p) if rows else None, label=name)
-
-    return Machine(name, fn, point=point or law, view=view, src=src)
+    return Machine(name, fn, point=point, view=view, src=src)
 
 
 def symbol_machine(name: str, sym: Callable, needs: Callable,
@@ -724,7 +737,7 @@ def const_machine(q: Point, name: str = None) -> Machine:
 
 
 def shift_l() -> Machine:
-    return index_machine("L", lambda j: j + 1, point=point_drop)
+    return index_machine("L", point=point_drop)
 
 
 def inject(sym: int) -> Machine:

@@ -213,14 +213,15 @@ class LawPoint(Point):
 
     Only named constructions with a provable tail discipline build these
     (oracle behaviors, blocking streams, characteristic points).  They
-    answer value_at/prefix, and row extraction when a row law is supplied;
-    every other structural query is refused.
+    answer value_at/prefix, and row extraction when given by a row law;
+    every other structural query is refused.  A LawPoint is given by
+    exactly one law: a value law fn or a row law row_fn.
     """
 
     def __init__(self, fn: Optional[Callable] = None,
                  row_fn: Optional[Callable] = None, label: str = "law"):
-        if fn is None and row_fn is None:
-            raise ValueError("LawPoint needs a value law or a row law")
+        if (fn is None) == (row_fn is None):
+            raise ValueError("LawPoint takes a value law or a row law")
         self._fn = fn
         self._row_fn = row_fn
         self._row_cache: dict = {}
@@ -246,8 +247,7 @@ class LawPoint(Point):
         return v
 
     def symbols(self, n: int) -> Iterator:
-        """With a row law, read by rows, even beside a value law: the row
-        law is what row extraction, and so a value set, reads."""
+        """A row law is read by rows."""
         if self._row_fn is None:
             return super().symbols(n)
         return gather_rows(self.law_row, n)

@@ -524,7 +524,8 @@ def _census_ok(p: Point) -> bool:
         return False
 
 
-# lpo's and llpo's answer sets, one object each for every name
+# the answer sets of the bit problems (lpo, llpo, llpo_real and compact
+# choice's coordinates), one object each for every name
 BIT_ANSWERS = frozenset({0}), frozenset({1})
 BOTH_ANSWERS = frozenset({0, 1})
 
@@ -644,10 +645,9 @@ def _product_shape(k: ClopenCompact):
 def compact_choice_value(k: ClopenCompact) -> ValueSet:
     forced = _product_shape(k)
     if forced is not None:
-        free = frozenset({0, 1})
-        head = tuple(frozenset({forced[i]}) if i in forced else free
+        head = tuple(BIT_ANSWERS[forced[i]] if i in forced else BOTH_ANSWERS
                      for i in range(max(forced, default=-1) + 1))
-        period = (head, (free,))
+        period = (head, (BOTH_ANSWERS,))
         return CoordProductSet(lambda i: period_row(period, i), period)
     if k.depth() > COMPACT_DEPTH_CAP:
         raise CapacityExceeded(
@@ -673,10 +673,10 @@ def compact_choice_problem() -> Problem:
 def llpo_real_value(x: Dyadic) -> frozenset:
     s = x.sign()
     if s < 0:
-        return frozenset({0})
+        return BIT_ANSWERS[0]
     if s > 0:
-        return frozenset({1})
-    return frozenset({0, 1})
+        return BIT_ANSWERS[1]
+    return BOTH_ANSWERS
 
 
 def llpo_real_problem() -> Problem:

@@ -456,8 +456,7 @@ def parallel_extensive(f: Problem) -> Witness:
     is even strong."""
     fh = hat_problem(f)
     # every row is the instance; the RowTuple keeps the exact row period
-    k = index_machine("diag-tuple", lambda i: pair_decode(i)[1],
-                      point=lambda p: RowTuple({}, p))
+    k = index_machine("diag-tuple", point=lambda p: RowTuple({}, p))
     h = symbol_machine("first-answer",
                        lambda w, j: w[0] if j == 0 else 0,
                        lambda j: 1 if j == 0 else j + 1)
@@ -506,11 +505,6 @@ def parallel_idem(f: Problem) -> tuple:
     fh = hat_problem(f)
     fhh = double_hat_problem(f)
 
-    def flatten_src(i):
-        jk, m = pair_decode(i)
-        j, k = pair_decode(jk)
-        return pair_encode(j, pair_encode(k, m))
-
     def flat_rows(p):
         p = rows_of(p)
 
@@ -519,14 +513,10 @@ def parallel_idem(f: Problem) -> tuple:
             return row(rows_of(row(p, j)), k)
         return row_of
 
-    k_flat = index_machine("flatten", flatten_src, rows=flat_rows)
+    k_flat = index_machine("flatten", rows=flat_rows)
     down = Witness(fhh, fh, k_flat, identity(), True)
 
-    def widen_src(i):
-        _, km = pair_decode(i)
-        return km
-
-    k_wide = index_machine("rediag", widen_src, rows=lambda p: lambda j: p)
+    k_wide = index_machine("rediag", rows=lambda p: lambda j: p)
     up = Witness(fh, fhh, k_wide,
                  index_machine("row0", lambda k: pair_encode(0, k)),
                  True)
@@ -538,15 +528,11 @@ def parallel_absorb(f: Problem) -> tuple:
     fh = hat_problem(f)
     pp = product_problem(fh, fh)
 
-    def merge_src(j):
-        n, k = pair_decode(j)
-        return 2 * pair_encode(n // 2, k) + (n % 2)
-
     def merge_rows(p):
         a, b = map(rows_of, depair(p))
         return lambda n: row(a if n % 2 == 0 else b, n // 2)
 
-    k_merge = index_machine("evenodd-merge", merge_src, rows=merge_rows)
+    k_merge = index_machine("evenodd-merge", rows=merge_rows)
     absorb = Witness(pp, fh, k_merge, identity(), True)
     split = Witness(fh, pp, diag(), proj1(), True)
     return absorb, split
@@ -558,11 +544,6 @@ def parallel_product(f: Problem, g: Problem) -> tuple:
     ph = hat_problem(product_problem(f, g))
     pp = product_problem(fh, gh)
 
-    def split_src(j):
-        par, s = j % 2, j // 2
-        i, k = pair_decode(s)
-        return pair_encode(i, 2 * k + par)
-
     def split_point(p):
         p = rows_of(p)
 
@@ -571,7 +552,7 @@ def parallel_product(f: Problem, g: Problem) -> tuple:
                             label=f"half{par}")
         return Interleave(half_rows(0), half_rows(1))
 
-    k_split = index_machine("split-rows", split_src, point=split_point)
+    k_split = index_machine("split-rows", point=split_point)
 
     h_fwd = symbol_machine(
         "pair-up",
@@ -581,15 +562,11 @@ def parallel_product(f: Problem, g: Problem) -> tuple:
     )
     fwd = Witness(ph, pp, k_split, h_fwd, True)
 
-    def join_src(j):
-        i, t = pair_decode(j)
-        return 2 * pair_encode(i, t // 2) + (t % 2)
-
     def join_rows(p):
         a, b = map(rows_of, depair(p))
         return lambda i: Interleave(row(a, i), row(b, i))
 
-    k_join = index_machine("join-rows", join_src, rows=join_rows)
+    k_join = index_machine("join-rows", rows=join_rows)
 
     h_bwd = index_machine(
         "pair-down", lambda j: pair_encode(j // 2, j % 2))
@@ -602,12 +579,6 @@ def parallel_sum(f: Problem, g: Problem) -> Witness:
     rhs = sum_problem(hat_problem(f), hat_problem(g))
     lhs = hat_problem(rhs)
 
-    def gather_src(t):
-        par, s = t % 2, t // 2
-        ij, k = pair_decode(s)
-        i, j = pair_decode(ij)
-        return pair_encode(j, 2 * pair_encode(i, k) + par)
-
     def gather_point(p):
         p = rows_of(p)
 
@@ -618,7 +589,7 @@ def parallel_sum(f: Problem, g: Problem) -> Witness:
             return LawPoint(row_fn=row_of, label=f"gather{par}")
         return Interleave(half(0), half(1))
 
-    k_gather = index_machine("gather", gather_src, point=gather_point)
+    k_gather = index_machine("gather", point=gather_point)
 
     def h_src(t):
         j, u = pair_decode(t)
@@ -685,17 +656,16 @@ def id_to_llpo_hat() -> Witness:
 
 
 def _double_absorb_rows(p: Point) -> Callable:
-    """Row law of the absorb shuffle, on a name with structural rows."""
+    """Row law of the absorb shuffle: row k interleaves the rows <k,2n>
+    and the rows <k,2n+1>, each read at its even symbols."""
     p = rows_of(p)
-    if not isinstance(p, (RowTuple, EvPeriodic)):
-        raise OutOfDomain("absorb mirror needs a structural row point")
 
     def row_of(k):
         def even_rows(n):
-            return subsample(row(p, pair_encode(k, 2 * n)), 2, 0)
+            return depair(row(p, pair_encode(k, 2 * n)))[0]
 
         def odd_rows(n):
-            return subsample(row(p, pair_encode(k, 2 * n + 1)), 2, 0)
+            return depair(row(p, pair_encode(k, 2 * n + 1)))[0]
 
         if isinstance(p, RowTuple):
             exc_even = {}
@@ -708,7 +678,7 @@ def _double_absorb_rows(p: Point) -> Callable:
                     exc_even[t // 2] = even_rows(t // 2)
                 else:
                     exc_odd[(t - 1) // 2] = odd_rows((t - 1) // 2)
-            base_e = subsample(p.default, 2, 0)
+            base_e = depair(p.default)[0]
             evens = RowTuple(exc_even, base_e)
             odds = RowTuple(exc_odd, base_e)
         else:
@@ -721,14 +691,7 @@ def _double_absorb_rows(p: Point) -> Callable:
 
 def double_absorb_machine() -> Machine:
     """The index shuffle merging two nested universal quantifiers."""
-    def src(i):
-        k, t = pair_decode(i)
-        if t % 2 == 0:
-            n, m = pair_decode(t // 2)
-            return pair_encode(pair_encode(k, 2 * n), 2 * m)
-        n, m = pair_decode((t - 1) // 2)
-        return pair_encode(pair_encode(k, 2 * n + 1), 2 * m)
-    return index_machine("double-absorb", src, rows=_double_absorb_rows)
+    return index_machine("double-absorb", rows=_double_absorb_rows)
 
 
 def llpo_hat_squared(composite: Problem) -> Witness:

@@ -128,6 +128,14 @@ def test_cli_suite_capacity_stays_local(monkeypatch, capsys):
     assert lines[-1].startswith("suite: ") and lines[-1].endswith("1 at capacity")
 
 
+def test_cli_suite_refuses_an_unknown_corpus(capsys):
+    """`suite` runs only the full corpus: any other word is a usage error
+    that runs nothing."""
+    assert main(["suite", "bogus"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "invalid choice: 'bogus'" in captured.err
+
+
 def test_cli_eval_llpo_real(capsys):
     assert main(["eval", "llpo_real", "dyadic(-1,1)"]) == 0
     assert "{0}" in capsys.readouterr().out

@@ -3,8 +3,9 @@ imports a name it never uses, every module-level function and class in
 src/ is referenced from src/, tests/ or bench/, every defaulted parameter
 of a function in src/ is passed at some call, no code in src/ decides an
 identity by comparing `.name` attributes or reads an instance's
-`.__dict__`, and a module in src/ imports inside a function only what it
-could not import at module level."""
+`.__dict__`, a module in src/ imports inside a function only what it
+could not import at module level, and no index machine in src/ is given
+both its index law and its point action."""
 
 import ast
 from pathlib import Path
@@ -148,6 +149,24 @@ def test_no_new_hand_written_machines():
         and node.func.id == "Machine"
     ]
     assert built == []
+
+
+def test_each_shuffle_is_said_once():
+    """An index_machine call in src/ gives its index law (src) or its
+    point action (rows= or point=), never both: a machine given no src
+    reads it off its action, so one statement of the shuffle serves as
+    machine and mirror."""
+    both = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path, tree in _modules("src").items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", getattr(node.func, "attr", None)) == "index_machine"
+        and (len(node.args) > 1 or any(k.arg == "src" for k in node.keywords))
+        and (len(node.args) > 2
+             or any(k.arg in ("rows", "point") for k in node.keywords))
+    ]
+    assert both == []
 
 
 def _defaulted_parameters(tree):

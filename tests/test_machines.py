@@ -3,7 +3,18 @@ from itertools import count, product
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
-from references import audit_monotone
+from references import (
+    audit_monotone,
+    diag_tuple_src,
+    double_absorb_src,
+    flatten_src,
+    gather_src,
+    join_src,
+    merge_src,
+    shift_src,
+    split_src,
+    widen_src,
+)
 
 from weihrauchlab.corpus import any_points, rng_for, thin_tree
 from weihrauchlab.errors import Stalled, UnsupportedShape
@@ -692,14 +703,24 @@ def test_row_view_reads_as_pair_addressing(p, width, n):
 
 # row reads -----------------------------------------------------------------
 
-def _row_law_Ks():
-    """The registered index machines that carry a row law: rediag,
-    flatten, evenodd-merge, join-rows and double-absorb."""
+def _shuffles():
+    """The registered shuffle Ks, each given by its row law or its point
+    action alone, with the closed-form index law it reads off that action:
+    rediag, flatten, evenodd-merge, join-rows and double-absorb by rows,
+    diag-tuple, split-rows, gather and L by their actions."""
     down, up = parallel_idem(llpo_problem())
-    return [up.K, down.K, parallel_absorb(llpo_problem())[0].K,
-            parallel_product(lpo_problem(), llpo_problem())[1].K,
-            double_absorb_machine()]
+    fwd, bwd = parallel_product(lpo_problem(), llpo_problem())
+    return [(up.K, widen_src), (down.K, flatten_src),
+            (parallel_absorb(llpo_problem())[0].K, merge_src),
+            (bwd.K, join_src), (double_absorb_machine(), double_absorb_src),
+            (parallel_extensive(llpo_problem()).K, diag_tuple_src),
+            (fwd.K, split_src),
+            (parallel_sum(llpo_problem(), llpo_problem()).K, gather_src),
+            (shift_l(), shift_src)]
 
+
+# the inputs of a shuffle: points in row form, and laws
+SHUFFLED = st.one_of(ROWABLE, ROWABLE.flatmap(_laws))
 
 ROW_HELD = st.one_of(
     # exception rows reach past the decode table's diagonals
@@ -707,7 +728,7 @@ ROW_HELD = st.one_of(
                                         max_size=4), EVP),
     ROWABLE.map(lambda q: LawPoint(row_fn=lambda n: row(rows_of(q), n),
                                    label="row-law")),
-    st.tuples(st.sampled_from(_row_law_Ks()), ROWABLE).map(
+    st.tuples(st.sampled_from([m for m, _ in _shuffles()]), SHUFFLED).map(
         lambda mp: mp[0].point(mp[1])),
 )
 
@@ -715,13 +736,36 @@ ROW_HELD = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(ROW_HELD, st.integers(0, 5000))
 @example(RowTuple({100: EvPeriodic((1,), (2, 3))}, EvPeriodic((), (0, 1))), 5000)
-@example(_row_law_Ks()[1].point(RowTuple({3: EvPeriodic((1,), (2,))},
-                                         EvPeriodic((0,), (1, 3)))), 4466)
+@example(_shuffles()[1][0].point(RowTuple({3: EvPeriodic((1,), (2,))},
+                                          EvPeriodic((0,), (1, 3)))), 4466)
+@example(double_absorb_machine().point(
+    LawPoint(fn=EvPeriodic((1, 0), (2, 0, 1)).value_at)), 4466)
 def test_points_holding_rows_read_their_prefix_by_rows(p, n):
     """A prefix read by rows is the prefix read symbol by symbol, on both
-    sides of the decode table's bound; for an index law with a row law,
-    the row law agrees with the value law."""
+    sides of the decode table's bound, also for the images of the
+    shuffles, a row law's image among them."""
     assert prefix(p, n) == tuple(map(p.value_at, range(n)))
+
+
+def test_derived_index_laws_are_the_closed_forms():
+    """A shuffle given by its row law or its point action reads its index
+    law off that action: src(j) is the closed form for every j < 20,000."""
+    js = range(20000)
+    for m, ref in _shuffles():
+        assert m.src is not None, m.name
+        assert list(map(m.src, js)) == list(map(ref, js)), m.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(_shuffles()), SHUFFLED, st.integers(0, 600))
+def test_shuffle_actions_read_the_input_at_the_closed_forms(shuffle, p, n):
+    """Each shuffle's point action, which is also its mirror, moves the
+    input's symbols as the closed-form index law says: machine and mirror
+    are one expression, so this reference is what catches a wrong one."""
+    m, ref = shuffle
+    assert prefix(m.point(p), n) == tuple(p.value_at(ref(j)) for j in range(n))
+    out = m.eval(PointView(p, n))
+    assert out == tuple(p.value_at(ref(j)) for j in range(len(out))), m.name
 
 
 def _cell_guess_references():

@@ -36,6 +36,7 @@ from weihrauchlab.problems import (
     bottom_problem,
     c_problem,
     compact_choice_problem,
+    compact_choice_value,
     compose_problems,
     const_problem,
     double_hat_problem,
@@ -70,6 +71,17 @@ def test_lpo_and_llpo_answer_with_shared_sets():
     assert got == [{0, 1}, {1}, {1}, {0}]
     assert got[0] is BOTH_ANSWERS
     assert all(s is BIT_ANSWERS[min(s)] for s in got[1:])
+
+
+def test_llpo_real_and_compact_choice_answer_with_shared_sets():
+    signs = [llpo_real_value(Dyadic(m, 1)) for m in (-1, 0, 1)]
+    assert signs == [{0}, {0, 1}, {1}]
+    assert signs[0] is BIT_ANSWERS[0] and signs[2] is BIT_ANSWERS[1]
+    assert signs[1] is BOTH_ANSWERS
+    head, tail = compact_choice_value(ClopenCompact({(0, 1), (1, 1)})).period
+    assert head == ({0, 1}, {0}) and tail == ({0, 1},)
+    assert head[0] is BOTH_ANSWERS and head[1] is BIT_ANSWERS[0]
+    assert tail[0] is BOTH_ANSWERS
 
 
 def test_lpo_examples():
@@ -509,7 +521,6 @@ def test_explore_stands_for_every_behavior_once(case):
 
 def test_compact_choice_depth_cap():
     from weihrauchlab.errors import CapacityExceeded
-    from weihrauchlab.problems import compact_choice_value
     deep = ClopenCompact({tuple([0] * 13)})
     with pytest.raises(CapacityExceeded):
         compact_choice_value(deep)

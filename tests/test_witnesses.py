@@ -419,3 +419,28 @@ def test_mirror_validation_reads_an_index_law_by_its_rows():
     assert len(rep.entries) == len(corpus) == 25
     assert all(e.status == "error" and e.note == "K mirror mismatch"
                for e in rep.entries)
+
+
+def test_an_exchanged_merge_is_refused_by_the_value_sets():
+    """Negative control of a shuffle given by its row law alone: the
+    absorb merge with its even and odd rows exchanged.  Its index law is
+    read off that row law, so K and its mirror agree and validation
+    passes it; the value sets must refuse it with a coordinate."""
+    from weihrauchlab.machines import index_machine
+    from weihrauchlab.points import depair, row, rows_of
+    from weihrauchlab.registry import named_witnesses
+
+    def exchanged_rows(p):
+        a, b = map(rows_of, depair(p))
+        return lambda n: row(b if n % 2 == 0 else a, n // 2)
+
+    absorb = parallel_absorb(llpo_problem())[0]
+    k = index_machine("oddeven-merge", rows=exchanged_rows)
+    wrong = Witness(absorb.f, absorb.g, k, absorb.H, True,
+                    name="exchanged-merge")
+    entry = named_witnesses()["parallel_absorb(llpo)"]
+    corpus = entry.corpus(rng_for("cli:parallel_absorb(llpo)"), entry.count)
+    rep = check(wrong, corpus, depth=entry.depth)
+    assert all(e.note != "K mirror mismatch" for e in rep.entries)
+    assert rep.verdict() == "FAIL (59/64 branches, first fail at coordinate 14)"
+    assert check(absorb, corpus, depth=entry.depth).passed
