@@ -30,8 +30,9 @@ point, so machine and mirror share one expression.
 emit_rows is the one emitter of a word given by its row words.
 The schedules of index, symbol and row machines, src(j) and needs(j), do
 not depend on the input, so each such machine caches its emitted length
-per input length, and a caller that needs a length or a single symbol
-reads the view instead of eval (the swap search does).
+(an index machine, the sources it emits) per input length, and a caller
+that needs a length or a single symbol reads the view instead of eval
+(the swap search does).
 identity, the index machines and composes of them carry their index law
 as src, which lets the checker decide a copying H without running it on
 every oracle behavior.  A shuffle is said once: an index machine given
@@ -73,10 +74,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import count, islice
+from itertools import count, islice, takewhile
 from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import Stalled, UnsupportedShape
+from .errors import Stalled
 from .points import (
     Interleave,
     LawPoint,
@@ -92,7 +93,6 @@ from .points import (
     row,
     row_form,
     row_length,
-    rows_of,
 )
 
 # input symbols a run may read before it has emitted its depth
@@ -566,13 +566,11 @@ def countable_tuple(m: Machine) -> Machine:
         return LazyWord(None, at)
 
     def point(p):
-        p = rows_of(p)
         if isinstance(p, RowTuple):
             return RowTuple({n: m.point(r) for n, r in p.rows.items()},
                             m.point(p.default))
         if isinstance(p, Interleave):
-            # refuse now: a pair that does not normalize has no rows to read
-            raise UnsupportedShape("rowwise action on a pair without row form")
+            row(p, 0)   # a pair that does not normalize has no rows: refuse now
         return LawPoint(row_fn=lambda n: m.point(row(p, n)), label="rowwise")
 
     return Machine(f"tuple({m.name})", fn, view=view, point=_lifted(point, m))
@@ -630,18 +628,22 @@ def index_machine(name: str, src: Callable = None, rows: Callable = None,
                 return LawPoint(fn=lambda i: p.value_at(src(i)), label=name)
     if src is None:
         src = point(LawPoint(fn=lambda i: i, label="indices")).value_at
-    length = _emit_lengths(lambda j, L: src(j) < L)
-    sources: dict = {}      # input length -> the indices eval gathers
+    sources: dict = {}      # input length L -> src(j) for each j emitted over L
 
-    def view(w):
-        return LazyWord(length(extent(w)), lambda j: w[src(j)])
-
-    def fn(w):
-        L = len(w)
+    def gathered(L):
         at = sources.get(L)
         if at is None:
-            at = sources[L] = tuple(map(src, range(length(L))))
-        return tuple(map(w.__getitem__, at))
+            at = sources[L] = tuple(takewhile(
+                lambda s: s < L, map(src, range(_emit_budget(L)))))
+        return at
+
+    def view(w):
+        L = extent(w)
+        return LazyWord(None if L is None else len(gathered(L)),
+                        lambda j: w[src(j)])
+
+    def fn(w):
+        return tuple(map(w.__getitem__, gathered(len(w))))
 
     return Machine(name, fn, point=point, view=view, src=src)
 

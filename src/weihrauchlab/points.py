@@ -7,14 +7,17 @@ trees (see spaces), and law-backed streams used internally for oracle
 names.  Structural predicates (zero search, progression tests, row
 extraction, normalization) are decided from the presentation, never by
 unbounded scanning.  Rows are read through one layer: row_length(s),
-gather_rows, and the period walk row_period / period_row.
+gather_rows, and the period walk row_period / period_row.  row,
+row_period and depair (or half) take any point: a pair is read through
+its normal form, and one that does not normalize has no rows.
 
 Points are immutable, and a check asks the same few structural questions
 of the same names many times over: the domain test of every oracle
-branch, the value set, and each row of a tupled name.  So three facts of
+branch, the value set, and each row of a tupled name.  So the facts of
 an EvPeriodic, Interleave or RowTuple are computed once per point and
 kept in its declared facts slot, which stays None until a fact is first
-asked for: nonzero_census, row_period, and subsample(p, a, b).  The slot
+asked for: nonzero_census, row_period, subsample(p, a, b), and a pair's
+normal form (normalize; a pair without one asks again).  The slot
 is a declared attribute: a census kept through the instance's __dict__
 instead made the suite's lpo-only checks about a fifth slower.  A
 computation that raises stores nothing, so it raises again when asked
@@ -316,9 +319,12 @@ def _subsample(p: Point, a: int, b: int) -> EvPeriodic:
 
 
 def row(p: Point, n: int) -> Point:
-    """The n-th row of p under the global pairing."""
+    """The n-th row of p under the global pairing; a pair's is read off
+    its normal form."""
     if isinstance(p, RowTuple):
         return p.row(n)
+    if isinstance(p, Interleave):
+        p = _pair_normal_form(p)
     if isinstance(p, EvPeriodic):
         # k -> encode(n,k) is quadratic; mod the period length it cycles with
         # period 2*|period|, so the row is EvPeriodic with that period.
@@ -332,15 +338,15 @@ def row(p: Point, n: int) -> Point:
             return p.law_row(n)
         return LawPoint(fn=lambda k, _n=n: p.value_at(pair_encode(_n, k)),
                         label=f"{p.label}[row {n}]")
-    raise UnsupportedShape(f"row extraction on {type(p).__name__}; normalize first")
+    raise UnsupportedShape(f"row extraction on {type(p).__name__}")
 
 
-def rows_of(p: Point) -> Point:
-    """Row normal form: an Interleave is normalized when it can be, so that
-    row extraction applies; every other point is already in row form."""
-    if isinstance(p, Interleave):
-        return normalize(p) or p
-    return p
+def _pair_normal_form(p: Interleave) -> EvPeriodic:
+    """The normal form through which a pair's rows are read."""
+    q = normalize(p)
+    if q is None:
+        raise UnsupportedShape("row read of a pair that does not normalize")
+    return q
 
 
 def row_form(p: Point, n: int) -> Optional[Point]:
@@ -369,6 +375,8 @@ def row_period(p: Point) -> tuple:
 def _row_period(p: Point) -> tuple:
     if isinstance(p, RowTuple):
         return tuple(map(p.row, range(max(p.rows, default=-1) + 1))), (p.default,)
+    if isinstance(p, Interleave):
+        return row_period(_pair_normal_form(p))
     if isinstance(p, EvPeriodic):
         n_star = len(row_lengths(len(p.head)))   # the rows starting in the head
         rows = tuple(row(p, n) for n in range(n_star + 2 * len(p.period)))
@@ -382,18 +390,21 @@ def period_row(period: tuple, n: int) -> Point:
     return head[n] if n < len(head) else tail[(n - len(head)) % len(tail)]
 
 
-def depair(p: Point) -> tuple:
-    """Split a pair name into its two components: the parts of an
-    Interleave, exact halves of a normalizable point, and laws otherwise."""
+def half(p: Point, par: int) -> Point:
+    """Component par (0 or 1) of a pair name: a part of an Interleave, an
+    exact half of a normalizable point, and a law otherwise."""
     if isinstance(p, Interleave):
-        return p.first, p.second
+        return p.second if par else p.first
     if normalize(p) is not None:
-        return subsample(p, 2, 0), subsample(p, 2, 1)
+        return subsample(p, 2, par)
     label = getattr(p, "label", type(p).__name__)
-    return (
-        LawPoint(fn=lambda i: p.value_at(2 * i), label=f"{label}.fst"),
-        LawPoint(fn=lambda i: p.value_at(2 * i + 1), label=f"{label}.snd"),
-    )
+    return LawPoint(fn=lambda i: p.value_at(2 * i + par),
+                    label=f"{label}.{('fst', 'snd')[par]}")
+
+
+def depair(p: Point) -> tuple:
+    """Split a pair name into its two components."""
+    return half(p, 0), half(p, 1)
 
 
 def point_map(p: Point, f: Callable) -> Point:
@@ -418,23 +429,27 @@ def point_drop(p: Point) -> Point:
 
 
 def normalize(p: Point):
-    """Eventually periodic normal form, or None when none exists."""
+    """Eventually periodic normal form, or None; a pair keeps its own."""
     if isinstance(p, EvPeriodic):
         return p
     if isinstance(p, Interleave):
-        a = normalize(p.first)
-        b = normalize(p.second)
-        if a is None or b is None:
-            return None
-        h = max(len(a.head), len(b.head))
-        la, lb = len(a.period), len(b.period)
-        lcm = la * lb // math.gcd(la, lb)
-        head = tuple(p.value_at(i) for i in range(2 * h))
-        period = tuple(p.value_at(2 * h + t) for t in range(2 * lcm))
-        return EvPeriodic(head, period)
+        return _fact(p, "normal", _normalize_pair)
     if isinstance(p, RowTuple):
         return _normalize_rowtuple(p)
     return None
+
+
+def _normalize_pair(p: Interleave):
+    a = normalize(p.first)
+    b = normalize(p.second)
+    if a is None or b is None:
+        return None
+    h = max(len(a.head), len(b.head))
+    la, lb = len(a.period), len(b.period)
+    lcm = la * lb // math.gcd(la, lb)
+    head = tuple(p.value_at(i) for i in range(2 * h))
+    period = tuple(p.value_at(2 * h + t) for t in range(2 * lcm))
+    return EvPeriodic(head, period)
 
 
 def _eventually_constant(q: EvPeriodic):

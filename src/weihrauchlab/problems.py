@@ -3,7 +3,8 @@ names plus a computable value-set description.  The discontinuous maps
 (the omniscience principles, tree choice, compact choice) have no
 computable realizer; they are evaluated structurally on finitely
 presented names, and the value sets drive the witness checker's oracle
-exploration.  Rows are read through RowView and points.row_period.
+exploration.  Rows are read through RowView and points.row_period; the
+row reads of points take any name.  The double hat is built from hat_problem.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .points import (
     period_row,
     row_lengths,
     row_period,
-    rows_of,
 )
 from .spaces import (
     ClopenCompact,
@@ -571,7 +571,6 @@ def hat_problem(f: Problem) -> Problem:
     """
     def dom(p):
         try:
-            p = rows_of(p)
             if isinstance(p, LawPoint):
                 # bounded validation on law-backed names; construction carries the tail
                 rows = (row(p, n) for n in range(LAW_DOMAIN_WINDOW))
@@ -584,7 +583,6 @@ def hat_problem(f: Problem) -> Problem:
             return False
 
     def value(p):
-        p = rows_of(p)
         if f.answers is None:
             return RowProductSet(lambda n: f.value_set(row(p, n)))
 
@@ -738,23 +736,22 @@ def sum_problem(f: Problem, g: Problem) -> Problem:
     return Problem(("sum", f.key, g.key), dom, value)
 
 
+def flatten(p: Point) -> LawPoint:
+    """The name whose row <j,k> is row k of row j of p: a hat^hat
+    instance read as a hat instance."""
+    def row_of(jk):
+        j, k = pair_decode(jk)
+        return row(row(p, j), k)
+    return LawPoint(row_fn=row_of, label="flatten")
+
+
 def double_hat_problem(f: Problem) -> Problem:
-    """The flat hat of the flat hat of a nat-valued f: instance (j, k) at
-    coordinate <j,k>."""
-    def dom(p):
-        try:
-            return all(f.in_domain(row(row(p, j), k))
-                       for j in range(8) for k in range(8))
-        except UnsupportedShape:
-            return False
-
-    def value(p):
-        def bits(i):
-            j, k = pair_decode(i)
-            return f.answers(row(row(p, j), k))
-        return CoordProductSet(bits)
-
-    return Problem(("hat^hat", f.key), dom, value)
+    """The hat of the hat of f, answered flat: a name's domain is that of
+    hat(hat(f)), and its answers are hat(f)'s on the flattened name,
+    instance (j, k) answered at coordinate <j,k>."""
+    fh = hat_problem(f)
+    return Problem(("hat^hat", f.key), hat_problem(fh).in_domain,
+                   lambda p: fh.value_set(flatten(p)))
 
 
 def compose_problems(outer: Problem, inner: Problem) -> Problem:

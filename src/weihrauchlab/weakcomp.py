@@ -43,7 +43,6 @@ from .points import (
     row,
     row_length,
     row_period,
-    rows_of,
     scan_bound,
 )
 from .problems import (
@@ -91,7 +90,7 @@ ENCODER_ROW_CAP = 10
 def forced_bits(p: Point) -> dict:
     """Forced coordinates of the parallelized-LLPO image; the forced set
     must be finite to be clopen-representable."""
-    head, tail = row_period(rows_of(p))
+    head, tail = row_period(p)
     if any(len(llpo_value(r)) == 1 for r in tail):
         raise NonRepresentable("tail rows force bits: infinite negative information")
     heads = map(llpo_value, head)
@@ -265,7 +264,6 @@ def right_value_set(tables: TruthTableFamily, p: Point, depth: int) -> set:
 
 def llpo_swap(m: Machine, p: Point, depth: int) -> SwapResult:
     """Move a computable machine past the parallelized oracle on one input."""
-    p = rows_of(p)
     compact = compact_image(p)
     mod = modulus(m, compact, depth)
     tables = extract_tables(m, compact, mod, depth)

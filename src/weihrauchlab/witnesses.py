@@ -66,6 +66,7 @@ from .points import (
     RowTuple,
     depair,
     first_nonzero,
+    half,
     min_zero,
     nonzero_census,
     pair_decode,
@@ -76,7 +77,6 @@ from .points import (
     pulse_bit,
     pulse_position,
     row,
-    rows_of,
     scan_bound,
     subsample,
 )
@@ -86,6 +86,7 @@ from .problems import (
     Problem,
     c_problem,
     double_hat_problem,
+    flatten,
     hat_problem,
     id_problem,
     image_in_boxes,
@@ -504,16 +505,7 @@ def parallel_idem(f: Problem) -> tuple:
     """Flattening and diagonal witnesses between the hat and the double hat."""
     fh = hat_problem(f)
     fhh = double_hat_problem(f)
-
-    def flat_rows(p):
-        p = rows_of(p)
-
-        def row_of(jk):
-            j, k = pair_decode(jk)
-            return row(rows_of(row(p, j)), k)
-        return row_of
-
-    k_flat = index_machine("flatten", rows=flat_rows)
+    k_flat = index_machine("flatten", point=flatten)
     down = Witness(fhh, fh, k_flat, identity(), True)
 
     k_wide = index_machine("rediag", rows=lambda p: lambda j: p)
@@ -529,7 +521,7 @@ def parallel_absorb(f: Problem) -> tuple:
     pp = product_problem(fh, fh)
 
     def merge_rows(p):
-        a, b = map(rows_of, depair(p))
+        a, b = depair(p)
         return lambda n: row(a if n % 2 == 0 else b, n // 2)
 
     k_merge = index_machine("evenodd-merge", rows=merge_rows)
@@ -545,10 +537,8 @@ def parallel_product(f: Problem, g: Problem) -> tuple:
     pp = product_problem(fh, gh)
 
     def split_point(p):
-        p = rows_of(p)
-
         def half_rows(par):
-            return LawPoint(row_fn=lambda i: depair(row(p, i))[par],
+            return LawPoint(row_fn=lambda i: half(row(p, i), par),
                             label=f"half{par}")
         return Interleave(half_rows(0), half_rows(1))
 
@@ -563,7 +553,7 @@ def parallel_product(f: Problem, g: Problem) -> tuple:
     fwd = Witness(ph, pp, k_split, h_fwd, True)
 
     def join_rows(p):
-        a, b = map(rows_of, depair(p))
+        a, b = depair(p)
         return lambda i: Interleave(row(a, i), row(b, i))
 
     k_join = index_machine("join-rows", rows=join_rows)
@@ -580,14 +570,12 @@ def parallel_sum(f: Problem, g: Problem) -> Witness:
     lhs = hat_problem(rhs)
 
     def gather_point(p):
-        p = rows_of(p)
-
-        def half(par):
+        def gathered(par):
             def row_of(ij):
                 i, j = pair_decode(ij)
-                return row(rows_of(depair(row(p, j))[par]), i)
+                return row(half(row(p, j), par), i)
             return LawPoint(row_fn=row_of, label=f"gather{par}")
-        return Interleave(half(0), half(1))
+        return Interleave(gathered(0), gathered(1))
 
     k_gather = index_machine("gather", point=gather_point)
 
@@ -658,14 +646,12 @@ def id_to_llpo_hat() -> Witness:
 def _double_absorb_rows(p: Point) -> Callable:
     """Row law of the absorb shuffle: row k interleaves the rows <k,2n>
     and the rows <k,2n+1>, each read at its even symbols."""
-    p = rows_of(p)
-
     def row_of(k):
         def even_rows(n):
-            return depair(row(p, pair_encode(k, 2 * n)))[0]
+            return half(row(p, pair_encode(k, 2 * n)), 0)
 
         def odd_rows(n):
-            return depair(row(p, pair_encode(k, 2 * n + 1)))[0]
+            return half(row(p, pair_encode(k, 2 * n + 1)), 0)
 
         if isinstance(p, RowTuple):
             exc_even = {}
@@ -678,7 +664,7 @@ def _double_absorb_rows(p: Point) -> Callable:
                     exc_even[t // 2] = even_rows(t // 2)
                 else:
                     exc_odd[(t - 1) // 2] = odd_rows((t - 1) // 2)
-            base_e = depair(p.default)[0]
+            base_e = half(p.default, 0)
             evens = RowTuple(exc_even, base_e)
             odds = RowTuple(exc_odd, base_e)
         else:

@@ -36,7 +36,6 @@ from .points import (
     pulse_position,
     row_length,
     row_period,
-    rows_of,
     scan_bound,
 )
 from .problems import (
@@ -78,7 +77,6 @@ class ConstraintTree:
     """
 
     def __init__(self, point: Point):
-        point = rows_of(point)
         head, tail = self.period = row_period(point)   # UnsupportedShape off row points
         self.values = llpo_hat_value(point)
         max_nz = max(scan_bound(r) for r in head + tail)

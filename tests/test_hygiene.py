@@ -4,8 +4,9 @@ src/ is referenced from src/, tests/ or bench/, every defaulted parameter
 of a function in src/ is passed at some call, no code in src/ decides an
 identity by comparing `.name` attributes or reads an instance's
 `.__dict__`, a module in src/ imports inside a function only what it
-could not import at module level, and no index machine in src/ is given
-both its index law and its point action."""
+could not import at module level, no index machine in src/ is given
+both its index law and its point action, and the row normal form is
+decided in points alone."""
 
 import ast
 from pathlib import Path
@@ -167,6 +168,27 @@ def test_each_shuffle_is_said_once():
              or any(k.arg in ("rows", "point") for k in node.keywords))
     ]
     assert both == []
+
+
+def test_row_normal_form_is_decided_in_points():
+    """Row reads take any point, so nothing in src/ or tests/ defines or
+    reads a rows_of, and normalize is called in src/ only by points and
+    the decoders of spaces."""
+    named = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path, tree in _modules("src", "tests").items()
+        for node in ast.walk(tree)
+        if "rows_of" in (getattr(node, key, None) for key in ("id", "attr", "name"))
+    ]
+    callers = {
+        f"{path.stem}.{top.name}"
+        for path, tree in _modules("src").items() if path.name != "points.py"
+        for top in tree.body for node in ast.walk(top)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "normalize"
+    }
+    assert named == []
+    assert callers == {"spaces.decode_clopen", "spaces.decode_dyadic"}
 
 
 def _defaulted_parameters(tree):

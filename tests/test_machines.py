@@ -57,7 +57,6 @@ from weihrauchlab.points import (
     prefix,
     row,
     row_length,
-    rows_of,
 )
 from weihrauchlab.problems import llpo_problem, lpo_problem
 from weihrauchlab.spaces import TreeChar
@@ -463,9 +462,6 @@ def test_derived_point_action_agrees_with_eval(shape, p):
         reject()   # the action refuses a shape it cannot present (depair of rows)
     out = m.eval(PointView(p, WIDE))
     assert prefix(q, len(out)) == tuple(out), m.name
-    q = rows_of(q)
-    if isinstance(q, Interleave):
-        return
     for n in range(4):
         try:
             got = row(q, n)
@@ -671,7 +667,7 @@ def _laws(q):
     """q as a value law, and as a row law over q's own rows."""
     return st.sampled_from([
         LawPoint(fn=q.value_at, label="value-law"),
-        LawPoint(row_fn=lambda n: row(rows_of(q), n), label="row-law"),
+        LawPoint(row_fn=lambda n: row(q, n), label="row-law"),
     ])
 
 
@@ -726,7 +722,7 @@ ROW_HELD = st.one_of(
     # exception rows reach past the decode table's diagonals
     st.builds(RowTuple, st.dictionaries(st.integers(0, 120), ROWABLE,
                                         max_size=4), EVP),
-    ROWABLE.map(lambda q: LawPoint(row_fn=lambda n: row(rows_of(q), n),
+    ROWABLE.map(lambda q: LawPoint(row_fn=lambda n: row(q, n),
                                    label="row-law")),
     st.tuples(st.sampled_from([m for m, _ in _shuffles()]), SHUFFLED).map(
         lambda mp: mp[0].point(mp[1])),

@@ -30,7 +30,6 @@ from weihrauchlab.points import (
     pulse_position,
     row,
     row_period,
-    rows_of,
     scan_bound,
     subsample,
     value_at,
@@ -121,9 +120,30 @@ def test_row_correctness_grid():
             assert rn.value_at(k) == value_at(p, pair_encode(n, k))
 
 
-def test_row_refuses_interleave():
+PERIODIC = st.builds(EvPeriodic, st.lists(st.integers(0, 2), max_size=4),
+                     st.lists(st.integers(0, 2), min_size=1, max_size=3))
+PAIR_PARTS = st.one_of(PERIODIC, st.builds(Interleave, PERIODIC, PERIODIC))
+
+
+@given(PAIR_PARTS, PAIR_PARTS, st.integers(0, 12))
+def test_a_normalizable_pair_is_read_as_its_normal_form(a, b, n):
+    """row, row_period and depair read a pair that normalizes as its
+    normal form, which the pair keeps."""
+    p = Interleave(a, b)
+    q = normalize(Interleave(a, b))
+    assert row(p, n) == row(q, n)
+    assert row_period(p) == row_period(q)
+    for got, want in zip(depair(p), depair(q)):
+        assert prefix(got, 64) == prefix(want, 64)
+    assert normalize(p) is normalize(p)
+
+
+def test_a_pair_with_a_law_part_has_no_rows():
+    p = Interleave(LawPoint(fn=lambda i: i % 2), EvPeriodic((), (1,)))
     with pytest.raises(UnsupportedShape):
-        row(Interleave(EvPeriodic((), (0,)), EvPeriodic((), (1,))), 0)
+        row(p, 0)
+    with pytest.raises(UnsupportedShape):
+        row_period(p)
 
 
 def test_normalize_alternation():
@@ -339,7 +359,7 @@ def _fact_inputs():
             out.append(p)
             out.extend(depair(p))
             try:
-                out.extend(row(rows_of(p), n) for n in range(8))
+                out.extend(row(p, n) for n in range(8))
             except UnsupportedShape:
                 pass
     return out

@@ -168,6 +168,17 @@ def test_llpo_hat_domain_error_names_row():
     assert not llpo_hat_problem().in_domain(bad)
 
 
+def test_double_hat_domain_refuses_an_instance_past_row_or_column_eight():
+    """Negative control of the double hat's domain: instance (9, 0) or
+    (0, 9) with two nonzeros puts the name outside it."""
+    two = EvPeriodic((1, 1), (0,))
+    zeros = RowTuple({}, EvPeriodic((), (0,)))
+    dom = double_hat_problem(llpo_problem()).in_domain
+    assert dom(RowTuple({}, zeros))
+    assert not dom(RowTuple({9: RowTuple({}, two)}, zeros))
+    assert not dom(RowTuple({}, RowTuple({9: two}, EvPeriodic((), (0,)))))
+
+
 def test_hat_domain_tests_each_row_object_once():
     """A row tuple's head repeats its default row: the hat's domain test
     asks f about each distinct row object once, in row order, and its

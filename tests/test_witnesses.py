@@ -427,11 +427,11 @@ def test_an_exchanged_merge_is_refused_by_the_value_sets():
     read off that row law, so K and its mirror agree and validation
     passes it; the value sets must refuse it with a coordinate."""
     from weihrauchlab.machines import index_machine
-    from weihrauchlab.points import depair, row, rows_of
+    from weihrauchlab.points import depair, row
     from weihrauchlab.registry import named_witnesses
 
     def exchanged_rows(p):
-        a, b = map(rows_of, depair(p))
+        a, b = depair(p)
         return lambda n: row(b if n % 2 == 0 else a, n // 2)
 
     absorb = parallel_absorb(llpo_problem())[0]
