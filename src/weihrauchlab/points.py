@@ -6,18 +6,23 @@ row tuples over the global pairing, characteristic streams of decidable
 trees (see spaces), and law-backed streams used internally for oracle
 names.  Structural predicates (zero search, progression tests, row
 extraction, normalization) are decided from the presentation, never by
-unbounded scanning.  Rows are read through one layer: row_length(s),
-gather_rows, and the period walk row_period / period_row.  row,
-row_period and depair (or half) take any point: a pair is read through
-its normal form, and one that does not normalize has no rows.
+unbounded scanning.  Where a name's zeros or nonzeros stand is one walk,
+the census ("zero", None) | ("one", pos) | ("many", first_pos) of either
+kind, composed from its parts' censuses: zero_census answers min_zero
+and exists_zero (LPO), nonzero_census answers LLPO's domain and value,
+and all_zero_on_progression reads the nonzero census of a subsample.
+Rows are read through one layer: row_length(s), gather_rows, and the
+period walk row_period / period_row.  row, row_period and depair (or
+half) take any point: a pair is read through its normal form, and one
+that does not normalize has no rows.
 
 Points are immutable, and a check asks the same few structural questions
 of the same names many times over: the domain test of every oracle
 branch, the value set, and each row of a tupled name.  So the facts of
 an EvPeriodic, Interleave or RowTuple are computed once per point and
 kept in its declared facts slot, which stays None until a fact is first
-asked for: nonzero_census, row_period, subsample(p, a, b), and a pair's
-normal form (normalize; a pair without one asks again).  The slot
+asked for: the census of each kind, row_period, subsample(p, a, b), and
+a pair's normal form (normalize; a pair without one asks again).  The slot
 is a declared attribute: a census kept through the instance's __dict__
 instead made the suite's lpo-only checks about a fifth slower.  A
 computation that raises stores nothing, so it raises again when asked
@@ -509,104 +514,75 @@ def scan_bound(p: Point) -> int:
     raise UnsupportedShape(f"no structural bound for {type(p).__name__}")
 
 
-def _min_hit(p: Point, want_zero: bool):
-    """Least index whose value is zero (want_zero) / nonzero, or None."""
-    if isinstance(p, EvPeriodic):
-        for i in range(len(p.head) + len(p.period)):
-            v = p.value_at(i)
-            if (v == 0) == want_zero:
-                return i
-        return None
-    if isinstance(p, Interleave):
-        a = _min_hit(p.first, want_zero)
-        b = _min_hit(p.second, want_zero)
-        cands = [2 * a] if a is not None else []
-        if b is not None:
-            cands.append(2 * b + 1)
-        return min(cands) if cands else None
-    if isinstance(p, RowTuple):
-        cands = []
-        d = _min_hit(p.default, want_zero)
-        if d is not None:
-            cands.append(pair_encode(_default_row(p), d))
-        for n, r in p.rows.items():
-            m = _min_hit(r, want_zero)
-            if m is not None:
-                cands.append(pair_encode(n, m))
-        return min(cands) if cands else None
-    raise UnsupportedShape(f"zero search on {type(p).__name__}")
-
-
-def min_zero(p: Point):
-    return _min_hit(p, True)
-
-
-def exists_zero(p: Point) -> bool:
-    return min_zero(p) is not None
+def zero_census(p: Point) -> tuple:
+    """The census of p's zeros (see nonzero_census), once per point."""
+    return _fact(p, "zeros", _zero_census)
 
 
 def nonzero_census(p: Point) -> tuple:
-    """("zero", None) | ("one", pos) | ("many", first_pos); decided
-    structurally, once per point."""
-    return _fact(p, "census", _nonzero_census)
+    """("zero", None) | ("one", pos) | ("many", first_pos): how many
+    nonzeros p has and where the first stands; decided structurally,
+    once per point."""
+    return _fact(p, "nonzeros", _nonzero_census)
 
 
-def _nonzero_census(p: Point) -> tuple:
+def _census(p: Point, zeros: bool) -> tuple:
+    """The census of p's zeros (zeros) or nonzeros, composed from its
+    parts' censuses of the same kind."""
     if isinstance(p, EvPeriodic):
-        if any(x != 0 for x in p.period):
-            first = _min_hit(p, False)
-            return "many", first
-        hits = [i for i, x in enumerate(p.head) if x != 0]
+        # the head and one period: a hit in the period recurs forever
+        hits = [i for i, v in enumerate(chain(p.head, p.period))
+                if (v == 0) == zeros]
         if not hits:
             return "zero", None
-        if len(hits) == 1:
-            return "one", hits[0]
-        return "many", hits[0]
+        one = len(hits) == 1 and hits[0] < len(p.head)
+        return ("one" if one else "many"), hits[0]
+    of = zero_census if zeros else nonzero_census
     if isinstance(p, Interleave):
-        ka, pa = nonzero_census(p.first)
-        kb, pb = nonzero_census(p.second)
-        pos = [x for x in ((2 * pa if pa is not None else None),
-                           (2 * pb + 1 if pb is not None else None)) if x is not None]
-        first = min(pos) if pos else None
-        if ka == "many" or kb == "many" or (ka == "one" and kb == "one"):
-            return "many", first
-        if ka == "zero" and kb == "zero":
-            return "zero", None
-        return "one", first
+        hits = []
+        for par, part in enumerate((p.first, p.second)):
+            kind, pos = of(part)
+            if pos is not None:
+                hits.append((kind, 2 * pos + par))
+        return _merged(hits)
     if isinstance(p, RowTuple):
-        if nonzero_census(p.default)[0] != "zero":
-            return "many", _min_hit(p, False)
-        count = 0
-        first = None
+        pos = of(p.default)[1]
+        # the default stands in infinitely many rows
+        hits = [] if pos is None else [("many", pair_encode(_default_row(p), pos))]
         for n, r in p.rows.items():
-            k, pos = nonzero_census(r)
-            if k == "many":
-                count = 2
-                break
-            if k == "one":
-                count += 1
-                first = pair_encode(n, pos)
-        if count == 0:
-            return "zero", None
-        if count == 1:
-            return "one", first
-        # the first nonzero may stand in any row, not the one found many
-        return "many", _min_hit(p, False)
-    raise UnsupportedShape(f"nonzero census on {type(p).__name__}")
+            kind, pos = of(r)
+            if pos is not None:
+                hits.append((kind, pair_encode(n, pos)))
+        return _merged(hits)
+    raise UnsupportedShape(
+        f"{'zero' if zeros else 'nonzero'} census on {type(p).__name__}")
+
+
+_zero_census = partial(_census, zeros=True)
+_nonzero_census = partial(_census, zeros=False)
+
+
+def _merged(hits: list) -> tuple:
+    """The census of a point whose hits are those of disjoint parts, given
+    as one (kind, first position) per part with a hit."""
+    if not hits:
+        return "zero", None
+    if len(hits) == 1:
+        return hits[0]
+    return "many", min(pos for _, pos in hits)
+
+
+def min_zero(p: Point) -> Optional[int]:
+    return zero_census(p)[1]
+
+
+def exists_zero(p: Point) -> bool:
+    return zero_census(p)[0] != "zero"
 
 
 def all_zero_on_progression(p: Point, a: int, b: int) -> bool:
-    """True iff p(a*k + b) = 0 for every k; decided on the normal form by
-    scanning the head region plus one full residue cycle beyond it."""
-    if a < 1:
-        raise ValueError("progression step must be >= 1")
-    q = normalize(p)
-    if q is None:
-        raise UnsupportedShape("progression query on a non-normalizable point")
-    h, m = len(q.head), len(q.period)
-    cycle = m // math.gcd(a, m)
-    k_head = max(0, -(-(h - b) // a))     # first k at or beyond the head
-    for k in range(k_head + cycle + 1):
-        if q.value_at(a * k + b) != 0:
-            return False
-    return True
+    """True iff p(a*k + b) = 0 for every k >= 0: p's subsample has no
+    nonzero."""
+    if a < 1 or b < 0:
+        raise ValueError("a progression needs step a >= 1 and offset b >= 0")
+    return nonzero_census(subsample(p, a, b))[0] == "zero"

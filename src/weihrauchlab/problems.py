@@ -37,6 +37,7 @@ from .points import (
     period_row,
     row_lengths,
     row_period,
+    zero_census,
 )
 from .spaces import (
     ClopenCompact,
@@ -516,9 +517,9 @@ def nat_problem(key, in_domain: Callable, answers: Callable) -> Problem:
     return Problem(key, in_domain, lambda p: FiniteNatsSet(answers(p)), answers)
 
 
-def _census_ok(p: Point) -> bool:
+def _lpo_dom(p: Point) -> bool:
     try:
-        nonzero_census(p)
+        zero_census(p)      # the census lpo_value reads
         return True
     except UnsupportedShape:
         return False
@@ -535,7 +536,7 @@ def lpo_value(p: Point) -> frozenset:
 
 
 def lpo_problem() -> Problem:
-    return nat_problem("lpo", _census_ok, lpo_value)
+    return nat_problem("lpo", _lpo_dom, lpo_value)
 
 
 def llpo_value(p: Point) -> frozenset:

@@ -5,8 +5,9 @@ of a function in src/ is passed at some call, no code in src/ decides an
 identity by comparing `.name` attributes or reads an instance's
 `.__dict__`, a module in src/ imports inside a function only what it
 could not import at module level, no index machine in src/ is given
-both its index law and its point action, and the row normal form is
-decided in points alone."""
+both its index law and its point action, the row normal form is
+decided in points alone, and so is the census of a name's zeros and
+nonzeros, by one walk."""
 
 import ast
 from pathlib import Path
@@ -189,6 +190,19 @@ def test_row_normal_form_is_decided_in_points():
     }
     assert named == []
     assert callers == {"spaces.decode_clopen", "spaces.decode_dyadic"}
+
+
+def test_zeros_and_nonzeros_are_found_by_one_census_walk():
+    """min_zero, exists_zero, nonzero_census and all_zero_on_progression
+    read one census, so nothing in src/ or tests/ defines or reads the
+    separate zero search _min_hit."""
+    named = [
+        f"{path.relative_to(ROOT)}:{node.lineno}"
+        for path, tree in _modules("src", "tests").items()
+        for node in ast.walk(tree)
+        if "_min_hit" in (getattr(node, key, None) for key in ("id", "attr", "name"))
+    ]
+    assert named == []
 
 
 def _defaulted_parameters(tree):

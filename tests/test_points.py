@@ -15,6 +15,7 @@ from weihrauchlab.points import (
     _nonzero_census,
     _row_period,
     _subsample,
+    _zero_census,
     all_zero_on_progression,
     depair,
     exists_zero,
@@ -33,6 +34,7 @@ from weihrauchlab.points import (
     scan_bound,
     subsample,
     value_at,
+    zero_census,
 )
 from weihrauchlab.spaces import FinTree, TreeChar
 
@@ -195,6 +197,26 @@ def test_exists_zero_examples():
     assert min_zero(EvPeriodic((1, 1, 0), (1,))) == 2
 
 
+def test_min_zero_of_pairs_and_row_tuples():
+    """The first zero and the zero count of a pair are merged from its
+    halves at 2i and 2i + 1, and a row tuple's from its rows; a default
+    with a zero stands in infinitely many rows."""
+    ones = EvPeriodic((), (1,))
+    pair = Interleave(EvPeriodic((1, 1, 0), (1,)), EvPeriodic((1, 0), (1,)))
+    assert min_zero(pair) == 3 and zero_census(pair) == ("many", 3)
+    lone = Interleave(ones, EvPeriodic((1, 0), (1,)))
+    assert min_zero(lone) == 3 and zero_census(lone) == ("one", 3)
+    assert min_zero(Interleave(ones, ones)) is None
+    rows = RowTuple({2: EvPeriodic((1, 0), (1,))}, ones)
+    assert min_zero(rows) == pair_encode(2, 1)
+    assert zero_census(rows) == ("one", pair_encode(2, 1))
+    defaulted = RowTuple({0: ones, 1: EvPeriodic((1, 1, 1, 0), (1,))},
+                         EvPeriodic((1, 0), (1,)))
+    assert min_zero(defaulted) == pair_encode(2, 1)
+    assert zero_census(defaulted) == ("many", pair_encode(2, 1))
+    assert not exists_zero(RowTuple({3: ones}, ones))
+
+
 def test_exists_zero_agrees_with_scan():
     rng = random.Random("scan")
     for p in brute_points("zero-scan", 60):
@@ -237,25 +259,45 @@ def test_census_of_a_row_tuple_finds_its_first_nonzero():
 
 CENSUS_ROWS = st.builds(EvPeriodic, st.lists(st.integers(0, 1), max_size=5),
                         st.lists(st.integers(0, 1), min_size=1, max_size=2))
+CENSUSES = pytest.mark.parametrize("census,zeros", [
+    (nonzero_census, False), (zero_census, True)], ids=["nonzeros", "zeros"])
 
 
+def _hits(p, zeros, n):
+    """The positions below n where p's symbol is a zero (zeros) or not."""
+    return [i for i in range(n) if (p.value_at(i) == 0) == zeros]
+
+
+@CENSUSES
 @given(st.dictionaries(st.integers(0, 6), CENSUS_ROWS, max_size=4),
        st.sampled_from([EvPeriodic((), (0,)), EvPeriodic((0, 0), (0,)),
-                        EvPeriodic((0, 1), (0,)), EvPeriodic((), (0, 1))]))
-def test_census_of_row_tuples_agrees_with_a_scan(rows, default):
+                        EvPeriodic((0, 1), (0,)), EvPeriodic((), (0, 1)),
+                        EvPeriodic((), (1,)), EvPeriodic((1, 0), (1,))]))
+def test_census_of_row_tuples_agrees_with_a_scan(census, zeros, rows, default):
     """On row tuples the census's kind and first position are those of a
-    scan of value_at: below scan_bound for the first nonzero, and below a
+    scan of value_at: below scan_bound for the first hit, and below a
     bound that holds two periods of every row and two default rows for
     the count."""
     p = RowTuple(rows, default)
-    kind, pos = nonzero_census(p)
+    kind, pos = census(p)
     reach = max(scan_bound(r) for r in [default, *rows.values()])
     wide = pair_encode(max(rows, default=0) + 2, 2 * reach) + 1
-    nz = [i for i in range(max(wide, scan_bound(p))) if p.value_at(i) != 0]
-    assert (kind == "zero") == (not nz)
-    if nz:
-        assert pos == nz[0] and nz[0] < scan_bound(p)
-        assert kind == ("one" if len(nz) == 1 else "many")
+    hits = _hits(p, zeros, max(wide, scan_bound(p)))
+    assert (kind == "zero") == (not hits)
+    if hits:
+        assert pos == hits[0] and hits[0] < scan_bound(p)
+        assert kind == ("one" if len(hits) == 1 else "many")
+
+
+@CENSUSES
+@given(CENSUS_ROWS, CENSUS_ROWS)
+def test_census_of_pairs_agrees_with_a_scan(census, zeros, first, second):
+    """A pair's census is that of a scan over two periods of both halves."""
+    p = Interleave(first, second)
+    kind, pos = census(p)
+    hits = _hits(p, zeros, 2 * scan_bound(p))
+    assert (kind, pos) == (("zero", None) if not hits else
+                           ("one" if len(hits) == 1 else "many", hits[0]))
 
 
 def test_progression_examples():
@@ -274,6 +316,15 @@ def test_progression_agrees_with_scan():
         got = all_zero_on_progression(p, a, b)
         want = all(p.value_at(a * k + b) == 0 for k in range(600))
         assert got == want
+
+
+def test_progression_refuses_a_negative_offset_or_a_step_below_one():
+    """p(-1) is no symbol of p: a negative offset is refused, not read as
+    the head's last symbol."""
+    p = EvPeriodic((1,), (0,))
+    for a, b in [(1, -1), (2, -3), (0, 0)]:
+        with pytest.raises(ValueError):
+            all_zero_on_progression(p, a, b)
 
 
 def test_progression_refused_on_rowtuple():
@@ -338,7 +389,8 @@ def _answer(fn, p):
 
 
 FACTS = [
-    ("census", nonzero_census, _nonzero_census),
+    ("nonzeros", nonzero_census, _nonzero_census),
+    ("zeros", zero_census, _zero_census),
     ("row_period", row_period, _row_period),
     *[(f"subsample{a, b}", lambda p, a=a, b=b: subsample(p, a, b),
        lambda p, a=a, b=b: _subsample(p, a, b))
@@ -382,7 +434,7 @@ def test_memoized_facts_are_the_plain_functions_answers():
                 assert second is first, (name, p)
             if name == "row_period" and second is first:
                 assert len(first) == 2 and all(type(x) is tuple for x in first)
-    assert {"census", "row_period"} <= raised
+    assert {"nonzeros", "zeros", "row_period"} <= raised
 
 
 def test_a_pulse_is_one_shared_point_per_position():

@@ -125,24 +125,54 @@ def reference_constraint_tree(w):
     return tuple(out)
 
 
-def snapshot_commits(code_stream, length):
-    """The per-snapshot scan: one ClopenCompact per code arrival, and row r
-    commits at the first snapshot where a child of its word is not alive."""
-    snapshots = []
-    excluded: set = set()
-    for ell in range(1, length + 1):
-        c = code_stream(ell - 1)
-        if c == 0:
-            continue
-        excluded.add(clopen_code_word(c))
-        snapshots.append((ell, ClopenCompact(excluded)))
+class Snapshots:
+    """The snapshots of one code stream: one ClopenCompact per code
+    arrival, as (ell, compact) with ell the codes read.  They are built
+    as far as a length asks and kept for every longer one, so the words
+    of one name at many lengths share each compact and its liveness
+    memo.  A code that raises is read again, and raises again."""
+
+    def __init__(self, code_stream):
+        self.code_stream = code_stream
+        self.read = 0
+        self.excluded: set = set()
+        self.taken: list = []
+
+    def upto(self, length) -> list:
+        while self.read < length:
+            c = self.code_stream(self.read)
+            if c != 0:
+                self.excluded.add(clopen_code_word(c))
+                self.taken.append((self.read + 1, ClopenCompact(self.excluded)))
+            self.read += 1
+        return [s for s in self.taken if s[0] <= length]
+
+
+_LAST_NAME: dict = {}   # the point last read through a view, with its snapshots
+
+
+def snapshots_of(w) -> Snapshots:
+    """The snapshots of the word w's code stream: views of one point
+    share those of the point last asked about; any other word has its own."""
+    p = getattr(w, "point", None)
+    if p is None:
+        return Snapshots(w.__getitem__)
+    if _LAST_NAME.get("point") is not p:
+        _LAST_NAME.update(point=p, snapshots=Snapshots(p.value_at))
+    return _LAST_NAME["snapshots"]
+
+
+def snapshot_commits(snapshots: Snapshots, length):
+    """The per-snapshot scan over the first length codes: row r commits at
+    the first snapshot where a child of its word is not alive."""
+    taken = snapshots.upto(length)
     commits: dict = {}
 
     def commit(r):
         if r not in commits:
             v = word_at(r)
             commits[r] = None
-            for ell, compact in snapshots:
+            for ell, compact in taken:
                 b0 = not compact.alive(v + (0,))
                 b1 = not compact.alive(v + (1,))
                 if b0 or b1:
@@ -154,7 +184,7 @@ def snapshot_commits(code_stream, length):
 
 def reference_compact_blocking(w):
     L = len(w)
-    commit = snapshot_commits(lambda i: w[i], L)
+    commit = snapshot_commits(snapshots_of(w), L)
 
     def sym(r, j):
         pos = commit(r)
@@ -248,7 +278,7 @@ def test_cylinder_blocking_commits_as_the_snapshot_scan(codes):
     """Stage map and death against one ClopenCompact per code arrival, on
     streams of words up to length 4 with zeros and repeated codes."""
     blocking = CylinderBlocking(codes.__getitem__, len(codes))
-    commit = snapshot_commits(codes.__getitem__, len(codes))
+    commit = snapshot_commits(Snapshots(codes.__getitem__), len(codes))
     for r in range(64):
         assert blocking.commit(r) == commit(r), r
 
