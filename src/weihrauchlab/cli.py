@@ -184,7 +184,8 @@ def cmd_derive(args) -> int:
             print(f"unknown witness {name!r}; see list-witnesses", file=sys.stderr)
             return 2
     parents = [entries[name] for name in args.names]
-    derived = construct(*(e.build() for e in parents))
+    built = [e.build() for e in parents]
+    derived = construct(*built)
 
     rng = gen.rng_for(f"{args.seed}:derive")
     count = args.count or min(e.count for e in parents)
@@ -192,10 +193,15 @@ def cmd_derive(args) -> int:
     if args.op == "compose":
         corpus = parents[0].corpus(rng, count)
     elif args.op == "parallelize":
-        # hat names whose default row and rows 0-2 are the parent's names
+        # hat names whose default row and rows 0-2 are the parent's names:
+        # the default one with a single answer where one is drawn, so that
+        # the rows past row 2 are not free oracle coordinates
         corpus = []
         for _ in range(count):
-            default, *rows = parents[0].corpus(rng, 4)
+            rows = parents[0].corpus(rng, 4)
+            default = next((p for p in rows if len(built[0].f.answers(p)) == 1),
+                           rows[0])
+            rows.remove(default)
             corpus.append(RowTuple(dict(enumerate(rows)), default))
     else:
         # pairs: the two parents' names, or any point beside the parent's name

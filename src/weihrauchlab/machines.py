@@ -55,19 +55,24 @@ need(n) gives the n symbols asked for, reading what the rule reads and
 each row it reads in full once, in bulk (ReadView.read_row counts a row
 by its extent).  A Machine given by its fn alone is such a rule.  The
 ternary and NAND realizers, the swap machines of weakcomp, the condenser
-and the blocking machines are rules; the K searches of
-llpo_to_llpo_real, llpo_real_to_llpo and lpo_from_discontinuity, the
-compact encoder and the constraint tree are streams.
+and the blocking machines are rules; the compact encoder and the
+constraint tree are streams.  A first-hit search (search_machine) is a
+stream said by a hit rule and a law: it emits law(None), paced by its
+reads, up to the first hit h, then law(h), and its point action is the
+law at the hit found on the point.  The K searches of
+llpo_to_llpo_real, llpo_real_to_llpo and lpo_from_discontinuity are
+such searches.
 
 A machine may also carry its point action: a function from a finitely
 presented point to a finitely presented point whose prefixes the machine
 emits.  Every combinator builds it from the point actions of its parts;
-a primitive whose action is structural (a search, a guess, a split of
-rows) is given its action by hand, and the checker validates either kind
-against eval.  Where machine and action are one expression, a row
-machine or an index machine that reads its src off its action, that
-validation cannot disagree: a wrong shuffle is refused by the value sets
-instead.
+a primitive whose action is structural (a guess, a split of rows, the
+compact encoder) is given its action by hand, and the checker validates
+either kind against eval.  Where machine and action are one expression,
+a row machine or an index machine that reads its src off its action,
+that validation cannot disagree: a wrong shuffle is refused by the value
+sets instead.  A search machine's action shares its law, so validation
+tests only where found puts the hit.
 """
 
 from __future__ import annotations
@@ -730,6 +735,32 @@ def stream_machine(name: str, symbols: Callable,
     def view(w):
         return fn(w) if extent(w) is not None else Search(symbols(w))
     return Machine(name, fn, point=point, view=view)
+
+
+def search_machine(name: str, hit: Callable, law: Callable, paced: Callable,
+                   found: Callable) -> Machine:
+    """A first-hit search: it reads its input in order up to the first i
+    with hit(i, w[i]) not None, emitting the first paced(n) symbols of
+    law(None) once n symbols are read (paced is nondecreasing); after a
+    hit h it emits law(h), each symbol t > i waiting for input t.  Its
+    point action is law(found(p)): machine and mirror share one hit rule
+    and one law."""
+    def symbols(w):
+        miss = law(None)
+        emitted = 0
+        for i in count():
+            h = hit(i, w[i])
+            if h is not None:
+                break
+            n = paced(i + 1)
+            yield from map(miss.value_at, range(emitted, n))
+            emitted = n
+        out = law(h)
+        for t in count(emitted):
+            if t > i:
+                w[t]
+            yield out.value_at(t)
+    return stream_machine(name, symbols, point=lambda p: law(found(p)))
 
 
 def const_machine(q: Point, name: str = None) -> Machine:

@@ -262,11 +262,15 @@ class ClopenSet(ValueSet):
         return None
 
     def behaviors(self, depth, cap=BEHAVIOR_CAP):
+        # below the depth every coordinate is free past the excluded depth d
         d = self.compact.depth()
         words = self.compact.admitted_words(d)
-        if len(words) > cap:
-            raise CapacityExceeded(f"{len(words)} surviving cylinders exceed {cap}")
-        return [EvPeriodic(w, (0,)) for w in words]
+        free = max(depth - d, 0)
+        if len(words) << free > cap:
+            raise CapacityExceeded(f"{len(words) << free} surviving cylinders "
+                                   f"exceed {cap}")
+        return [EvPeriodic(w + tail, (0,)) for w in words
+                for tail in itertools.product((0, 1), repeat=free)]
 
     def members(self, cap=BEHAVIOR_CAP):
         raise NonRepresentable("clopen compacts have infinitely many members")

@@ -75,10 +75,14 @@ def _fixture_mass():
     return a, b
 
 
-def _pairs(inner):
-    def build(rng, n):
-        return gen.pair_points(rng, inner, inner, n)
-    return build
+def _pairs(a, b):
+    """A corpus of pairs, each of a point of a and a point of b."""
+    return lambda rng, n: gen.pair_points(rng, a, b, n)
+
+
+def _pair(a, b):
+    """A point generator drawing one pair of a point of a and one of b."""
+    return lambda rng: Interleave(a(rng), b(rng))
 
 
 def _llpo_forced(rng, n):
@@ -124,45 +128,56 @@ def named_witnesses() -> dict:
     entries["sum_idem_fwd(lpo)"] = Entry(
         lambda: sum_idem(lpo_problem())[0], gen.any_points)
     entries["sum_idem_bwd(lpo)"] = Entry(
-        lambda: sum_idem(lpo_problem())[1], _pairs(gen.any_point))
+        lambda: sum_idem(lpo_problem())[1],
+        _pairs(gen.any_point, gen.any_point))
     entries["glb_left(lpo,llpo)"] = Entry(
         lambda: glb_witnesses(lpo_problem(), llpo_problem())[0],
-        _pairs_mixed_lpo_llpo)
+        _pairs(gen.any_point, gen.llpo_point))
     entries["glb_right(lpo,llpo)"] = Entry(
         lambda: glb_witnesses(lpo_problem(), llpo_problem())[1],
-        _pairs_mixed_lpo_llpo)
+        _pairs(gen.any_point, gen.llpo_point))
     entries["sum_mono(llpo_to_lpo)"] = Entry(
         lambda: sum_witness(llpo_to_lpo(), llpo_to_lpo()),
-        _pairs(gen.llpo_point))
+        _pairs(gen.llpo_point, gen.llpo_point))
     entries["sum_comm(lpo,llpo)"] = Entry(
-        _sum_comm, _pairs_mixed_lpo_llpo)
+        _sum_comm, _pairs(gen.any_point, gen.llpo_point))
     entries["sum_comm_rev(llpo,lpo)"] = Entry(
-        lambda: _sum_comm(reverse=True), _pairs_llpo_lpo)
-    entries["sum_assoc(lpo)"] = Entry(_sum_assoc, _triple_pairs)
+        lambda: _sum_comm(reverse=True),
+        _pairs(gen.llpo_point, gen.any_point))
+    entries["sum_assoc(lpo)"] = Entry(
+        _sum_assoc, _pairs(_pair(gen.any_point, gen.any_point), gen.any_point))
     entries["sum_assoc_rev(lpo)"] = Entry(
-        lambda: _sum_assoc(reverse=True), _right_triple_pairs)
+        lambda: _sum_assoc(reverse=True),
+        _pairs(gen.any_point, _pair(gen.any_point, gen.any_point)))
 
     # lattice laws: products
     entries["prod_mono(llpo_to_lpo)"] = Entry(
         lambda: product_witness(llpo_to_lpo(), llpo_to_lpo()),
-        _pairs(gen.llpo_point))
-    entries["prod_comm(lpo,llpo)"] = Entry(_prod_comm, _pairs_mixed_lpo_llpo)
+        _pairs(gen.llpo_point, gen.llpo_point))
+    entries["prod_comm(lpo,llpo)"] = Entry(
+        _prod_comm, _pairs(gen.any_point, gen.llpo_point))
     entries["prod_comm_rev(llpo,lpo)"] = Entry(
-        lambda: _prod_comm(reverse=True), _pairs_llpo_lpo)
-    entries["prod_assoc(lpo)"] = Entry(_prod_assoc, _triple_pairs)
+        lambda: _prod_comm(reverse=True),
+        _pairs(gen.llpo_point, gen.any_point))
+    entries["prod_assoc(lpo)"] = Entry(
+        _prod_assoc, _pairs(_pair(gen.any_point, gen.any_point), gen.any_point))
     entries["prod_assoc_rev(lpo)"] = Entry(
-        lambda: _prod_assoc(reverse=True), _right_triple_pairs)
+        lambda: _prod_assoc(reverse=True),
+        _pairs(gen.any_point, _pair(gen.any_point, gen.any_point)))
     entries["prod_id_intro(lpo)"] = Entry(_prod_id_intro, gen.any_points)
-    entries["prod_id_elim(lpo)"] = Entry(_prod_id_elim, _pairs(gen.any_point))
+    entries["prod_id_elim(lpo)"] = Entry(
+        _prod_id_elim, _pairs(gen.any_point, gen.any_point))
 
     # cylinders
     entries["cyl(llpo_to_lpo)"] = Entry(
-        lambda: cylindrify(llpo_to_lpo()), _pairs_mixed_lpo_llpo)
+        lambda: cylindrify(llpo_to_lpo()),
+        _pairs(gen.any_point, gen.llpo_point))
     entries["uncyl(llpo_to_lpo)"] = Entry(
         lambda: uncylindrify(cylindrify(llpo_to_lpo()),
                              llpo_problem(), lpo_problem()),
         gen.llpo_points)
-    entries["cylinder(llpo_hat)"] = Entry(_llpo_hat_cylinder, _pairs_id_hat)
+    entries["cylinder(llpo_hat)"] = Entry(
+        _llpo_hat_cylinder, _pairs(gen.any_point, gen.llpo_hat_input))
     entries["strong_on_cylinder"] = Entry(
         lambda: strengthen_on_cylinder(parallel_extensive(llpo_problem()),
                                        _llpo_hat_cylinder()),
@@ -180,7 +195,8 @@ def named_witnesses() -> dict:
     entries["parallel_idem_up(llpo)"] = Entry(
         lambda: parallel_idem(llpo_problem())[1], gen.llpo_hat_inputs)
     entries["parallel_absorb(llpo)"] = Entry(
-        lambda: parallel_absorb(llpo_problem())[0], _pairs(gen.llpo_hat_input))
+        lambda: parallel_absorb(llpo_problem())[0],
+        _pairs(gen.llpo_hat_input, gen.llpo_hat_input))
     entries["parallel_split(llpo)"] = Entry(
         lambda: parallel_absorb(llpo_problem())[1], gen.llpo_hat_inputs)
     entries["parallel_product(lpo,llpo)"] = Entry(
@@ -188,7 +204,8 @@ def named_witnesses() -> dict:
         _pairhat_inputs)
     entries["parallel_product_rev(lpo,llpo)"] = Entry(
         lambda: parallel_product(lpo_problem(), llpo_problem())[1],
-        _split_hat_pairs)
+        # the first slot feeds the zero-searching function: rows must extract
+        _pairs(gen.rowable_point, gen.llpo_hat_input))
     entries["parallel_sum(llpo,llpo)"] = Entry(
         lambda: parallel_sum(llpo_problem(), llpo_problem()),
         _sumhat_inputs)
@@ -197,11 +214,13 @@ def named_witnesses() -> dict:
     entries["medvedev_sum_to_prod"] = Entry(
         lambda: _med_ops()["sum_to_prod"], gen.any_points)
     entries["medvedev_prod_to_sum"] = Entry(
-        lambda: _med_ops()["prod_to_sum"], _pairs(gen.any_point))
+        lambda: _med_ops()["prod_to_sum"],
+        _pairs(gen.any_point, gen.any_point))
     entries["medvedev_tensor_to_sum"] = Entry(
         lambda: _med_ops()["tensor_to_sum"], gen.any_points)
     entries["medvedev_sum_to_tensor"] = Entry(
-        lambda: _med_ops()["sum_to_tensor"], _pairs(gen.any_point))
+        lambda: _med_ops()["sum_to_tensor"],
+        _pairs(gen.any_point, gen.any_point))
     entries["medvedev_embed"] = Entry(_med_embed, gen.any_points)
 
     return entries
@@ -221,29 +240,6 @@ def _med_embed():
     return embed_forward(f, a, b)
 
 
-def _pairs_mixed_lpo_llpo(rng, n):
-    return gen.pair_points(rng, gen.any_point, gen.llpo_point, n)
-
-
-def _pairs_id_hat(rng, n):
-    return gen.pair_points(rng, gen.any_point, gen.llpo_hat_input, n)
-
-
-def _triple_pairs(rng, n):
-    return [Interleave(Interleave(gen.any_point(rng), gen.any_point(rng)),
-                       gen.any_point(rng)) for _ in range(n)]
-
-
-def _right_triple_pairs(rng, n):
-    return [Interleave(gen.any_point(rng),
-                       Interleave(gen.any_point(rng), gen.any_point(rng)))
-            for _ in range(n)]
-
-
-def _pairs_llpo_lpo(rng, n):
-    return gen.pair_points(rng, gen.llpo_point, gen.any_point, n)
-
-
 def _hat_of_hat(rng, n):
     return [RowTuple({0: gen.llpo_hat_input(rng), 2: gen.llpo_hat_input(rng)},
                      gen.llpo_hat_input(rng)) for _ in range(n)]
@@ -259,12 +255,6 @@ def _pairhat_inputs(rng, n):
                              EvPeriodic((0, 2), (0,)))
         out.append(RowTuple(rows, default))
     return out
-
-
-def _split_hat_pairs(rng, n):
-    # the first slot feeds the zero-searching function: rows must extract
-    return [Interleave(gen.rowable_point(rng), gen.llpo_hat_input(rng))
-            for _ in range(n)]
 
 
 def _sumhat_inputs(rng, n):

@@ -104,11 +104,11 @@ def exclusion_blocks(n: int, forced_bit: int) -> list:
     return [head + (bad,) for head in itertools.product((0, 1), repeat=n)]
 
 
-def pulse_exclusions(i: int, row_cap: Optional[int] = None) -> tuple:
+def pulse_exclusions(i: int, row_cap: int) -> tuple:
     """A pulse at <n,t> forces coordinate n, to 1 when t is even: (n, the
     cylinders it excludes), the cylinders None when n exceeds row_cap."""
     n, t = pair_decode(i)
-    if row_cap is not None and n > row_cap:
+    if n > row_cap:
         return n, None
     return n, exclusion_blocks(n, 1 if t % 2 == 0 else 0)
 
@@ -277,23 +277,26 @@ def llpo_swap(m: Machine, p: Point, depth: int) -> SwapResult:
 # compact choice witnesses
 
 def compact_encoder_machine() -> Machine:
-    """Stream the forced coordinates of a row point as excluded cylinders;
-    on a word, a forced coordinate beyond ENCODER_ROW_CAP is refused."""
+    """Stream the forced coordinates of a row point as excluded cylinders,
+    a 0 for each zero read; on a word, a forced coordinate beyond
+    ENCODER_ROW_CAP is refused.  The point action is the machine's output
+    on the name's nonzeros, zero-padded."""
     def codes(w):
         for i in itertools.count():
-            if w[i] != 0:
-                n, blocks = pulse_exclusions(i, ENCODER_ROW_CAP)
-                if blocks is None:
-                    raise CapacityExceeded(f"forced coordinate {n} beyond the cap")
-                yield from map(clopen_word_code, blocks)
+            if w[i] == 0:
+                yield 0
+                continue
+            n, blocks = pulse_exclusions(i, ENCODER_ROW_CAP)
+            if blocks is None:
+                raise CapacityExceeded(f"forced coordinate {n} beyond the cap")
+            yield from map(clopen_word_code, blocks)
 
     def point(p):
         forced_bits(p)   # NonRepresentable on forcing tails
-        pulses = [i for i in range(scan_bound(p)) if p.value_at(i) != 0]
-        return EvPeriodic(tuple(clopen_word_code(word) for i in pulses
-                                for word in pulse_exclusions(i)[1]), (0,))
+        return EvPeriodic(k.eval(p.prefix(scan_bound(p) + 1)), (0,))
 
-    return stream_machine("compact-encode", codes, point=point)
+    k = stream_machine("compact-encode", codes, point=point)
+    return k
 
 
 def llpo_hat_to_compact() -> Witness:

@@ -49,6 +49,7 @@ from .machines import (
     proj2,
     row_machine,
     run_on_point,
+    search_machine,
     second_half,
     shift_l,
     stream_machine,
@@ -65,7 +66,6 @@ from .points import (
     Point,
     RowTuple,
     depair,
-    first_nonzero,
     half,
     min_zero,
     nonzero_census,
@@ -694,33 +694,18 @@ _ZERO_CODE = dyadic_code(Dyadic(0, 0))
 def llpo_to_llpo_real() -> Witness:
     """Map a pulse position to a signed power of two."""
     def named(j):
-        # the pulse at j names the sign of +-2^-(j // 2), from stage j // 2 on
+        # the pulse at j names the sign of +-2^-(j // 2), from stage j // 2
+        # on; no pulse names zero
+        if j is None:
+            return EvPeriodic((), (_ZERO_CODE,))
         x = Dyadic(1 if pulse_bit(j) else -1, j // 2)
         return EvPeriodic((_ZERO_CODE,) * (j // 2), (dyadic_code(x),))
 
-    def codes(w):
-        # zero codes while no pulse is read: code t once input 2t + 1 is read
-        for i in count():
-            if w[i] != 0:
-                break
-            if i % 2:
-                yield _ZERO_CODE
-        # the pulse at i names the stream; symbol t > i waits for input t
-        x = named(i)
-        for t in count(i // 2):
-            if t > i:
-                w[t]
-            yield x.value_at(t)
-
-    def kp(p):
-        kind, pos = nonzero_census(p)
-        if kind == "zero":
-            return EvPeriodic((), (_ZERO_CODE,))
-        return named(pos)
-
-    return Witness(llpo_problem(), llpo_real_problem(),
-                   stream_machine("pulse-to-dyadic", codes, point=kp),
-                   identity(), True,
+    # zero codes while no pulse is read: code t once input 2t + 1 is read
+    k = search_machine("pulse-to-dyadic", lambda i, x: i if x != 0 else None,
+                       named, lambda n: n // 2,
+                       lambda p: nonzero_census(p)[1])
+    return Witness(llpo_problem(), llpo_real_problem(), k, identity(), True,
                    name="llpo_to_llpo_real")
 
 
@@ -735,27 +720,16 @@ def llpo_real_to_llpo() -> Witness:
             return pulse_position(i, 0)
         return None
 
-    def search(w):
-        for i in count():
-            pos = pulse_at(i, w[i])
-            if pos is not None:
-                break
-            yield 0
-        # the pulse goes out whole; symbol t > pos waits for input t
-        yield from (0,) * (pos - i) + (1,)
-        for t in count(pos + 1):
-            w[t]
-            yield 0
-
-    def kp(p):
+    def found(p):
+        # the stages below this bound decide a nonzero sign
         x = decode_dyadic(p)
-        if x.sign() == 0:
-            return EvPeriodic((), (0,))
-        # replay the machine's detection on the actual name
-        word = prefix(p, scan_bound(p) + x.exponent + 4)
-        return pulse(first_nonzero(k.eval(word)))
+        stages = range(scan_bound(p) + x.exponent + 4) if x.sign() else ()
+        return next((pos for i in stages
+                     if (pos := pulse_at(i, p.value_at(i))) is not None), None)
 
-    k = stream_machine("sign-search", search, point=kp)
+    k = search_machine("sign-search", pulse_at,
+                       lambda pos: ZEROS if pos is None else pulse(pos),
+                       lambda n: n, found)
     return Witness(llpo_real_problem(), llpo_problem(), k, identity(), True,
                    name="llpo_real_to_llpo")
 
@@ -776,23 +750,10 @@ class DiscontinuityData:
 
 
 def lpo_from_discontinuity(data: DiscontinuityData, g: Problem) -> Witness:
-    def select(w):
-        # q's symbols while no zero is read, as far as every family member
-        # a later zero could select agrees with q
-        ell = 0
-        for L in count(1):
-            if w[L - 1] == 0:
-                break
-            while ell < L and data.agree_bound(ell + 1) <= L:
-                yield data.q.value_at(ell)
-                ell += 1
-        # the zero at j selects its family member; symbol t > j waits for input t
-        j = L - 1
-        member = data.family(j)
-        for t in count(ell):
-            if t > j:
-                w[t]
-            yield member.value_at(t)
+    def paced(n):
+        # q's symbols as far as every family member a later zero could
+        # select agrees with q
+        return next((ell for ell in range(n) if data.agree_bound(ell + 1) > n), n)
 
     def ball_test(w, j):
         if j:
@@ -800,13 +761,12 @@ def lpo_from_discontinuity(data: DiscontinuityData, g: Problem) -> Witness:
         seen = tuple(w[i] for i in range(data.cell_count))
         return 1 if seen == tuple(data.expected) else 0
 
-    def kp(p):
-        j = min_zero(p)
-        return data.q if j is None else data.family(j)
-
+    # the zero at j selects its family member
+    k = search_machine("select-family", lambda i, x: i if x == 0 else None,
+                       lambda j: data.q if j is None else data.family(j),
+                       paced, min_zero)
     h = symbol_machine("ball-test", ball_test, lambda j: data.cell_count + j)
-    return Witness(lpo_problem(), g, stream_machine("select-family", select,
-                                                    point=kp), h, True,
+    return Witness(lpo_problem(), g, k, h, True,
                    name=f"lpo_from_discontinuity({g.name})")
 
 

@@ -272,6 +272,16 @@ def test_cli_derive_parallelize_draws_rows_from_the_parent_corpus(capsys):
         assert out.endswith("): PASS (verified to depth 12)\n")
 
 
+def test_cli_derive_parallelize_real_pair_at_registry_depth(capsys):
+    """The default row of each hat name is a parent name with a single
+    answer, so the rows past row 2 are not free oracle coordinates and
+    the check fits the behavior bound at the parents' depth."""
+    for name in ("llpo_real_to_llpo", "llpo_to_llpo_real"):
+        assert main(["derive", "parallelize", name]) == 0
+        out = capsys.readouterr().out
+        assert out == f"derived hat({name}): PASS (verified to depth 16)\n"
+
+
 def test_cli_swap_g_prefixes_are_pinned(capsys):
     """G, the swapped machine, is read on demand over the point: its first
     symbols on these names are the ones its windows gave."""

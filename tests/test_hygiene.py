@@ -5,9 +5,10 @@ of a function in src/ is passed at some call, no code in src/ decides an
 identity by comparing `.name` attributes or reads an instance's
 `.__dict__`, a module in src/ imports inside a function only what it
 could not import at module level, no index machine in src/ is given
-both its index law and its point action, the row normal form is
-decided in points alone, and so is the census of a name's zeros and
-nonzeros, by one walk."""
+both its index law and its point action, no search in witnesses.py is
+given a hand-written point action, the row normal form is decided in
+points alone, and so is the census of a name's zeros and nonzeros, by
+one walk."""
 
 import ast
 from pathlib import Path
@@ -169,6 +170,20 @@ def test_each_shuffle_is_said_once():
              or any(k.arg in ("rows", "point") for k in node.keywords))
     ]
     assert both == []
+
+
+def test_each_search_is_said_once():
+    """A search of witnesses.py that has a point action is a
+    search_machine, whose action is its own law at the name's first hit:
+    no stream_machine call there passes point=."""
+    tree = ast.parse((ROOT / "src/weihrauchlab/witnesses.py").read_text())
+    mirrored = [
+        node.lineno for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) == "stream_machine"
+        and (len(node.args) > 2 or any(k.arg == "point" for k in node.keywords))
+    ]
+    assert mirrored == []
 
 
 def test_row_normal_form_is_decided_in_points():

@@ -38,6 +38,7 @@ from weihrauchlab.witnesses import (
     id_to_llpo_hat,
     least_degree,
     llpo_real_to_llpo,
+    llpo_to_llpo_real,
     llpo_to_lpo,
     lpo_from_discontinuity,
     parallel_absorb,
@@ -444,3 +445,60 @@ def test_an_exchanged_merge_is_refused_by_the_value_sets():
     assert all(e.note != "K mirror mismatch" for e in rep.entries)
     assert rep.verdict() == "FAIL (59/64 branches, first fail at coordinate 14)"
     assert check(absorb, corpus, depth=entry.depth).passed
+
+
+def test_an_oracle_of_clopen_answers_sets_every_checked_coordinate():
+    """Negative control of the value-set layer on a clopen compact: an H
+    that swaps coordinate 0 with coordinate d + 1, one past the excluded
+    depth d.  Every member of clopen(exclude: 1 001) starts with 0, but
+    coordinate d + 1 is free, so the oracle's behaviors must set it to 1
+    and the swap must be refused at coordinate 0."""
+    from weihrauchlab.literals import parse_clopen
+    from weihrauchlab.machines import index_machine
+    from weihrauchlab.problems import compact_choice_problem
+    from weihrauchlab.spaces import encode_clopen
+
+    cc = compact_choice_problem()
+    k = parse_clopen("clopen(exclude: 1 001)")
+    d = k.depth()
+    h = index_machine("swap-free", lambda j: {0: d + 1, d + 1: 0}.get(j, j))
+    rep = check(Witness(cc, cc, identity(), h, True, name="swap-free"),
+                [encode_clopen(k)], depth=6)
+    assert rep.verdict() == "FAIL (12/24 branches, first fail at coordinate 0)"
+
+
+def _searches():
+    """(the K of each first-hit search, a name it hits on, a name it
+    never hits on)."""
+    from weihrauchlab.spaces import Dyadic, dyadic_code, encode_dyadic
+
+    zero = dyadic_code(Dyadic(0, 0))
+    data = DiscontinuityData(q=EvPeriodic((), (1,)),
+                             family=lambda n: EvPeriodic((1,) * n + (0,), (1,)),
+                             agree_bound=lambda L: L, cell_count=1, expected=(1,))
+    return [
+        # the pulse at 5
+        (llpo_to_llpo_real().K, EvPeriodic((0,) * 5 + (1,), (0,)),
+         EvPeriodic((), (0,))),
+        # -3/8 seen at stage 2, named by the pulse at 3
+        (llpo_real_to_llpo().K,
+         EvPeriodic((zero, zero), (dyadic_code(Dyadic(-3, 3)),)),
+         encode_dyadic(Dyadic(0, 0))),
+        # the zero at 4
+        (lpo_from_discontinuity(data, lpo_problem()).K,
+         EvPeriodic((1, 1, 1, 1, 0), (1,)), EvPeriodic((), (1,))),
+    ]
+
+
+@pytest.mark.parametrize("k, hit, miss", _searches(),
+                         ids=["pulse-to-dyadic", "sign-search", "select-family"])
+def test_each_search_runs_as_its_point_action(k, hit, miss):
+    """A first-hit search on a name where it hits and one where it never
+    does: the unbounded run emits 256 symbols, the point action's.  The
+    hit changes the output, so the two names take both branches."""
+    outs = []
+    for p in (hit, miss):
+        run = run_on_point(k, p, 256)
+        assert run.productive and run.output == prefix(k.point(p), 256), repr(p)
+        outs.append(run.output)
+    assert outs[0] != outs[1]
