@@ -14,7 +14,8 @@ and all_zero_on_progression reads the nonzero census of a subsample.
 Rows are read through one layer: row_length(s), gather_rows, and the
 period walk row_period / period_row.  row, row_period and depair (or
 half) take any point: a pair is read through its normal form, and one
-that does not normalize has no rows.
+that does not normalize has no rows; pairing_row reads such a pair's
+rows through the pairing instead, as row reads a value law's.
 
 Points are immutable, and a check asks the same few structural questions
 of the same names many times over: the domain test of every oracle
@@ -341,9 +342,21 @@ def row(p: Point, n: int) -> Point:
     if isinstance(p, LawPoint):
         if p._row_fn is not None:
             return p.law_row(n)
-        return LawPoint(fn=lambda k, _n=n: p.value_at(pair_encode(_n, k)),
-                        label=f"{p.label}[row {n}]")
+        return _pairing_law_row(p, n, p.label)
     raise UnsupportedShape(f"row extraction on {type(p).__name__}")
+
+
+def pairing_row(p: Point, n: int) -> Point:
+    """Row n of p; a pair that does not normalize, which has no rows,
+    has its row read through the pairing."""
+    if isinstance(p, Interleave) and normalize(p) is None:
+        return _pairing_law_row(p, n, "pair")
+    return row(p, n)
+
+
+def _pairing_law_row(p: Point, n: int, label: str) -> LawPoint:
+    return LawPoint(fn=lambda k: p.value_at(pair_encode(n, k)),
+                    label=f"{label}[row {n}]")
 
 
 def _pair_normal_form(p: Interleave) -> EvPeriodic:

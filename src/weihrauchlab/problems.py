@@ -31,6 +31,7 @@ from .points import (
     nonzero_census,
     pair_decode,
     pair_encode,
+    pairing_row,
     point_prepend,
     pulse_bit,
     row,
@@ -743,10 +744,11 @@ def sum_problem(f: Problem, g: Problem) -> Problem:
 
 def flatten(p: Point) -> LawPoint:
     """The name whose row <j,k> is row k of row j of p: a hat^hat
-    instance read as a hat instance."""
+    instance read as a hat instance.  A pair without rows, at either
+    level, is read through the pairing, so the name is total on pairs."""
     def row_of(jk):
         j, k = pair_decode(jk)
-        return row(row(p, j), k)
+        return pairing_row(pairing_row(p, j), k)
     return LawPoint(row_fn=row_of, label="flatten")
 
 

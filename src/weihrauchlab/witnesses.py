@@ -71,12 +71,12 @@ from .points import (
     nonzero_census,
     pair_decode,
     pair_encode,
+    pairing_row,
     point_map,
     prefix,
     pulse,
     pulse_bit,
     pulse_position,
-    row,
     scan_bound,
     subsample,
 )
@@ -522,7 +522,7 @@ def parallel_absorb(f: Problem) -> tuple:
 
     def merge_rows(p):
         a, b = depair(p)
-        return lambda n: row(a if n % 2 == 0 else b, n // 2)
+        return lambda n: pairing_row(a if n % 2 == 0 else b, n // 2)
 
     k_merge = index_machine("evenodd-merge", rows=merge_rows)
     absorb = Witness(pp, fh, k_merge, identity(), True)
@@ -538,7 +538,7 @@ def parallel_product(f: Problem, g: Problem) -> tuple:
 
     def split_point(p):
         def half_rows(par):
-            return LawPoint(row_fn=lambda i: half(row(p, i), par),
+            return LawPoint(row_fn=lambda i: half(pairing_row(p, i), par),
                             label=f"half{par}")
         return Interleave(half_rows(0), half_rows(1))
 
@@ -554,7 +554,7 @@ def parallel_product(f: Problem, g: Problem) -> tuple:
 
     def join_rows(p):
         a, b = depair(p)
-        return lambda i: Interleave(row(a, i), row(b, i))
+        return lambda i: Interleave(pairing_row(a, i), pairing_row(b, i))
 
     k_join = index_machine("join-rows", rows=join_rows)
 
@@ -573,7 +573,7 @@ def parallel_sum(f: Problem, g: Problem) -> Witness:
         def gathered(par):
             def row_of(ij):
                 i, j = pair_decode(ij)
-                return row(half(row(p, j), par), i)
+                return pairing_row(half(pairing_row(p, j), par), i)
             return LawPoint(row_fn=row_of, label=f"gather{par}")
         return Interleave(gathered(0), gathered(1))
 
@@ -648,10 +648,10 @@ def _double_absorb_rows(p: Point) -> Callable:
     and the rows <k,2n+1>, each read at its even symbols."""
     def row_of(k):
         def even_rows(n):
-            return half(row(p, pair_encode(k, 2 * n)), 0)
+            return half(pairing_row(p, pair_encode(k, 2 * n)), 0)
 
         def odd_rows(n):
-            return half(row(p, pair_encode(k, 2 * n + 1)), 0)
+            return half(pairing_row(p, pair_encode(k, 2 * n + 1)), 0)
 
         if isinstance(p, RowTuple):
             exc_even = {}

@@ -480,13 +480,17 @@ def test_derived_point_action_reaches_past_the_validation_window():
 
 
 def test_row_laws_read_pairs_in_row_form():
-    """A pair name reaches a row law in row normal form; a rowwise action
-    on a pair without one refuses at once instead of on its first read."""
+    """A pair name reaches a row law in row normal form; flattening reads
+    a pair without one, at either level, through the pairing; a rowwise
+    action on such a pair refuses at once instead of on its first read."""
     flatten = parallel_idem(llpo_problem())[0].K
     join = parallel_product(lpo_problem(), llpo_problem())[1].K
+    evens = index_machine("evens", lambda i: 2 * i)
     zeros = EvPeriodic((), (0,))
     for m, p in ((flatten, Interleave(zeros, zeros)),
-                 (compose(flatten, join), zeros)):
+                 (compose(flatten, join), zeros),
+                 (compose(flatten, pair_machine(identity(), evens)), zeros),
+                 (compose(flatten, compose(join, evens)), zeros)):
         out = m.eval(PointView(p, WIDE))
         q = m.point(p)
         assert prefix(q, len(out)) == tuple(out)

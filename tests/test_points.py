@@ -25,6 +25,7 @@ from weihrauchlab.points import (
     normalize,
     pair_decode,
     pair_encode,
+    pairing_row,
     prefix,
     pulse,
     pulse_bit,
@@ -146,6 +147,16 @@ def test_a_pair_with_a_law_part_has_no_rows():
         row(p, 0)
     with pytest.raises(UnsupportedShape):
         row_period(p)
+
+
+def test_pairing_row_reads_a_pair_without_rows_through_the_pairing():
+    law = Interleave(LawPoint(fn=lambda i: i % 2), EvPeriodic((), (1,)))
+    normal = Interleave(EvPeriodic((2,), (0,)), EvPeriodic((), (1, 3)))
+    for p in (law, normal):
+        for n in range(5):
+            want = tuple(p.value_at(pair_encode(n, k)) for k in range(12))
+            assert prefix(pairing_row(p, n), 12) == want
+    assert pairing_row(normal, 3) == row(normal, 3)
 
 
 def test_normalize_alternation():
