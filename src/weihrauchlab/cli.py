@@ -127,7 +127,8 @@ def cmd_eval(args) -> int:
 
 
 def _exit_code(report) -> int:
-    """0 on a pass, 3 when branches only stalled at fuel, 1 on a failure."""
+    """0 on a pass, 3 when branches only stalled at fuel or met a capacity
+    of K, 1 on a failure."""
     if report.passed:
         return 0
     return 3 if report.unverified else 1
@@ -233,7 +234,7 @@ def cmd_suite(args) -> int:
             print(f"{name}: CAPACITY ({exc})")
             capacity += 1
             continue
-        if report.unverified:   # a stall at fuel is not a refutation
+        if report.unverified:   # a stall or a capacity is not a refutation
             capacity += 1
         elif not report.passed:
             failures += 1

@@ -80,7 +80,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import partial
 from itertools import count, islice, takewhile
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from .errors import Stalled
 from .points import (
@@ -392,10 +392,6 @@ def emit_rows(row_of: Callable, bound: Optional[int] = None) -> Word:
         out.append(r[k])
         j += 1
     return tuple(out)
-
-
-def interleave_words(a: Sequence, b: Sequence) -> Word:
-    return tuple(interleave(a, b))
 
 
 # ---------------------------------------------------------------------------

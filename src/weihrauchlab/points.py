@@ -105,11 +105,6 @@ def gather_rows(row_at: Callable, n: int) -> list:
     return [rows[r][k] for r, k in islice(codes, n)]
 
 
-def is_prefix(v, w) -> bool:
-    """Prefix order on words: v is an initial segment of w."""
-    return len(v) <= len(w) and tuple(w[: len(v)]) == tuple(v)
-
-
 def first_nonzero(w) -> Optional[int]:
     """The index of the first nonzero symbol of the word w, None when all
     its symbols are zero (symbols are naturals: nonzero is truthy)."""

@@ -232,6 +232,10 @@ class ClopenCompact:
         object.__setattr__(self, "_depth",
                            max((len(w) for w in self.excluded), default=0))
         object.__setattr__(self, "_alive", {})
+        # at index k the admitted words of length k (none below an
+        # excluded empty word)
+        object.__setattr__(self, "_admitted",
+                           [[()], []] if () in self.excluded else [[()]])
 
     def depth(self) -> int:
         return self._depth
@@ -242,7 +246,14 @@ class ClopenCompact:
         return not any(w[: len(e)] == e for e in self.excluded)
 
     def admitted_words(self, n: int) -> list:
-        return extensions((), n, self.admits)
+        """The admitted words of length n in lexicographic order, kept per
+        width: a child of an admitted word is admitted iff it is not itself
+        excluded."""
+        levels = self._admitted
+        while len(levels) <= n:
+            levels.append([c for w in levels[-1] for c in (w + (0,), w + (1,))
+                           if c not in self.excluded])
+        return levels[n]
 
     def is_empty(self) -> bool:
         # decidable by finite search: beyond the excluded depth no new

@@ -244,15 +244,21 @@ def gatewise_realizer(c: NandCircuit) -> Machine:
     """Substitute the NAND realizer through the circuit, row-tupled input.
 
     Each wire carries the shape of its word through nand_shape's rule;
-    only the output word is built.  An output is never shorter than its
+    only the output word is built, and each gate's output shape is kept
+    per realizer by its input shapes.  An output is never shorter than its
     shortest input row, so n symbols need every row n long."""
+    gate_shapes: dict = {}   # (u, v) -> nand_shape(u, v)
+
     def rule(w):
         row = partial(RowView, w)
         if c.output < c.arity:
             return tuple(row(c.output))
         shapes = [shape_of(row(i)) for i in range(c.arity)]
         for a, b in c.gates:
-            shapes.append(nand_shape(shapes[a], shapes[b]))
+            key = shapes[a], shapes[b]
+            if key not in gate_shapes:
+                gate_shapes[key] = nand_shape(*key)
+            shapes.append(gate_shapes[key])
         return word_of_shape(shapes[c.output])
     return row_rule_machine(f"gatewise[{c.arity}]", rule,
                             lambda n: pair_encode(c.arity - 1, n - 1) + 1)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, replace
+from functools import cache
 from math import inf
 from typing import Callable, Optional
 
@@ -139,12 +140,20 @@ class Modulus:
         return self.values[n]
 
 
+def kept_outputs(m: Machine) -> Machine:
+    """m whose view of a word is its whole output, computed once by eval
+    and kept: far smaller than the lazy view that would compute it."""
+    return replace(m, view=cache(m.eval))
+
+
 def emit_width(m: Machine, compact: ClopenCompact, n: int, start: int,
                k_cap: int) -> Optional[int]:
     """The least width k in [start, k_cap] at which the compact admits some
     word of length k and every such word makes m emit symbol n; None when
     no width up to k_cap does.  m's output is read as a view, so a lazy
-    one gives its length without computing a symbol."""
+    one gives its length without computing a symbol, and a kept_outputs
+    one computes each word's output once over the rows searched on one
+    compact."""
     for k in range(start, k_cap + 1):
         words = compact.admitted_words(k)
         if words and all(len(m.view(w)) > n for w in words):
@@ -188,17 +197,14 @@ class TruthTableFamily:
 def truth_table(m: Machine, compact: ClopenCompact, n: int, arity: int) -> tuple:
     """Symbol n of m on every word of length arity, in lexicographic order;
     the words the compact excludes read 0.  m's output is read as a view,
-    so a lazy one computes symbol n alone."""
-    table = []
-    for w in itertools.product((0, 1), repeat=arity):
-        if compact.admits(w):
-            out = m.view(w)
-            if len(out) <= n:
-                raise FuelExhausted(f"machine stalled on admitted word {w}")
-            table.append(out[n])
-        else:
-            table.append(0)
-    return tuple(table)
+    on the admitted words alone, so a lazy one computes symbol n alone."""
+    table = dict.fromkeys(itertools.product((0, 1), repeat=arity), 0)
+    for w in compact.admitted_words(arity):
+        out = m.view(w)
+        if len(out) <= n:
+            raise FuelExhausted(f"machine stalled on admitted word {w}")
+        table[w] = out[n]
+    return tuple(table.values())
 
 
 def extract_tables(m: Machine, compact: ClopenCompact, mod: Modulus,
@@ -265,8 +271,9 @@ def right_value_set(tables: TruthTableFamily, p: Point, depth: int) -> set:
 def llpo_swap(m: Machine, p: Point, depth: int) -> SwapResult:
     """Move a computable machine past the parallelized oracle on one input."""
     compact = compact_image(p)
-    mod = modulus(m, compact, depth)
-    tables = extract_tables(m, compact, mod, depth)
+    kept = kept_outputs(m)
+    mod = modulus(kept, compact, depth)
+    tables = extract_tables(kept, compact, mod, depth)
     g = swap_g_machine(tables)
     left = left_value_set(m, p, depth, mod)
     right = right_value_set(tables, p, depth)
@@ -397,7 +404,9 @@ class DynamicSwap:
     input prefix, hence a monotone machine.
 
     A search depends only on the exclusions, the row and the start width,
-    so each is made once per swap and every replay reuses its result.
+    so each is made once per swap and every replay reuses its result.  A
+    drain's searches share one compact and one kept_outputs middle machine,
+    built at its first search and dropped with it.
     """
 
     K_CAP = 8       # the widest modulus a row's search tries
@@ -407,15 +416,17 @@ class DynamicSwap:
         self.mid = mid
         self._searches: dict = {}   # (exclusions, row, start) -> search
 
-    def search(self, excluded: frozenset, n: int, start: int):
+    def search(self, excluded: frozenset, n: int, start: int,
+               under: Callable):
         """Row n's commit under the exclusions from width start on:
-        (width, table), or None when no width up to K_CAP fits."""
+        (width, table), or None when no width up to K_CAP fits; under()
+        gives the drain's compact and middle machine."""
         key = (excluded, n, start)
         if key not in self._searches:
-            compact = ClopenCompact(excluded)
-            width = emit_width(self.mid, compact, n, start, self.K_CAP)
+            compact, mid = under()
+            width = emit_width(mid, compact, n, start, self.K_CAP)
             self._searches[key] = None if width is None else (
-                width, truth_table(self.mid, compact, n, width))
+                width, truth_table(mid, compact, n, width))
         return self._searches[key]
 
     def replay(self, symbol_at: Callable, length: int, max_rows: int):
@@ -424,10 +435,11 @@ class DynamicSwap:
 
         def drain(ell):
             frozen = frozenset(excluded)
+            under = cache(lambda: (ClopenCompact(frozen), kept_outputs(self.mid)))
             while len(commits) < max_rows:
                 n = len(commits)
                 start = commits[n - 1][1] if n else 1
-                found = self.search(frozen, n, start)
+                found = self.search(frozen, n, start, under)
                 if found is None:
                     return
                 commits[n] = (ell, *found)

@@ -23,6 +23,7 @@ from itertools import count
 from typing import Callable, Optional
 
 from .errors import (
+    CapacityExceeded,
     MiddleMismatch,
     NotACylinder,
     NotParallelizable,
@@ -110,7 +111,8 @@ class Witness:
     name: str = ""
     k_point: Callable = field(init=False)
     # (id(p), width) -> (p, validation status, (F(p), G(K(p))) from the
-    # name's second check on, else None); p keeps id(p) unused
+    # name's second check on, the limit's message when K exceeds a
+    # capacity, else None); p keeps id(p) unused
     _validated: dict = field(init=False, repr=False, compare=False,
                              default_factory=dict)
 
@@ -130,7 +132,7 @@ class Witness:
 class CheckEntry:
     point: str
     behavior: int
-    status: str  # pass | fail | stall | error
+    status: str  # pass | fail | stall | capacity | error
     coordinate: Optional[int] = None
     note: str = ""
     # free oracle coordinates below depth that the run read, in read order;
@@ -155,10 +157,11 @@ class Report:
 
     @property
     def unverified(self) -> bool:
-        """No branch refutes the witness, yet some stalled at their fuel:
-        a stall bounds the run's budget, not the witness."""
+        """No branch refutes the witness, yet some stalled at their fuel or
+        met a capacity of K on their name: either bounds the run's budget,
+        not the witness."""
         bad = self.failures()
-        return bool(bad) and all(e.status == "stall" for e in bad)
+        return bool(bad) and all(e.status in ("stall", "capacity") for e in bad)
 
     def verdict(self) -> str:
         if self.passed:
@@ -167,8 +170,12 @@ class Report:
         if not self.entries:
             return "EMPTY (no corpus entries)"
         if self.unverified:
-            return (f"UNVERIFIED ({len(bad)}/{len(self.entries)} branches "
-                    f"stall at fuel)")
+            total = len(self.entries)
+            stalls = sum(e.status == "stall" for e in bad)
+            why = [f"{n}/{total} branches {what}" for n, what in (
+                (stalls, "stall at fuel"),
+                (len(bad) - stalls, "exceed a capacity of K")) if n]
+            return f"UNVERIFIED ({', '.join(why)})"
         e = bad[0]
         where = f" at coordinate {e.coordinate}" if e.coordinate is not None else ""
         return f"FAIL ({len(bad)}/{len(self.entries)} branches, first {e.status}{where})"
@@ -211,12 +218,17 @@ def check(w: Witness, corpus, depth: int = 16,
         got = w._validated.get(key)
         if got is None:
             status, q = _validate(w, p, validate_width)
-            w._validated[key] = p, status, None
+            w._validated[key] = p, status, (q if status == "capacity"
+                                             else None)
             report.validated += 1
         else:
             _, status, sets = got
         if status == "outdom":
             raise OutOfDomain(f"{w.name}: corpus name outside dom({w.f.name})")
+        if status == "capacity":    # the memo keeps the limit's message
+            report.entries.append(CheckEntry(label, -1, "capacity",
+                                             note=w._validated[key][2]))
+            continue
         if status == "mismatch":
             report.entries.append(CheckEntry(label, -1, "error",
                                              note="K mirror mismatch"))
@@ -258,11 +270,15 @@ def check(w: Witness, corpus, depth: int = 16,
 
 def _validate(w: Witness, p: Point, width: int) -> tuple:
     """(status, K's image of p or None): outdom, mismatch, outside
-    (dom(g)) or ok."""
+    (dom(g)) or ok; or capacity and the limit's message, when K's point
+    action or its run on the name's word exceeds a capacity."""
     if not w.f.in_domain(p):
         return "outdom", None
-    q = w.k_point(p)
-    kout = tuple(w.K.eval(p.prefix(width)))
+    try:
+        q = w.k_point(p)
+        kout = tuple(w.K.eval(p.prefix(width)))
+    except CapacityExceeded as exc:
+        return "capacity", str(exc)
     if kout != prefix(q, len(kout)):
         return "mismatch", q
     if not w.g.in_domain(q):

@@ -1,12 +1,18 @@
-"""Test-only references: a monotonicity audit of machines, the
-level-enumeration search for the minimal blocking level of a tree word,
-and the closed-form index laws of the parallelization shuffles, which
-the machines read off their point actions."""
+"""Test-only references: a monotonicity audit of machines, the prefix
+order and the interleaving of words, the level-enumeration search for
+the minimal blocking level of a tree word, the closed-form index laws of
+the parallelization shuffles, which the machines read off their point
+actions, and the per-row swap search, which builds a fresh compact and
+every word's view for each search."""
 
+import itertools
 from typing import Optional
 
-from weihrauchlab.machines import Machine, PointView
+from weihrauchlab.errors import FuelExhausted
+from weihrauchlab.machines import Machine, PointView, interleave
 from weihrauchlab.points import Point, pair_decode, pair_encode
+from weihrauchlab.spaces import ClopenCompact, extensions
+from weihrauchlab.weakcomp import DynamicSwap, pulse_exclusions
 
 
 def audit_monotone(m: Machine, point: Point, lengths) -> bool:
@@ -19,6 +25,15 @@ def audit_monotone(m: Machine, point: Point, lengths) -> bool:
                 return False
         prev = cur
     return True
+
+
+def is_prefix(v, w) -> bool:
+    """Prefix order on words: v is an initial segment of w."""
+    return len(v) <= len(w) and tuple(w[: len(v)]) == tuple(v)
+
+
+def interleave_words(a, b) -> tuple:
+    return tuple(interleave(a, b))
 
 
 def comparable(v, w) -> bool:
@@ -100,3 +115,61 @@ def diag_tuple_src(i):
 
 def shift_src(j):
     return j + 1
+
+
+# the per-row swap search: a fresh compact per search, each word's view
+# built and each word's admission tested at every row ----------------------
+
+def emit_width_per_row(m: Machine, compact, n: int, start: int,
+                       k_cap: int) -> Optional[int]:
+    for k in range(start, k_cap + 1):
+        words = extensions((), k, compact.admits)
+        if words and all(len(m.view(w)) > n for w in words):
+            return k
+    return None
+
+
+def truth_table_per_row(m: Machine, compact, n: int, arity: int) -> tuple:
+    table = []
+    for w in itertools.product((0, 1), repeat=arity):
+        if compact.admits(w):
+            out = m.view(w)
+            if len(out) <= n:
+                raise FuelExhausted(f"machine stalled on admitted word {w}")
+            table.append(out[n])
+        else:
+            table.append(0)
+    return tuple(table)
+
+
+def search_per_row(m: Machine, excluded, n: int, start: int, k_cap: int):
+    """Row n's commit, (width, table) or None, from a fresh compact."""
+    compact = ClopenCompact(excluded)
+    width = emit_width_per_row(m, compact, n, start, k_cap)
+    return None if width is None else (
+        width, truth_table_per_row(m, compact, n, width))
+
+
+def replay_per_row(swap: DynamicSwap, symbol_at, length: int,
+                   max_rows: int) -> dict:
+    """DynamicSwap.replay with every row searched afresh."""
+    excluded: set = set()
+    commits: dict = {}
+
+    def drain(ell):
+        while len(commits) < max_rows:
+            n = len(commits)
+            start = commits[n - 1][1] if n else 1
+            found = search_per_row(swap.mid, excluded, n, start, swap.K_CAP)
+            if found is None:
+                return
+            commits[n] = (ell, *found)
+
+    drain(1)
+    for ell in range(1, length + 1):
+        if symbol_at(ell - 1) == 0:
+            continue
+        _, blocks = pulse_exclusions(ell - 1, swap.ROW_CAP)
+        excluded.update(blocks or ())
+        drain(ell)
+    return commits

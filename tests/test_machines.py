@@ -9,6 +9,7 @@ from references import (
     double_absorb_src,
     flatten_src,
     gather_src,
+    interleave_words,
     join_src,
     merge_src,
     shift_src,
@@ -33,7 +34,6 @@ from weihrauchlab.machines import (
     identity,
     index_machine,
     inject,
-    interleave_words,
     pair_machine,
     proj1,
     proj2,

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from references import is_prefix
+
 from weihrauchlab.errors import UnsupportedShape
 from weihrauchlab.points import (
     DECODE_BOUND,
@@ -19,7 +21,6 @@ from weihrauchlab.points import (
     all_zero_on_progression,
     depair,
     exists_zero,
-    is_prefix,
     min_zero,
     nonzero_census,
     normalize,

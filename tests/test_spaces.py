@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weihrauchlab.corpus import rng_for
+from weihrauchlab.corpus import mixed_clopen, product_clopen, rng_for
 from weihrauchlab.errors import InsufficientPrefix, InvariantViolation, NotAName
 from weihrauchlab.points import EvPeriodic, RowTuple, prefix
 from weihrauchlab.spaces import (
@@ -24,6 +24,7 @@ from weihrauchlab.spaces import (
     encode_nat,
     encode_ternary,
     encode_tree,
+    extensions,
     word_at,
     word_index,
 )
@@ -185,6 +186,20 @@ def test_word_search_agrees_with_brute_force(tree, compact, rows, w, n):
     want = ct.alive(w) or (ct.member(w)
                            and bool(brute_extensions(w, m, ct.member)))
     assert ct.extension_exists(w, m) == want
+
+
+def test_admitted_words_grown_per_width_are_the_filtered_extensions():
+    """Each width's admitted words, grown from the width below by a
+    lookup per child, are the extensions every prefix of which the
+    compact admits, at every width up to 8 and in any order of asking."""
+    rng = rng_for("admitted-per-width")
+    compacts = [mixed_clopen(rng) for _ in range(12)]
+    compacts += [product_clopen(rng) for _ in range(12)]
+    for compact in compacts:
+        fresh = ClopenCompact(compact.excluded)
+        for k in (8, *range(9)):
+            assert compact.admitted_words(k) == extensions((), k, compact.admits)
+            assert fresh.admitted_words(k) == compact.admitted_words(k)
 
 
 def test_clopen_full_space_name():

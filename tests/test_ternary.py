@@ -34,6 +34,7 @@ from weihrauchlab.spaces import (
     encode_ternary,
     ternary_of_word,
 )
+from weihrauchlab import ternary
 from weihrauchlab.ternary import (
     NandCircuit,
     circuit_table,
@@ -404,7 +405,9 @@ def _reference_tables():
 
 def test_realizer_runs_emit_what_window_doubling_emitted():
     """run_on_point's output and productive flag, for both realizers on
-    every ternary input, equal the window functions' read by doubling."""
+    every ternary input, equal the window functions' read by doubling.
+    One realizer per table serves every input and depth, so the gatewise
+    one answers from its gate memo."""
     for table, arity in _reference_tables():
         ext = ternary_extend(synthesize(table, arity))
         for mach, fn in ((ext.gatewise(), _gatewise_window_fn(ext.circuit)),
@@ -433,6 +436,37 @@ def test_realizer_eval_is_the_window_function_on_short_words():
     for mach, fn in cases:
         for w in words:
             assert mach.eval(w) == fn(w), (mach, w)
+
+
+def test_gatewise_memo_is_the_realizers_own(monkeypatch):
+    """A realizer read on every ternary input at depths 16, 64 and 512
+    works out each pair of gate input shapes once, and none when read
+    again; a second realizer of the same circuit shares none of the
+    first's memo.  (The words it emits are compared with the window
+    function, which keeps no memo, in the test above.)"""
+    calls = []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return nand_shape(u, v)
+
+    monkeypatch.setattr(ternary, "nand_shape", counted)
+    for table, arity in _reference_tables():
+        c = synthesize(table, arity)
+        names = [_tuple_name(ts) for ts in itertools.product(TERNARY, repeat=arity)]
+
+        def read(mach):
+            return [run_on_point(mach, name, depth)
+                    for name in names for depth in (16, 64, 512)]
+
+        first = gatewise_realizer(c)
+        calls.clear()
+        got = read(first)
+        worked = list(calls)
+        assert len(set(worked)) == len(worked) and (worked or c.output < arity)
+        calls.clear()
+        assert read(first) == got and calls == []
+        assert read(gatewise_realizer(c)) == got and calls == worked
 
 
 def _all_half_gatewise():

@@ -1,6 +1,12 @@
 import itertools
+from functools import partial
 
 import pytest
+from references import (
+    emit_width_per_row,
+    replay_per_row,
+    truth_table_per_row,
+)
 
 from weihrauchlab.corpus import (
     clopen_names,
@@ -25,6 +31,7 @@ from weihrauchlab.spaces import ClopenCompact, encode_clopen
 from weihrauchlab import weakcomp
 from weihrauchlab.weakcomp import (
     DynamicSwap,
+    DynamicSwapMirror,
     compact_choice_witnesses,
     compact_image,
     emit_width,
@@ -40,6 +47,7 @@ from weihrauchlab.witnesses import (
     Witness,
 )
 from weihrauchlab.problems import llpo_hat_problem, llpo_problem
+from weihrauchlab.registry import named_witnesses
 
 
 def test_compact_image_examples():
@@ -253,16 +261,22 @@ def _lazy_first(w):
     return tuple(w[:n])
 
 
-def test_dynamic_swap_replays_reuse_searches_without_changing_commits():
-    """A swap that has replayed other prefixes commits what a fresh swap
-    commits, at rising lengths and row budgets."""
+def _dynamic_swap_fixtures():
+    """The replay fixtures: (middle machine, names)."""
     rng = rng_for("dyn-replay")
     # pulses at 0, 5 and 14 force coordinate 0 to 1, at 20 to 0
     names = [EvPeriodic((0,) * i + (1,), (0,)) for i in (0, 5, 14, 20)]
     names += [free_heavy_rowtuple(rng, forced=rng.randrange(4)) for _ in range(4)]
     w = parallel_extensive(llpo_problem())
+    return [(Machine("lazy-first", _lazy_first), names),
+            (compose(w.K, w.H), names)]
+
+
+def test_dynamic_swap_replays_reuse_searches_without_changing_commits():
+    """A swap that has replayed other prefixes commits what a fresh swap
+    commits, at rising lengths and row budgets."""
     stages = {}
-    for mid in (Machine("lazy-first", _lazy_first), compose(w.K, w.H)):
+    for mid, names in _dynamic_swap_fixtures():
         shared = DynamicSwap(mid)
         for p in names:
             for length in (8, 32, 96):
@@ -274,6 +288,86 @@ def test_dynamic_swap_replays_reuse_searches_without_changing_commits():
                         ell for ell, _, _ in got.values())
     # lazy-first commits rows at the stages where exclusions arrive
     assert stages["lazy-first"] == {1, 6, 15}
+
+
+def test_shared_search_commits_as_the_per_row_search():
+    """Drains that share a compact and the middle machine's outputs commit
+    the widths and tables of a fresh search per row, on the replay
+    fixtures and on the parallel_extensive(llpo) chain's swap."""
+    cases = [(mid, p, length, max_rows)
+             for mid, names in _dynamic_swap_fixtures() for p in names
+             for length in (8, 32, 96) for max_rows in (2, 8, 24)]
+    wf = parallel_extensive(llpo_problem())
+    chain = DynamicSwap(compose(wf.K, wf.H))
+    corpus = [EvPeriodic((), (0,)), EvPeriodic((0, 3), (0,)),
+              EvPeriodic((2,), (0,))]
+    entry = named_witnesses()["parallel_extensive(llpo)"]
+    corpus += entry.corpus(rng_for("per-row:parallel_extensive(llpo)"), 4)
+    for p in corpus:
+        q1 = wf.k_point(p)
+        length = DynamicSwapMirror(chain, q1).length
+        cases += [(chain.mid, q1, length, max_rows) for max_rows in (8, 32)]
+    for mid, p, length, max_rows in cases:
+        swap = DynamicSwap(mid)
+        got = swap.replay(p.value_at, length, max_rows)
+        assert got == replay_per_row(swap, p.value_at, length, max_rows), \
+            (mid.name, p, length, max_rows)
+
+
+def test_a_drain_computes_each_admitted_words_output_once(monkeypatch):
+    """Each drain builds one compact, and computes the middle machine's
+    output on each word that compact admits at most once, by eval or by
+    view."""
+    log = []
+
+    class Logged(ClopenCompact):
+        def __init__(self, excluded):
+            super().__init__(excluded)
+            log.append(self)
+
+    monkeypatch.setattr(weakcomp, "ClopenCompact", Logged)
+    drains = 0
+    for base, names in _dynamic_swap_fixtures():
+        def logged(read, w):
+            log.append(w)
+            return read(w)
+
+        mid = Machine("logged", partial(logged, base.eval),
+                      view=partial(logged, base.view))
+        for p in names:
+            log.clear()
+            DynamicSwap(mid).replay(p.value_at, 96, 24)
+            assert log and isinstance(log[0], Logged)
+            for i, compact in enumerate(log):
+                if not isinstance(compact, Logged):
+                    continue
+                end = next((j for j in range(i + 1, len(log))
+                            if isinstance(log[j], Logged)), len(log))
+                words = log[i + 1:end]
+                assert len(set(words)) == len(words), (base.name, p)
+                assert all(compact.admits(w) for w in words)
+                drains += 1
+    assert drains > 16
+
+
+def test_llpo_swap_tables_as_the_per_row_search():
+    """modulus and extract_tables over one kept_outputs machine give the
+    per-row search's widths and tables."""
+    swap2 = pair_machine(proj2(), proj1())
+    rng = rng_for("swap-per-row")
+    for m, depth in ((identity(), 3), (swap2, 2), (shift_l(), 3),
+                     (Machine("lazy-first", _lazy_first), 2)):
+        for p in swap_fixture_points(rng, 4):
+            res = llpo_swap(m, p, depth)
+            compact = compact_image(p)
+            widths = [1]
+            for n in range(depth):
+                widths.append(emit_width_per_row(m, compact, n, widths[-1], 16))
+            assert res.mod.values == widths, (m.name, p)
+            for n in range(depth):
+                arity = max(1, widths[n + 1])
+                assert res.tables.entries[n] == (
+                    arity, truth_table_per_row(m, compact, n, arity))
 
 
 def test_weak_compose_negative_control():

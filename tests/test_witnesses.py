@@ -8,7 +8,12 @@ from weihrauchlab.corpus import (
     pair_points,
     rng_for,
 )
-from weihrauchlab.errors import MiddleMismatch, NotACylinder, OutOfDomain
+from weihrauchlab.errors import (
+    CapacityExceeded,
+    MiddleMismatch,
+    NotACylinder,
+    OutOfDomain,
+)
 from weihrauchlab.machines import Machine, identity, run_on_point, symbol_machine
 from weihrauchlab.medvedev import MassProblem, embed_forward
 from weihrauchlab.points import EvPeriodic, Interleave, RowTuple, prefix
@@ -22,6 +27,7 @@ from weihrauchlab.problems import (
     llpo_real_problem,
     lpo_problem,
 )
+from weihrauchlab.weakcomp import llpo_hat_to_compact
 from weihrauchlab.witnesses import (
     CheckEntry,
     DiscontinuityData,
@@ -400,6 +406,45 @@ def test_a_stall_is_unverified_not_a_failure():
         assert rep.verdict().startswith("FAIL (2/2 branches, first stall")
     assert not Report("w", 24, [ok]).unverified
     assert not Report("w", 24, []).unverified
+
+
+def test_a_capacity_of_k_stays_with_its_name():
+    """Negative control: a compact encoder pulse past ENCODER_ROW_CAP on
+    the second name.  That name is one capacity entry with the limit's
+    message, the first is still checked, and the verdict reads UNVERIFIED
+    and names the capacity, on the first check and from the memo."""
+    zeros = EvPeriodic((), (0,))
+    corpus = [RowTuple({0: EvPeriodic((1,), (0,))}, zeros),
+              RowTuple({0: EvPeriodic((1,), (0,)),
+                        11: EvPeriodic((0, 1), (0,))}, zeros)]
+    w = llpo_hat_to_compact()
+    for _ in range(2):
+        rep = check(w, corpus, depth=8)
+        assert [e.status for e in rep.entries] == ["pass", "capacity"]
+        assert rep.entries[1].note == "forced coordinate 11 beyond the cap"
+        assert rep.unverified
+        assert rep.verdict() == "UNVERIFIED (1/2 branches exceed a capacity of K)"
+
+
+def test_a_capacity_of_k_on_the_word_is_unverified():
+    """A K whose run on the validation word exceeds a capacity, with a
+    point action that does not, leaves the name unverified too; stalls
+    and capacities are counted apart, and a refutation still FAILs."""
+    def capped(w):
+        raise CapacityExceeded("word cap")
+
+    k = Machine("capped", capped, point=lambda p: p)
+    rep = check(Witness(llpo_problem(), llpo_problem(), k, identity(), True),
+                [EvPeriodic((), (0,))], depth=4)
+    assert [(e.status, e.note) for e in rep.entries] == [("capacity", "word cap")]
+    stall = CheckEntry("p", 0, "stall", note="only 3 symbols")
+    cap = rep.entries[0]
+    assert Report("w", 4, [stall, cap, CheckEntry("p", 1, "pass")]).verdict() == (
+        "UNVERIFIED (1/3 branches stall at fuel, "
+        "1/3 branches exceed a capacity of K)")
+    refuted = Report("w", 4, [cap, CheckEntry("p", 2, "fail", coordinate=1)])
+    assert not refuted.unverified
+    assert refuted.verdict() == "FAIL (2/2 branches, first capacity)"
 
 
 def test_mirror_validation_reads_an_index_law_by_its_rows():
