@@ -10,15 +10,16 @@ very long prefixes of lazily evaluated points without materializing them.
 
 Evaluation is demand-driven.  Each primitive defines its output once, as
 a view: a length known from the input's length alone, and an indexer.
-identity's view is its input and the projections' are stride views; the
-others (diag, and the index and symbol machines, const_machine, inject
-and shift_l among them) are LazyWords, whose symbols are computed on
-first read and memoized with the view.  eval is that view materialized,
-but for an index machine, whose eval maps its law over the input.  The
-combinators pass views along: compose hands the outer machine the inner
-stage's view, pair_machine and tensor interleave the views of their
-parts, and tag_case, the copairing of a tagged union, hands the branch
-its tag selects the rest of the input as a view.  So a composite
+identity's view is its input and the projections' are stride views (a
+word's are its slices); the others (diag, and the index and symbol
+machines, const_machine, inject and shift_l among them) are LazyWords,
+whose symbols are computed on first read and memoized with the view.
+eval is that view materialized, but for an index machine, whose eval
+maps its law over the input.  The combinators pass views along:
+compose hands the outer machine the inner stage's view, pair_machine
+and tensor interleave the views of their parts, and tag_case, the
+copairing of a tagged union, hands the branch its tag selects the rest
+of the input as a view.  So a composite
 computes only the inner symbols its outer stages read.  A symbol no
 stage reads is never computed, and an exception computing it would raise
 does not surface; this is the composed stream function's own semantics.
@@ -32,7 +33,8 @@ The schedules of index, symbol and row machines, src(j) and needs(j), do
 not depend on the input, so each such machine caches its emitted length
 (an index machine, the sources it emits) per input length, and a caller
 that needs a length or a single symbol reads the view instead of eval
-(the swap search does).
+(the swap search does).  A row machine's length is found row by row
+(row_emit_length), a symbol machine's code by code.
 identity, the index machines and composes of them carry their index law
 as src, which lets the checker decide a copying H without running it on
 every oracle behavior.  A shuffle is said once: an index machine given
@@ -359,11 +361,11 @@ class RowRule(Stream):
 
 
 def first_half(w):
-    return StrideView(w, 2, 0)
+    return w[0::2] if isinstance(w, tuple) else StrideView(w, 2, 0)
 
 
 def second_half(w):
-    return StrideView(w, 2, 1)
+    return w[1::2] if isinstance(w, tuple) else StrideView(w, 2, 1)
 
 
 def interleave(a, b) -> LazyWord:
@@ -584,12 +586,12 @@ def _emit_budget(length: int) -> int:
     return max(64, (length + 2) * (length + 3))
 
 
-def _emit_lengths(ready: Callable) -> Callable:
-    """Input length L -> the least j within the budget at which ready(j, L)
-    fails: the closed prefix an input-independent schedule emits.  Cached
-    per input length for the machine's lifetime; only lengths are kept.
-    An unbounded input (L None) has every symbol ready: the output is
-    unbounded too."""
+def _emit_lengths(first_unready: Callable) -> Callable:
+    """Input length L -> first_unready(L, cap), the least code below the
+    budget cap whose symbol is not ready over L, cap when every one is: the
+    closed prefix an input-independent schedule emits.  Cached per input
+    length for the machine's lifetime; only lengths are kept.  An unbounded
+    input (L None) has every symbol ready: the output is unbounded too."""
     lengths: dict = {}
 
     def length(L):
@@ -597,13 +599,22 @@ def _emit_lengths(ready: Callable) -> Callable:
             return None
         n = lengths.get(L)
         if n is None:
-            cap = _emit_budget(L)
-            n = 0
-            while n < cap and ready(n, L):
-                n += 1
-            lengths[L] = n
+            n = lengths[L] = first_unready(L, _emit_budget(L))
         return n
     return length
+
+
+def row_emit_length(needs: Callable, L: int, cap: int) -> int:
+    """The least code below cap whose row r has needs(r) > L, else cap:
+    readiness depends only on a code's row, and row r's codes start at
+    <r,0> = r(r+1)/2, so it is <r,0> of the least unready row r."""
+    r = start = 0
+    while start < cap:
+        if needs(r) > L:
+            return start
+        r += 1
+        start += r
+    return cap
 
 
 def index_machine(name: str, src: Callable = None, rows: Callable = None,
@@ -654,7 +665,8 @@ def symbol_machine(name: str, sym: Callable, needs: Callable,
     """Output symbol j is sym(w, j), emitted once len(w) >= needs(j),
     within the evaluation budget; over an unbounded input every symbol is
     emitted.  Its point action, if any, is given."""
-    length = _emit_lengths(lambda j, L: needs(j) <= L)
+    length = _emit_lengths(
+        lambda L, cap: next((j for j in range(cap) if needs(j) > L), cap))
 
     def view(w):
         return LazyWord(length(extent(w)), partial(sym, w))
@@ -671,7 +683,7 @@ def row_machine(name: str, row_of: Callable, needs: Callable) -> Machine:
     is.  eval builds each row it emits once and gathers the rows in
     pairing order; a view builds a row on its first read and keeps it with
     the view.  The point action is the same row law over the point."""
-    length = _emit_lengths(lambda i, L: needs(pair_decode(i)[0]) <= L)
+    length = _emit_lengths(partial(row_emit_length, needs))
 
     def view(w):
         rows: dict = {}

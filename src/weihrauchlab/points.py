@@ -16,6 +16,11 @@ period walk row_period / period_row.  row, row_period and depair (or
 half) take any point: a pair is read through its normal form, and one
 that does not normalize has no rows; pairing_row reads such a pair's
 rows through the pairing instead, as row reads a value law's.
+A point's first n symbols, symbols(n), are read in bulk wherever the
+constructor allows: an eventually periodic stream from its head and cycle,
+a row tuple or a row law through gather_rows, and a pair by filling its
+even slots from its first part's symbols and its odd slots from its
+second's, so a pair of rows, or of pairs, rides its parts' bulk reads.
 
 Points are immutable, and a check asks the same few structural questions
 of the same names many times over: the domain test of every oracle
@@ -181,6 +186,13 @@ class Interleave(Point):
         if i % 2 == 0:
             return self.first.value_at(i // 2)
         return self.second.value_at(i // 2)
+
+    def symbols(self, n: int) -> list:
+        """Each part read in bulk, through its own symbols, into its slots."""
+        out = [0] * n
+        out[0::2] = self.first.symbols((n + 1) // 2)
+        out[1::2] = self.second.symbols(n // 2)
+        return out
 
 
 class RowTuple(Point):
@@ -460,9 +472,8 @@ def _normalize_pair(p: Interleave):
     h = max(len(a.head), len(b.head))
     la, lb = len(a.period), len(b.period)
     lcm = la * lb // math.gcd(la, lb)
-    head = tuple(p.value_at(i) for i in range(2 * h))
-    period = tuple(p.value_at(2 * h + t) for t in range(2 * lcm))
-    return EvPeriodic(head, period)
+    w = p.prefix(2 * (h + lcm))
+    return EvPeriodic(w[:2 * h], w[2 * h:])
 
 
 def _eventually_constant(q: EvPeriodic):
@@ -497,7 +508,7 @@ def _normalize_rowtuple(p: RowTuple):
             return None
         if ecr[1] > 0:
             bound = max(bound, pair_encode(n, ecr[1] - 1) + 1)
-    return EvPeriodic(tuple(p.value_at(i) for i in range(bound)), (c,))
+    return EvPeriodic(p.prefix(bound), (c,))
 
 
 # ---------------------------------------------------------------------------

@@ -257,8 +257,9 @@ class ClopenCompact:
 
     def is_empty(self) -> bool:
         # decidable by finite search: beyond the excluded depth no new
-        # cylinder can be entered, so survivors at that depth certify members
-        return len(self.admitted_words(self.depth())) == 0
+        # cylinder can be entered, so survivors at that depth certify members;
+        # an excluded empty word excludes every word, () among them
+        return () in self.excluded or not self.admitted_words(self.depth())
 
     def alive(self, w) -> bool:
         """w extends to a member: w is admitted and, below the excluded

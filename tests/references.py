@@ -173,3 +173,14 @@ def replay_per_row(swap: DynamicSwap, symbol_at, length: int,
         excluded.update(blocks or ())
         drain(ell)
     return commits
+
+
+# the row machine's emitted length, scanned code by code ---------------------
+
+def row_emit_length_per_code(needs, L: int, cap: int) -> int:
+    """The least code below cap whose row r has needs(r) > L, cap when none
+    has: every code tested in order."""
+    n = 0
+    while n < cap and needs(pair_decode(n)[0]) <= L:
+        n += 1
+    return n

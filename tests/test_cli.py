@@ -76,6 +76,14 @@ def test_cli_eval_lpo(capsys):
     assert "{1}" in capsys.readouterr().out
 
 
+def test_cli_eval_refuses_the_compact_that_excludes_everything(capsys):
+    """Code 1 names the empty word, whose exclusion leaves no point."""
+    assert main(["eval", "compact_choice", "evp(1;0)"]) == 2
+    captured = capsys.readouterr()
+    assert "name outside the domain" in captured.err + captured.out
+    assert "Traceback" not in captured.err + captured.out
+
+
 def test_cli_eval_lpo_hat_prints_the_product(capsys):
     assert main(["eval", "lpo_hat", "rows(default=evp(;1);3:evp(;0))"]) == 0
     assert capsys.readouterr().out == (

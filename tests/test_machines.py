@@ -12,6 +12,7 @@ from references import (
     interleave_words,
     join_src,
     merge_src,
+    row_emit_length_per_code,
     shift_src,
     split_src,
     widen_src,
@@ -25,6 +26,8 @@ from weihrauchlab.machines import (
     PointView,
     ReadView,
     RowView,
+    StrideView,
+    _emit_budget,
     compose,
     const_machine,
     countable_tuple,
@@ -37,6 +40,7 @@ from weihrauchlab.machines import (
     pair_machine,
     proj1,
     proj2,
+    row_emit_length,
     row_machine,
     run_on_point,
     second_half,
@@ -47,6 +51,7 @@ from weihrauchlab.machines import (
     tensor,
 )
 from weihrauchlab.points import (
+    ZEROS,
     EvPeriodic,
     Interleave,
     LawPoint,
@@ -978,3 +983,41 @@ def test_rewritten_machines_emit_what_the_replaced_closures_emitted():
             for width in widths:
                 v = PointView(p, width)
                 assert m.eval(v) == reference(v), (m.name, p, width)
+
+
+def test_row_emit_length_is_the_per_code_scan():
+    """A row machine's emitted length, found from the first code of each
+    row, is the per-code scan's: at every input length up to 130 at its
+    budget, and with the budget on either side of a row's first code.
+    needs need not be monotone (the cell guesses' is not)."""
+    rng = rng_for("row-emit-length")
+    table = [rng.randrange(40) for _ in range(256)]
+    laws = [lambda r: pair_decode(r)[0] + 1, lambda r: r,
+            lambda r: 2 * r + 1, lambda r: r * r, lambda r: 0,
+            lambda r: 10 ** 9, table.__getitem__]
+    for needs in laws:
+        for L in range(131):
+            cap = _emit_budget(L)
+            assert (row_emit_length(needs, L, cap)
+                    == row_emit_length_per_code(needs, L, cap)), L
+        for r in range(1, 40):
+            for cap in (pair_encode(r, 0) + d for d in (-1, 0, 1)):
+                for L in (0, r, 2 * r, r * r):
+                    assert (row_emit_length(needs, L, cap)
+                            == row_emit_length_per_code(needs, L, cap))
+        m = row_machine("rows", lambda read, j: ZEROS, needs)
+        for L in (0, 1, 7, 64, 128):
+            assert len(m.eval((0,) * L)) == row_emit_length_per_code(
+                needs, L, _emit_budget(L))
+
+
+def test_halves_of_a_word_are_its_stride_views():
+    """A word's halves are its slices, with the stride views' symbols and
+    lengths; a view's halves stay stride views."""
+    for n in range(10):
+        w = tuple(range(10, 10 + n))
+        for half, offset in ((first_half, 0), (second_half, 1)):
+            got, view = half(w), StrideView(w, 2, offset)
+            assert isinstance(got, tuple)
+            assert got == tuple(view) and len(got) == len(view)
+            assert isinstance(half(PointView(ZEROS, n)), StrideView)

@@ -13,6 +13,7 @@ from weihrauchlab.points import (
     EvPeriodic,
     Interleave,
     LawPoint,
+    Point,
     RowTuple,
     _nonzero_census,
     _row_period,
@@ -506,3 +507,63 @@ def test_pulse_encoding_is_one_rule():
             assert llpo_value(name) == frozenset({bit})
     for bit in (0, 1):
         assert encode_ternary(TernaryValue(bit)) == pulse(pulse_position(0, bit))
+
+
+def _bulk_read_points() -> list:
+    """Fresh points of every constructor, the pairs of any two of them, and
+    nested pairs: pairs of pairs, a pair inside a row tuple's rows and inside
+    a row law's rows."""
+    from weihrauchlab.corpus import rng_for, thin_tree
+
+    evp = EvPeriodic((3, 0), (1, 2, 0))
+    rows = RowTuple({0: EvPeriodic((3,), (1, 2)), 2: pulse(5)},
+                    EvPeriodic((0, 1), (2,)))
+    value_law = LawPoint(fn=lambda i: i * i % 7, label="squares")
+    row_law = LawPoint(row_fn=lambda n: EvPeriodic((n,), (n % 3, 1)),
+                       label="row-law")
+    tree = TreeChar(thin_tree(rng_for("bulk-read")))
+    parts = [evp, rows, value_law, row_law, tree]
+    pairs = [Interleave(a, b) for a in parts for b in parts]
+    nested = [
+        Interleave(pairs[1], pairs[13]),
+        Interleave(evp, Interleave(tree, Interleave(row_law, value_law))),
+        RowTuple({1: pairs[7], 3: pairs[21]}, Interleave(value_law, evp)),
+        LawPoint(row_fn=lambda n: pairs[n % len(pairs)], label="pair-rows"),
+        Interleave(RowTuple({0: pairs[4]}, pairs[9]), pairs[16]),
+    ]
+    return parts + pairs + nested
+
+
+def test_bulk_reads_agree_with_value_at():
+    """A point's symbols(n), read in bulk, is its first n values one by one,
+    for n up to 130 (past the row tuples' first diagonals): each read on
+    fresh points, so that no memo answers for the other."""
+    for n in range(131):
+        for p, q in zip(_bulk_read_points(), _bulk_read_points()):
+            got = tuple(p.symbols(n))
+            assert got == tuple(map(q.value_at, range(n))), (p, n)
+            assert prefix(p, n) == got
+
+
+def _point_classes(cls=None):
+    cls = cls or Point
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _point_classes(sub)
+
+
+def test_every_bulk_read_is_checked_against_value_at():
+    """Every Point subclass that overrides symbols is a constructor of the
+    agreement test above, so no bulk read goes unchecked."""
+    import importlib
+    import pkgutil
+
+    import weihrauchlab
+
+    for mod in pkgutil.iter_modules(weihrauchlab.__path__):
+        if not mod.name.startswith("_"):
+            importlib.import_module(f"weihrauchlab.{mod.name}")
+    covered = {type(p) for p in _bulk_read_points()}
+    overriding = {c for c in _point_classes() if "symbols" in vars(c)}
+    assert Interleave in overriding
+    assert overriding <= covered, overriding - covered

@@ -109,6 +109,22 @@ def test_tree_roundtrip_sampled():
             assert name.value_at(i) == t.chi(word_at(i))
 
 
+def test_a_compact_that_excludes_the_empty_word_is_empty():
+    """The empty word's cylinder is all of Cantor space: excluding it leaves
+    nothing, at depth 0 too, while admitted_words still lists the words
+    below an excluded empty word as it did."""
+    for words in ({()}, {(), (0,)}, {(), (1, 0)}):
+        k = ClopenCompact(words)
+        assert k.is_empty()
+        assert not k.alive(())
+        assert not any(k.admits(w) for n in range(4)
+                       for w in itertools.product((0, 1), repeat=n))
+        assert k.admitted_words(0) == [()]
+        assert k.admitted_words(1) == k.admitted_words(3) == []
+        assert decode_clopen(encode_clopen(k)) == k
+    assert not ClopenCompact({(0,), (1, 0)}).is_empty()
+
+
 def test_clopen_roundtrip_and_emptiness():
     rng = rng_for("clopen")
     cases = [
