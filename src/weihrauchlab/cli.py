@@ -320,6 +320,22 @@ def cmd_medvedev(args) -> int:
     return 0 if report.passed else 1
 
 
+def natural(text: str) -> int:
+    """A non-negative integer option; check, derive and suite read a
+    --depth or --count of 0 as the registry's default."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"{n} is negative")
+    return n
+
+
+def positive(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{n} is not positive")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="weihrauchlab",
@@ -334,8 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="check one registered witness")
     p.add_argument("name")
-    p.add_argument("--depth", type=int, default=0)
-    p.add_argument("--count", type=int, default=0)
+    p.add_argument("--depth", type=natural, default=0)
+    p.add_argument("--count", type=natural, default=0)
     p.add_argument("--corpus", default="",
                    help="file of input literals, one per line")
     p.set_defaults(fn=cmd_check)
@@ -347,13 +363,13 @@ def build_parser() -> argparse.ArgumentParser:
                        help="derive a witness from registered ones and check it")
     p.add_argument("op", choices=sorted(DERIVABLE))
     p.add_argument("names", nargs="+")
-    p.add_argument("--depth", type=int, default=0)
-    p.add_argument("--count", type=int, default=0)
+    p.add_argument("--depth", type=natural, default=0)
+    p.add_argument("--count", type=natural, default=0)
     p.set_defaults(fn=cmd_derive)
 
     p = sub.add_parser("suite", help="run the whole acceptance corpus")
     p.add_argument("what", nargs="?", default="full", choices=["full"])
-    p.add_argument("--depth", type=int, default=0)
+    p.add_argument("--depth", type=natural, default=0)
     p.set_defaults(fn=cmd_suite)
 
     p = sub.add_parser("wkl", help="tree choice operations")
@@ -364,12 +380,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("swap", help="move a machine past the parallel oracle")
     p.add_argument("--machine", required=True)
     p.add_argument("--point", required=True)
-    p.add_argument("--depth", type=int, default=2)
+    p.add_argument("--depth", type=natural, default=2)
     p.set_defaults(fn=cmd_swap)
 
     p = sub.add_parser("limit", help="limit machines and the adversary")
     p.add_argument("mode", choices=["run", "adversary"])
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=positive, default=2)
     p.add_argument("--inputs", nargs="*", default=[])
     p.set_defaults(fn=cmd_limit)
 
@@ -377,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("mode", choices=["check", "embed"])
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--depth", type=int, default=12)
+    p.add_argument("--depth", type=natural, default=12)
     p.set_defaults(fn=cmd_medvedev)
 
     return ap

@@ -76,6 +76,8 @@ class AdversaryResult:
 def adversary(machine: Callable, k: int, budget: int = 4096) -> AdversaryResult:
     """Feed all-ones prefixes until the guess is quiet, then plant a zero in
     the next component; repeat through every component."""
+    if k < 1:
+        raise ValueError(f"the adversary needs at least one component, got {k}")
     prefixes = [[] for _ in range(k)]
     run = LimitRun()
 

@@ -27,8 +27,9 @@ of the same names many times over: the domain test of every oracle
 branch, the value set, and each row of a tupled name.  So the facts of
 an EvPeriodic, Interleave or RowTuple are computed once per point and
 kept in its declared facts slot, which stays None until a fact is first
-asked for: the census of each kind, row_period, subsample(p, a, b), and
-a pair's normal form (normalize; a pair without one asks again).  The slot
+asked for: the census of each kind, row_period, subsample(p, a, b), a
+pair's normal form (normalize; a pair without one asks again), and the
+compact or dyadic that spaces decodes from a name (through fact).  The slot
 is a declared attribute: a census kept through the instance's __dict__
 instead made the suite's lpo-only checks about a fifth slower.  A
 computation that raises stores nothing, so it raises again when asked
@@ -294,7 +295,7 @@ ONES = const_point(1)
 _FACTFUL = (EvPeriodic, Interleave, RowTuple)   # the points with a facts slot
 
 
-def _fact(p: Point, key, compute: Callable):
+def fact(p: Point, key, compute: Callable):
     """The fact key of p: compute(p), computed once and kept in p's facts
     slot when p has one.  A computation that raises stores nothing."""
     if not isinstance(p, _FACTFUL):
@@ -312,7 +313,7 @@ def _fact(p: Point, key, compute: Callable):
 def subsample(p: Point, a: int, b: int) -> EvPeriodic:
     """The stream n -> p(a*n + b) of a normalizable point, as EvPeriodic;
     computed once per point and progression."""
-    return _fact(p, (a, b), partial(_subsample, a=a, b=b))
+    return fact(p, (a, b), partial(_subsample, a=a, b=b))
 
 
 def _subsample(p: Point, a: int, b: int) -> EvPeriodic:
@@ -394,7 +395,7 @@ def row_period(p: Point) -> tuple:
     periodic stream's head runs to the last row starting inside its head,
     and its rows repeat with period twice its period's length (see row).
     Computed once per point."""
-    return _fact(p, "row_period", _row_period)
+    return fact(p, "row_period", _row_period)
 
 
 def _row_period(p: Point) -> tuple:
@@ -458,7 +459,7 @@ def normalize(p: Point):
     if isinstance(p, EvPeriodic):
         return p
     if isinstance(p, Interleave):
-        return _fact(p, "normal", _normalize_pair)
+        return fact(p, "normal", _normalize_pair)
     if isinstance(p, RowTuple):
         return _normalize_rowtuple(p)
     return None
@@ -535,14 +536,14 @@ def scan_bound(p: Point) -> int:
 
 def zero_census(p: Point) -> tuple:
     """The census of p's zeros (see nonzero_census), once per point."""
-    return _fact(p, "zeros", _zero_census)
+    return fact(p, "zeros", _zero_census)
 
 
 def nonzero_census(p: Point) -> tuple:
     """("zero", None) | ("one", pos) | ("many", first_pos): how many
     nonzeros p has and where the first stands; decided structurally,
     once per point."""
-    return _fact(p, "nonzeros", _nonzero_census)
+    return fact(p, "nonzeros", _nonzero_census)
 
 
 def _census(p: Point, zeros: bool) -> tuple:

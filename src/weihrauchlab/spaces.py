@@ -14,6 +14,7 @@ from .points import (
     EvPeriodic,
     Point,
     Word,
+    fact,
     first_nonzero,
     nonzero_census,
     normalize,
@@ -287,12 +288,15 @@ def encode_clopen(k: ClopenCompact) -> EvPeriodic:
 
 
 def decode_clopen(p: Point) -> ClopenCompact:
-    """Recover the compact from a structurally finite name."""
-    q = normalize(p)
-    if q is None or any(x != 0 for x in q.period):
-        raise NotAName("clopen names are zero-padded code lists")
-    words = {clopen_code_word(c) for c in q.head if c != 0}
-    return ClopenCompact(words)
+    """Recover the compact from a structurally finite name, once per name:
+    the compact is a fact of p, so its liveness memos serve the domain
+    test and the value set alike."""
+    def decode(p):
+        q = normalize(p)
+        if q is None or any(x != 0 for x in q.period):
+            raise NotAName("clopen names are zero-padded code lists")
+        return ClopenCompact({clopen_code_word(c) for c in q.head if c != 0})
+    return fact(p, "clopen", decode)
 
 
 # ---------------------------------------------------------------------------
@@ -353,20 +357,23 @@ def encode_dyadic(x: Dyadic) -> EvPeriodic:
 
 
 def decode_dyadic(p: Point) -> Dyadic:
-    """Exact value of a convergent dyadic name (eventually constant codes)."""
-    q = normalize(p)
-    if q is None:
-        raise NotAName("dyadic names must be eventually periodic at desk scale")
-    tail = {dyadic_from_code(c) for c in q.period}
-    if len(tail) != 1:
-        raise NotAName("dyadic name does not stabilize")
-    x = tail.pop()
-    # convergence discipline: |a_i - x| <= 2^-i for the head approximations
-    for i, c in enumerate(q.head):
-        a = dyadic_from_code(c)
-        num_a, den_a = a.as_fraction()
-        num_x, den_x = x.as_fraction()
-        lhs = abs(num_a * den_x - num_x * den_a) * (2 ** i)
-        if lhs > den_a * den_x:
-            raise NotAName(f"approximation {i} breaks the convergence bound")
-    return x
+    """Exact value of a convergent dyadic name (eventually constant codes),
+    decoded once per name, as a fact of p."""
+    def decode(p):
+        q = normalize(p)
+        if q is None:
+            raise NotAName("dyadic names must be eventually periodic at desk scale")
+        tail = {dyadic_from_code(c) for c in q.period}
+        if len(tail) != 1:
+            raise NotAName("dyadic name does not stabilize")
+        x = tail.pop()
+        # convergence discipline: |a_i - x| <= 2^-i for the head approximations
+        for i, c in enumerate(q.head):
+            a = dyadic_from_code(c)
+            num_a, den_a = a.as_fraction()
+            num_x, den_x = x.as_fraction()
+            lhs = abs(num_a * den_x - num_x * den_a) * (2 ** i)
+            if lhs > den_a * den_x:
+                raise NotAName(f"approximation {i} breaks the convergence bound")
+        return x
+    return fact(p, "dyadic", decode)

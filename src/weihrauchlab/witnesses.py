@@ -11,9 +11,9 @@ of coordinate boxes.  The
 point action of K (k_point, taken from K.point) lets the oracle's value
 set be computed on a finitely presented name; it is validated against the
 machine on a prefix of the name once per witness, name and width, and
-every later check of that name reuses the verdict.  A name's second check
-keeps its two value sets, which take no depth, and every check after that
-reuses them; a name checked once keeps only its verdict.
+every later check of that name reuses the verdict.  A name that passes
+validation keeps its two value sets, F(p) and G of the validated image,
+which take no depth, and every later check explores those.
 """
 
 from __future__ import annotations
@@ -110,9 +110,9 @@ class Witness:
     strong: bool
     name: str = ""
     k_point: Callable = field(init=False)
-    # (id(p), width) -> (p, validation status, (F(p), G(K(p))) from the
-    # name's second check on, the limit's message when K exceeds a
-    # capacity, else None); p keeps id(p) unused
+    # (id(p), width) -> (p, validation status, (F(p), G(K(p))) when ok,
+    # the limit's message when K exceeds a capacity, else None); p keeps
+    # id(p) unused
     _validated: dict = field(init=False, repr=False, compare=False,
                              default_factory=dict)
 
@@ -146,7 +146,7 @@ class Report:
     depth: int
     entries: list = field(default_factory=list)
     validated: int = 0      # names whose validation this check ran
-    reused: int = 0         # names whose value sets this check kept from before
+    reused: int = 0         # ok names whose value sets an earlier check built
 
     @property
     def passed(self) -> bool:
@@ -194,9 +194,10 @@ def check(w: Witness, corpus, depth: int = 16,
     K is validated on the name's word: its first validate_width symbols,
     read once (p.prefix), and K's whole output on them is compared with
     the mirror's prefix of the same length.  The status (_validate) is
-    kept per witness, name and width, so later checks validate no more.
-    From the second check of an ok name on, its value sets are kept as
-    well and later checks explore those: their memos hold no depth.
+    kept per witness, name and width, so later checks validate no more;
+    an ok name keeps its value sets with it, F(p) and G of the validated
+    image, and every later check explores those: their memos hold no
+    depth.  A validation or value set that raises keeps nothing.
 
     The oracle's behaviors are explored along H's reads (ValueSet.explore):
     an entry stands for every behavior that agrees with its run on the
@@ -217,17 +218,16 @@ def check(w: Witness, corpus, depth: int = 16,
         key = id(p), validate_width
         got = w._validated.get(key)
         if got is None:
-            status, q = _validate(w, p, validate_width)
-            w._validated[key] = p, status, (q if status == "capacity"
-                                             else None)
+            status, kept = _validate(w, p, validate_width)
+            w._validated[key] = p, status, kept
             report.validated += 1
         else:
-            _, status, sets = got
+            _, status, kept = got
+            report.reused += status == "ok"
         if status == "outdom":
             raise OutOfDomain(f"{w.name}: corpus name outside dom({w.f.name})")
         if status == "capacity":    # the memo keeps the limit's message
-            report.entries.append(CheckEntry(label, -1, "capacity",
-                                             note=w._validated[key][2]))
+            report.entries.append(CheckEntry(label, -1, "capacity", note=kept))
             continue
         if status == "mismatch":
             report.entries.append(CheckEntry(label, -1, "error",
@@ -237,14 +237,7 @@ def check(w: Witness, corpus, depth: int = 16,
             report.entries.append(CheckEntry(label, -1, "fail",
                                              note=f"K image outside dom({w.g.name})"))
             continue
-        if got is None:
-            fv, gv = w.f.value_set(p), w.g.value_set(q)
-        elif sets is None:
-            fv, gv = sets = w.f.value_set(p), w.g.value_set(w.k_point(p))
-            w._validated[key] = p, status, sets
-        else:
-            fv, gv = sets
-            report.reused += 1
+        fv, gv = kept
         if _included(w, fv, gv, depth):
             report.entries.append(CheckEntry(label, 0, "pass", use=(),
                                              note="inclusion"))
@@ -269,9 +262,10 @@ def check(w: Witness, corpus, depth: int = 16,
 
 
 def _validate(w: Witness, p: Point, width: int) -> tuple:
-    """(status, K's image of p or None): outdom, mismatch, outside
-    (dom(g)) or ok; or capacity and the limit's message, when K's point
-    action or its run on the name's word exceeds a capacity."""
+    """(status, kept): outdom, mismatch or outside (dom(g)) and None; ok
+    and the value sets (F(p), G(q)) of K's image q; or capacity and the
+    limit's message, when K's point action or its run on the name's word
+    exceeds a capacity."""
     if not w.f.in_domain(p):
         return "outdom", None
     try:
@@ -280,10 +274,10 @@ def _validate(w: Witness, p: Point, width: int) -> tuple:
     except CapacityExceeded as exc:
         return "capacity", str(exc)
     if kout != prefix(q, len(kout)):
-        return "mismatch", q
+        return "mismatch", None
     if not w.g.in_domain(q):
-        return "outside", q
-    return "ok", q
+        return "outside", None
+    return "ok", (w.f.value_set(p), w.g.value_set(q))
 
 
 def _included(w: Witness, fv, gv, depth: int) -> bool:

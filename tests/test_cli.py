@@ -1,5 +1,7 @@
 from pathlib import Path
 
+import pytest
+
 from weihrauchlab.cli import main
 from weihrauchlab.corpus import rng_for, thin_tree, mixed_clopen, any_points
 from weihrauchlab.literals import (
@@ -211,6 +213,24 @@ def test_cli_limit_run_counts_equal_indices_once(capsys):
 def test_cli_limit_adversary(capsys):
     assert main(["limit", "adversary", "--k", "2"]) == 0
     assert "forced 2 mind changes" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, option", [
+    (["check", "llpo_to_lpo", "--depth", "-1"], "--depth: -1 is negative"),
+    (["check", "llpo_to_lpo", "--count", "-1"], "--count: -1 is negative"),
+    (["derive", "parallelize", "llpo_to_lpo", "--depth", "-1"],
+     "--depth: -1 is negative"),
+    (["suite", "--depth", "-2"], "--depth: -2 is negative"),
+    (["medvedev", "check", "mass(evp(;0))", "mass(evp(;1))", "--depth", "-1"],
+     "--depth: -1 is negative"),
+    (["limit", "adversary", "--k", "0"], "--k: 0 is not positive"),
+    (["limit", "adversary", "--k", "-1"], "--k: -1 is not positive"),
+])
+def test_cli_refuses_a_numeric_option_out_of_range(capsys, argv, option):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {option}" in captured.err
 
 
 def test_cli_wkl_solve(capsys):

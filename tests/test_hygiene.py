@@ -81,7 +81,7 @@ def test_no_name_comparisons_in_src():
 
 
 def test_no_dict_reads_in_src():
-    """Memoized facts live in a declared slot (points._fact): a census kept
+    """Memoized facts live in a declared slot (points.fact): a census kept
     through a point's __dict__ made the suite's lpo-only checks about a
     fifth slower."""
     read = [

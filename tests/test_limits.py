@@ -88,6 +88,12 @@ def test_adversary_forces_k_changes():
         assert res.run.answer == want
 
 
+def test_adversary_refuses_fewer_than_one_component():
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="at least one component"):
+            adversary(lpo_k_machine(k), k)
+
+
 def test_adversary_exposes_stubborn_machine():
     stubborn = lambda prefixes: (1,) * len(prefixes)
     res = adversary(stubborn, 2)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weihrauchlab import spaces
 from weihrauchlab.corpus import (
     any_points,
     ev_periodic,
@@ -53,7 +54,9 @@ from weihrauchlab.problems import (
     product_problem,
     sum_problem,
 )
+from weihrauchlab.registry import named_witnesses
 from weihrauchlab.spaces import ClopenCompact, Dyadic, encode_clopen
+from weihrauchlab.witnesses import check
 
 
 def _listed(*pts):
@@ -287,6 +290,36 @@ def test_compact_choice_examples():
 
     empty = encode_clopen(ClopenCompact({(0,), (1,)}))
     assert not prob.in_domain(empty)
+
+
+@pytest.mark.parametrize("name, side", [
+    ("compact_to_llpo_hat", "f"), ("llpo_hat_to_compact", "g"),
+    ("llpo_real_to_llpo", "f"), ("llpo_to_llpo_real", "g")])
+def test_each_compact_and_dyadic_name_is_decoded_once(monkeypatch, name,
+                                                      side):
+    """The domain test, the value set, K's search and a second check all
+    read the one compact or dyadic that is a fact of the name object."""
+    decoded = []
+    normalize = spaces.normalize
+
+    def counting(p):
+        decoded.append(p)
+        return normalize(p)
+
+    monkeypatch.setattr(spaces, "normalize", counting)
+    entry = named_witnesses()[name]
+    corpus = entry.corpus(rng_for(f"cli:{name}"), entry.count)
+    w = entry.build()
+    names = corpus if side == "f" else [w.k_point(p) for p in corpus]
+    problem = getattr(w, side)
+    for _ in range(2):
+        for q in names:
+            assert problem.in_domain(q)
+            problem.value_set(q)
+    for depth in (8, 12):
+        assert check(w, corpus, depth=depth).passed
+    assert len(decoded) == len({id(q) for q in decoded})
+    assert {id(q) for q in names} <= {id(q) for q in decoded}
 
 
 def test_llpo_real_values():

@@ -2,17 +2,20 @@
 
 The validation status (dom(f), the K mirror on the name's first symbols,
 dom(g) of the image) is kept on the witness; a later check of the same
-name, at any depth, reuses it.  From a name's second check on, the
-witness keeps its two value sets too, and later checks explore those.
-A fresh witness per check, which validates every name again and builds
-its value sets again, is the reference.
+name, at any depth, reuses it.  A name that passes validation keeps its
+two value sets too, F(p) and G of the validated image, and every later
+check explores those.  A fresh witness per check, which validates every
+name again and builds its value sets again, is the reference.
 """
 
 import dataclasses
+import gc
+import weakref
 
 import pytest
 from test_explore import LADDER
 
+from weihrauchlab import cli
 from weihrauchlab.corpus import rng_for
 from weihrauchlab.errors import NonRepresentable, OutOfDomain
 from weihrauchlab.machines import const_machine, identity, index_machine
@@ -75,14 +78,15 @@ def test_ladder_on_one_witness_reports_as_a_fresh_witness_per_depth(
         assert _entries(got) == _entries(want), (name, depth)
         assert want.validated == distinct and want.reused == 0
         assert got.validated == (distinct if i == 0 else 0)
-        assert got.reused == (distinct if i >= 2 else 0)
-        assert len(g_sets) == distinct * min(i + 1, 2)
+        assert got.reused == (distinct if i >= 1 else 0)
+        assert len(g_sets) == distinct
 
 
 @pytest.mark.parametrize("name", sorted(named_witnesses()))
 def test_registry_on_one_witness_reports_as_a_fresh_witness_per_depth(name):
-    """Depth 8, registry depth, then depth 8 again: the third check
-    explores the value sets that the second kept, at a smaller depth."""
+    """Depth 8, registry depth, then depth 8 again: the second and third
+    checks explore the value sets that the first kept, the third at a
+    smaller depth than the second."""
     entry = named_witnesses()[name]
     corpus = entry.corpus(rng_for(f"cli:{name}"), entry.count)
     shared = entry.build()
@@ -91,7 +95,7 @@ def test_registry_on_one_witness_reports_as_a_fresh_witness_per_depth(name):
     for i, depth in enumerate((8, entry.depth, 8)):
         got = check(shared, corpus, depth=depth)
         assert _entries(got) == want[depth], (name, depth)
-        assert got.reused == (len(corpus) if i == 2 else 0)
+        assert got.reused == (len(corpus) if i >= 1 else 0)
 
 
 def test_K_evaluates_once_per_name_and_width(monkeypatch):
@@ -186,3 +190,63 @@ def test_a_mirror_that_raises_raises_again():
         with pytest.raises(NonRepresentable):
             check(w, [p], depth=8)
     assert tried == [p, p]
+
+
+@pytest.mark.parametrize("name", LADDER)
+def test_K_point_runs_once_per_name_over_the_ladder(name):
+    entry = named_witnesses()[name]
+    corpus = entry.corpus(rng_for(f"cli:{name}"), entry.count)
+    w = entry.build()
+    images = []
+    k_point = w.k_point
+
+    def counting(p):
+        images.append(p)
+        return k_point(p)
+
+    w.k_point = counting
+    for depth in RUNGS:
+        check(w, corpus, depth=depth)
+    assert sorted(map(id, images)) == sorted(map(id, corpus))
+
+
+def test_a_value_set_that_raises_raises_again_and_keeps_nothing(monkeypatch):
+    w = Witness(llpo_problem(), llpo_problem(), identity(), identity(), True,
+                name="refl")
+    p = EvPeriodic((0, 1), (0,))
+    tried = []
+
+    def value_set(q):
+        tried.append(q)
+        raise NonRepresentable("no finite presentation")
+
+    monkeypatch.setattr(w.g, "value_set", value_set)
+    for _ in range(2):
+        with pytest.raises(NonRepresentable):
+            check(w, [p], depth=8)
+        assert w._validated == {}
+    assert len(tried) == 2
+
+
+def test_suite_full_leaves_no_witness_alive(monkeypatch, capsys):
+    """`suite full` builds one witness per entry and drops it after its
+    check, so the value sets a witness keeps live for one check only."""
+    built = []
+
+    def recording(entry):
+        def build():
+            w = entry.build()
+            built.append(weakref.ref(w))
+            return w
+        return dataclasses.replace(entry, build=build)
+
+    def entries():
+        return {name: recording(entry)
+                for name, entry in named_witnesses().items()}
+
+    monkeypatch.setattr(cli, "named_witnesses", entries)
+    assert cli.main(["suite", "full"]) == 0
+    capsys.readouterr()
+    gc.collect()
+    assert len(built) == len(named_witnesses())
+    assert [ref for ref in built if ref() is not None] == []
