@@ -296,7 +296,8 @@ class LazyWord(View):
 class Stream(View):
     """An unbounded output read in order: the symbols found so far are
     kept in memo, and fill(n) finds them up to n or raises Stalled,
-    keeping those it found."""
+    keeping those it found.  A fill to n that memo already covers reads
+    nothing, so a kept stream serves every shorter read from memo."""
 
     __slots__ = ("memo",)
 
@@ -322,6 +323,8 @@ class Search(Stream):
 
     def fill(self, n: int):
         memo = self.memo
+        if len(memo) >= n:
+            return
         memo.extend(islice(self.symbols, n - len(memo)))
         if len(memo) < n:
             raise Stalled(f"no output symbol {len(memo)} on any input read")
@@ -346,6 +349,8 @@ class RowRule(Stream):
         self.memo = ()
 
     def fill(self, n: int):
+        if len(self.memo) >= n:
+            return
         L = self.need(n)
         while True:
             out = self.rule(PrefixView(self.w, L))
@@ -432,6 +437,14 @@ class EvalOutcome:
     width: int = 0
 
 
+def output_stream(m: Machine, v: View) -> Stream:
+    """m's output on the view v as a Stream, read in order, so that a
+    stall keeps the symbols read before it and a later fill reads on from
+    there.  A machine that stalls before it has a view raises Stalled."""
+    view = m.view(v)
+    return view if isinstance(view, Stream) else Search(map(view.__getitem__, count()))
+
+
 def run_on_point(m: Machine, p: Point, depth: int, fuel: int = None) -> EvalOutcome:
     """Read depth symbols of m's output on p, over a view of p that counts
     the input symbols read.  A run that needs more than fuel of them before
@@ -440,10 +453,7 @@ def run_on_point(m: Machine, p: Point, depth: int, fuel: int = None) -> EvalOutc
     v = ReadView(p, DEFAULT_FUEL if fuel is None else fuel)
     out = None
     try:
-        view = m.view(v)
-        # read in order, so that a stall keeps the symbols read before it
-        out = (view if isinstance(view, Stream)
-               else Search(map(view.__getitem__, count())))
+        out = output_stream(m, v)
         out.fill(depth)
     except Stalled:
         return EvalOutcome(() if out is None else tuple(out.memo), False, v.reads)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -151,7 +152,7 @@ class CoordProductSet(ValueSet):
         return None
 
     def canonical_bit(self, i: int) -> int:
-        return min(self.bits(i))
+        return _least_bit(self.bits(i))
 
     def boxes(self):
         return (self,)
@@ -443,12 +444,53 @@ class UnionSet(ValueSet):
         return tuple(itertools.chain.from_iterable(parts))
 
 
-def image_in_boxes(source: CoordProductSet, src: Callable, boxes: tuple,
+@lru_cache(maxsize=None)
+def _least_bit(bits: frozenset) -> int:
+    """min(bits), kept per allowed set: the sets are few and shared
+    (BIT_ANSWERS, BOTH_ANSWERS), so no value set holds a memo of its own."""
+    return min(bits)
+
+
+@lru_cache(maxsize=4096)
+def _masks_of(allowed: tuple) -> dict:
+    """Symbol -> the bit mask of the k whose allowed[k] holds it.  Shared
+    between positions and names with the same allowed sets; never
+    written to."""
+    masks: dict = {}
+    for k, bits in enumerate(allowed):
+        for x in bits:
+            masks[x] = masks.get(x, 0) | 1 << k
+    return masks
+
+
+class BoxMasks:
+    """Which of a tuple of boxes allow each symbol at each output
+    position: at(i) maps a symbol x to the bit mask of the boxes (bit k
+    for boxes[k]) whose coordinate i allows x; a symbol it omits no box
+    allows.  A position's masks are computed on first need, in order, and
+    kept: they depend on the boxes alone, not on a depth or a source."""
+
+    __slots__ = ("boxes", "full", "rows")
+
+    def __init__(self, boxes: tuple):
+        self.boxes = boxes
+        self.full = (1 << len(boxes)) - 1
+        self.rows = []
+
+    def at(self, i: int) -> dict:
+        rows = self.rows
+        while len(rows) <= i:
+            rows.append(_masks_of(tuple(box.bits(len(rows)) for box in self.boxes)))
+        return rows[i]
+
+
+def image_in_boxes(source: CoordProductSet, coords, masks: BoxMasks,
                    depth: int, cap: int) -> bool:
-    """Whether the word (r(src(0)), ..., r(src(depth - 1))) lies in some box
-    for every behavior r of source below depth, a box holding a word when
-    it allows each of its symbols: an H that copies by src maps every
-    oracle answer into the union of boxes.
+    """Whether the word (r(coords[0]), ..., r(coords[depth - 1])) lies in
+    some box of masks for every behavior r of source below depth, a box
+    holding a word when it allows each of its symbols: an H that copies
+    by the index law src, coords[i] = src(i), maps every oracle answer
+    into the union of boxes.
 
     r ranges over the behaviors explore runs on: free coordinates below
     depth take either bit, every other coordinate its canonical bit.  With
@@ -456,20 +498,21 @@ def image_in_boxes(source: CoordProductSet, src: Callable, boxes: tuple,
     so one pass over them decides, its state the set of boxes that still
     hold the word read so far (a bit mask).  False means not proven: some
     behavior leaves every box, src repeats a coordinate below depth, or
-    the states outgrow cap.
+    the states outgrow cap.  coords holds at least depth coordinates;
+    the masks of a position are read from the kept BoxMasks, so a check
+    at a new depth computes only the positions no earlier one reached.
     """
-    coords = [src(i) for i in range(depth)]
-    if not boxes or len(set(coords)) < depth:
+    if not masks.boxes or len(set(coords[:depth])) < depth:
         return False
-    states = {(1 << len(boxes)) - 1}
-    for i, c in enumerate(coords):
+    states = {masks.full}
+    for i in range(depth):
+        c = coords[i]
         if c < depth and len(source.bits(c)) == 2:
             bits = (0, 1)
         else:
             bits = (source.canonical_bit(c),)
-        masks = [sum(1 << k for k, box in enumerate(boxes) if x in box.bits(i))
-                 for x in bits]
-        states = {s & m for s in states for m in masks}
+        at = masks.at(i)
+        states = {s & at.get(x, 0) for s in states for x in bits}
         if 0 in states or len(states) > cap:
             return False
     return True
@@ -518,8 +561,14 @@ class Problem:
 
 
 def nat_problem(key, in_domain: Callable, answers: Callable) -> Problem:
-    """A nat-valued problem given by its answer law."""
-    return Problem(key, in_domain, lambda p: FiniteNatsSet(answers(p)), answers)
+    """A nat-valued problem given by its answer law.  An answer set of
+    the bit problems has one value set, handed out for every name."""
+    def value(p):
+        a = answers(p)
+        shared = BIT_VALUE_SETS.get(a)
+        return FiniteNatsSet(a) if shared is None else shared
+
+    return Problem(key, in_domain, value, answers)
 
 
 def _lpo_dom(p: Point) -> bool:
@@ -534,6 +583,8 @@ def _lpo_dom(p: Point) -> bool:
 # choice's coordinates), one object each for every name
 BIT_ANSWERS = frozenset({0}), frozenset({1})
 BOTH_ANSWERS = frozenset({0, 1})
+# their value sets, one object each: a value set keeps no per-name state
+BIT_VALUE_SETS = {a: FiniteNatsSet(a) for a in (*BIT_ANSWERS, BOTH_ANSWERS)}
 
 
 def lpo_value(p: Point) -> frozenset:

@@ -13,7 +13,11 @@ set be computed on a finitely presented name; it is validated against the
 machine on a prefix of the name once per witness, name and width, and
 every later check of that name reuses the verdict.  A name that passes
 validation keeps its two value sets, F(p) and G of the validated image,
-which take no depth, and every later check explores those.
+which take no depth, and every later check explores those.  The name
+keeps its label as well and, on the inclusion path, F(p)'s box masks
+and H's run on G's canonical member, and the witness keeps H's index
+law read so far: a check at a new depth works out only the coordinates,
+masks and run symbols that depth adds.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from .errors import (
     NotACylinder,
     NotParallelizable,
     OutOfDomain,
+    Stalled,
     WorkbenchError,
 )
 from .literals import point_str
@@ -35,6 +40,7 @@ from .machines import (
     Machine,
     ReadView,
     RowView,
+    Stream,
     compose,
     compose_all,
     const_machine,
@@ -45,6 +51,7 @@ from .machines import (
     index_machine,
     inject,
     interleave,
+    output_stream,
     pair_machine,
     proj1,
     proj2,
@@ -83,6 +90,7 @@ from .points import (
 )
 from .problems import (
     BEHAVIOR_CAP,
+    BoxMasks,
     CoordProductSet,
     Problem,
     c_problem,
@@ -110,11 +118,12 @@ class Witness:
     strong: bool
     name: str = ""
     k_point: Callable = field(init=False)
-    # (id(p), width) -> (p, validation status, (F(p), G(K(p))) when ok,
-    # the limit's message when K exceeds a capacity, else None); p keeps
-    # id(p) unused
+    # (id(p), width) -> what the checks keep of the name p (Name)
     _validated: dict = field(init=False, repr=False, compare=False,
                              default_factory=dict)
+    # H's index law read so far: src(0), src(1), ...
+    _src: list = field(init=False, repr=False, compare=False,
+                       default_factory=list)
 
     def __post_init__(self):
         if self.K.point is None:
@@ -126,6 +135,25 @@ class Witness:
 
     def __repr__(self):
         return f"Witness({self.name})"
+
+
+@dataclass(eq=False, slots=True)
+class Name:
+    """What a witness keeps of one corpus name at one validation width.
+    The first check sets the label, the validation status and kept: (F(p),
+    G(K(p))) when ok, the limit's message when K exceeds a capacity, else
+    None.  The inclusion test adds F(p)'s box masks and H's run on G's
+    canonical member, with the length of its prefix that copies as the
+    law says (copied) and whether the symbol after it differs."""
+
+    point: Point            # keeps id(point) unused
+    label: str
+    status: str
+    kept: object
+    masks: Optional[BoxMasks] = None
+    run: Optional[Stream] = None
+    copied: int = 0
+    differs: bool = False
 
 
 @dataclass
@@ -194,10 +222,11 @@ def check(w: Witness, corpus, depth: int = 16,
     K is validated on the name's word: its first validate_width symbols,
     read once (p.prefix), and K's whole output on them is compared with
     the mirror's prefix of the same length.  The status (_validate) is
-    kept per witness, name and width, so later checks validate no more;
-    an ok name keeps its value sets with it, F(p) and G of the validated
-    image, and every later check explores those: their memos hold no
-    depth.  A validation or value set that raises keeps nothing.
+    kept per witness, name and width (Name), so later checks validate no
+    more; an ok name keeps its value sets with it, F(p) and G of the
+    validated image, and every later check explores those: their memos
+    hold no depth.  The name's label is formatted on its first check.  A
+    validation or value set that raises keeps nothing.
 
     The oracle's behaviors are explored along H's reads (ValueSet.explore):
     an entry stands for every behavior that agrees with its run on the
@@ -208,22 +237,26 @@ def check(w: Witness, corpus, depth: int = 16,
     (problems.image_in_boxes) once one real run of H is productive and
     copies as its law says.  A proven inclusion is one passing entry that
     stands for every behavior (use=(), note="inclusion"); otherwise the
-    behaviors are explored as above."""
+    behaviors are explored as above.  The law's coordinates, F(p)'s box
+    masks and H's run on G's canonical member are kept, so a deeper check
+    computes only its new coordinates and masks and reads and compares
+    only the run's new symbols; every depth still tests each position
+    below it with its own split between free and canonical bits."""
     report = Report(w.name, depth)
     for p in corpus:
-        try:
-            label = point_str(p)
-        except WorkbenchError:      # no symbol of the name can be read
-            label = repr(p)
         key = id(p), validate_width
-        got = w._validated.get(key)
-        if got is None:
-            status, kept = _validate(w, p, validate_width)
-            w._validated[key] = p, status, kept
+        name = w._validated.get(key)
+        if name is None:
+            try:
+                label = point_str(p)
+            except WorkbenchError:      # no symbol of the name can be read
+                label = repr(p)
+            name = Name(p, label, *_validate(w, p, validate_width))
+            w._validated[key] = name
             report.validated += 1
         else:
-            _, status, kept = got
-            report.reused += status == "ok"
+            report.reused += name.status == "ok"
+        label, status, kept = name.label, name.status, name.kept
         if status == "outdom":
             raise OutOfDomain(f"{w.name}: corpus name outside dom({w.f.name})")
         if status == "capacity":    # the memo keeps the limit's message
@@ -238,7 +271,7 @@ def check(w: Witness, corpus, depth: int = 16,
                                              note=f"K image outside dom({w.g.name})"))
             continue
         fv, gv = kept
-        if _included(w, fv, gv, depth):
+        if _included(w, name, depth):
             report.entries.append(CheckEntry(label, 0, "pass", use=(),
                                              note="inclusion"))
             continue
@@ -280,20 +313,59 @@ def _validate(w: Witness, p: Point, width: int) -> tuple:
     return "ok", (w.f.value_set(p), w.g.value_set(q))
 
 
-def _included(w: Witness, fv, gv, depth: int) -> bool:
+def _included(w: Witness, name: Name, depth: int) -> bool:
     """H(G(K(p))) within F(p) below depth, decided without forking: H is
     strong and copies by its index law, G's value set is a coordinate
     product, F's a union of boxes, and H's run on G's canonical answer is
-    productive and reads as the law says."""
+    productive and reads as the law says.  The law's coordinates, the box
+    masks and the run are kept, so a new depth computes only what it adds."""
     src = w.H.src
+    fv, gv = name.kept
     if not (w.strong and src is not None and isinstance(gv, CoordProductSet)):
         return False
-    boxes = fv.boxes()
-    if boxes is None or not image_in_boxes(gv, src, boxes, depth, BEHAVIOR_CAP):
+    if name.masks is None:
+        name.masks = BoxMasks(fv.boxes() or ())
+    coords = w._src
+    coords.extend(map(src, range(len(coords), depth)))
+    return (image_in_boxes(gv, coords, name.masks, depth, BEHAVIOR_CAP)
+            and _copies(w, name, gv, depth))
+
+
+def _copies(w: Witness, name: Name, gv: CoordProductSet, depth: int) -> bool:
+    """H's run on G's canonical member emits depth symbols, each the
+    canonical bit at its law coordinate (w._src).  The run is kept with
+    the name: a deeper check reads and compares only the new symbols, a
+    shallower one what the kept prefix already showed."""
+    if name.copied >= depth:
+        return True
+    if name.differs:
         return False
-    outcome = run_on_point(w.H, gv.canonical(), depth)
-    return outcome.productive and outcome.output == tuple(
-        gv.canonical_bit(src(i)) for i in range(depth))
+    run = name.run
+    if run is None:
+        try:
+            run = output_stream(w.H, ReadView(gv.canonical()))
+        except Stalled:
+            return False
+        name.run = run
+    try:
+        run.fill(depth)
+    except BaseException as exc:
+        # a read that raised is not resumed (a Search over a view would
+        # skip its symbol): a deeper check runs afresh, as a fresh witness
+        # does, and a stall's symbols are compared below
+        name.run = None
+        if not isinstance(exc, Stalled):
+            raise
+    memo, coords = run.memo, w._src
+    copied = name.copied
+    for i in range(copied, min(depth, len(memo))):
+        if memo[i] != gv.canonical_bit(coords[i]):
+            name.differs = True
+            name.run = None     # no later depth reads it
+            break
+        copied = i + 1
+    name.copied = copied
+    return copied >= depth
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 order and the interleaving of words, the level-enumeration search for
 the minimal blocking level of a tree word, the closed-form index laws of
 the parallelization shuffles, which the machines read off their point
-actions, and the per-row swap search, which builds a fresh compact and
-every word's view for each search."""
+actions, the per-row swap search, which builds a fresh compact and
+every word's view for each search, and the box inclusion test that reads
+the index law and computes every box mask on each call."""
 
 import itertools
 from typing import Optional
@@ -115,6 +116,29 @@ def diag_tuple_src(i):
 
 def shift_src(j):
     return j + 1
+
+
+# box inclusion, everything computed per call -------------------------------
+
+def image_in_boxes_per_call(source, src, boxes: tuple, depth: int,
+                            cap: int) -> bool:
+    """problems.image_in_boxes with src read and each position's box
+    masks computed afresh on every call."""
+    coords = [src(i) for i in range(depth)]
+    if not boxes or len(set(coords)) < depth:
+        return False
+    states = {(1 << len(boxes)) - 1}
+    for i, c in enumerate(coords):
+        if c < depth and len(source.bits(c)) == 2:
+            bits = (0, 1)
+        else:
+            bits = (min(source.bits(c)),)
+        masks = [sum(1 << k for k, box in enumerate(boxes) if x in box.bits(i))
+                 for x in bits]
+        states = {s & m for s in states for m in masks}
+        if 0 in states or len(states) > cap:
+            return False
+    return True
 
 
 # the per-row swap search: a fresh compact per search, each word's view

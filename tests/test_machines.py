@@ -25,7 +25,9 @@ from weihrauchlab.machines import (
     Machine,
     PointView,
     ReadView,
+    RowRule,
     RowView,
+    Search,
     StrideView,
     _emit_budget,
     compose,
@@ -37,6 +39,7 @@ from weihrauchlab.machines import (
     identity,
     index_machine,
     inject,
+    output_stream,
     pair_machine,
     proj1,
     proj2,
@@ -1021,3 +1024,41 @@ def test_halves_of_a_word_are_its_stride_views():
             assert isinstance(got, tuple)
             assert got == tuple(view) and len(got) == len(view)
             assert isinstance(half(PointView(ZEROS, n)), StrideView)
+
+
+def test_a_fill_that_memo_covers_reads_nothing():
+    """A stream filled to 5 serves a fill to 3 from its memo: the search
+    pulls no symbol and the rule does not run again."""
+    pulled = []
+    search = Search(pulled.append(i) or i for i in count())
+    search.fill(5)
+    search.fill(3)
+    assert search.memo == [0, 1, 2, 3, 4] and pulled == [0, 1, 2, 3, 4]
+
+    calls = []
+
+    def rule(v):
+        calls.append(len(v))
+        return tuple(v[i] for i in range(len(v)))
+
+    rows = RowRule(rule, ReadView(EvPeriodic((), (1, 0))), None)
+    rows.fill(5)
+    ran = list(calls)
+    rows.fill(3)
+    assert calls == ran and rows.memo[:3] == (1, 0, 1)
+    rows.fill(5)
+    assert calls == ran
+
+
+def test_a_kept_stream_reads_on_as_a_fresh_run():
+    """output_stream filled to 4, then 9, then 2 holds what one run to 9
+    reads, and counts the same input symbols read."""
+    m = index_machine("odd", lambda j: 2 * j + 1)
+    p = EvPeriodic((), (0, 1, 1))
+    v = ReadView(p)
+    kept = output_stream(m, v)
+    for n in (4, 9, 2):
+        kept.fill(n)
+    fresh = run_on_point(m, p, 9)
+    assert tuple(kept.memo) == fresh.output and v.reads == fresh.width
+

@@ -1,8 +1,10 @@
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import image_in_boxes_per_call
 
 from weihrauchlab import spaces
 from weihrauchlab.corpus import (
@@ -25,7 +27,9 @@ from weihrauchlab.points import (
 )
 from weihrauchlab.problems import (
     BIT_ANSWERS,
+    BIT_VALUE_SETS,
     BOTH_ANSWERS,
+    BoxMasks,
     CoordProductSet,
     FiniteNatsSet,
     PairSet,
@@ -43,6 +47,7 @@ from weihrauchlab.problems import (
     double_hat_problem,
     hat_problem,
     id_problem,
+    image_in_boxes,
     llpo_hat_problem,
     llpo_hat_value,
     llpo_problem,
@@ -85,6 +90,60 @@ def test_llpo_real_and_compact_choice_answer_with_shared_sets():
     assert head == ({0, 1}, {0}) and tail == ({0, 1},)
     assert head[0] is BOTH_ANSWERS and head[1] is BIT_ANSWERS[0]
     assert tail[0] is BOTH_ANSWERS
+
+
+def test_nat_problems_hand_out_one_value_set_per_answer_set():
+    names = [EvPeriodic((), (0,)), EvPeriodic((0, 0, 3), (0,)),
+             EvPeriodic((), (1,)), EvPeriodic((7,), (0,)),
+             EvPeriodic((0, 2), (0,)), EvPeriodic((0, 5), (0,))]
+    sets = [make().value_set(p)
+            for make in (lpo_problem, lpo_problem, llpo_problem, llpo_problem)
+            for p in names if make is lpo_problem or p != names[2]]
+    assert len(sets) == 22 and len({id(vs) for vs in sets}) == 3
+    assert all(vs is BIT_VALUE_SETS[vs.values] for vs in sets)
+    assert {vs.values for vs in sets} == {*BIT_ANSWERS, BOTH_ANSWERS}
+    odd = nat_problem("odd", lambda p: True, lambda p: frozenset({2, 3}))
+    assert odd.value_set(names[0]) == FiniteNatsSet({2, 3})
+
+
+def _random_box(rng, kinds) -> CoordProductSet:
+    law = [rng.choice(kinds) for _ in range(40)]
+    return CoordProductSet(lambda i: law[i])
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_kept_box_masks_decide_as_masks_computed_per_call(seed):
+    """One BoxMasks and one list of law coordinates serve every depth of
+    a sequence, rising or falling; each call decides as the reference
+    that reads the law and computes every mask afresh."""
+    rng = random.Random(seed)
+    both, zero, one = BOTH_ANSWERS, *BIT_ANSWERS
+    perm = rng.sample(range(40), 40)
+    laws = {
+        "identity": lambda i: i,
+        "injective": perm.__getitem__,
+        "shifted": lambda i: i + 3,
+        "repeating": lambda i: perm[i] // 2,
+        "late repeat": lambda i: 5 if i == 17 else i,
+    }
+    sequences = [(2, 5, 9, 14, 20), (20, 14, 9, 5, 2), (8, 20, 4, 16, 12, 20)]
+    decided = set()
+    for _ in range(20):
+        source = _random_box(rng, (both, both, zero, one))
+        boxes = tuple(_random_box(rng, (both, both, both, zero, one, frozenset()))
+                      for _ in range(rng.randrange(4)))
+        cap = rng.choice((1, 2, 4, 4096))
+        for law_name, src in laws.items():
+            coords = [src(i) for i in range(20)]
+            for depths in sequences:
+                masks = BoxMasks(boxes)
+                for depth in depths:
+                    got = image_in_boxes(source, coords, masks, depth, cap)
+                    want = image_in_boxes_per_call(source, src, boxes, depth, cap)
+                    assert got == want, (seed, law_name, depths, depth)
+                    decided.add((law_name, got))
+    assert ("injective", True) in decided and ("injective", False) in decided
+    assert ("repeating", False) in decided
 
 
 def test_lpo_examples():

@@ -4,8 +4,11 @@ The validation status (dom(f), the K mirror on the name's first symbols,
 dom(g) of the image) is kept on the witness; a later check of the same
 name, at any depth, reuses it.  A name that passes validation keeps its
 two value sets too, F(p) and G of the validated image, and every later
-check explores those.  A fresh witness per check, which validates every
-name again and builds its value sets again, is the reference.
+check explores those.  It keeps its label as well, and, where inclusion
+decides, F(p)'s box masks and H's run on G's canonical member, which a
+later check at a new depth extends by what that depth adds.  A fresh
+witness per check, which validates every name again and builds its value
+sets again, is the reference.
 """
 
 import dataclasses
@@ -15,12 +18,24 @@ import weakref
 import pytest
 from test_explore import LADDER
 
-from weihrauchlab import cli
+from weihrauchlab import cli, witnesses
 from weihrauchlab.corpus import rng_for
 from weihrauchlab.errors import NonRepresentable, OutOfDomain
-from weihrauchlab.machines import const_machine, identity, index_machine
+from weihrauchlab.machines import (
+    const_machine,
+    identity,
+    index_machine,
+    stream_machine,
+    symbol_machine,
+)
 from weihrauchlab.points import ONES, ZEROS, EvPeriodic
-from weihrauchlab.problems import llpo_problem
+from weihrauchlab.problems import (
+    BIT_ANSWERS,
+    BOTH_ANSWERS,
+    CoordProductSet,
+    Problem,
+    llpo_problem,
+)
 from weihrauchlab.registry import corrupted_witnesses, named_witnesses
 from weihrauchlab.witnesses import (
     Witness,
@@ -30,6 +45,14 @@ from weihrauchlab.witnesses import (
 )
 
 RUNGS = (8, 12, 16, 20)
+# the registered witnesses that box inclusion decides
+INCLUDED = (
+    "llpo_hat_squared",
+    "llpo_hat_to_compact",
+    "llpo_hat_to_wkl",
+    "parallel_idem_down(llpo)",
+    "parallel_idem_up(llpo)",
+)
 
 
 def _entries(report):
@@ -250,3 +273,113 @@ def test_suite_full_leaves_no_witness_alive(monkeypatch, capsys):
     gc.collect()
     assert len(built) == len(named_witnesses())
     assert [ref for ref in built if ref() is not None] == []
+
+
+@pytest.mark.parametrize("name", INCLUDED)
+def test_inclusion_over_rising_and_falling_depths_reports_as_a_fresh_witness(
+        name):
+    """The kept masks and canonical run serve every depth, deeper or
+    shallower than the checks before."""
+    entry = named_witnesses()[name]
+    corpus = entry.corpus(rng_for(f"cli:{name}"), entry.count)
+    shared = entry.build()
+    included = 0
+    for depth in (8, 20, 4, 16, 12, 20):
+        got = _entries(check(shared, corpus, depth=depth))
+        assert got == _entries(check(entry.build(), corpus, depth=depth)), depth
+        included += sum(e[-1] == "inclusion" for e in got)
+    assert included > 0
+
+
+def _refusing_at_13():
+    """A strong copying witness whose F refuses bit 1 at coordinate 13
+    only, where G is free: inclusion holds below depth 14 and fails
+    from there."""
+    zero = BIT_ANSWERS[0]
+    f = Problem("refuse13", lambda p: True, lambda p: CoordProductSet(
+        lambda i: zero if i == 13 else BOTH_ANSWERS))
+    g = Problem("free3and13", lambda p: True, lambda p: CoordProductSet(
+        lambda i: BOTH_ANSWERS if i in (3, 13) else zero))
+    return Witness(f, g, identity(), identity(), True, name="refuse13")
+
+
+def test_a_refusal_past_the_first_depth_fails_on_the_kept_witness():
+    corpus = [ZEROS, EvPeriodic((0, 0, 1), (0,))]
+    w = _refusing_at_13()
+    first = check(w, corpus, depth=8)
+    assert first.passed
+    assert [e.note for e in first.entries] == ["inclusion"] * len(corpus)
+    again = check(w, corpus, depth=16)
+    want = check(_refusing_at_13(), corpus, depth=16)
+    assert _entries(again) == _entries(want)
+    assert {e.coordinate for e in again.failures()} == {13}
+    assert len(again.failures()) == 2 * len(corpus)     # bit 3 either way
+
+
+def test_a_run_that_leaves_its_law_past_the_first_depth_is_explored():
+    """H claims the identity law but flips output symbol 13: its kept
+    canonical run copies to depth 8, and at depth 16 on the same witness
+    the new symbols refute the law, so the behaviors are explored."""
+    zero = BIT_ANSWERS[0]
+    flip13 = dataclasses.replace(
+        symbol_machine("flip13", lambda w, j: 1 - w[j] if j == 13 else w[j],
+                       lambda j: j + 1),
+        src=lambda j: j)
+
+    def build():
+        f = Problem("anything", lambda p: True,
+                    lambda p: CoordProductSet(lambda i: BOTH_ANSWERS))
+        g = Problem("free3", lambda p: True, lambda p: CoordProductSet(
+            lambda i: BOTH_ANSWERS if i == 3 else zero))
+        return Witness(f, g, identity(), flip13, True, name="flip13")
+
+    w = build()
+    assert [e.note for e in check(w, [ZEROS], depth=8).entries] == ["inclusion"]
+    again = check(w, [ZEROS], depth=16)
+    assert _entries(again) == _entries(check(build(), [ZEROS], depth=16))
+    assert again.passed and [e.use for e in again.entries] == [(3,), (3,)]
+
+
+def test_a_canonical_run_that_stalls_decides_as_a_fresh_run_at_each_depth():
+    """H claims the identity law but emits five symbols only: inclusion
+    holds to depth 5, and past it every depth explores and stalls."""
+    stop5 = dataclasses.replace(
+        stream_machine("stop5", lambda w: (w[i] for i in range(5))),
+        src=lambda j: j)
+
+    def build():
+        f = Problem("anything", lambda p: True,
+                    lambda p: CoordProductSet(lambda i: BOTH_ANSWERS))
+        g = Problem("free1", lambda p: True, lambda p: CoordProductSet(
+            lambda i: BOTH_ANSWERS if i == 1 else BIT_ANSWERS[0]))
+        return Witness(f, g, identity(), stop5, True, name="stop5")
+
+    w = build()
+    notes = []
+    for depth in (4, 8, 5, 12, 3):
+        got = check(w, [ZEROS], depth=depth)
+        assert _entries(got) == _entries(check(build(), [ZEROS], depth=depth))
+        notes.append({(e.status, e.note.split()[0] if e.note else "")
+                      for e in got.entries})
+    assert notes == [{("pass", "inclusion")}, {("stall", "only")},
+                     {("pass", "inclusion")}, {("stall", "only")},
+                     {("pass", "inclusion")}]
+
+
+def test_a_label_is_formatted_once_per_name_over_the_ladder(monkeypatch):
+    entry = named_witnesses()["llpo_hat_squared"]
+    corpus = entry.corpus(rng_for("cli:llpo_hat_squared"), entry.count)
+    labelled = []
+    point_str = witnesses.point_str
+
+    def counting(p):
+        labelled.append(p)
+        return point_str(p)
+
+    monkeypatch.setattr(witnesses, "point_str", counting)
+    w = entry.build()
+    reports = [check(w, corpus, depth=depth) for depth in RUNGS]
+    assert sorted(map(id, labelled)) == sorted(map(id, corpus))
+    assert all([e.point for e in r.entries] == [e.point for e in reports[0].entries]
+               for r in reports)
+
