@@ -79,7 +79,7 @@ tests only where found puts the hit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from itertools import count, islice, takewhile
 from typing import Callable, Iterator, Optional
@@ -435,6 +435,8 @@ class EvalOutcome:
     productive: bool
     # the input symbols the run read
     width: int = 0
+    # the run that gave it, which fill reads on to a greater depth
+    run: Optional[Run] = field(default=None, repr=False, compare=False)
 
 
 def output_stream(m: Machine, v: View) -> Stream:
@@ -445,19 +447,57 @@ def output_stream(m: Machine, v: View) -> Stream:
     return view if isinstance(view, Stream) else Search(map(view.__getitem__, count()))
 
 
+class Run:
+    """m's output on p, read in order over a ReadView of p that counts
+    the input symbols read.  fill(depth) reads on from the symbols read
+    so far, so a run filled to d and then to d' >= d reads what one run
+    to d' reads.  A run that needs more than fuel input symbols before it
+    has depth symbols stalls: it is not productive, its output is the
+    symbols emitted before, and every deeper fill gives the same, reading
+    nothing (a stall is final, and a Search over a view would skip the
+    symbol whose read raised).  A fill that raises anything else leaves
+    the run unusable."""
+
+    __slots__ = ("view", "out", "stalled")
+
+    def __init__(self, m: Machine, p: Point, fuel: int = None):
+        self.view = ReadView(p, DEFAULT_FUEL if fuel is None else fuel)
+        self.out = None
+        self.stalled = False
+        try:
+            self.out = output_stream(m, self.view)
+        except Stalled:
+            self.stalled = True
+
+    @property
+    def resumable(self) -> bool:
+        """Whether a later fill reads what a fresh run reads, in the same
+        order: a Search pulls its symbols in order.  A RowRule applies
+        its rule again to a longer prefix, so its reads may come in
+        another order than a fresh run's."""
+        return isinstance(self.out, Search)
+
+    def symbols(self, depth: int):
+        """The output symbols read so far, once read on to depth: fewer
+        than depth when the run stalls, maybe more when it was filled
+        deeper before."""
+        if not self.stalled:
+            try:
+                self.out.fill(depth)
+            except Stalled:
+                self.stalled = True
+        return () if self.out is None else self.out.memo
+
+    def fill(self, depth: int) -> EvalOutcome:
+        memo = self.symbols(depth)
+        if self.stalled:
+            return EvalOutcome(tuple(memo), False, self.view.reads, self)
+        return EvalOutcome(tuple(memo[:depth]), True, self.view.reads, self)
+
+
 def run_on_point(m: Machine, p: Point, depth: int, fuel: int = None) -> EvalOutcome:
-    """Read depth symbols of m's output on p, over a view of p that counts
-    the input symbols read.  A run that needs more than fuel of them before
-    it has depth symbols stalls: it is not productive, and its output is
-    the symbols emitted before."""
-    v = ReadView(p, DEFAULT_FUEL if fuel is None else fuel)
-    out = None
-    try:
-        out = output_stream(m, v)
-        out.fill(depth)
-    except Stalled:
-        return EvalOutcome(() if out is None else tuple(out.memo), False, v.reads)
-    return EvalOutcome(tuple(out.memo[:depth]), True, v.reads)
+    """Read depth symbols of m's output on p: a Run filled once."""
+    return Run(m, p, fuel).fill(depth)
 
 
 # primitives ----------------------------------------------------------------

@@ -67,12 +67,19 @@ class ValueSet:
         """Canonical representatives of every output distinguishable below depth."""
         raise NotImplementedError
 
-    def explore(self, depth: int, cap: int, run: Callable) -> list:
+    def explore(self, depth: int, cap: int, run: Callable,
+                frontier: Optional[Frontier] = None) -> list:
         """(behavior index, use, run(r)) for each canonical behavior r below
-        depth, in the order of behaviors().  The use, the free coordinates
-        a run read, is None: enumerated behaviors do not record reads."""
-        return [(bi, None, run(r))
-                for bi, r in enumerate(self.behaviors(depth, cap))]
+        depth, in the order of behaviors(), where run(r) is an EvalOutcome
+        (machines.run_on_point).  The use, the free coordinates a run read,
+        is None: enumerated behaviors do not record reads.  No run is kept,
+        in the frontier or in the outcomes, so each is freed as it ends."""
+        out = []
+        for bi, r in enumerate(self.behaviors(depth, cap)):
+            result = run(r)
+            result.run = None
+            out.append((bi, None, result))
+        return out
 
     def canonical(self) -> Point:
         """A member: the first behavior below depth 1.  A set that can
@@ -126,6 +133,72 @@ class SinglePointSet(ValueSet):
         return [self.point]
 
 
+class Branch:
+    """One explored behavior of a coordinate product: it answers 1 at
+    the free coordinates in ones and the canonical bit elsewhere (0 at
+    the other free ones), so its answers take no depth.  log holds the
+    free coordinates its run read, at any index, in first-read order (the
+    branch point memoizes its answers, so each is read once); the run's
+    use at a depth is the log below it.  A read that takes the count of
+    logged coordinates below depth past most raises CapacityExceeded."""
+
+    __slots__ = ("box", "ones", "depth", "most", "cap", "log", "below")
+
+    def __init__(self, box: CoordProductSet, ones: frozenset, depth: int,
+                 most: int, cap: int):
+        self.box = box
+        self.ones = ones
+        self.depth = depth
+        self.most = most
+        self.cap = cap
+        self.log = []
+        self.below = 0          # logged coordinates below depth
+
+    def _over(self) -> CapacityExceeded:
+        return CapacityExceeded(
+            f"a run reads {self.most + 1} free coordinates below depth "
+            f"{self.depth}, beyond the behavior bound {self.cap}")
+
+    def answer(self, i: int) -> int:
+        bits = self.box.bits(i)
+        if len(bits) != 2:
+            return _least_bit(bits)
+        if i < self.depth:
+            if self.below >= self.most:
+                raise self._over()
+            self.below += 1
+        self.log.append(i)
+        return 1 if i in self.ones else 0
+
+    def deepen(self, depth: int):
+        """Count the log below a greater depth: a run already past the
+        bound there raises now, as a fresh run would have at that read."""
+        self.depth = depth
+        self.below = sum(c < depth for c in self.log)
+        if self.below > self.most:
+            raise self._over()
+
+    def use(self) -> tuple:
+        if self.below == len(self.log):
+            return tuple(self.log)
+        depth = self.depth
+        return tuple(c for c in self.log if c < depth)
+
+
+class Frontier:
+    """The explored branches of one name that a deeper check resumes:
+    branches maps the set of free coordinates a branch sets to 1 to the
+    Branch and its run (machines.Run), filled to depth.  resumed counts
+    the runs the last explore given this frontier filled from it."""
+
+    __slots__ = ("depth", "branches", "resumed")
+
+    def __init__(self):
+        self.depth = 0
+        self.branches = {}
+        self.resumed = 0
+
+
 class CoordProductSet(ValueSet):
     """Product of per-coordinate allowed bit sets.
 
@@ -177,51 +250,67 @@ class CoordProductSet(ValueSet):
             out.append(self._assignment_point(chosen))
         return out
 
-    def explore(self, depth, cap, run):
+    def explore(self, depth, cap, run, frontier=None):
         """Run on the behaviors below depth, forking a free coordinate only
         where a run reads it.
 
-        Each run answers its fixed coordinates and the canonical bit
-        elsewhere; every free coordinate below depth that it reads unfixed
-        becomes a child run that keeps the earlier reads as seen and flips
-        that coordinate.  A run stands for every behavior that agrees with
-        it on its reads, and its index is the least of them in the order of
-        behaviors().  This needs a run whose reads depend only on the
-        answers it got, so that a child repeats its parent's reads up to
-        the flipped one.  A run that reads more than log2(cap) free
-        coordinates raises CapacityExceeded, so no read tree has more than
-        cap leaves.
+        Each run answers 1 at the free coordinates its branch sets and the
+        canonical bit elsewhere (Branch); every free coordinate below depth
+        that it reads undecided becomes a child run that keeps the earlier
+        reads decided and sets that coordinate.  A run stands for every
+        behavior that agrees with it on its reads, and its index is the
+        least of them in the order of behaviors().  This needs a run whose
+        reads depend only on the answers it got, so that a child repeats
+        its parent's reads up to the flipped one.  A run that reads more
+        than log2(cap) free coordinates below depth raises
+        CapacityExceeded, so no read tree has more than cap leaves.
+
+        run(r) is an EvalOutcome (machines.run_on_point), whose run
+        (a machines.Run) reads on.  A branch's answers take no depth, so
+        with a frontier (Frontier) kept at a smaller depth, a branch kept
+        there is not run again: its run is filled on to depth, and only
+        the branches that fork at coordinates this depth makes free run
+        afresh.  The frontier then keeps this depth's branches whose runs
+        resume.  A frontier kept at this depth or a greater one is left as
+        it is, and every branch runs afresh.  The outcomes returned hold
+        no run, so a run no frontier keeps is freed as it ends.
         """
         free = [i for i in range(depth) if len(self.bits(i)) == 2]
         # a free coordinate's bit in a behavior index; the first is the
         # most significant, as in behaviors()
         weight = {c: 1 << (len(free) - 1 - k) for k, c in enumerate(free)}
         most = cap.bit_length() - 1      # the largest n with 2^n <= cap
+        keep = frontier is not None and depth > frontier.depth
+        kept = frontier.branches if keep else {}
+        branches = {}
+        resumed = 0
         out = []
-        pending = [(0, {})]              # (index, fixed coordinates)
+        # (index, the free coordinates set to 1, those decided)
+        pending = [(0, frozenset(), frozenset())]
         while pending:
-            index, fixed = pending.pop()
-            use = []
-
-            def law(i, fixed=fixed, use=use):
-                if i not in weight:
-                    return self.canonical_bit(i)
-                if len(use) >= most:
-                    raise CapacityExceeded(
-                        f"a run reads {len(use) + 1} free coordinates below "
-                        f"depth {depth}, beyond the behavior bound {cap}")
-                use.append(i)
-                return fixed.get(i, 0)      # 0 is a free coordinate's canonical bit
-
-            result = run(LawPoint(fn=law, label="product-branch"))
-            out.append((index, tuple(use), result))
-            seen = dict(fixed)
+            index, ones, decided = pending.pop()
+            branch, kept_run = kept.pop(ones, (None, None))
+            if branch is None:
+                branch = Branch(self, ones, depth, most, cap)
+                result = run(LawPoint(fn=branch.answer, label="product-branch"))
+            else:
+                branch.deepen(depth)
+                result = kept_run.fill(depth)
+                resumed += 1
+            use = branch.use()
+            if keep and result.run.resumable:
+                branches[ones] = branch, result.run
+            result.run = None
+            out.append((index, use, result))
+            seen = set(decided)
             for c in use:
                 if c not in seen:
-                    child = dict(seen)
-                    child[c] = 1
-                    pending.append((index + weight[c], child))
-                    seen[c] = 0
+                    seen.add(c)
+                    pending.append((index + weight[c], ones | {c}, frozenset(seen)))
+        if frontier is not None:
+            frontier.resumed = resumed
+            if keep:
+                frontier.depth, frontier.branches = depth, branches
         out.sort(key=lambda entry: entry[0])
         return out
 

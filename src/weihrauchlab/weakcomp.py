@@ -504,7 +504,7 @@ class DynamicSwapMirror:
             return self._rows[n]
         t = self.ternary(n)
         if t is THALF:
-            out = EvPeriodic((), (0,))
+            out = ZEROS
         else:
             ell, arity, table = self.commit(n)
             # the realizer is monotone: its widest window has the first pulse
@@ -564,7 +564,7 @@ def _condensed_rows(mirror: DynamicSwapMirror):
                     best = mapped
             s += 1
         if best is None:
-            return EvPeriodic((), (0,))
+            return ZEROS
         return pulse(best)
 
     return row_of

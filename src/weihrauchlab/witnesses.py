@@ -16,8 +16,13 @@ validation keeps its two value sets, F(p) and G of the validated image,
 which take no depth, and every later check explores those.  The name
 keeps its label as well and, on the inclusion path, F(p)'s box masks
 and H's run on G's canonical member, and the witness keeps H's index
-law read so far: a check at a new depth works out only the coordinates,
-masks and run symbols that depth adds.
+law read so far.  From the name's second check on, an explored name also
+keeps its explored branches (problems.Frontier), whose answers take no
+depth.  So a check at a new depth works out only the coordinates, masks
+and run symbols that depth adds, and only the branches that fork at
+coordinates it makes free run afresh.  A name checked once (suite,
+check, derive) keeps no explored branch, and a check that raises drops
+the runs it was filling, since a run that raised cannot resume.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .errors import (
     NotACylinder,
     NotParallelizable,
     OutOfDomain,
-    Stalled,
     WorkbenchError,
 )
 from .literals import point_str
@@ -40,7 +44,7 @@ from .machines import (
     Machine,
     ReadView,
     RowView,
-    Stream,
+    Run,
     compose,
     compose_all,
     const_machine,
@@ -51,7 +55,6 @@ from .machines import (
     index_machine,
     inject,
     interleave,
-    output_stream,
     pair_machine,
     proj1,
     proj2,
@@ -92,6 +95,7 @@ from .problems import (
     BEHAVIOR_CAP,
     BoxMasks,
     CoordProductSet,
+    Frontier,
     Problem,
     c_problem,
     double_hat_problem,
@@ -144,16 +148,21 @@ class Name:
     G(K(p))) when ok, the limit's message when K exceeds a capacity, else
     None.  The inclusion test adds F(p)'s box masks and H's run on G's
     canonical member, with the length of its prefix that copies as the
-    law says (copied) and whether the symbol after it differs."""
+    law says (copied) and whether the symbol after it differs.  From the
+    name's second check on, an explored check keeps its branches
+    (frontier, a problems.Frontier) at the deepest depth explored since,
+    so that a deeper check fills their runs on.  A check that raises
+    drops the runs it was filling, and the next one keeps new ones."""
 
     point: Point            # keeps id(point) unused
     label: str
     status: str
     kept: object
     masks: Optional[BoxMasks] = None
-    run: Optional[Stream] = None
+    run: Optional[Run] = None
     copied: int = 0
     differs: bool = False
+    frontier: Optional[Frontier] = None
 
 
 @dataclass
@@ -175,6 +184,7 @@ class Report:
     entries: list = field(default_factory=list)
     validated: int = 0      # names whose validation this check ran
     reused: int = 0         # ok names whose value sets an earlier check built
+    resumed: int = 0        # branch runs filled on from a kept frontier
 
     @property
     def passed(self) -> bool:
@@ -231,6 +241,11 @@ def check(w: Witness, corpus, depth: int = 16,
     The oracle's behaviors are explored along H's reads (ValueSet.explore):
     an entry stands for every behavior that agrees with its run on the
     coordinates it read, and its behavior index is the least of them.
+    From a name's second check on, the name keeps the explored branches
+    of its deepest explored check (Name.frontier), and a deeper check fills
+    their runs on instead of running them again (Report.resumed counts
+    them); a check at a depth not above the kept one runs every branch
+    afresh and leaves the frontier as it is, and one that raises drops it.
 
     A strong witness whose H copies by an index law, from a coordinate
     product into a union of boxes, is first decided by box inclusion
@@ -246,7 +261,8 @@ def check(w: Witness, corpus, depth: int = 16,
     for p in corpus:
         key = id(p), validate_width
         name = w._validated.get(key)
-        if name is None:
+        first = name is None
+        if first:
             try:
                 label = point_str(p)
             except WorkbenchError:      # no symbol of the name can be read
@@ -280,17 +296,27 @@ def check(w: Witness, corpus, depth: int = 16,
             feed = r if w.strong else Interleave(p, r)
             return run_on_point(w.H, feed, depth)
 
-        for bi, use, outcome in gv.explore(depth, BEHAVIOR_CAP, run):
-            coord = fv.check_prefix(outcome.output)
-            if coord is not None:
-                report.entries.append(CheckEntry(label, bi, "fail", coord,
-                                                 use=use))
-            elif not outcome.productive:
-                report.entries.append(CheckEntry(label, bi, "stall",
-                                                 note=f"only {len(outcome.output)} symbols",
-                                                 use=use))
-            else:
-                report.entries.append(CheckEntry(label, bi, "pass", use=use))
+        if name.frontier is None and not first:
+            name.frontier = Frontier()
+        try:
+            for bi, use, outcome in gv.explore(depth, BEHAVIOR_CAP, run,
+                                               name.frontier):
+                coord = fv.check_prefix(outcome.output)
+                if coord is not None:
+                    report.entries.append(CheckEntry(label, bi, "fail", coord,
+                                                     use=use))
+                elif not outcome.productive:
+                    report.entries.append(CheckEntry(label, bi, "stall",
+                                                     note=f"only {len(outcome.output)} symbols",
+                                                     use=use))
+                else:
+                    report.entries.append(CheckEntry(label, bi, "pass", use=use))
+        except BaseException:
+            # a run that raised cannot resume
+            name.frontier = None
+            raise
+        if name.frontier is not None:
+            report.resumed += name.frontier.resumed
     return report
 
 
@@ -334,37 +360,27 @@ def _included(w: Witness, name: Name, depth: int) -> bool:
 def _copies(w: Witness, name: Name, gv: CoordProductSet, depth: int) -> bool:
     """H's run on G's canonical member emits depth symbols, each the
     canonical bit at its law coordinate (w._src).  The run is kept with
-    the name: a deeper check reads and compares only the new symbols, a
-    shallower one what the kept prefix already showed."""
+    the name: a deeper check fills it on and compares only the new
+    symbols, a shallower one what the kept prefix already showed.  A run
+    that raised is dropped, since it cannot resume, as is one that
+    differs, which no later depth reads."""
     if name.copied >= depth:
         return True
     if name.differs:
         return False
-    run = name.run
-    if run is None:
-        try:
-            run = output_stream(w.H, ReadView(gv.canonical()))
-        except Stalled:
-            return False
-        name.run = run
-    try:
-        run.fill(depth)
-    except BaseException as exc:
-        # a read that raised is not resumed (a Search over a view would
-        # skip its symbol): a deeper check runs afresh, as a fresh witness
-        # does, and a stall's symbols are compared below
-        name.run = None
-        if not isinstance(exc, Stalled):
-            raise
-    memo, coords = run.memo, w._src
+    run = name.run or Run(w.H, gv.canonical())
+    name.run = None
+    memo = run.symbols(depth)
+    coords = w._src
     copied = name.copied
     for i in range(copied, min(depth, len(memo))):
         if memo[i] != gv.canonical_bit(coords[i]):
             name.differs = True
-            name.run = None     # no later depth reads it
             break
         copied = i + 1
     name.copied = copied
+    if not name.differs:
+        name.run = run
     return copied >= depth
 
 

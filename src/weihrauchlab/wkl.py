@@ -27,6 +27,7 @@ from .machines import (
     stream_machine,
 )
 from .points import (
+    ZEROS,
     EvPeriodic,
     LawPoint,
     Point,
@@ -191,7 +192,7 @@ def q_stream(tree, w) -> EvPeriodic:
     """The per-word blocking stream: a pulse flags the doomed child."""
     found = _blocking_search(tree, tuple(w))
     if found is None or found[1] == found[2]:
-        return EvPeriodic((), (0,))
+        return ZEROS
     n, b0, _ = found
     # the pulse names the child to take: 1 (go right) when 0 is blocked
     return pulse(pulse_position(2 * n, 1 if b0 else 0))

@@ -3,15 +3,16 @@ order and the interleaving of words, the level-enumeration search for
 the minimal blocking level of a tree word, the closed-form index laws of
 the parallelization shuffles, which the machines read off their point
 actions, the per-row swap search, which builds a fresh compact and
-every word's view for each search, and the box inclusion test that reads
-the index law and computes every box mask on each call."""
+every word's view for each search, the box inclusion test that reads
+the index law and computes every box mask on each call, and the oracle
+explorer that runs every branch afresh at every depth."""
 
 import itertools
 from typing import Optional
 
-from weihrauchlab.errors import FuelExhausted
+from weihrauchlab.errors import CapacityExceeded, FuelExhausted
 from weihrauchlab.machines import Machine, PointView, interleave
-from weihrauchlab.points import Point, pair_decode, pair_encode
+from weihrauchlab.points import LawPoint, Point, pair_decode, pair_encode
 from weihrauchlab.spaces import ClopenCompact, extensions
 from weihrauchlab.weakcomp import DynamicSwap, pulse_exclusions
 
@@ -139,6 +140,46 @@ def image_in_boxes_per_call(source, src, boxes: tuple, depth: int,
         if 0 in states or len(states) > cap:
             return False
     return True
+
+
+# the explorer before branches were kept across depths ---------------------
+
+def explore_fresh(box, depth: int, cap: int, run) -> list:
+    """CoordProductSet.explore as a loop that runs every branch afresh:
+    each run answers its fixed coordinates and the canonical bit
+    elsewhere, and every free coordinate below depth that it reads unfixed
+    becomes a child run that keeps the earlier reads as seen and flips
+    that coordinate."""
+    free = [i for i in range(depth) if len(box.bits(i)) == 2]
+    weight = {c: 1 << (len(free) - 1 - k) for k, c in enumerate(free)}
+    most = cap.bit_length() - 1
+    out = []
+    pending = [(0, {})]
+    while pending:
+        index, fixed = pending.pop()
+        use = []
+
+        def law(i, fixed=fixed, use=use):
+            if i not in weight:
+                return box.canonical_bit(i)
+            if len(use) >= most:
+                raise CapacityExceeded(
+                    f"a run reads {len(use) + 1} free coordinates below "
+                    f"depth {depth}, beyond the behavior bound {cap}")
+            use.append(i)
+            return fixed.get(i, 0)
+
+        result = run(LawPoint(fn=law, label="product-branch"))
+        out.append((index, tuple(use), result))
+        seen = dict(fixed)
+        for c in use:
+            if c not in seen:
+                child = dict(seen)
+                child[c] = 1
+                pending.append((index + weight[c], child))
+                seen[c] = 0
+    out.sort(key=lambda entry: entry[0])
+    return out
 
 
 # the per-row swap search: a fresh compact per search, each word's view

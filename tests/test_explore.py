@@ -1,9 +1,14 @@
 """The checker explores oracle behaviors along H's reads; the enumerating
-checker it replaced is kept here as the reference it must agree with."""
+checker it replaced is kept here as the reference it must agree with, and
+the explorer that runs every branch afresh (references.explore_fresh) is
+the reference of one that resumes its branches across depths."""
+
+from itertools import count
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from references import explore_fresh
 
 from weihrauchlab.corpus import rng_for
 from weihrauchlab.errors import CapacityExceeded, OutOfDomain
@@ -14,11 +19,13 @@ from weihrauchlab.machines import (
     index_machine,
     run_on_point,
     shift_l,
+    stream_machine,
 )
 from weihrauchlab.points import EvPeriodic, Interleave, RowTuple, prefix
 from weihrauchlab.problems import (
     BEHAVIOR_CAP,
     CoordProductSet,
+    Frontier,
     Problem,
     UnionSet,
     llpo_hat_problem,
@@ -276,3 +283,64 @@ def test_inclusion_rejects_a_shift_out_of_the_box():
     assert not got.passed
     assert first_failure(got) == first_failure(reference_check(w, [name], 8))
     assert first_failure(got) == ("fail", 3, 8)
+
+
+# resuming explored branches across depths -------------------------------------
+
+@st.composite
+def resumable_machines(draw):
+    """An index law over the first WIDTH coordinates, or a search that
+    reads adaptively: symbol j reads coordinate reads[j][b], b the bit it
+    read before, and it may stop (stall) after some symbol."""
+    coords = st.integers(0, WIDTH - 1)
+    if draw(st.booleans()):
+        srcs = draw(st.lists(coords, min_size=WIDTH, max_size=WIDTH))
+        return index_machine("law", lambda j: srcs[j] if j < WIDTH else j)
+    reads = draw(st.lists(st.tuples(coords, coords), min_size=WIDTH,
+                          max_size=WIDTH))
+    stop = draw(st.none() | st.integers(0, WIDTH))
+
+    def symbols(w):
+        bit = 0
+        for j, read in enumerate(reads):
+            if j == stop:
+                return
+            bit = w[read[bit]]
+            yield bit
+        yield from map(w.__getitem__, count(WIDTH))
+
+    return stream_machine("adaptive", symbols)
+
+
+def _explored(explore):
+    try:
+        return explore()
+    except CapacityExceeded as exc:
+        return str(exc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(SOURCES, resumable_machines(),
+       st.lists(st.integers(0, WIDTH), min_size=1, max_size=6),
+       st.sampled_from([2 ** 3, 2 ** 5, BEHAVIOR_CAP]))
+def test_resumed_branches_explore_as_fresh_runs(box, h, depths, cap):
+    """Over any depth sequence the triples equal explore_fresh's, and a
+    deeper explore resumes every branch the frontier kept.  A raising
+    explore leaves the frontier unusable, so it is replaced, as check
+    drops it."""
+    frontier, kept = Frontier(), 0
+    for depth in depths:
+        def run(r, depth=depth):
+            return run_on_point(h, r, depth)
+
+        want = _explored(lambda: explore_fresh(box, depth, cap, run))
+        deeper = depth > frontier.depth
+        got = _explored(lambda: box.explore(depth, cap, run, frontier))
+        assert got == want
+        if isinstance(got, str):
+            frontier, kept = Frontier(), 0
+        elif deeper:
+            assert frontier.resumed == kept
+            kept = len(got)
+        else:
+            assert frontier.resumed == 0

@@ -16,6 +16,7 @@ from weihrauchlab.corpus import (
     squared_inputs,
 )
 from weihrauchlab.errors import CapacityExceeded, NonRepresentable, OutOfDomain
+from weihrauchlab.machines import EvalOutcome
 from weihrauchlab.points import (
     EvPeriodic,
     Interleave,
@@ -593,7 +594,7 @@ def test_explore_stands_for_every_behavior_once(case):
     behaviors = vs.behaviors(depth, 2 ** len(free))
 
     def run(r):
-        return read_tree(tree, r)
+        return EvalOutcome(read_tree(tree, r), True)
 
     widest = 0
     for b in behaviors:

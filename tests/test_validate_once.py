@@ -6,9 +6,11 @@ name, at any depth, reuses it.  A name that passes validation keeps its
 two value sets too, F(p) and G of the validated image, and every later
 check explores those.  It keeps its label as well, and, where inclusion
 decides, F(p)'s box masks and H's run on G's canonical member, which a
-later check at a new depth extends by what that depth adds.  A fresh
-witness per check, which validates every name again and builds its value
-sets again, is the reference.
+later check at a new depth extends by what that depth adds.  From its
+second check on, an explored name keeps its explored branches too, and a
+deeper check fills their runs on.  A fresh
+witness per check, which validates every name again, builds its value
+sets again and runs every branch afresh, is the reference.
 """
 
 import dataclasses
@@ -20,11 +22,13 @@ from test_explore import LADDER
 
 from weihrauchlab import cli, witnesses
 from weihrauchlab.corpus import rng_for
-from weihrauchlab.errors import NonRepresentable, OutOfDomain
+from weihrauchlab import points, weakcomp
+from weihrauchlab.errors import CapacityExceeded, NonRepresentable, OutOfDomain
 from weihrauchlab.machines import (
     const_machine,
     identity,
     index_machine,
+    row_rule_machine,
     stream_machine,
     symbol_machine,
 )
@@ -383,3 +387,214 @@ def test_a_label_is_formatted_once_per_name_over_the_ladder(monkeypatch):
     assert all([e.point for e in r.entries] == [e.point for e in reports[0].entries]
                for r in reports)
 
+
+
+# resuming explored branches across depths -----------------------------------
+
+# rising, mixed and repeating depth sequences checked on one witness
+SEQUENCES = ((8, 12, 16, 20), (8, 20, 12, 16, 24), (4, 8, 5, 12, 3, 16))
+
+
+def _outcome(w, corpus, depth, **kwargs):
+    """A check's entries, or the error it raised."""
+    try:
+        return _entries(check(w, corpus, depth=depth, **kwargs))
+    except CapacityExceeded as exc:
+        return "capacity", str(exc)
+
+
+def _sequences_report_as_fresh_witnesses(build, corpus, **kwargs):
+    for seq in SEQUENCES:
+        shared = build()
+        for depth in seq:
+            got = _outcome(shared, corpus, depth, **kwargs)
+            assert got == _outcome(build(), corpus, depth, **kwargs), (seq, depth)
+
+
+@pytest.mark.parametrize("name", sorted(named_witnesses()))
+def test_depth_sequences_on_one_witness_report_as_fresh_witnesses(name):
+    entry = named_witnesses()[name]
+    corpus = entry.corpus(rng_for(f"cli:{name}"), entry.count)
+    _sequences_report_as_fresh_witnesses(entry.build, corpus)
+
+
+@pytest.mark.parametrize("name", sorted(corrupted_witnesses()))
+def test_depth_sequences_on_a_negative_control_report_as_fresh_ones(name):
+    corpus = corrupted_witnesses()[name][1](rng_for("acc-neg:" + name), 5)
+    _sequences_report_as_fresh_witnesses(
+        lambda: corrupted_witnesses()[name][0], corpus)
+
+
+def test_depth_sequences_on_a_weak_composition_report_as_fresh_ones():
+    entry = named_witnesses()["parallel_extensive(llpo)"]
+    corpus = entry.corpus(rng_for("weak_compose"), 3)
+    _sequences_report_as_fresh_witnesses(
+        lambda: weakcomp.weak_compose(entry.build(), entry.build()), corpus,
+        validate_width=24)
+
+
+def test_a_rising_ladder_resumes_every_branch_of_the_depth_before():
+    entry = named_witnesses()["wkl_to_llpo_hat"]
+    corpus = entry.corpus(rng_for("cli:wkl_to_llpo_hat"), entry.count)
+    w = entry.build()
+    reports = [check(w, corpus, depth=depth) for depth in RUNGS]
+    assert [r.resumed for r in reports] == [0, 0, 200, 200]
+    assert [len(r.entries) for r in reports[1:3]] == [200, 200]
+    # a check not above the kept depth runs afresh and keeps the frontier
+    again = check(w, corpus, depth=16)
+    assert again.resumed == 0
+    assert _entries(again) == _entries(reports[2])
+    assert check(w, corpus, depth=24).resumed == 200
+
+
+def _free_product(free):
+    """A problem that allows both bits at the coordinates in free (every
+    coordinate when free is None) and 0 elsewhere."""
+    zero = BIT_ANSWERS[0]
+    return Problem("free", lambda p: True, lambda p: CoordProductSet(
+        lambda i: BOTH_ANSWERS if free is None or i in free else zero))
+
+
+def _strong(h, free=None):
+    """id : anything <=sW free, answered by h."""
+    anything = _free_product(None)
+    return Witness(anything, _free_product(free), identity(), h, True,
+                   name=h.name)
+
+
+def _block_first(pulled=None):
+    """Symbol 0 reads coordinates 0-15; symbol j > 0 copies coordinate j.
+    Each symbol pulled is appended to pulled, when given."""
+    pulled = [] if pulled is None else pulled
+
+    def symbols(w):
+        pulled.append(0)
+        yield sum(w[i] for i in range(16)) % 2
+        j = 1
+        while True:
+            pulled.append(j)
+            yield w[j]
+            j += 1
+
+    return _strong(stream_machine("block-first", symbols))
+
+
+@pytest.mark.parametrize("build,depths", [
+    # the kept runs read 10 free coordinates and raise reading on
+    (lambda: _strong(dataclasses.replace(identity(), src=None)),
+     (8, 10, 13, 12, 14)),
+    # the kept root run has read 16 already: it raises as it resumes
+    (_block_first, (1, 2, 14, 12, 14)),
+])
+def test_a_resumed_depth_past_the_bound_raises_as_a_fresh_witness(build, depths):
+    """A raising check drops the frontier: the next check runs afresh and
+    keeps a new one, from which the last check resumes, and raises."""
+    w = build()
+    want = [_outcome(build(), [ZEROS], depth) for depth in depths]
+    got = [_outcome(w, [ZEROS], depth) for depth in depths]
+    assert got == want
+    assert got[2] == ("capacity", f"a run reads 13 free coordinates below "
+                      f"depth {depths[2]}, beyond the behavior bound 4096")
+    w = build()
+    for depth in depths[:2]:
+        check(w, [ZEROS], depth=depth)
+    (name,) = w._validated.values()
+    assert name.frontier.depth == depths[1]
+    with pytest.raises(CapacityExceeded):
+        check(w, [ZEROS], depth=depths[2])
+    assert name.frontier is None
+    assert check(w, [ZEROS], depth=depths[3]).resumed == 0
+    assert name.frontier.depth == depths[3]
+
+
+def test_a_kept_run_past_the_bound_raises_as_it_resumes():
+    """The kept root run read coordinates 0-15 for its first symbol: at
+    depth 14 it is past the bound before it reads on, so the check raises
+    before any run pulls a symbol."""
+    pulled = []
+    w = _block_first(pulled)
+    for depth in (1, 2):
+        check(w, [ZEROS], depth=depth)
+    before = len(pulled)
+    with pytest.raises(CapacityExceeded, match="below depth 14"):
+        check(w, [ZEROS], depth=14)
+    assert len(pulled) == before
+
+
+def test_a_rule_machine_H_runs_afresh_at_every_depth():
+    """A rule reads its prefix from the end: run afresh at 12 it reads
+    coordinate 9 before 5, filled on from depth 8 it would read 5 first."""
+    def backwards(w):
+        return tuple(reversed([w[i] for i in reversed(range(len(w)))]))
+
+    def build():
+        return _strong(row_rule_machine("backwards", backwards), {1, 5, 9, 14})
+
+    w = build()
+    uses = {}
+    for depth in (4, 8, 12, 16, 10, 20):
+        report = check(w, [ZEROS], depth=depth)
+        assert _entries(report) == _entries(check(build(), [ZEROS], depth=depth))
+        assert report.resumed == 0
+        uses[depth] = {e.use for e in report.entries}
+    (name,) = w._validated.values()
+    assert name.frontier.branches == {}
+    assert uses[12] == {(9, 5, 1)}
+
+
+def test_a_stalled_branch_stalls_at_the_same_symbol_when_resumed():
+    """H copies coordinates 1 and 3, then stops where coordinate 3 is 1."""
+    def symbols(w):
+        yield w[1]
+        yield w[3]
+        if w[3]:
+            return
+        j = 2
+        while True:
+            yield w[j]
+            j += 1
+
+    def build():
+        return _strong(stream_machine("stop-at-3", symbols), {1, 3, 6, 11})
+
+    w = build()
+    for depth in (4, 8, 12, 16):
+        report = check(w, [ZEROS], depth=depth)
+        assert _entries(report) == _entries(check(build(), [ZEROS], depth=depth))
+    assert report.resumed > 0
+    stalls = [e for e in report.entries if e.status == "stall"]
+    assert stalls and {e.note for e in stalls} == {"only 2 symbols"}
+
+
+@pytest.mark.parametrize("name", sorted(named_witnesses()))
+def test_a_first_check_keeps_no_explored_runs(name):
+    """Only the inclusion test's one canonical run per name is kept."""
+    entry = named_witnesses()[name]
+    w = entry.build()
+    check(w, entry.corpus(rng_for(f"cli:{name}"), entry.count),
+          depth=entry.depth)
+    assert w._validated
+    assert all(n.frontier is None for n in w._validated.values())
+    assert all(n.run is None for n in w._validated.values()
+               if name not in INCLUDED)
+
+
+def test_the_zero_rows_of_an_image_are_one_point_with_one_census(monkeypatch):
+    entry = named_witnesses()["wkl_to_llpo_hat"]
+    corpus = entry.corpus(rng_for("cli:wkl_to_llpo_hat"), entry.count)
+    w = entry.build()
+    rows = [w.k_point(p).law_row(n) for p in corpus for n in range(64)]
+    zero = [r for r in rows if r == ZEROS]
+    assert zero and all(r is ZEROS for r in zero)
+    counted = []
+    census = points._nonzero_census
+
+    def counting(p):
+        counted.append(p)
+        return census(p)
+
+    monkeypatch.setattr(points, "_nonzero_census", counting)
+    object.__setattr__(ZEROS, "_facts", None)   # forget what earlier tests asked
+    for depth in RUNGS:
+        check(w, corpus, depth=depth)
+    assert [p for p in counted if p == ZEROS] == [ZEROS]
