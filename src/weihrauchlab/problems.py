@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import inf
 from typing import Callable, Iterable, Optional
 
 from .errors import (
@@ -68,12 +69,14 @@ class ValueSet:
         raise NotImplementedError
 
     def explore(self, depth: int, cap: int, run: Callable,
-                frontier: Optional[Frontier] = None) -> list:
+                frontier: Optional[Frontier] = None,
+                law: Optional[tuple] = None) -> list:
         """(behavior index, use, run(r)) for each canonical behavior r below
         depth, in the order of behaviors(), where run(r) is an EvalOutcome
         (machines.run_on_point).  The use, the free coordinates a run read,
         is None: enumerated behaviors do not record reads.  No run is kept,
-        in the frontier or in the outcomes, so each is freed as it ends."""
+        in the frontier or in the outcomes, so each is freed as it ends,
+        and no inclusion is decided (law, as CoordProductSet.explore's)."""
         out = []
         for bi, r in enumerate(self.behaviors(depth, cap)):
             result = run(r)
@@ -140,12 +143,15 @@ class Branch:
     free coordinates its run read, at any index, in first-read order (the
     branch point memoizes its answers, so each is read once); the run's
     use at a depth is the log below it.  A read that takes the count of
-    logged coordinates below depth past most raises CapacityExceeded."""
+    logged coordinates below depth past most raises CapacityExceeded.
+    copied is how far the root branch's run (ones empty) is known to copy
+    H's index law (CoordProductSet.explore)."""
 
-    __slots__ = ("box", "ones", "depth", "most", "cap", "log", "below")
+    __slots__ = ("box", "ones", "depth", "most", "cap", "log", "below",
+                 "copied")
 
     def __init__(self, box: CoordProductSet, ones: frozenset, depth: int,
-                 most: int, cap: int):
+                 most: float, cap: int):
         self.box = box
         self.ones = ones
         self.depth = depth
@@ -153,6 +159,7 @@ class Branch:
         self.cap = cap
         self.log = []
         self.below = 0          # logged coordinates below depth
+        self.copied = 0
 
     def _over(self) -> CapacityExceeded:
         return CapacityExceeded(
@@ -170,12 +177,14 @@ class Branch:
         self.log.append(i)
         return 1 if i in self.ones else 0
 
-    def deepen(self, depth: int):
-        """Count the log below a greater depth: a run already past the
-        bound there raises now, as a fresh run would have at that read."""
+    def deepen(self, depth: int, most: int):
+        """Count the log below depth, under the bound most: a run already
+        past the bound there raises now, as a fresh run would have at that
+        read."""
         self.depth = depth
+        self.most = most
         self.below = sum(c < depth for c in self.log)
-        if self.below > self.most:
+        if self.below > most:
             raise self._over()
 
     def use(self) -> tuple:
@@ -185,16 +194,21 @@ class Branch:
         return tuple(c for c in self.log if c < depth)
 
 
+# the root branch sets no free coordinate to 1
+_ROOT = frozenset()
+
+
 class Frontier:
-    """The explored branches of one name that a deeper check resumes:
-    branches maps the set of free coordinates a branch sets to 1 to the
-    Branch and its run (machines.Run), filled to depth.  resumed counts
-    the runs the last explore given this frontier filled from it."""
+    """The runs of H one name keeps across checks: branches maps the set
+    of free coordinates a branch sets to 1 to the Branch and its run
+    (machines.Run), filled to depth.  Only an explore deeper than depth
+    keeps branches, save an inclusion's root.  resumed counts the runs the
+    last explore given this frontier filled from it."""
 
     __slots__ = ("depth", "branches", "resumed")
 
-    def __init__(self):
-        self.depth = 0
+    def __init__(self, depth: int = 0):
+        self.depth = depth
         self.branches = {}
         self.resumed = 0
 
@@ -250,7 +264,7 @@ class CoordProductSet(ValueSet):
             out.append(self._assignment_point(chosen))
         return out
 
-    def explore(self, depth, cap, run, frontier=None):
+    def explore(self, depth, cap, run, frontier=None, law=None):
         """Run on the behaviors below depth, forking a free coordinate only
         where a run reads it.
 
@@ -274,13 +288,45 @@ class CoordProductSet(ValueSet):
         resume.  A frontier kept at this depth or a greater one is left as
         it is, and every branch runs afresh.  The outcomes returned hold
         no run, so a run no frontier keeps is freed as it ends.
+
+        law, given with a frontier, is (coords, masks): H copies by an
+        index law, output symbol i the answer at coords[i], into the boxes
+        of masks.  Where image_in_boxes holds, inclusion is decided first,
+        on the root branch read without the cap: a kept root known to copy
+        the law to depth, else the root run filled on or afresh must copy
+        it.  Then (0, (), None) stands for every behavior, and a root run
+        filled here is the frontier's one branch, at this depth.  Else the
+        exploration goes on from that run, its reads counted to the cap.
         """
+        most = cap.bit_length() - 1      # the largest n with 2^n <= cap
+        keep = frontier is not None and depth > frontier.depth
+        root = None
+        if law is not None and image_in_boxes(self, *law, depth, cap):
+            frontier.resumed = 0        # an inclusion resumes no branch
+            held = frontier.branches.get(_ROOT)
+            if not held:
+                branch = Branch(self, _ROOT, depth, inf, cap)
+                root = branch, run(LawPoint(fn=branch.answer, label="product-branch"))
+                held = branch, root[1].run
+            branch, coords = held[0], law[0]
+            if branch.copied < depth:   # read on without the cap, and compare
+                branch.most = inf
+                word = held[1].symbols(depth)
+                i, end = branch.copied, min(depth, len(word))
+                while i < end and word[i] == self.canonical_bit(coords[i]):
+                    i += 1
+                branch.copied = i
+            if branch.copied >= depth:
+                if keep or root:
+                    frontier.depth = depth
+                    frontier.branches = {_ROOT: held} if held[1].resumable else {}
+                return [(0, (), None)]
+            if root:
+                branch.deepen(depth, most)
         free = [i for i in range(depth) if len(self.bits(i)) == 2]
         # a free coordinate's bit in a behavior index; the first is the
         # most significant, as in behaviors()
         weight = {c: 1 << (len(free) - 1 - k) for k, c in enumerate(free)}
-        most = cap.bit_length() - 1      # the largest n with 2^n <= cap
-        keep = frontier is not None and depth > frontier.depth
         kept = frontier.branches if keep else {}
         branches = {}
         resumed = 0
@@ -290,11 +336,14 @@ class CoordProductSet(ValueSet):
         while pending:
             index, ones, decided = pending.pop()
             branch, kept_run = kept.pop(ones, (None, None))
-            if branch is None:
+            if root:                    # run for the inclusion test
+                branch, result = root
+                root = None
+            elif branch is None:
                 branch = Branch(self, ones, depth, most, cap)
                 result = run(LawPoint(fn=branch.answer, label="product-branch"))
             else:
-                branch.deepen(depth)
+                branch.deepen(depth, most)
                 result = kept_run.fill(depth)
                 resumed += 1
             use = branch.use()

@@ -7,22 +7,17 @@ p, forking an oracle coordinate only where H reads it: a reported failure
 pins a definite coordinate, a pass is sound to the checked depth.  A
 strong witness whose H only copies coordinates is decided without forking
 where the answers form boxes: H(G(K(p))) within F(p) is then an inclusion
-of coordinate boxes.  The
+of coordinate boxes, which the explorer decides on its root run.  The
 point action of K (k_point, taken from K.point) lets the oracle's value
 set be computed on a finitely presented name; it is validated against the
 machine on a prefix of the name once per witness, name and width, and
-every later check of that name reuses the verdict.  A name that passes
-validation keeps its two value sets, F(p) and G of the validated image,
-which take no depth, and every later check explores those.  The name
-keeps its label as well and, on the inclusion path, F(p)'s box masks
-and H's run on G's canonical member, and the witness keeps H's index
-law read so far.  From the name's second check on, an explored name also
-keeps its explored branches (problems.Frontier), whose answers take no
-depth.  So a check at a new depth works out only the coordinates, masks
-and run symbols that depth adds, and only the branches that fork at
-coordinates it makes free run afresh.  A name checked once (suite,
-check, derive) keeps no explored branch, and a check that raises drops
-the runs it was filling, since a run that raised cannot resume.
+every later check of that name reuses the verdict.  The checks keep one
+Name per name (label, status, the value sets F(p) and G of the validated
+image, F(p)'s box masks and one problems.Frontier of H's runs) and H's
+index law read so far, so a check at a new depth works out only what
+that depth adds.  A name checked once (suite, check, derive) keeps only
+an inclusion's root run, and a check that raises drops the runs it was
+filling, since a run that raised cannot resume.
 """
 
 from __future__ import annotations
@@ -44,7 +39,6 @@ from .machines import (
     Machine,
     ReadView,
     RowView,
-    Run,
     compose,
     compose_all,
     const_machine,
@@ -102,7 +96,6 @@ from .problems import (
     flatten,
     hat_problem,
     id_problem,
-    image_in_boxes,
     llpo_hat_problem,
     llpo_problem,
     llpo_real_problem,
@@ -146,22 +139,16 @@ class Name:
     """What a witness keeps of one corpus name at one validation width.
     The first check sets the label, the validation status and kept: (F(p),
     G(K(p))) when ok, the limit's message when K exceeds a capacity, else
-    None.  The inclusion test adds F(p)'s box masks and H's run on G's
-    canonical member, with the length of its prefix that copies as the
-    law says (copied) and whether the symbol after it differs.  From the
-    name's second check on, an explored check keeps its branches
-    (frontier, a problems.Frontier) at the deepest depth explored since,
-    so that a deeper check fills their runs on.  A check that raises
-    drops the runs it was filling, and the next one keeps new ones."""
+    None.  The inclusion test adds F(p)'s box masks.  frontier holds H's
+    runs (problems.Frontier): an inclusion's root run from the first check
+    on, and from the second on the branches of the deepest depth explored
+    since.  A check that raises drops it, and the next keeps new runs."""
 
     point: Point            # keeps id(point) unused
     label: str
     status: str
     kept: object
     masks: Optional[BoxMasks] = None
-    run: Optional[Run] = None
-    copied: int = 0
-    differs: bool = False
     frontier: Optional[Frontier] = None
 
 
@@ -240,23 +227,15 @@ def check(w: Witness, corpus, depth: int = 16,
 
     The oracle's behaviors are explored along H's reads (ValueSet.explore):
     an entry stands for every behavior that agrees with its run on the
-    coordinates it read, and its behavior index is the least of them.
-    From a name's second check on, the name keeps the explored branches
-    of its deepest explored check (Name.frontier), and a deeper check fills
-    their runs on instead of running them again (Report.resumed counts
-    them); a check at a depth not above the kept one runs every branch
-    afresh and leaves the frontier as it is, and one that raises drops it.
-
-    A strong witness whose H copies by an index law, from a coordinate
-    product into a union of boxes, is first decided by box inclusion
-    (problems.image_in_boxes) once one real run of H is productive and
-    copies as its law says.  A proven inclusion is one passing entry that
-    stands for every behavior (use=(), note="inclusion"); otherwise the
-    behaviors are explored as above.  The law's coordinates, F(p)'s box
-    masks and H's run on G's canonical member are kept, so a deeper check
-    computes only its new coordinates and masks and reads and compares
-    only the run's new symbols; every depth still tests each position
-    below it with its own split between free and canonical bits."""
+    coordinates it read, and its behavior index is the least of them.  A
+    strong witness whose H copies by an index law, from a coordinate
+    product into a union of boxes (_law), is decided by box inclusion
+    first, on the explorer's root run: a proven inclusion is one passing
+    entry that stands for every behavior (use=(), note="inclusion"), and
+    otherwise the exploration goes on from that run.  The runs kept in
+    Name.frontier are filled on by a deeper check (Report.resumed counts
+    them); a shallower one serves an inclusion from the kept root and
+    explores every branch afresh; one that raises drops the frontier."""
     report = Report(w.name, depth)
     for p in corpus:
         key = id(p), validate_width
@@ -287,36 +266,34 @@ def check(w: Witness, corpus, depth: int = 16,
                                              note=f"K image outside dom({w.g.name})"))
             continue
         fv, gv = kept
-        if _included(w, name, depth):
-            report.entries.append(CheckEntry(label, 0, "pass", use=(),
-                                             note="inclusion"))
-            continue
+        # a first check's frontier sits at its own depth, so that it keeps
+        # no explored branch: it is kept only with an inclusion's root
+        frontier = name.frontier or Frontier(depth if first else 0)
 
         def run(r, p=p):
             feed = r if w.strong else Interleave(p, r)
             return run_on_point(w.H, feed, depth)
 
-        if name.frontier is None and not first:
-            name.frontier = Frontier()
         try:
-            for bi, use, outcome in gv.explore(depth, BEHAVIOR_CAP, run,
-                                               name.frontier):
-                coord = fv.check_prefix(outcome.output)
-                if coord is not None:
-                    report.entries.append(CheckEntry(label, bi, "fail", coord,
-                                                     use=use))
-                elif not outcome.productive:
-                    report.entries.append(CheckEntry(label, bi, "stall",
-                                                     note=f"only {len(outcome.output)} symbols",
-                                                     use=use))
-                else:
-                    report.entries.append(CheckEntry(label, bi, "pass", use=use))
+            explored = gv.explore(depth, BEHAVIOR_CAP, run, frontier,
+                                  _law(w, name, depth))
         except BaseException:
             # a run that raised cannot resume
             name.frontier = None
             raise
-        if name.frontier is not None:
-            report.resumed += name.frontier.resumed
+        name.frontier = frontier if frontier.branches or not first else None
+        report.resumed += frontier.resumed
+        for bi, use, outcome in explored:
+            if outcome is None:     # the inclusion: no run to check
+                entry = CheckEntry(label, bi, "pass", use=use, note="inclusion")
+            elif (coord := fv.check_prefix(outcome.output)) is not None:
+                entry = CheckEntry(label, bi, "fail", coord, use=use)
+            elif not outcome.productive:
+                entry = CheckEntry(label, bi, "stall", use=use,
+                                   note=f"only {len(outcome.output)} symbols")
+            else:
+                entry = CheckEntry(label, bi, "pass", use=use)
+            report.entries.append(entry)
     return report
 
 
@@ -339,49 +316,19 @@ def _validate(w: Witness, p: Point, width: int) -> tuple:
     return "ok", (w.f.value_set(p), w.g.value_set(q))
 
 
-def _included(w: Witness, name: Name, depth: int) -> bool:
-    """H(G(K(p))) within F(p) below depth, decided without forking: H is
-    strong and copies by its index law, G's value set is a coordinate
-    product, F's a union of boxes, and H's run on G's canonical answer is
-    productive and reads as the law says.  The law's coordinates, the box
-    masks and the run are kept, so a new depth computes only what it adds."""
+def _law(w: Witness, name: Name, depth: int) -> Optional[tuple]:
+    """The explorer's inclusion law, when a strong H copies by its index
+    law into G's coordinate product: H's law coordinates to depth at least
+    and F(p)'s box masks, both kept to serve every depth; else None."""
     src = w.H.src
     fv, gv = name.kept
     if not (w.strong and src is not None and isinstance(gv, CoordProductSet)):
-        return False
+        return None
     if name.masks is None:
         name.masks = BoxMasks(fv.boxes() or ())
     coords = w._src
     coords.extend(map(src, range(len(coords), depth)))
-    return (image_in_boxes(gv, coords, name.masks, depth, BEHAVIOR_CAP)
-            and _copies(w, name, gv, depth))
-
-
-def _copies(w: Witness, name: Name, gv: CoordProductSet, depth: int) -> bool:
-    """H's run on G's canonical member emits depth symbols, each the
-    canonical bit at its law coordinate (w._src).  The run is kept with
-    the name: a deeper check fills it on and compares only the new
-    symbols, a shallower one what the kept prefix already showed.  A run
-    that raised is dropped, since it cannot resume, as is one that
-    differs, which no later depth reads."""
-    if name.copied >= depth:
-        return True
-    if name.differs:
-        return False
-    run = name.run or Run(w.H, gv.canonical())
-    name.run = None
-    memo = run.symbols(depth)
-    coords = w._src
-    copied = name.copied
-    for i in range(copied, min(depth, len(memo))):
-        if memo[i] != gv.canonical_bit(coords[i]):
-            name.differs = True
-            break
-        copied = i + 1
-    name.copied = copied
-    if not name.differs:
-        name.run = run
-    return copied >= depth
+    return coords, name.masks
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ identity by comparing `.name` attributes or reads an instance's
 `.__dict__`, a module in src/ imports inside a function only what it
 could not import at module level, no index machine in src/ is given
 both its index law and its point action, no search in witnesses.py is
-given a hand-written point action, the row normal form is decided in
-points alone, and so is the census of a name's zeros and nonzeros, by
-one walk."""
+given a hand-written point action, witnesses.py starts no run of H
+outside the explorer, the row normal form is decided in points alone,
+and so is the census of a name's zeros and nonzeros, by one walk."""
 
 import ast
 from pathlib import Path
@@ -184,6 +184,14 @@ def test_each_search_is_said_once():
         and (len(node.args) > 2 or any(k.arg == "point" for k in node.keywords))
     ]
     assert mirrored == []
+
+
+def test_every_run_of_H_goes_through_the_explorer():
+    """witnesses.py names neither machines.Run nor output_stream: a check
+    starts no run of H of its own, so inclusion and exploration share
+    each name's runs through ValueSet.explore."""
+    tree = ast.parse((ROOT / "src/weihrauchlab/witnesses.py").read_text())
+    assert {"Run", "output_stream"} & set(_names(tree)) == set()
 
 
 def test_row_normal_form_is_decided_in_points():

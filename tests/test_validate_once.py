@@ -4,13 +4,14 @@ The validation status (dom(f), the K mirror on the name's first symbols,
 dom(g) of the image) is kept on the witness; a later check of the same
 name, at any depth, reuses it.  A name that passes validation keeps its
 two value sets too, F(p) and G of the validated image, and every later
-check explores those.  It keeps its label as well, and, where inclusion
-decides, F(p)'s box masks and H's run on G's canonical member, which a
-later check at a new depth extends by what that depth adds.  From its
-second check on, an explored name keeps its explored branches too, and a
-deeper check fills their runs on.  A fresh
-witness per check, which validates every name again, builds its value
-sets again and runs every branch afresh, is the reference.
+check explores those.  It keeps its label as well, F(p)'s box masks where
+inclusion is tested, and one frontier of H's runs: from the first check
+on, the root run that decided an inclusion, which the explorer runs
+first, so that H runs once for it, and which a later check at a new depth
+extends by what that depth adds; from its second check on, the explored
+branches too, whose runs a deeper check fills on.  A fresh witness per
+check, which validates every name again, builds its value sets again and
+runs every branch afresh, is the reference.
 """
 
 import dataclasses
@@ -320,22 +321,36 @@ def test_a_refusal_past_the_first_depth_fails_on_the_kept_witness():
     assert len(again.failures()) == 2 * len(corpus)     # bit 3 either way
 
 
+def test_a_shallower_inclusion_after_a_refusal_reads_the_kept_root():
+    """Inclusion at 8 keeps the root run; 16 refuses, explores and keeps
+    the root filled on; 12 then decides inclusion from the root's kept
+    symbols, as a fresh witness does, and 20 explores from the kept runs."""
+    corpus = [ZEROS, EvPeriodic((0, 0, 1), (0,))]
+    w = _refusing_at_13()
+    notes = []
+    for depth in (8, 16, 12, 20, 4):
+        got = check(w, corpus, depth=depth)
+        assert _entries(got) == _entries(check(_refusing_at_13(), corpus,
+                                               depth=depth)), depth
+        notes.append({e.note for e in got.entries})
+    assert notes == [{"inclusion"}, {""}, {"inclusion"}, {""}, {"inclusion"}]
+
+
+def _flipping(at, free):
+    """id : anything <=sW free, answered by an H that claims the identity
+    law but flips output symbol at (copies every symbol when at is None)."""
+    h = symbol_machine(f"flip{at}",
+                       lambda w, j: 1 - w[j] if j == at else w[j],
+                       lambda j: j + 1)
+    return _strong(dataclasses.replace(h, src=lambda j: j), free)
+
+
 def test_a_run_that_leaves_its_law_past_the_first_depth_is_explored():
     """H claims the identity law but flips output symbol 13: its kept
     canonical run copies to depth 8, and at depth 16 on the same witness
     the new symbols refute the law, so the behaviors are explored."""
-    zero = BIT_ANSWERS[0]
-    flip13 = dataclasses.replace(
-        symbol_machine("flip13", lambda w, j: 1 - w[j] if j == 13 else w[j],
-                       lambda j: j + 1),
-        src=lambda j: j)
-
     def build():
-        f = Problem("anything", lambda p: True,
-                    lambda p: CoordProductSet(lambda i: BOTH_ANSWERS))
-        g = Problem("free3", lambda p: True, lambda p: CoordProductSet(
-            lambda i: BOTH_ANSWERS if i == 3 else zero))
-        return Witness(f, g, identity(), flip13, True, name="flip13")
+        return _flipping(13, {3})
 
     w = build()
     assert [e.note for e in check(w, [ZEROS], depth=8).entries] == ["inclusion"]
@@ -344,30 +359,89 @@ def test_a_run_that_leaves_its_law_past_the_first_depth_is_explored():
     assert again.passed and [e.use for e in again.entries] == [(3,), (3,)]
 
 
-def test_a_canonical_run_that_stalls_decides_as_a_fresh_run_at_each_depth():
-    """H claims the identity law but emits five symbols only: inclusion
-    holds to depth 5, and past it every depth explores and stalls."""
+def test_the_root_runs_H_once(monkeypatch):
+    """The inclusion test's run of H is the explorer's root: where the
+    flip at 13 refutes the law at depth 16, H runs for the root and for
+    the one branch that sets coordinate 3, not once more for inclusion."""
+    w = _flipping(13, {3})
+    views = []
+    view = w.H.view
+
+    def counting(v):
+        views.append(v)
+        return view(v)
+
+    monkeypatch.setattr(w.H, "view", counting)
+    report = check(w, [ZEROS], depth=16)
+    assert [e.use for e in report.entries] == [(3,), (3,)]
+    assert len(views) == 2
+
+
+@pytest.mark.parametrize("at,depths", [
+    (None, (16, 20)),
+    (3, (16,)), (3, (20,)), (15, (16,)), (15, (20,)),
+    (15, (8, 16)),
+])
+def test_the_root_reads_uncapped_and_explores_capped(at, depths):
+    """G free at every coordinate: the root reads depth free coordinates,
+    past the bound of 12, so the law is decided without the cap; where the
+    flip refutes it below the depth, the exploration that goes on from the
+    root raises as a fresh capped run does, also after an inclusion at a
+    smaller depth kept the root."""
+    w = _flipping(at, None)
+    for depth in depths:
+        got = _outcome(w, [ZEROS], depth)
+        assert got == _outcome(_flipping(at, None), [ZEROS], depth), depth
+        if at is None or at >= depth:
+            assert [e[-1] for e in got] == ["inclusion"], depth
+        else:
+            assert got == ("capacity", f"a run reads 13 free coordinates "
+                           f"below depth {depth}, beyond the behavior bound 4096")
+
+
+def _stop5():
+    """H claims the identity law but emits five symbols only, and G is
+    free at coordinate 1."""
     stop5 = dataclasses.replace(
         stream_machine("stop5", lambda w: (w[i] for i in range(5))),
         src=lambda j: j)
+    return _strong(stop5, {1})
 
-    def build():
-        f = Problem("anything", lambda p: True,
-                    lambda p: CoordProductSet(lambda i: BOTH_ANSWERS))
-        g = Problem("free1", lambda p: True, lambda p: CoordProductSet(
-            lambda i: BOTH_ANSWERS if i == 1 else BIT_ANSWERS[0]))
-        return Witness(f, g, identity(), stop5, True, name="stop5")
 
-    w = build()
+def test_a_canonical_run_that_stalls_decides_as_a_fresh_run_at_each_depth():
+    """Inclusion holds to depth 5, and past it every depth explores and
+    stalls."""
+    w = _stop5()
     notes = []
     for depth in (4, 8, 5, 12, 3):
         got = check(w, [ZEROS], depth=depth)
-        assert _entries(got) == _entries(check(build(), [ZEROS], depth=depth))
+        assert _entries(got) == _entries(check(_stop5(), [ZEROS], depth=depth))
         notes.append({(e.status, e.note.split()[0] if e.note else "")
                       for e in got.entries})
     assert notes == [{("pass", "inclusion")}, {("stall", "only")},
                      {("pass", "inclusion")}, {("stall", "only")},
                      {("pass", "inclusion")}]
+
+
+def test_an_inclusion_or_a_first_check_resumes_no_branch():
+    """Report.resumed counts only runs filled on from a frontier an
+    earlier check kept: the root an inclusion kept at 4 resumes at 8, and
+    both branches at 12, while the inclusions between them and a first
+    check, which explores from its own root, resume none."""
+    assert check(_flipping(3, None), [ZEROS], depth=8).resumed == 0
+    assert check(_flipping(13, {3}), [ZEROS], depth=16).resumed == 0
+    w = _stop5()
+    assert [check(w, [ZEROS], depth=depth).resumed
+            for depth in (4, 8, 5, 12, 3)] == [0, 1, 0, 2, 0]
+
+
+@pytest.mark.parametrize("name", INCLUDED)
+def test_an_inclusion_witness_resumes_no_branch_on_the_ladder(name):
+    entry = named_witnesses()[name]
+    corpus = entry.corpus(rng_for(f"cli:{name}"), entry.count)
+    w = entry.build()
+    assert [check(w, corpus, depth=depth).resumed
+            for depth in RUNGS + RUNGS[::-1]] == [0] * 2 * len(RUNGS)
 
 
 def test_a_label_is_formatted_once_per_name_over_the_ladder(monkeypatch):
@@ -568,15 +642,19 @@ def test_a_stalled_branch_stalls_at_the_same_symbol_when_resumed():
 
 @pytest.mark.parametrize("name", sorted(named_witnesses()))
 def test_a_first_check_keeps_no_explored_runs(name):
-    """Only the inclusion test's one canonical run per name is kept."""
+    """Only an inclusion's root run is kept: an inclusion witness's names
+    keep a frontier that holds the root branch alone, every other name
+    keeps no frontier."""
     entry = named_witnesses()[name]
     w = entry.build()
     check(w, entry.corpus(rng_for(f"cli:{name}"), entry.count),
           depth=entry.depth)
     assert w._validated
-    assert all(n.frontier is None for n in w._validated.values())
-    assert all(n.run is None for n in w._validated.values()
-               if name not in INCLUDED)
+    for n in w._validated.values():
+        if name in INCLUDED:
+            assert list(n.frontier.branches) == [frozenset()]
+        else:
+            assert n.frontier is None
 
 
 def test_the_zero_rows_of_an_image_are_one_point_with_one_census(monkeypatch):
