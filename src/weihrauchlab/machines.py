@@ -15,11 +15,11 @@ word's are its slices); the others (diag, and the index and symbol
 machines, const_machine, inject and shift_l among them) are LazyWords,
 whose symbols are computed on first read and memoized with the view.
 eval is that view materialized, but for an index machine, whose eval
-maps its law over the input.  The combinators pass views along:
-compose hands the outer machine the inner stage's view, pair_machine
-and tensor interleave the views of their parts, and tag_case, the
-copairing of a tagged union, hands the branch its tag selects the rest
-of the input as a view.  So a composite
+picks its sources from the input in one call.  The combinators pass
+views along: compose hands the outer machine the inner stage's view,
+pair_machine and tensor interleave the views of their parts, and
+tag_case, the copairing of a tagged union, hands the branch its tag
+selects the rest of the input as a view.  So a composite
 computes only the inner symbols its outer stages read.  A symbol no
 stage reads is never computed, and an exception computing it would raise
 does not surface; this is the composed stream function's own semantics.
@@ -31,10 +31,10 @@ point, so machine and mirror share one expression.
 emit_rows is the one emitter of a word given by its row words.
 The schedules of index, symbol and row machines, src(j) and needs(j), do
 not depend on the input, so each such machine caches its emitted length
-(an index machine, the sources it emits) per input length, and a caller
-that needs a length or a single symbol reads the view instead of eval
-(the swap search does).  A row machine's length is found row by row
-(row_emit_length), a symbol machine's code by code.
+(an index machine, the sources it emits and their pick) per input
+length, and a caller that needs a length or a single symbol reads the
+view instead of eval (the swap search does).  A row machine's length is
+found row by row (row_emit_length), a symbol machine's code by code.
 identity, the index machines and composes of them carry their index law
 as src, which lets the checker decide a copying H without running it on
 every oracle behavior.  A shuffle is said once: an index machine given
@@ -79,6 +79,7 @@ tests only where found puts the hit.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import partial
 from itertools import count, islice, takewhile
@@ -93,8 +94,10 @@ from .points import (
     Word,
     depair,
     gather_rows,
+    gather_words,
     pair_decode,
     pair_encode,
+    picker,
     point_drop,
     point_prepend,
     row,
@@ -385,20 +388,16 @@ def interleave(a, b) -> LazyWord:
 def emit_rows(row_of: Callable, bound: Optional[int] = None) -> Word:
     """A row-tupled output: symbol j = <n,k> is symbol k of row_of(n),
     emitted up to the first row too short for its symbol, and below bound
-    when one is given.  Each row is computed once."""
-    rows: dict = {}
-    out = []
-    j = 0
-    while bound is None or j < bound:
-        n, k = pair_decode(j)
-        r = rows.get(n)
-        if r is None:
-            r = rows[n] = row_of(n)
-        if k >= len(r):
-            break
-        out.append(r[k])
-        j += 1
-    return tuple(out)
+    when one is given.  Each row is computed once, in row order, and only
+    while <n,0> lies below the least <n, len(row n)> found so far: the
+    length emitted, by which the rows are gathered (gather_words)."""
+    rows = []
+    end = math.inf if bound is None else bound
+    for n in count():
+        if pair_encode(n, 0) >= end:
+            return gather_words(rows, end)
+        rows.append(row_of(n))
+        end = min(end, pair_encode(n, len(rows[n])))
 
 
 # ---------------------------------------------------------------------------
@@ -671,9 +670,10 @@ def index_machine(name: str, src: Callable = None, rows: Callable = None,
                   point: Callable = None) -> Machine:
     """Output symbol j is input symbol src(j).  Over a finite input it
     emits the longest closed prefix within the evaluation budget, over an
-    unbounded one every symbol, each a single read of src(j).  eval maps
-    the law over its input, writing no memo; the view stays lazy, for
-    composites and unbounded runs.
+    unbounded one every symbol, each a single read of src(j).  eval picks
+    the sources from its input by one itemgetter (points.picker), kept
+    per input length beside them, and writes no memo; the view stays
+    lazy, for composites and unbounded runs.
 
     A shuffle is said once: by its index law src, whose point action
     reads the input at src(i); by rows, which given the input point
@@ -690,22 +690,23 @@ def index_machine(name: str, src: Callable = None, rows: Callable = None,
                 return LawPoint(fn=lambda i: p.value_at(src(i)), label=name)
     if src is None:
         src = point(LawPoint(fn=lambda i: i, label="indices")).value_at
-    sources: dict = {}      # input length L -> src(j) for each j emitted over L
+    sources: dict = {}      # input length L -> (src(j) emitted over L, picker)
 
     def gathered(L):
-        at = sources.get(L)
-        if at is None:
-            at = sources[L] = tuple(takewhile(
-                lambda s: s < L, map(src, range(_emit_budget(L)))))
-        return at
+        got = sources.get(L)
+        if got is None:
+            at = tuple(takewhile(lambda s: s < L,
+                                 map(src, range(_emit_budget(L)))))
+            got = sources[L] = at, picker(at)
+        return got
 
     def view(w):
         L = extent(w)
-        return LazyWord(None if L is None else len(gathered(L)),
+        return LazyWord(None if L is None else len(gathered(L)[0]),
                         lambda j: w[src(j)])
 
     def fn(w):
-        return tuple(map(w.__getitem__, gathered(len(w))))
+        return gathered(len(w))[1](w)
 
     return Machine(name, fn, point=point, view=view, src=src)
 

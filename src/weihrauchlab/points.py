@@ -16,6 +16,9 @@ period walk row_period / period_row.  row, row_period and depair (or
 half) take any point: a pair is read through its normal form, and one
 that does not normalize has no rows; pairing_row reads such a pair's
 rows through the pairing instead, as row reads a value law's.
+A row-tupled word of length n is gathered by the plan for n: its row
+lengths and one C-level pick (picker) from the rows laid end to end to
+pairing order, kept per process up to DECODE_BOUND (gather_words).
 A point's first n symbols, symbols(n), are read in bulk wherever the
 constructor allows: an eventually periodic stream from its head and cycle,
 a row tuple or a row law through gather_rows, and a pair by filling its
@@ -43,7 +46,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cache, partial
-from itertools import chain, compress, count, cycle, islice, takewhile
+from itertools import (accumulate, chain, compress, count, cycle, islice,
+                       takewhile)
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .errors import UnsupportedShape
@@ -90,25 +95,65 @@ def row_lengths(L: int) -> list:
     return list(takewhile(bool, map(partial(row_length, L), count())))
 
 
+def picker(indices: tuple) -> Callable:
+    """w -> tuple(w[i] for i in indices), as one C-level itemgetter: one
+    index still picks a 1-tuple, and no index the empty word."""
+    if len(indices) > 1:
+        return itemgetter(*indices)
+    return lambda w: tuple(w[i] for i in indices)
+
+
+_PLANS: dict = {}   # n -> _plan(n), for n <= DECODE_BOUND
+
+
+def _plan(n: int) -> tuple:
+    """(row_lengths(n), pick): pick takes the n symbols of a word laid out
+    by rows, row r's first row_length(n, r) after row r - 1's, to the same
+    symbols in pairing order, code <r,k> sitting at row r's offset plus k.
+    A pure function of n, so kept per process up to DECODE_BOUND, like the
+    decode table, and built per call above it."""
+    plan = _PLANS.get(n)
+    if plan is None:
+        lengths = row_lengths(n)
+        offsets = tuple(accumulate(lengths, initial=0))
+        codes = zip(_ROW, _COL)
+        if n > DECODE_BOUND:
+            codes = chain(codes, map(pair_decode, range(DECODE_BOUND, n)))
+        plan = lengths, picker(tuple(offsets[r] + k
+                                     for r, k in islice(codes, n)))
+        if n <= DECODE_BOUND:
+            _PLANS[n] = plan
+    return plan
+
+
+def gather_words(rows, n: int) -> tuple:
+    """The first n symbols, in pairing order, of the word whose row r
+    starts with the r-th tuple or list of the iterable rows: each holds
+    at least its row_length(n, r) symbols, and rows is read no further
+    than the last row holding one of the n."""
+    lengths, pick = _plan(n)
+    flat = []
+    for m, w in zip(lengths, rows):
+        flat += w[:m]
+    return pick(flat)
+
+
 def gather_rows(row_at: Callable, n: int) -> list:
     """The first n symbols of the row-tupled word whose row r is the point
     row_at(r): each distinct row point holding one of them is read once,
-    through its own symbols, and the rows are gathered in pairing order,
-    through the decode table below DECODE_BOUND.  Row lengths do not
-    increase, so a row point's first read is its longest, and a later row
-    that is the same object is read from it."""
+    through its own symbols, and the rows are gathered in pairing order
+    by gather_words.  Row lengths do not increase, so a row point's first
+    read is its longest, and a later row that is the same object is read
+    from it."""
     read: dict = {}     # id -> (row point, its symbols); the point kept alive
-    rows = []
-    for r, m in enumerate(row_lengths(n)):
+
+    def symbols(r):
         pt = row_at(r)
         got = read.get(id(pt))
         if got is None:
-            got = read[id(pt)] = pt, tuple(pt.symbols(m))
-        rows.append(got[1])
-    codes = zip(_ROW, _COL)
-    if n > DECODE_BOUND:
-        codes = chain(codes, map(pair_decode, range(DECODE_BOUND, n)))
-    return [rows[r][k] for r, k in islice(codes, n)]
+            got = read[id(pt)] = pt, tuple(pt.symbols(row_length(n, r)))
+        return got[1]
+    return list(gather_words(map(symbols, count()), n))
 
 
 def first_nonzero(w) -> Optional[int]:

@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import inf
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import (
     CapacityExceeded,
@@ -30,6 +30,7 @@ from .points import (
     Point,
     depair,
     exists_zero,
+    fact,
     nonzero_census,
     pair_decode,
     pair_encode,
@@ -763,17 +764,18 @@ def hat_problem(f: Problem) -> Problem:
 
     A nat-valued f answers in one flat stream whose coordinate n answers
     row n; any other f answers row-tupled, row n a name from f's values.
+    The domain asks f about each row object once, in row order, up to
+    the first row outside f's domain: a name's row period, or a law
+    name's first LAW_DOMAIN_WINDOW rows.
     """
     def dom(p):
         try:
             if isinstance(p, LawPoint):
                 # bounded validation on law-backed names; construction carries the tail
-                rows = (row(p, n) for n in range(LAW_DOMAIN_WINDOW))
+                rows = map(partial(row, p), range(LAW_DOMAIN_WINDOW))
             else:
-                # a row tuple's head repeats its default row: test each
-                # row object once (the dict keeps each one alive)
-                rows = {id(r): r for r in itertools.chain(*row_period(p))}.values()
-            return all(f.in_domain(r) for r in rows)
+                rows = itertools.chain(*row_period(p))
+            return all(map(f.in_domain, _each_once(rows)))
         except UnsupportedShape:
             return False
 
@@ -790,6 +792,18 @@ def hat_problem(f: Problem) -> Problem:
         return CoordProductSet(lambda n: period_row(period, n), period)
 
     return Problem(("hat", f.key), dom, value)
+
+
+def _each_once(rows: Iterable) -> Iterator:
+    """rows in order, each row object once: a row tuple's head repeats its
+    default row, and a law's rows may all be one object.  Each row is
+    asked for only once the rows before it are tested (the dict keeps
+    each one alive, so no id is reused)."""
+    seen: dict = {}
+    for r in rows:
+        if id(r) not in seen:
+            seen[id(r)] = r
+            yield r
 
 
 def _shortest_cycle(cycle: tuple) -> tuple:
@@ -951,9 +965,15 @@ def double_hat_problem(f: Problem) -> Problem:
 
 
 def compose_problems(outer: Problem, inner: Problem) -> Problem:
-    """Multi-valued composition on the finitely enumerable fragment."""
+    """Multi-valued composition on the finitely enumerable fragment.  The
+    inner value set's members, which dom and value both read, are one of
+    the name's facts (points.fact)."""
+    def members(p):
+        return tuple(inner.value_set(p).members())
+
     def member_names(p):
-        return inner.value_set(p).members()
+        # read by both dom and value: kept on the name, once per name
+        return fact(p, ("members", inner.key), members)
 
     def dom(p):
         if not inner.in_domain(p):

@@ -4,15 +4,22 @@ the minimal blocking level of a tree word, the closed-form index laws of
 the parallelization shuffles, which the machines read off their point
 actions, the per-row swap search, which builds a fresh compact and
 every word's view for each search, the box inclusion test that reads
-the index law and computes every box mask on each call, and the oracle
-explorer that runs every branch afresh at every depth."""
+the index law and computes every box mask on each call, the oracle
+explorer that runs every branch afresh at every depth, and the gathers
+of row-tupled words that decode every code through the pairing."""
 
 import itertools
 from typing import Optional
 
 from weihrauchlab.errors import CapacityExceeded, FuelExhausted
 from weihrauchlab.machines import Machine, PointView, interleave
-from weihrauchlab.points import LawPoint, Point, pair_decode, pair_encode
+from weihrauchlab.points import (
+    LawPoint,
+    Point,
+    pair_decode,
+    pair_encode,
+    row_lengths,
+)
 from weihrauchlab.spaces import ClopenCompact, extensions
 from weihrauchlab.weakcomp import DynamicSwap, pulse_exclusions
 
@@ -249,3 +256,38 @@ def row_emit_length_per_code(needs, L: int, cap: int) -> int:
     while n < cap and needs(pair_decode(n)[0]) <= L:
         n += 1
     return n
+
+
+# row-tupled words gathered symbol by symbol ---------------------------------
+
+def gather_rows_per_symbol(row_at, n: int) -> list:
+    """gather_rows through the pairing: each distinct row point read once,
+    at its first (longest) length, then every code decoded in turn."""
+    read: dict = {}
+    rows = []
+    for r, m in enumerate(row_lengths(n)):
+        pt = row_at(r)
+        got = read.get(id(pt))
+        if got is None:
+            got = read[id(pt)] = pt, tuple(pt.symbols(m))
+        rows.append(got[1])
+    return [rows[r][k] for r, k in map(pair_decode, range(n))]
+
+
+def emit_rows_per_symbol(row_of, bound: Optional[int] = None) -> tuple:
+    """emit_rows code by code: symbol <n,k> is row n's symbol k, up to the
+    first row too short for its symbol or bound; each row computed once,
+    when its first code is reached."""
+    rows: dict = {}
+    out = []
+    j = 0
+    while bound is None or j < bound:
+        n, k = pair_decode(j)
+        r = rows.get(n)
+        if r is None:
+            r = rows[n] = row_of(n)
+        if k >= len(r):
+            break
+        out.append(r[k])
+        j += 1
+    return tuple(out)

@@ -20,6 +20,7 @@ from weihrauchlab.machines import EvalOutcome
 from weihrauchlab.points import (
     EvPeriodic,
     Interleave,
+    LawPoint,
     RowTuple,
     period_row,
     prefix,
@@ -267,6 +268,38 @@ def test_hat_domain_tests_each_row_object_once():
     assert len(asked) == len(head) + len(tail)
 
 
+
+def test_hat_domain_tests_a_law_points_row_object_once():
+    """A law point whose window rows are all one object has f asked about
+    that object once."""
+    asked = []
+
+    def stub_dom(r):
+        asked.append(r)
+        return True
+
+    hat = hat_problem(nat_problem("stub", stub_dom, lambda r: frozenset({0})))
+    one = EvPeriodic((1,), (0,))
+    assert hat.in_domain(LawPoint(row_fn=lambda n: one))
+    assert asked == [one]
+
+
+def test_hat_domain_of_a_law_point_stops_at_its_first_row_outside():
+    """Rows are computed in order and the test stops at the first row
+    outside f's domain: a row law whose row 3 is outside and whose row 5
+    raises is refused without row 5 being computed."""
+    computed = []
+    outside = EvPeriodic((), (1,))      # nonzero everywhere: not an LLPO name
+
+    def row_law(n):
+        computed.append(n)
+        if n == 5:
+            raise NonRepresentable("row 5 has no presentation")
+        return outside if n == 3 else EvPeriodic((), (0,))
+
+    assert not llpo_hat_problem().in_domain(LawPoint(row_fn=row_law))
+    assert computed == [0, 1, 2, 3]
+
 def test_c_map_agrees_with_rowwise_lpo():
     """Coordinate n of the lpo hat's value is lpo on row n."""
     rng = rng_for("c-rowwise")
@@ -483,6 +516,32 @@ def test_composite_problem_squared():
     free = RowTuple({}, EvPeriodic((), (0,)))
     assert not comp.in_domain(free)
 
+
+
+def test_composition_lists_a_names_members_once():
+    """dom and value read the inner value set's members through the
+    name's facts: a name that has a facts slot has them listed once, and
+    a listing that raises keeps nothing, so it raises again."""
+    listed = []
+
+    def inner_value(p):
+        listed.append(p)
+        if p.value_at(0) == 7:
+            raise CapacityExceeded("too many members")
+        return _listed(EvPeriodic((), (0,)), EvPeriodic((), (1,)))
+
+    inner = dataclasses.replace(id_problem(), key="listing",
+                                value_set=inner_value)
+    comp = compose_problems(lpo_problem(), inner)
+    p = EvPeriodic((0,), (1,))
+    assert comp.in_domain(p)
+    assert comp.value_set(p).check_prefix((0,)) is None
+    assert listed == [p]
+    bad = EvPeriodic((7,), (0,))
+    assert not comp.in_domain(bad)
+    with pytest.raises(CapacityExceeded):
+        comp.value_set(bad)
+    assert listed == [p, bad, bad]
 
 def test_behavior_capacity_is_first_class():
     from weihrauchlab.errors import CapacityExceeded

@@ -1,8 +1,9 @@
 """K is validated on the name's word, read once.
 
 check evaluates each K on p.prefix(width) instead of on a PointView of p;
-an index machine's eval maps its law over the word, beside its lazy view;
-and gather_rows reads a row point once however many rows it stands for.
+an index machine's eval picks its law's sources from the word, beside
+its lazy view; and gather_rows reads a row point once however many rows
+it stands for.
 The PointView path and value_at, symbol by symbol, are the references.
 """
 
