@@ -90,15 +90,19 @@ def encode_ternary(t: TernaryValue) -> EvPeriodic:
     return pulse(pulse_position(0, t.value))
 
 
-def decode_ternary(p: Point) -> TernaryValue:
-    """Case split of the ternary representation; the name must have at most
-    one nonzero entry (the lesser-omniscience domain)."""
+def ternary_pulse(p: Point) -> int | None:
+    """Where a ternary name's nonzero entry stands, None when it has none;
+    the name must have at most one (the lesser-omniscience domain)."""
     kind, pos = nonzero_census(p)
     if kind == "many":
         raise NotAName(f"two nonzero entries (first at {pos})")
-    if kind == "zero":
-        return THALF
-    return TernaryValue(pulse_bit(pos))
+    return pos
+
+
+def decode_ternary(p: Point) -> TernaryValue:
+    """Case split of the ternary representation, on its pulse."""
+    pos = ternary_pulse(p)
+    return THALF if pos is None else TernaryValue(pulse_bit(pos))
 
 
 def ternary_of_word(w) -> TernaryValue | None:

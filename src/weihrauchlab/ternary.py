@@ -4,7 +4,9 @@ The NAND stream realizer implements the monotone case split over pairs of
 ternary names; circuits synthesized from Boolean truth tables come with two
 value-level evaluators (gate-wise Kleene evaluation and the semantic
 extension by resolution enumeration) and a stream realizer for each, so
-both routes can be cross-checked machine-against-table.
+both routes can be cross-checked machine-against-table.  One rule,
+resolution_pulse, places the resolution realizer's pulse from its input
+rows' pulses, read off a word or off a name's census.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import ArityCap, InvariantViolation
 from .machines import Machine, RowView, first_half, row_rule_machine, second_half
@@ -264,42 +266,49 @@ def gatewise_realizer(c: NandCircuit) -> Machine:
                             lambda n: pair_encode(c.arity - 1, n - 1) + 1)
 
 
+def resolution_pulse(table: Sequence, arity: int, floor: int,
+                     pulses: Sequence) -> Optional[int]:
+    """The resolution realizer's pulse, from pulses[i], the first nonzero
+    of input row i (None: none): at the first stage where every completion
+    of the determined inputs yields the same Boolean value, at or after
+    floor with the parity naming it; None while none does.  Callers use
+    floor to keep row streams consistent with zeros emitted before the
+    table was committed.  A determination changes only at stage <i, j> + 1,
+    where row i's pulse j scrolls into view."""
+    events = [(pair_encode(i, j), i, j) for i, j in enumerate(pulses)
+              if j is not None]
+    for stage in sorted({1} | {p + 1 for p, _, _ in events}):
+        ts = [THALF] * arity
+        for p, i, j in events:
+            if p < stage:
+                ts[i] = TernaryValue(pulse_bit(j))
+        # every completion agrees iff the all-open-as-half extension is decided
+        verdict = extension_value(table, ts)
+        if verdict is not THALF:
+            return pulse_position(max(stage, floor), verdict.value)
+    return None
+
+
+def resolution_word(table: Sequence, arity: int, floor: int, w) -> tuple:
+    """The resolution realizer's output on the row-tupled word w: zeros
+    while resolution_pulse places no pulse from the first nonzeros of w's
+    input rows, else that pulse; never shorter than w."""
+    pos = resolution_pulse(table, arity, floor,
+                           [first_nonzero(RowView(w, i)) for i in range(arity)])
+    if pos is None:
+        return (0,) * len(w)
+    return pulse(pos).prefix(max(len(w), pos + 1))
+
+
 def resolution_realizer(table: Sequence, arity: int, floor: int = 0) -> Machine:
     """Realizer of the semantic extension: emits once every completion of
-    the currently determined inputs yields the same Boolean value.  The
-    pulse never lands below floor (callers use this to keep row streams
-    consistent with zeros emitted before the table was committed).
-
-    Determinations only change when an input row's pulse scrolls into
-    view, so the earliest settled stage is found among those events.  On
-    an input of length L the output has at least L symbols.
-    """
+    the currently determined inputs yields the same Boolean value, by
+    resolution_word's rule.  On an input of length L the output has at
+    least L symbols."""
     table = tuple(table)
 
-    def settled(dets):
-        # every completion agrees iff the all-open-as-half extension is decided
-        ts = [THALF if d is None else d for d in dets]
-        v = extension_value(table, ts)
-        return v if v is not THALF else None
-
     def rule(w):
-        L, row = len(w), partial(RowView, w)
-        pulses = []   # (flat position, row, value), each below L
-        for i in range(arity):
-            j = first_nonzero(row(i))
-            if j is not None:
-                pulses.append((pair_encode(i, j), i, TernaryValue(pulse_bit(j))))
-        for stage in sorted({1} | {p + 1 for p, _, _ in pulses}):
-            dets = [None] * arity
-            for p, i, val in pulses:
-                if p < stage:
-                    dets[i] = val
-            verdict = settled(dets)
-            if verdict is None:
-                continue
-            pos = pulse_position(max(stage, floor), verdict.value)
-            return pulse(pos).prefix(max(L, pos + 1))
-        return (0,) * L
+        return resolution_word(table, arity, floor, w)
 
     return row_rule_machine(f"resolution[{arity}]", rule, lambda n: n)
 

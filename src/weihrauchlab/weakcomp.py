@@ -2,7 +2,9 @@
 LLPO, moduli of uniform continuity, truth-table extraction, the
 coordinate-swap construction that moves a machine past the parallelized
 oracle, composition of weakly computable reductions, and the compact
-choice witnesses.  Their row-tupled machines emit through emit_rows.
+choice witnesses.  Their row-tupled machines emit through emit_rows.  The
+dynamic swap's machine and mirror read one commit sequence and place each
+committed row's pulse by ternary's one resolution rule.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import (
 )
 from .machines import (
     Machine,
-    PointView,
     RowView,
     compose,
     compose_all,
@@ -36,10 +37,10 @@ from .points import (
     EvPeriodic,
     LawPoint,
     Point,
-    first_nonzero,
     pair_decode,
     pair_encode,
     pulse,
+    pulse_bit,
     pulse_position,
     row,
     row_length,
@@ -55,19 +56,18 @@ from .problems import (
     llpo_value,
 )
 from .spaces import (
-    T1,
-    THALF,
     ClopenCompact,
-    TernaryValue,
     clopen_code_word,
     clopen_word_code,
     decode_ternary,
+    ternary_pulse,
     word_at,
 )
 from .ternary import (
     classify,
     extension_value,
-    resolution_realizer,
+    resolution_pulse,
+    resolution_word,
     shape_of,
     word_of_shape,
 )
@@ -235,12 +235,10 @@ class SwapResult:
 
 def swap_g_machine(tables: TruthTableFamily) -> Machine:
     """Rows of the output are resolution realizers of the extended tables."""
-    realizers = [resolution_realizer(tables.table(n), tables.arity(n))
-                 for n in range(len(tables.entries))]
-
     def rule(w):
-        return emit_rows(lambda n: realizers[n].eval(w) if n < len(realizers)
-                         else (), len(w))
+        return emit_rows(
+            lambda n: resolution_word(tables.table(n), tables.arity(n), 0, w)
+            if n < len(tables.entries) else (), len(w))
 
     return row_rule_machine("swap-G", rule)
 
@@ -400,13 +398,14 @@ class DynamicSwap:
 
     Commits, per output row, a modulus width and truth table as soon as the
     negative information seen so far supports the exhaustive search; the
-    committed realizers then stream their verdicts.  Deterministic in the
-    input prefix, hence a monotone machine.
+    committed rows then stream their verdicts by resolution_word.
+    Deterministic in the input prefix, hence a monotone machine; it and
+    its mirror read one commit sequence, replay, as far as each needs.
 
     A search depends only on the exclusions, the row and the start width,
-    so each is made once per swap and every replay reuses its result.  A
-    drain's searches share one compact and one kept_outputs middle machine,
-    built at its first search and dropped with it.
+    so each is made once per swap and every replay reuses its result.  The
+    searches at one stage share one compact and one kept_outputs middle
+    machine, built at its first search and dropped with the stage.
     """
 
     K_CAP = 8       # the widest modulus a row's search tries
@@ -420,7 +419,7 @@ class DynamicSwap:
                under: Callable):
         """Row n's commit under the exclusions from width start on:
         (width, table), or None when no width up to K_CAP fits; under()
-        gives the drain's compact and middle machine."""
+        gives the stage's compact and middle machine."""
         key = (excluded, n, start)
         if key not in self._searches:
             compact, mid = under()
@@ -429,41 +428,44 @@ class DynamicSwap:
                 width, truth_table(mid, compact, n, width))
         return self._searches[key]
 
-    def replay(self, symbol_at: Callable, length: int, max_rows: int):
-        excluded: set = set()
-        commits: dict = {}
+    def _stages(self, symbol_at: Callable, length: int):
+        """The stages of a replay over the first length symbols, as (stage,
+        exclusions, under): the start, and each pulse that adds exclusions."""
+        def under(excluded):
+            return cache(lambda: (ClopenCompact(excluded), kept_outputs(self.mid)))
 
-        def drain(ell):
-            frozen = frozenset(excluded)
-            under = cache(lambda: (ClopenCompact(frozen), kept_outputs(self.mid)))
-            while len(commits) < max_rows:
-                n = len(commits)
-                start = commits[n - 1][1] if n else 1
-                found = self.search(frozen, n, start, under)
-                if found is None:
-                    return
-                commits[n] = (ell, *found)
-
-        drain(1)
+        excluded = frozenset()
+        yield 1, excluded, under(excluded)
         for ell in range(1, length + 1):
             if symbol_at(ell - 1) == 0:
                 continue
             _, blocks = pulse_exclusions(ell - 1, self.ROW_CAP)
-            excluded.update(blocks or ())
-            drain(ell)
-        return commits
+            if not excluded.issuperset(blocks or ()):
+                excluded = excluded.union(blocks)
+                yield ell, excluded, under(excluded)
+
+    def replay(self, symbol_at: Callable, length: int):
+        """The commits (stage, width, table) of rows 0, 1, ... in row
+        order, as far as they are read.  Row n commits at the first stage,
+        from row n - 1's on, whose search from row n - 1's width fits; the
+        rows end at the first that no stage up to length commits."""
+        n, start = 0, 1
+        for ell, excluded, under in self._stages(symbol_at, length):
+            while (found := self.search(excluded, n, start, under)) is not None:
+                yield (ell, *found)
+                n, start = n + 1, found[0]
 
     def machine(self) -> Machine:
         def rule(w):
             L = len(w)
-            commits = self.replay(lambda i: w[i], L, L)
+            commits = self.replay(w.__getitem__, L)
 
-            def out_row(n):
-                state = commits.get(n)
+            def out_row(n):     # emit_rows asks for rows 0, 1, ... in order
+                state = next(commits, None)
                 if state is None:
                     return (0,) * L    # safe zeros while uncommitted
-                ell, arity, table = state
-                return resolution_realizer(table, arity, floor=ell).eval(w)
+                ell, width, table = state
+                return resolution_word(table, width, ell, w)
 
             return emit_rows(out_row, L)
 
@@ -471,53 +473,36 @@ class DynamicSwap:
 
 
 class DynamicSwapMirror:
-    """Point-level mirror of the dynamic swap on a fixed input name."""
+    """Point-level mirror of the dynamic swap on a fixed input name: row n
+    commits as the machine's does, read from the replay as far as asked,
+    and resolution_pulse places its pulse from the pulses of the name's
+    own rows, which their census gives."""
 
     def __init__(self, swap: DynamicSwap, q1: Point):
-        self.swap = swap
-        self.q1 = q1
         self.length = min(REPLAY_CAP, scan_bound_or(q1, REPLAY_CAP))
-        self._max_rows = 8
-        self.commits = swap.replay(q1.value_at, self.length, self._max_rows)
-        self._rows: dict = {}
-
-    HARD_ROWS = 32768
+        self._replay = swap.replay(q1.value_at, self.length)
+        self.commits: list = []
+        self._input = cache(lambda i: ternary_pulse(row(q1, i)))
+        self._pulses: dict = {}
 
     def commit(self, n: int):
-        while (n >= self._max_rows and len(self.commits) == self._max_rows
-               and self._max_rows <= self.HARD_ROWS):
-            self._max_rows = max(2 * self._max_rows, n + 1)
-            self.commits = self.swap.replay(self.q1.value_at, self.length,
-                                            self._max_rows)
-        state = self.commits.get(n)
-        if state is None:
+        self.commits += itertools.islice(self._replay,
+                                         max(0, n + 1 - len(self.commits)))
+        if n >= len(self.commits):
             raise FuelExhausted(f"row {n} never commits within the replay cap")
-        return state
-
-    def ternary(self, n: int) -> TernaryValue:
-        ell, arity, table = self.commit(n)
-        ts = [decode_ternary(row(self.q1, i)) for i in range(arity)]
-        return extension_value(table, ts)
-
-    def row(self, n: int) -> EvPeriodic:
-        if n in self._rows:
-            return self._rows[n]
-        t = self.ternary(n)
-        if t is THALF:
-            out = ZEROS
-        else:
-            ell, arity, table = self.commit(n)
-            # the realizer is monotone: its widest window has the first pulse
-            mach = resolution_realizer(table, arity, floor=ell)
-            pos = first_nonzero(mach.eval(PointView(self.q1, 4 * REPLAY_CAP)))
-            if pos is None:
-                raise FuelExhausted(f"row {n} pulse beyond the replay cap")
-            out = pulse(pos)
-        self._rows[n] = out
-        return out
+        return self.commits[n]
 
     def pulse(self, n: int) -> Optional[int]:
-        return first_nonzero(self.row(n).head)
+        """Where row n's pulse stands, None when it has none."""
+        if n not in self._pulses:
+            ell, width, table = self.commit(n)
+            self._pulses[n] = resolution_pulse(
+                table, width, ell, list(map(self._input, range(width))))
+        return self._pulses[n]
+
+    def row(self, n: int) -> EvPeriodic:
+        pos = self.pulse(n)
+        return ZEROS if pos is None else pulse(pos)
 
 
 def scan_bound_or(p: Point, fallback: int) -> int:
@@ -554,11 +539,10 @@ def _condensed_rows(mirror: DynamicSwapMirror):
                 break
             inner = pair_encode(k, s)
             try:
-                t = mirror.ternary(inner)
+                pos = mirror.pulse(inner)
             except FuelExhausted:
                 break
-            if t is T1:
-                pos = mirror.pulse(inner)
+            if pos is not None and pulse_bit(pos) == 1:
                 mapped = 2 * pair_encode(n, pos // 2) + (s % 2)
                 if best is None or mapped < best:
                     best = mapped

@@ -5,8 +5,9 @@ the parallelization shuffles, which the machines read off their point
 actions, the per-row swap search, which builds a fresh compact and
 every word's view for each search, the box inclusion test that reads
 the index law and computes every box mask on each call, the oracle
-explorer that runs every branch afresh at every depth, and the gathers
-of row-tupled words that decode every code through the pairing."""
+explorer that runs every branch afresh at every depth, the gathers
+of row-tupled words that decode every code through the pairing, and the
+swap mirror's row read off a resolution realizer run over a window."""
 
 import itertools
 from typing import Optional
@@ -14,14 +15,20 @@ from typing import Optional
 from weihrauchlab.errors import CapacityExceeded, FuelExhausted
 from weihrauchlab.machines import Machine, PointView, interleave
 from weihrauchlab.points import (
+    ZEROS,
+    EvPeriodic,
     LawPoint,
     Point,
+    first_nonzero,
     pair_decode,
     pair_encode,
+    pulse,
+    row,
     row_lengths,
 )
-from weihrauchlab.spaces import ClopenCompact, extensions
-from weihrauchlab.weakcomp import DynamicSwap, pulse_exclusions
+from weihrauchlab.spaces import THALF, ClopenCompact, decode_ternary, extensions
+from weihrauchlab.ternary import extension_value, resolution_realizer
+from weihrauchlab.weakcomp import REPLAY_CAP, DynamicSwap, pulse_exclusions
 
 
 def audit_monotone(m: Machine, point: Point, lengths) -> bool:
@@ -245,6 +252,25 @@ def replay_per_row(swap: DynamicSwap, symbol_at, length: int,
         excluded.update(blocks or ())
         drain(ell)
     return commits
+
+
+# the swap mirror's row from a realizer run over a window -------------------
+
+def mirror_row_windowed(commit, q1: Point) -> EvPeriodic:
+    """DynamicSwapMirror.row from a row's commit (stage, width, table):
+    zeros when the extended table is undecided on the name's decoded rows,
+    else the first nonzero of the resolution realizer run over the name's
+    first 4 * REPLAY_CAP symbols; a pulse past that window raises
+    FuelExhausted."""
+    ell, arity, table = commit
+    ts = [decode_ternary(row(q1, i)) for i in range(arity)]
+    if extension_value(table, ts) is THALF:
+        return ZEROS
+    mach = resolution_realizer(table, arity, floor=ell)
+    pos = first_nonzero(mach.eval(PointView(q1, 4 * REPLAY_CAP)))
+    if pos is None:
+        raise FuelExhausted("row pulse beyond the replay cap")
+    return pulse(pos)
 
 
 # the row machine's emitted length, scanned code by code ---------------------

@@ -7,8 +7,9 @@ identity by comparing `.name` attributes or reads an instance's
 could not import at module level, no index machine in src/ is given
 both its index law and its point action, no search in witnesses.py is
 given a hand-written point action, witnesses.py starts no run of H
-outside the explorer, the row normal form is decided in points alone,
-and so is the census of a name's zeros and nonzeros, by one walk."""
+outside the explorer, weakcomp.py places the swap's pulses by the one
+resolution rule of ternary.py, the row normal form is decided in points
+alone, and so is the census of a name's zeros and nonzeros, by one walk."""
 
 import ast
 from pathlib import Path
@@ -192,6 +193,15 @@ def test_every_run_of_H_goes_through_the_explorer():
     each name's runs through ValueSet.explore."""
     tree = ast.parse((ROOT / "src/weihrauchlab/witnesses.py").read_text())
     assert {"Run", "output_stream"} & set(_names(tree)) == set()
+
+
+def test_the_swap_places_its_pulses_by_the_resolution_rule():
+    """weakcomp.py names neither PointView nor resolution_realizer: the
+    swap's machine, its mirror and llpo_swap's G place each committed
+    row's pulse by ternary.resolution_pulse, and the mirror runs no
+    realizer over a window of its name."""
+    tree = ast.parse((ROOT / "src/weihrauchlab/weakcomp.py").read_text())
+    assert {"PointView", "resolution_realizer"} & set(_names(tree)) == set()
 
 
 def test_row_normal_form_is_decided_in_points():

@@ -1,9 +1,12 @@
 import itertools
+import types
 from functools import partial
 
 import pytest
 from references import (
+    audit_monotone,
     emit_width_per_row,
+    mirror_row_windowed,
     replay_per_row,
     truth_table_per_row,
 )
@@ -17,6 +20,7 @@ from weihrauchlab.corpus import (
 from weihrauchlab.errors import FuelExhausted, NonRepresentable
 from weihrauchlab.machines import (
     Machine,
+    RowView,
     compose,
     identity,
     pair_machine,
@@ -25,9 +29,16 @@ from weihrauchlab.machines import (
     run_on_point,
     shift_l,
 )
-from weihrauchlab.points import EvPeriodic, RowTuple
+from weihrauchlab.points import (
+    ZEROS,
+    EvPeriodic,
+    RowTuple,
+    first_nonzero,
+    pulse,
+    row_lengths,
+)
 from weihrauchlab.problems import llpo_hat_value
-from weihrauchlab.spaces import ClopenCompact, encode_clopen
+from weihrauchlab.spaces import T1, ClopenCompact, encode_clopen, encode_ternary
 from weihrauchlab import weakcomp
 from weihrauchlab.weakcomp import (
     DynamicSwap,
@@ -48,6 +59,7 @@ from weihrauchlab.witnesses import (
 )
 from weihrauchlab.problems import llpo_hat_problem, llpo_problem
 from weihrauchlab.registry import named_witnesses
+from weihrauchlab.ternary import synthesize, ternary_extend
 
 
 def test_compact_image_examples():
@@ -173,6 +185,12 @@ def test_llpo_swap_g_machine_consistent():
     assert all(s == 0 for s in row1[1::2])
 
 
+def _replay(swap: DynamicSwap, symbol_at, length: int, max_rows: int) -> dict:
+    """The first max_rows commits of the swap's replay, by row."""
+    return dict(enumerate(itertools.islice(swap.replay(symbol_at, length),
+                                           max_rows)))
+
+
 def test_dynamic_swap_commits_the_llpo_swap_tables():
     """On a pulse-free name the replay sees no exclusion, so each row it
     commits has the width and the table that llpo_swap computes."""
@@ -180,7 +198,7 @@ def test_dynamic_swap_commits_the_llpo_swap_tables():
     for p in (RowTuple({}, EvPeriodic((), (0,))), EvPeriodic((), (0,))):
         for m in (identity(), shift_l(), swap2):
             res = llpo_swap(m, p, 4)
-            commits = DynamicSwap(m).replay(p.value_at, 64, 4)
+            commits = _replay(DynamicSwap(m), p.value_at, 64, 4)
             assert sorted(commits) == [0, 1, 2, 3], m.name
             for n, (_, width, table) in commits.items():
                 assert width == res.tables.arity(n), (m.name, n)
@@ -281,8 +299,9 @@ def test_dynamic_swap_replays_reuse_searches_without_changing_commits():
         for p in names:
             for length in (8, 32, 96):
                 for max_rows in (2, 8, 24):
-                    got = shared.replay(p.value_at, length, max_rows)
-                    want = DynamicSwap(mid).replay(p.value_at, length, max_rows)
+                    got = _replay(shared, p.value_at, length, max_rows)
+                    want = _replay(DynamicSwap(mid), p.value_at, length,
+                                   max_rows)
                     assert got == want, (mid.name, p, length, max_rows)
                     stages.setdefault(mid.name, set()).update(
                         ell for ell, _, _ in got.values())
@@ -309,15 +328,15 @@ def test_shared_search_commits_as_the_per_row_search():
         cases += [(chain.mid, q1, length, max_rows) for max_rows in (8, 32)]
     for mid, p, length, max_rows in cases:
         swap = DynamicSwap(mid)
-        got = swap.replay(p.value_at, length, max_rows)
+        got = _replay(swap, p.value_at, length, max_rows)
         assert got == replay_per_row(swap, p.value_at, length, max_rows), \
             (mid.name, p, length, max_rows)
 
 
-def test_a_drain_computes_each_admitted_words_output_once(monkeypatch):
-    """Each drain builds one compact, and computes the middle machine's
-    output on each word that compact admits at most once, by eval or by
-    view."""
+def test_a_stage_computes_each_admitted_words_output_once(monkeypatch):
+    """Each stage of a replay builds one compact, and computes the middle
+    machine's output on each word that compact admits at most once, by
+    eval or by view."""
     log = []
 
     class Logged(ClopenCompact):
@@ -326,7 +345,7 @@ def test_a_drain_computes_each_admitted_words_output_once(monkeypatch):
             log.append(self)
 
     monkeypatch.setattr(weakcomp, "ClopenCompact", Logged)
-    drains = 0
+    stages = 0
     for base, names in _dynamic_swap_fixtures():
         def logged(read, w):
             log.append(w)
@@ -336,7 +355,7 @@ def test_a_drain_computes_each_admitted_words_output_once(monkeypatch):
                       view=partial(logged, base.view))
         for p in names:
             log.clear()
-            DynamicSwap(mid).replay(p.value_at, 96, 24)
+            _replay(DynamicSwap(mid), p.value_at, 96, 24)
             assert log and isinstance(log[0], Logged)
             for i, compact in enumerate(log):
                 if not isinstance(compact, Logged):
@@ -346,8 +365,8 @@ def test_a_drain_computes_each_admitted_words_output_once(monkeypatch):
                 words = log[i + 1:end]
                 assert len(set(words)) == len(words), (base.name, p)
                 assert all(compact.admits(w) for w in words)
-                drains += 1
-    assert drains > 16
+                stages += 1
+    assert stages > 16
 
 
 def test_llpo_swap_tables_as_the_per_row_search():
@@ -368,6 +387,121 @@ def test_llpo_swap_tables_as_the_per_row_search():
                 arity = max(1, widths[n + 1])
                 assert res.tables.entries[n] == (
                     arity, truth_table_per_row(m, compact, n, arity))
+
+
+def _chain_names():
+    """The parallel_extensive(llpo) witness and the names of the bench's
+    weak_compose group (seed 1)."""
+    entry = named_witnesses()["parallel_extensive(llpo)"]
+    return (parallel_extensive(llpo_problem()),
+            entry.corpus(rng_for("1:weak_compose"), 3))
+
+
+def test_the_swap_machine_searches_only_the_rows_it_emits(monkeypatch):
+    """On the chain's K images the swap machine searches exactly the rows
+    it emits: each row's commit is read as emit_rows asks for the row."""
+    searched = set()
+
+    def counted(m, compact, n, start, k_cap):
+        searched.add(n)
+        return emit_width(m, compact, n, start, k_cap)
+
+    monkeypatch.setattr(weakcomp, "emit_width", counted)
+    pe, names = _chain_names()
+    mid = compose(pe.K, pe.H)
+    for p in names:
+        searched.clear()
+        out = DynamicSwap(mid).machine().eval(pe.K.eval(p.prefix(24)))
+        assert len(out) == 324
+        assert searched == set(range(len(row_lengths(len(out))))) == set(range(25))
+
+
+def test_mirror_rows_as_the_windowed_realizer():
+    """The mirror's rows, placed from the census of the name's rows, are
+    the rows a resolution realizer run over a window gave, on the chain's
+    names and the replay fixtures wherever the window holds the pulse; a
+    row commits in the mirror as in the per-row replay."""
+    pe, names = _chain_names()
+    chain = DynamicSwap(compose(pe.K, pe.H))
+    corpus = [EvPeriodic((), (0,)), EvPeriodic((0, 3), (0,)),
+              EvPeriodic((2,), (0,))] + names
+    cases = [(chain, pe.k_point(p)) for p in corpus]
+    cases += [(DynamicSwap(mid), p)
+              for mid, fixture in _dynamic_swap_fixtures() for p in fixture]
+    cases.append(_late_commit())
+    compared = 0
+    for swap, q1 in cases:
+        mirror = DynamicSwapMirror(swap, q1)
+        commits = replay_per_row(swap, q1.value_at, mirror.length, 64)
+        for n, commit in commits.items():
+            assert mirror.commit(n) == commit, (swap.mid.name, q1, n)
+            try:
+                want = mirror_row_windowed(commit, q1)
+            except FuelExhausted:
+                continue
+            assert mirror.row(n) == want, (swap.mid.name, q1, n)
+            compared += 1
+        if len(commits) < 64:
+            with pytest.raises(FuelExhausted):
+                mirror.row(len(commits))
+    assert compared > 400
+
+
+def _late_commit():
+    """lazy-first's swap and a name on which its row 2 commits at stage 15
+    with a table decided from stage 1 on."""
+    return (DynamicSwap(Machine("lazy-first", _lazy_first)),
+            RowTuple({0: pulse(4), 2: pulse(1)}, ZEROS))
+
+
+def test_a_late_commit_lifts_the_pulse_in_machine_and_mirror():
+    """The commit stage is the floor of a row's pulse: row 2 pulses at 15,
+    not 1, in the mirror and in the machine, which stays monotone."""
+    swap, name = _late_commit()
+    assert DynamicSwapMirror(swap, name).pulse(2) == 15
+    m = swap.machine()
+    assert first_nonzero(RowView(m.eval(name.prefix(256)), 2)) == 15
+    assert audit_monotone(m, name, range(40))
+
+
+def test_a_pulse_past_the_window_is_placed_from_the_census():
+    """Row 0 of the identity's swap commits at stage 1 with width 1; its
+    input pulse at 1,030 stands at <0, 1030> = 531,995, past the window,
+    so its own pulse stands at the next stage, 531,996."""
+    q1 = RowTuple({0: pulse(1030)}, ZEROS)
+    mirror = DynamicSwapMirror(DynamicSwap(identity()), q1)
+    assert mirror.commit(0) == (1, 1, (0, 1))
+    with pytest.raises(FuelExhausted):
+        mirror_row_windowed(mirror.commit(0), q1)
+    assert mirror.pulse(0) == 531996
+    assert mirror.row(0) == pulse(531996)
+
+
+def test_the_weak_ternary_pieces_evaluate_plain_functions(monkeypatch):
+    """Every machine evaluated by a ternary extension's two realizers,
+    llpo_swap's G and a weak_compose check at width 24 has a plain function
+    as its fn: a trace names each evaluation by its fn's code."""
+    evaluated = []
+    original = Machine.eval
+
+    def recorded(m, w):
+        evaluated.append(m.fn)
+        return original(m, w)
+
+    monkeypatch.setattr(Machine, "eval", recorded)
+    ext = ternary_extend(synthesize((0, 1, 1, 1), 2))
+    name = RowTuple({1: encode_ternary(T1)}, ZEROS)
+    for m in (ext.realizer(), ext.gatewise()):
+        m.eval(name.prefix(16))
+        run_on_point(m, name, 16)
+    p = RowTuple({1: EvPeriodic((0, 5), (0,))}, ZEROS)
+    llpo_swap(identity(), p, 3).g_machine.eval(p.prefix(16))
+    pe, names = _chain_names()
+    rep = check(weak_compose(pe, pe), names, depth=4, validate_width=24)
+    assert rep.passed, rep.render()
+    assert all(isinstance(fn, types.FunctionType) for fn in evaluated)
+    assert {"resolution_realizer.<locals>.rule", "gatewise_realizer.<locals>.rule",
+            "swap_g_machine.<locals>.rule"} <= {fn.__qualname__ for fn in evaluated}
 
 
 def test_weak_compose_negative_control():
