@@ -52,7 +52,7 @@ def extensions(start, n: int, member: Callable) -> list:
     start itself is not tested)."""
     words = [tuple(start)]
     for _ in range(n - len(start)):
-        words = [w + (b,) for w in words for b in (0, 1) if member(w + (b,))]
+        words = [c for w in words for c in (w + (0,), w + (1,)) if member(c)]
     return words
 
 
@@ -170,19 +170,6 @@ class FinTree:
 
     def infinite(self) -> bool:
         return len(self.live_paths) > 0
-
-    def level(self, n: int) -> list:
-        """All tree words of length n, by direct enumeration."""
-        return extensions((), n, self.member)
-
-    def extension_exists(self, w, n: int) -> bool:
-        """Some length-n tree word extends w (n >= len(w))."""
-        w = tuple(w)
-        if self.alive(w):
-            return True
-        if n <= self.explicit_depth:
-            return any(len(x) == n and x[: len(w)] == w for x in self.explicit_nodes)
-        return False
 
     def blocking_search_bound(self, w) -> int:
         return max(self.explicit_depth, len(w) + 1) + 1

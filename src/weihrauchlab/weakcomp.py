@@ -404,8 +404,9 @@ class DynamicSwap:
 
     A search depends only on the exclusions, the row and the start width,
     so each is made once per swap and every replay reuses its result.  The
-    searches at one stage share one compact and one kept_outputs middle
-    machine, built at its first search and dropped with the stage.
+    searches share one kept_outputs middle machine and one compact per
+    exclusion set for the swap's life, so the machine's replay and its
+    mirror's compute each admitted word's middle output once in all.
     """
 
     K_CAP = 8       # the widest modulus a row's search tries
@@ -413,36 +414,35 @@ class DynamicSwap:
 
     def __init__(self, mid: Machine):
         self.mid = mid
+        self._kept = kept_outputs(mid)
+        self._compacts: dict = {}   # exclusions -> compact
         self._searches: dict = {}   # (exclusions, row, start) -> search
 
-    def search(self, excluded: frozenset, n: int, start: int,
-               under: Callable):
+    def search(self, excluded: frozenset, n: int, start: int):
         """Row n's commit under the exclusions from width start on:
-        (width, table), or None when no width up to K_CAP fits; under()
-        gives the stage's compact and middle machine."""
+        (width, table), or None when no width up to K_CAP fits."""
         key = (excluded, n, start)
         if key not in self._searches:
-            compact, mid = under()
-            width = emit_width(mid, compact, n, start, self.K_CAP)
+            compact = self._compacts.get(excluded)
+            if compact is None:
+                compact = self._compacts[excluded] = ClopenCompact(excluded)
+            width = emit_width(self._kept, compact, n, start, self.K_CAP)
             self._searches[key] = None if width is None else (
-                width, truth_table(mid, compact, n, width))
+                width, truth_table(self._kept, compact, n, width))
         return self._searches[key]
 
     def _stages(self, symbol_at: Callable, length: int):
         """The stages of a replay over the first length symbols, as (stage,
-        exclusions, under): the start, and each pulse that adds exclusions."""
-        def under(excluded):
-            return cache(lambda: (ClopenCompact(excluded), kept_outputs(self.mid)))
-
+        exclusions): the start, and each pulse that adds exclusions."""
         excluded = frozenset()
-        yield 1, excluded, under(excluded)
+        yield 1, excluded
         for ell in range(1, length + 1):
             if symbol_at(ell - 1) == 0:
                 continue
             _, blocks = pulse_exclusions(ell - 1, self.ROW_CAP)
             if not excluded.issuperset(blocks or ()):
                 excluded = excluded.union(blocks)
-                yield ell, excluded, under(excluded)
+                yield ell, excluded
 
     def replay(self, symbol_at: Callable, length: int):
         """The commits (stage, width, table) of rows 0, 1, ... in row
@@ -450,8 +450,8 @@ class DynamicSwap:
         from row n - 1's on, whose search from row n - 1's width fits; the
         rows end at the first that no stage up to length commits."""
         n, start = 0, 1
-        for ell, excluded, under in self._stages(symbol_at, length):
-            while (found := self.search(excluded, n, start, under)) is not None:
+        for ell, excluded in self._stages(symbol_at, length):
+            while (found := self.search(excluded, n, start)) is not None:
                 yield (ell, *found)
                 n, start = n + 1, found[0]
 

@@ -5,8 +5,11 @@ The forward direction turns a tree name into one blocking stream per
 binary word; an oracle answer supplies, per word, a bit whose child is
 still on arbitrarily long tree branches, and the path extractor follows
 those bits.  The backward direction encodes the rows' constraints as a
-tree whose paths are exactly the admissible answer streams.  Blocking
-rows go out through emit_rows.  The constraint tree's machine reads the
+tree whose paths are exactly the admissible answer streams.  One
+blocking search, one pulse rule and one extension test serve the
+forward machine, on the finite tree its input prefix decides, and its
+mirror, on the name's own tree.  Blocking rows go out through
+emit_rows.  The constraint tree's machine reads the
 whole parity test, parity_chi, for each word; the mirror's
 ConstraintTree.chi decides a word from its parent's answer and the new
 last row and column, O(n) row symbols for a word of length n where
@@ -118,14 +121,6 @@ class ConstraintTree:
     def infinite(self) -> bool:
         return True
 
-    def level(self, n: int) -> list:
-        return extensions((), n, self.member)
-
-    def extension_exists(self, w, n: int) -> bool:
-        w = tuple(w)
-        return self.alive(w) or (self.member(w)
-                                 and bool(extensions(w, n, self.member)))
-
     def blocking_search_bound(self, w) -> int:
         return max(self.stub_depth, len(w) + 1) + 1
 
@@ -159,11 +154,19 @@ def wkl_problem() -> Problem:
 # ---------------------------------------------------------------------------
 # blocking levels
 
+def extension_exists(tree, w, n: int) -> bool:
+    """Some length-n tree word extends the word w (n >= len(w)): w lies on a
+    long branch, or the words of w's subtree reach length n."""
+    w = tuple(w)
+    return tree.alive(w) or (tree.member(w)
+                             and bool(extensions(w, n, tree.member)))
+
+
 def _child_blocked_at(tree, wi, n: int) -> bool:
     """Presentation-aware test: no length-n tree word comparable with wi."""
     if n <= len(wi):
         return not tree.member(wi[:n])
-    return not tree.extension_exists(wi, n)
+    return not extension_exists(tree, wi, n)
 
 
 def _blocking_search(tree, w) -> Optional[tuple]:
@@ -188,14 +191,20 @@ def blocking_index(tree, w) -> Optional[int]:
     return None if found is None else found[0]
 
 
-def q_stream(tree, w) -> EvPeriodic:
-    """The per-word blocking stream: a pulse flags the doomed child."""
-    found = _blocking_search(tree, tuple(w))
+def _blocking_pulse(found) -> Optional[int]:
+    """Where a blocking stream's pulse stands, from its word's search: None
+    when no child or both children are blocked."""
     if found is None or found[1] == found[2]:
-        return ZEROS
+        return None
     n, b0, _ = found
     # the pulse names the child to take: 1 (go right) when 0 is blocked
-    return pulse(pulse_position(2 * n, 1 if b0 else 0))
+    return pulse_position(2 * n, 1 if b0 else 0)
+
+
+def q_stream(tree, w) -> EvPeriodic:
+    """The per-word blocking stream: a pulse flags the doomed child."""
+    pos = _blocking_pulse(_blocking_search(tree, tuple(w)))
+    return ZEROS if pos is None else pulse(pos)
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +213,13 @@ def q_stream(tree, w) -> EvPeriodic:
 def _covered_level(length: int) -> int:
     """Largest n with every word of length n indexed below the prefix: the
     last word of length n + 1 has index 2^(n+2) - 2."""
-    n = -1
-    while 2 ** (n + 2) - 2 < length:
-        n += 1
-    return n
+    return (length + 1).bit_length() - 2
 
 
 def blocking_rows_machine() -> Machine:
-    """Tree name in, tupled blocking streams out (one row per word): a
-    rule over the levels the name's prefix covers."""
+    """Tree name in, tupled blocking streams out (one row per word): the
+    mirror's blocking search on the tree the name's prefix decides, the
+    words up to the covered level that read 1 with every prefix."""
     def rule(w):
         L = len(w)
         ell = _covered_level(L)
@@ -222,26 +229,17 @@ def blocking_rows_machine() -> Machine:
         def member(v):
             return w[word_index(v)] == 1
 
-        levels = [set(extensions((), n, member)) if member(()) else set()
-                  for n in range(ell + 1)]
-
-        def blocked(wi, n):
-            k = len(wi)
-            if n <= k:
-                return wi[:n] not in levels[n]
-            return all(v[:k] != wi for v in levels[n])
+        words = [v for n in range(ell + 1)
+                 for v in extensions((), n, member)] if member(()) else []
+        # no live path: every row's search blocks by level ell + 1
+        tree = FinTree(ell, words)
 
         def row_of(r):
-            v = word_at(r)
-            for n in range(ell + 1):
-                c0 = blocked(v + (0,), n)
-                c1 = blocked(v + (1,), n)
-                if c0 or c1:
-                    # a pulse at the level's parity names the child to take
-                    pos = None if c0 == c1 else 2 * n + (0 if c0 else 1)
-                    return word_of_shape((row_length(L, r), pos))
-            # no blocking within the covered levels: zeros are safe there
-            return (0,) * (2 * ell + 2)
+            found = _blocking_search(tree, word_at(r))
+            if found[0] > ell:
+                # no blocking within the covered levels: zeros are safe there
+                return (0,) * (2 * ell + 2)
+            return word_of_shape((row_length(L, r), _blocking_pulse(found)))
 
         return emit_rows(row_of, L)
 

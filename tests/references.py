@@ -61,7 +61,7 @@ def comparable(v, w) -> bool:
 def in_blocked_set(tree, w, n: int, i: int) -> bool:
     """No length-n tree word is comparable with the child w·i."""
     wi = tuple(w) + (i,)
-    return all(not comparable(v, wi) for v in tree.level(n))
+    return all(not comparable(v, wi) for v in extensions((), n, tree.member))
 
 
 def blocking_index_bruteforce(tree, w, n_max: int) -> Optional[int]:

@@ -8,8 +8,11 @@ could not import at module level, no index machine in src/ is given
 both its index law and its point action, no search in witnesses.py is
 given a hand-written point action, witnesses.py starts no run of H
 outside the explorer, weakcomp.py places the swap's pulses by the one
-resolution rule of ternary.py, the row normal form is decided in points
-alone, and so is the census of a name's zeros and nonzeros, by one walk."""
+resolution rule of ternary.py, the tree-choice K runs the mirror's
+blocking search and pulse rule and no level search of its own, no tree
+presentation defines its own extension test or level list, the row
+normal form is decided in points alone, and so is the census of a
+name's zeros and nonzeros, by one walk."""
 
 import ast
 from pathlib import Path
@@ -202,6 +205,35 @@ def test_the_swap_places_its_pulses_by_the_resolution_rule():
     realizer over a window of its name."""
     tree = ast.parse((ROOT / "src/weihrauchlab/weakcomp.py").read_text())
     assert {"PointView", "resolution_realizer"} & set(_names(tree)) == set()
+
+
+def test_tree_choice_blocks_by_the_mirror_search():
+    """The tree-choice K reaches blocking only through _blocking_search and
+    _blocking_pulse, with no loop of its own; _blocking_pulse alone places
+    a blocking pulse in wkl.py; and no class in spaces.py or wkl.py defines
+    extension_exists or level, so one extension test serves every tree."""
+    wkl = ast.parse((ROOT / "src/weihrauchlab/wkl.py").read_text())
+    tops = {top.name: top for top in wkl.body
+            if isinstance(top, ast.FunctionDef)}
+    k = tops["blocking_rows_machine"]
+    assert {"_blocking_search", "_blocking_pulse"} <= set(_names(k))
+    assert {"_child_blocked_at", "extension_exists"} & set(_names(k)) == set()
+    assert not [n for n in ast.walk(k) if isinstance(n, (ast.For, ast.While))]
+    placers = {name for name, top in tops.items()
+               if "pulse_position" in _names(top)}
+    assert placers == {"_blocking_pulse"}
+    assert "_blocking_pulse" in _names(tops["q_stream"])
+    defined = [
+        f"{path.name}:{cls.name}.{node.name}"
+        for path in (ROOT / "src/weihrauchlab/spaces.py",
+                     ROOT / "src/weihrauchlab/wkl.py")
+        for cls in ast.walk(ast.parse(path.read_text()))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and node.name in ("extension_exists", "level")
+    ]
+    assert defined == []
 
 
 def test_row_normal_form_is_decided_in_points():

@@ -28,7 +28,7 @@ from weihrauchlab.spaces import (
     word_at,
     word_index,
 )
-from weihrauchlab.wkl import ConstraintTree
+from weihrauchlab.wkl import ConstraintTree, extension_exists
 
 
 def test_word_enumeration_order():
@@ -189,19 +189,23 @@ def brute_extensions(start, n, member):
 @settings(max_examples=150, deadline=None)
 @given(fin_trees(), COMPACTS, ROW_POINTS, WORDS, st.integers(0, 5))
 def test_word_search_agrees_with_brute_force(tree, compact, rows, w, n):
-    """Tree levels, admitted words, clopen liveness and constraint-tree
-    extension, from the shared word search, against filters over all words."""
-    assert tree.level(n) == brute_extensions((), n, tree.member)
+    """Tree levels, admitted words, clopen liveness and tree extension on
+    both presentations, from the shared word search, against filters over
+    all words."""
+    assert extensions((), n, tree.member) == brute_extensions((), n, tree.member)
     assert compact.admitted_words(n) == brute_extensions((), n, compact.admits)
     width = max(compact.depth(), len(w))
     assert compact.alive(w) == any(
         v[: len(w)] == w and compact.admits(v)
         for v in itertools.product((0, 1), repeat=width))
-    ct = ConstraintTree(rows)
     m = len(w) + n
+    assert extension_exists(tree, w, m) == any(
+        v[: len(w)] == w and tree.member(v)
+        for v in itertools.product((0, 1), repeat=m))
+    ct = ConstraintTree(rows)
     want = ct.alive(w) or (ct.member(w)
                            and bool(brute_extensions(w, m, ct.member)))
-    assert ct.extension_exists(w, m) == want
+    assert extension_exists(ct, w, m) == want
 
 
 def test_admitted_words_grown_per_width_are_the_filtered_extensions():

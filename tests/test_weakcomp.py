@@ -416,6 +416,32 @@ def test_the_swap_machine_searches_only_the_rows_it_emits(monkeypatch):
         assert searched == set(range(len(row_lengths(len(out))))) == set(range(25))
 
 
+def test_machine_and_mirror_compute_each_middle_output_once():
+    """The swap machine at width 24 and then the mirror's rows 0-39 share
+    one kept middle machine: each admitted word's middle output is
+    computed once in all, by eval or by view."""
+    log = []
+
+    def logged(read, w):
+        log.append(w)
+        return read(w)
+
+    pe, names = _chain_names()
+    base = compose(pe.K, pe.H)
+    mid = Machine("logged", partial(logged, base.eval),
+                  view=partial(logged, base.view))
+    for p in names:
+        log.clear()
+        swap = DynamicSwap(mid)
+        swap.machine().eval(pe.K.eval(p.prefix(24)))
+        by_machine = len(log)
+        mirror = DynamicSwapMirror(swap, pe.k_point(p))
+        for n in range(40):
+            mirror.row(n)
+        assert len(log) > by_machine > 0
+        assert len(set(log)) == len(log), p
+
+
 def test_mirror_rows_as_the_windowed_realizer():
     """The mirror's rows, placed from the census of the name's rows, are
     the rows a resolution realizer run over a window gave, on the chain's

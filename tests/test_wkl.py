@@ -243,7 +243,7 @@ def test_blocking_rows_is_total_where_a_level_ends():
     """A level is covered only when its last word, of index 2^(n+1) - 2,
     lies below the prefix; at exactly that length the blocking-rows K read
     one symbol past its input."""
-    for L in range(200):
+    for L in range(5000):
         n = _covered_level(L)
         assert 2 ** (n + 1) - 2 < L <= 2 ** (n + 2) - 2, L
     k = wkl_to_llpo_hat().K
